@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +24,7 @@ from .enumeration import (
     DEFAULT_MAX_CANDIDATES,
     DEFAULT_MAX_DIM,
     SuccessiveMinima,
+    _check_dim,
     successive_minima,
 )
 from .errors import (
@@ -48,7 +50,7 @@ EXIT_INTERNAL = 5
 _NORM_NAMES = {kind.value: kind for kind in NormKind}
 
 
-def _parse_json_basis(data) -> tuple[LatticeBasis, NormKind | None]:
+def _parse_json_basis(data, max_dim: int) -> tuple[LatticeBasis, NormKind | None]:
     if not isinstance(data, dict):
         raise InputError("top-level JSON value must be an object")
     try:
@@ -56,8 +58,9 @@ def _parse_json_basis(data) -> tuple[LatticeBasis, NormKind | None]:
         rows = data["basis"]
     except KeyError as exc:
         raise InputError(f"missing required key {exc}") from exc
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise InputError("'dim' must be a positive integer")
+    _check_dim(dim, max_dim)
     if not isinstance(rows, list) or len(rows) != dim:
         raise InputError(f"'basis' must be a list of {dim} rows")
     for row in rows:
@@ -75,7 +78,7 @@ def _parse_json_basis(data) -> tuple[LatticeBasis, NormKind | None]:
     return LatticeBasis(rows), kind
 
 
-def _parse_text_basis(text: str) -> tuple[LatticeBasis, NormKind | None]:
+def _parse_text_basis(text: str, max_dim: int) -> tuple[LatticeBasis, NormKind | None]:
     tokens = text.split()
     if not tokens:
         raise InputError("empty basis file")
@@ -86,6 +89,7 @@ def _parse_text_basis(text: str) -> tuple[LatticeBasis, NormKind | None]:
     dim = values[0]
     if dim < 1:
         raise InputError("dimension must be a positive integer")
+    _check_dim(dim, max_dim)
     if len(values) != 1 + dim * dim:
         raise InputError(
             f"expected {dim * dim} entries after the dimension, got {len(values) - 1}"
@@ -94,8 +98,11 @@ def _parse_text_basis(text: str) -> tuple[LatticeBasis, NormKind | None]:
     return LatticeBasis(rows), None
 
 
-def load_basis_file(path: str) -> tuple[LatticeBasis, NormKind | None]:
-    """Parse a basis file (JSON object or plain text)."""
+def load_basis_file(path: str, max_dim: int) -> tuple[LatticeBasis, NormKind | None]:
+    """Parse a basis file (JSON object or plain text).
+
+    The dimension is checked against ``max_dim`` before any arithmetic is
+    spent on the entries."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -106,8 +113,8 @@ def load_basis_file(path: str) -> tuple[LatticeBasis, NormKind | None]:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputError(f"invalid JSON in {path}: {exc}") from exc
-        return _parse_json_basis(data)
-    return _parse_text_basis(text)
+        return _parse_json_basis(data, max_dim)
+    return _parse_text_basis(text, max_dim)
 
 
 def _resolve_kind(flag_value: str | None, file_kind: NormKind | None) -> NormKind:
@@ -161,7 +168,7 @@ def _emit(args, payload: dict, text_printer) -> None:
 
 
 def cmd_minima(args) -> int:
-    basis, file_kind = load_basis_file(args.file)
+    basis, file_kind = load_basis_file(args.file, args.max_dim)
     kind = _resolve_kind(args.norm, file_kind)
     sm = successive_minima(
         basis, kind, max_candidates=args.max_candidates, max_dim=args.max_dim
@@ -178,7 +185,7 @@ def cmd_minima(args) -> int:
 
 
 def cmd_check(args) -> int:
-    basis, file_kind = load_basis_file(args.file)
+    basis, file_kind = load_basis_file(args.file, args.max_dim)
     kind = _resolve_kind(args.norm, file_kind)
     cert = check_standard(
         basis, kind, max_candidates=args.max_candidates, max_dim=args.max_dim
@@ -213,7 +220,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_standardize(args) -> int:
-    basis, _ = load_basis_file(args.file)
+    basis, _ = load_basis_file(args.file, args.max_dim)
     rows = standardize_low_dim(basis, max_candidates=args.max_candidates)
     norms = [measure(r, NormKind.L2).value for r in rows]
     payload = {
@@ -235,7 +242,7 @@ def cmd_standardize(args) -> int:
 
 
 def cmd_reduce2d(args) -> int:
-    basis, file_kind = load_basis_file(args.file)
+    basis, file_kind = load_basis_file(args.file, args.max_dim)
     kind = _resolve_kind(args.norm, file_kind)
     red = reduce_2d(basis, kind, max_candidates=args.max_candidates)
     label = _minima_label(kind)
@@ -312,7 +319,7 @@ def _parse_rational(token: str) -> Fraction:
 
 
 def cmd_nearest(args) -> int:
-    basis, _ = load_basis_file(args.file)
+    basis, _ = load_basis_file(args.file, args.max_dim)
     point = [_parse_rational(tok) for tok in args.point]
     if len(point) != basis.dim:
         raise InputError(f"expected {basis.dim} coordinates, got {len(point)}")
@@ -350,8 +357,28 @@ def cmd_nearest(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every token that starts like a negative number (``-3``,
+    ``-3/2``, ``-.5``) as a value, not as an option; no option of this CLI
+    starts with a digit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stdlattice",
         description="Exact successive minima, standardness certificates, and "
         "reduction for integer lattices.",
@@ -362,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
         if norm_flag:
             p.add_argument("--norm", choices=sorted(_NORM_NAMES), default=None)
         p.add_argument("--json", action="store_true")
-        p.add_argument("--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES)
-        p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
+        p.add_argument("--max-candidates", type=_positive_int, default=DEFAULT_MAX_CANDIDATES)
+        p.add_argument("--max-dim", type=_positive_int, default=DEFAULT_MAX_DIM)
 
     p = sub.add_parser("minima", help="successive minima with witnesses")
     p.add_argument("file")

@@ -196,13 +196,15 @@ def _greedy_minima(
     return minima, witnesses
 
 
-def _minima_rows(
+def _minima_with_entries(
     rows: Sequence[IntVector],
     kind: NormKind,
     *,
     start_bound: NormValue | None = None,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
-) -> SuccessiveMinima:
+) -> tuple[SuccessiveMinima, list[MeasuredVector]]:
+    """The minima together with the enumeration pass they were read from:
+    every vector of norm at most that pass's bound, which is >= lambda_n."""
     m = len(rows)
     if start_bound is None:
         bound = NormValue(kind, max(measure(r, kind).value for r in rows))
@@ -212,10 +214,22 @@ def _minima_rows(
         entries = _enumerate_rows(rows, kind, bound, max_candidates)
         minima, witnesses = _greedy_minima(entries, m)
         if len(witnesses) == m:
-            return SuccessiveMinima(kind, tuple(minima), tuple(witnesses))
+            return SuccessiveMinima(kind, tuple(minima), tuple(witnesses)), entries
         # The basis rows themselves lie within the max-row-norm bound, so the
         # first pass normally already has rank m; doubling is a safety net.
         bound = double_radius(bound)
+
+
+def _minima_rows(
+    rows: Sequence[IntVector],
+    kind: NormKind,
+    *,
+    start_bound: NormValue | None = None,
+    max_candidates: int = DEFAULT_MAX_CANDIDATES,
+) -> SuccessiveMinima:
+    return _minima_with_entries(
+        rows, kind, start_bound=start_bound, max_candidates=max_candidates
+    )[0]
 
 
 def successive_minima(

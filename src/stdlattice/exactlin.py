@@ -17,7 +17,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, StructuralError
@@ -300,43 +299,57 @@ def gso(basis: LatticeBasis) -> GsoData:
 
 
 class RankTracker:
-    """Incremental rank of a growing set of integer vectors.
+    """Incremental rank and minor gcd of a growing set of integer vectors.
 
-    Works fraction-free: stored rows are gcd-normalized integer echelon rows,
-    so membership of the next vector costs one reduction pass.  ``pop``
-    removes the vector added last, which is what backtracking searches need.
+    Keeps a unimodular column transform U with A U = [H | 0] for the k rows
+    A added so far, H lower triangular.  Unimodular column operations leave
+    the gcd of the k x k minors unchanged (Cauchy-Binet), so ``divisor``, that
+    gcd, is the product of the absolute diagonal entries of H.  A new row v
+    is independent iff z = v U[:, k:] is nonzero; folding z to (g, 0, ...) by
+    Euclidean column steps appends |g| to the diagonal.  ``pop`` removes the
+    vector added last, which is what backtracking searches need.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_cols", "_undo", "divisor")
 
     def __init__(self):
-        self._rows: list[tuple[int, list[int]]] = []
+        self._cols: list[list[int]] = []
+        self._undo: list[tuple[list[list[int]], int]] = []
+        self.divisor = 1
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self._undo)
 
     def add(self, vec: Sequence[int]) -> bool:
         """Add ``vec`` if it increases the rank; report whether it did."""
-        v = list(vec)
-        for pc, row in self._rows:
-            if v[pc] != 0:
-                a, b = v[pc], row[pc]
-                v = [x * b - y * a for x, y in zip(v, row)]
-        pivot = next((j for j, x in enumerate(v) if x != 0), None)
-        if pivot is None:
+        cols = self._cols
+        if not cols:
+            n = len(vec)
+            cols[:] = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+        k = len(self._undo)
+        z = {j: _dot(vec, cols[j]) for j in range(k, len(cols))}
+        live = [j for j, x in z.items() if x]
+        if not live:
             return False
-        g = 0
-        for x in v:
-            g = gcd(g, x)
-        if v[pivot] < 0:
-            g = -g
-        v = [x // g for x in v]
-        self._rows.append((pivot, v))
+        self._undo.append((cols[k:], self.divisor))
+        while len(live) > 1:
+            p = min(live, key=lambda j: abs(z[j]))
+            zp, cp = z[p], cols[p]
+            for j in live:
+                if j != p:
+                    q = z[j] // zp
+                    cols[j] = [a - q * b for a, b in zip(cols[j], cp)]
+                    z[j] -= q * zp
+            live = [j for j in live if z[j]]
+        p = live[0]
+        cols[k], cols[p] = cols[p], cols[k]
+        self.divisor *= abs(z[p])
         return True
 
     def pop(self) -> None:
-        self._rows.pop()
+        saved, self.divisor = self._undo.pop()
+        self._cols[len(self._undo):] = saved
 
 
 def rank_of_rows(rows: Sequence[Sequence[int]]) -> int:

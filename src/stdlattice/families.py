@@ -17,6 +17,7 @@ from .enumeration import (
     DEFAULT_MAX_CANDIDATES,
     DEFAULT_MAX_DIM,
     SuccessiveMinima,
+    _check_dim,
     enumerate_short,
 )
 from .exactlin import IntVector, LatticeBasis
@@ -77,6 +78,7 @@ def verify_family(
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> FamilyReport:
     """Full report on the dimension-n parity lattice under ``kind``."""
+    _check_dim(n, max_dim)
     basis = parity_lattice(n)
     cert = check_standard(basis, kind, max_candidates=max_candidates, max_dim=max_dim)
     sm = cert.minima

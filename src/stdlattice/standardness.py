@@ -2,10 +2,17 @@
 minima-achieving basis for dimensions up to 4 under L2.
 
 A lattice is standard when some basis b_1..b_n has ||b_i|| equal to the i-th
-successive minimum for every i.  The decision procedure enumerates every
-vector of norm lambda_n, restricts level i to vectors of norm exactly
-lambda_i, and backtracks with rank and determinant-divisor pruning; the
-search order is deterministic, so certificates are reproducible by replay.
+successive minimum for every i.  The decision procedure reuses the
+enumeration behind the minima (every vector up to a bound >= lambda_n),
+restricts level i to vectors of norm exactly lambda_i, and backtracks with
+rank and determinant-divisor pruning; the search order is deterministic, so
+certificates are reproducible by replay.
+
+Both prunings come from one incremental column reduction of the chosen
+vectors (``RankTracker``).  Unimodular column operations preserve the gcd of
+the maximal minors (Cauchy-Binet), so the reduction yields that gcd as the
+product of its pivots, updated in one step per added vector; a partial tuple
+whose gcd does not divide |det| can never complete to a basis.
 """
 
 from __future__ import annotations
@@ -22,16 +29,15 @@ from .enumeration import (
     DEFAULT_MAX_CANDIDATES,
     DEFAULT_MAX_DIM,
     SuccessiveMinima,
+    _check_dim,
     _minima_rows,
-    enumerate_short,
-    successive_minima,
+    _minima_with_entries,
 )
 from .errors import InternalConsistencyError, StructuralError
 from .exactlin import (
     IntVector,
     LatticeBasis,
     RankTracker,
-    _bareiss_det,
     _dot,
     _solve_exact,
     hermite_form,
@@ -75,18 +81,6 @@ def is_orthogonal_basis(basis: LatticeBasis) -> bool:
     return all(_dot(rows[i], rows[j]) == 0 for i in range(n) for j in range(i + 1, n))
 
 
-def _max_minor_gcd(rows: Sequence[IntVector], width: int) -> int:
-    """gcd of all maximal (k x k) minors of a k x width integer matrix."""
-    k = len(rows)
-    g = 0
-    for cols in itertools.combinations(range(width), k):
-        sub = [[row[c] for c in cols] for row in rows]
-        g = gcd(g, _bareiss_det(sub))
-        if g == 1:
-            break
-    return g
-
-
 def check_standard(
     basis: LatticeBasis,
     kind: NormKind,
@@ -101,13 +95,12 @@ def check_standard(
     ||b_i|| = lambda_i, nondecreasing candidate index inside equal-minima
     runs) was exhausted; re-running the deterministic search replays it.
     """
-    sm = successive_minima(basis, kind, max_candidates=max_candidates, max_dim=max_dim)
+    _check_dim(basis.dim, max_dim)
+    sm, entries = _minima_with_entries(basis.rows, kind, max_candidates=max_candidates)
     n = basis.dim
-    shorts = enumerate_short(
-        basis, kind, sm.minima[-1], max_candidates=max_candidates, max_dim=max_dim
-    )
+    # Entries longer than lambda_n match no level, so none need filtering.
     pool: dict[object, list[IntVector]] = {}
-    for vec, nv in shorts.entries:
+    for vec, nv in entries:
         pool.setdefault(nv.value, []).append(vec)
     levels = [pool.get(nv.value, []) for nv in sm.minima]
     target_det = abs(basis.det)
@@ -124,16 +117,10 @@ def check_standard(
             if not tracker.add(vec):
                 continue
             chosen.append(vec)
-            ok = True
             if level == n - 1:
-                if abs(_bareiss_det(chosen)) == target_det:
+                if tracker.divisor == target_det:
                     return tuple(chosen)
-                ok = False
-            else:
-                g = _max_minor_gcd(chosen, n)
-                if target_det % g != 0:
-                    ok = False
-            if ok:
+            elif target_det % tracker.divisor == 0:
                 nxt = (
                     idx + 1
                     if sm.minima[level + 1].value == sm.minima[level].value

@@ -2,7 +2,9 @@ import json
 import subprocess
 import sys
 
-from stdlattice import LatticeBasis, NormKind, successive_minima
+import pytest
+
+from stdlattice import LatticeBasis, NormKind, exactlin, successive_minima
 from stdlattice.cli import main
 
 
@@ -154,6 +156,14 @@ class TestOtherCommands:
         data = json.loads(out)
         assert data["dist_sq"] == "1/4"
 
+    @pytest.mark.parametrize("separator", [[], ["--"]])
+    @pytest.mark.parametrize("coords, shown", [(["-3/2", "1"], "[-3/2, 1]"), (["-3", "-1"], "[-3, -1]")])
+    def test_nearest_negative_coordinates(self, tmp_path, capsys, separator, coords, shown):
+        path = write_json_basis(tmp_path, "i2.json", [[1, 0], [0, 1]])
+        code, out, _ = run_cli(["nearest", path, *separator, *coords], capsys)
+        assert code == 0
+        assert f"target: {shown}" in out
+
     def test_reduce2d_identity(self, tmp_path, capsys):
         path = write_json_basis(tmp_path, "i2.json", [[1, 0], [0, 1]])
         code, out, _ = run_cli(["reduce2d", path], capsys)
@@ -209,6 +219,37 @@ class TestErrorClasses:
         path = write_json_basis(tmp_path, "l5.json", parity_rows(5))
         code, _, _ = run_cli(["minima", path, "--max-dim", "4"], capsys)
         assert code == 4
+
+    @pytest.mark.parametrize("flag", ["--max-candidates", "--max-dim"])
+    @pytest.mark.parametrize("value", ["-5", "0"])
+    def test_non_positive_ceiling_is_input_error(self, tmp_path, capsys, flag, value):
+        path = write_json_basis(tmp_path, "i2.json", [[1, 0], [0, 1]])
+        code, _, err = run_cli(["minima", path, flag, value], capsys)
+        assert code == 2
+        assert "must be a positive integer" in err
+
+    def test_boolean_dim_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text('{"dim": true, "basis": [[1]]}')
+        code, _, err = run_cli(["minima", str(path)], capsys)
+        assert code == 2
+        assert "'dim'" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_max_dim_checked_before_any_determinant(self, tmp_path, capsys, monkeypatch, fmt):
+        n = 40
+        rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        if fmt == "json":
+            path = write_json_basis(tmp_path, "big.json", rows)
+        else:
+            path = tmp_path / "big.txt"
+            path.write_text(f"{n}\n" + "\n".join(" ".join(map(str, r)) for r in rows))
+        dets = []
+        monkeypatch.setattr(exactlin, "_bareiss_det", lambda mat: dets.append(mat) or 1)
+        code, _, err = run_cli(["minima", str(path), "--max-dim", "12"], capsys)
+        assert code == 4
+        assert "dimension 40 exceeds the configured cap 12" in err
+        assert dets == []
 
     def test_no_stack_trace_on_user_error(self, tmp_path, capsys):
         path = write_json_basis(tmp_path, "sing.json", [[2, 4], [1, 2]])

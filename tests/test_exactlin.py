@@ -1,4 +1,6 @@
+import itertools
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from stdlattice import (
     parity_lattice,
     same_lattice,
 )
+from stdlattice.exactlin import RankTracker
 from util import apply_unimodular, cofactor_det, identity_basis, mat_mul, random_basis, random_unimodular
 
 small_matrix = st.integers(2, 4).flatmap(
@@ -241,3 +244,50 @@ class TestGso:
 
 def test_hnf_nonzero_rows_drops_padding():
     assert hnf_nonzero_rows([(2, 0), (0, 2), (1, 1)]) == ((1, 1), (0, 2))
+
+
+def maximal_minor_gcd(rows, n):
+    """gcd of every k x k minor of the k x n matrix ``rows`` by cofactor
+    expansion; 1 for no rows, 0 exactly when the rows are dependent."""
+    if not rows:
+        return 1
+    g = 0
+    for cols in itertools.combinations(range(n), len(rows)):
+        g = gcd(g, cofactor_det([[r[c] for c in cols] for r in rows]))
+    return g
+
+
+class TestRankTracker:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_divisor_is_gcd_of_maximal_minors(self, data):
+        n = data.draw(st.integers(1, 6))
+        tracker = RankTracker()
+        chosen = []
+        for _ in range(data.draw(st.integers(1, 14))):
+            op = data.draw(st.sampled_from(["add", "combination", "pop"]))
+            if op == "pop":
+                if chosen:
+                    tracker.pop()
+                    chosen.pop()
+            else:
+                if op == "combination" and chosen:
+                    cs = data.draw(st.lists(st.integers(-2, 2), min_size=len(chosen), max_size=len(chosen)))
+                    vec = tuple(sum(c * r[j] for c, r in zip(cs, chosen)) for j in range(n))
+                else:
+                    vec = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)))
+                independent = maximal_minor_gcd(chosen + [vec], n) != 0
+                assert tracker.add(vec) is independent
+                if independent:
+                    chosen.append(vec)
+            assert tracker.rank == len(chosen)
+            assert tracker.divisor == maximal_minor_gcd(chosen, n)
+
+    def test_full_rank_divisor_is_the_covolume(self):
+        rng = random.Random(83)
+        for _ in range(30):
+            b = random_basis(rng, rng.randint(1, 6), -9, 9)
+            tracker = RankTracker()
+            assert all(tracker.add(r) for r in b.rows)
+            assert tracker.divisor == abs(determinant(b))
+            assert not tracker.add(b.rows[0])

@@ -4,9 +4,11 @@ import pytest
 
 from stdlattice import (
     NormKind,
+    ResourceLimitError,
     Verdict,
     determinant,
     enumerate_short,
+    exactlin,
     member,
     parity_lattice,
     verify_family,
@@ -55,6 +57,13 @@ class TestParityLattice:
 
 
 class TestVerifyFamily:
+    def test_dimension_cap_checked_before_any_determinant(self, monkeypatch):
+        dets = []
+        monkeypatch.setattr(exactlin, "_bareiss_det", lambda mat: dets.append(mat) or 1)
+        with pytest.raises(ResourceLimitError, match="dimension 400 exceeds the configured cap 12"):
+            verify_family(400, NormKind.L2, max_dim=12)
+        assert dets == []
+
     def test_5_l2(self):
         rep = verify_family(5, NormKind.L2)
         assert rep.verdict is Verdict.NON_STANDARD

@@ -9,6 +9,8 @@ from stdlattice import (
     StructuralError,
     Verdict,
     check_standard,
+    enumeration,
+    exactlin,
     is_basis_of,
     is_orthogonal_basis,
     measure,
@@ -80,6 +82,34 @@ class TestCheckStandard:
             assert cert.verdict is Verdict.STANDARD
             row_norms = sorted(measure(r, NormKind.L2).value for r in b.rows)
             assert [nv.value for nv in cert.minima.minima] == row_norms
+
+
+class TestSearchWork:
+    @pytest.mark.parametrize("n", range(5, 11))
+    def test_parity_l2_search_size_is_pinned(self, n):
+        cert = check_standard(parity_lattice(n), NormKind.L2)
+        assert cert.verdict is Verdict.NON_STANDARD
+        assert cert.stats.nodes_explored == 2**n - 1
+        assert cert.stats.level_candidates == (n,) * n
+
+    def test_one_enumeration_and_no_determinant_per_check(self, monkeypatch):
+        basis = parity_lattice(6)
+        calls = {"enumerate": 0, "det": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            enumeration, "_enumerate_rows", counted("enumerate", enumeration._enumerate_rows)
+        )
+        monkeypatch.setattr(exactlin, "_bareiss_det", counted("det", exactlin._bareiss_det))
+        cert = check_standard(basis, NormKind.L2)
+        assert cert.verdict is Verdict.NON_STANDARD
+        assert calls == {"enumerate": 1, "det": 0}
 
 
 class TestIsOrthogonalBasis:
