@@ -32,7 +32,6 @@ from .exactlin import (
     GsoData,
     HermiteForm,
     LatticeBasis,
-    determinant,
     gso,
     hermite_form,
     hnf_nonzero_rows,
@@ -42,7 +41,7 @@ from .exactlin import (
 )
 from .families import FamilyReport, ParityArgument, parity_lattice, verify_family
 from .norm2d import Reduced2DBasis, min_translate, reduce_2d
-from .norms import NormKind, NormValue, enumeration_radius_in_l2, measure, norm_le
+from .norms import NormKind, NormValue, enumeration_radius_in_l2, measure
 from .oracle import (
     BruteCvpResult,
     CoefficientBox,
@@ -94,7 +93,6 @@ __all__ = [
     "brute_minima",
     "check_standard",
     "coefficient_box",
-    "determinant",
     "enumerate_short",
     "enumeration_radius_in_l2",
     "equality_case_analyze",
@@ -108,7 +106,6 @@ __all__ = [
     "min_translate",
     "minima_witness_check",
     "nearest_plane",
-    "norm_le",
     "parity_lattice",
     "reduce_2d",
     "same_lattice",

@@ -35,7 +35,7 @@ from .errors import (
     ResourceLimitError,
     StructuralError,
 )
-from .exactlin import LatticeBasis, determinant
+from .exactlin import LatticeBasis
 from .families import verify_family
 from .norm2d import reduce_2d
 from .norms import NormKind, measure
@@ -72,7 +72,7 @@ def _parse_json_basis(data, max_dim: int) -> tuple[LatticeBasis, NormKind | None
     kind = None
     if "norm" in data:
         name = data["norm"]
-        if name not in _NORM_NAMES:
+        if not isinstance(name, str) or name not in _NORM_NAMES:
             raise InputError(f"unknown norm {name!r}; expected one of l1, l2, linf")
         kind = _NORM_NAMES[name]
     return LatticeBasis(rows), kind
@@ -228,14 +228,14 @@ def cmd_standardize(args) -> int:
         "dim": basis.dim,
         "basis": [list(r) for r in rows],
         "squared_norms": [_jnum(v) for v in norms],
-        "determinant": determinant(basis),
+        "determinant": basis.det,
     }
 
     def text():
         print(f"dim: {basis.dim}")
         for i, row in enumerate(rows):
             print(f"basis {i + 1}: {list(row)}  λ² = {_fmt(norms[i])}")
-        print(f"determinant: {determinant(basis)}")
+        print(f"determinant: {basis.det}")
 
     _emit(args, payload, text)
     return EXIT_OK

@@ -58,10 +58,6 @@ def _as_rational_vector(target: Sequence[Rational], width: int) -> list[Fraction
     return v
 
 
-def _round_half_even(c: Fraction) -> int:
-    return round(c)
-
-
 def _nearest_rows(rows: Sequence[IntVector], target: Sequence[Fraction]):
     """Round ``target`` onto the lattice of ``rows``; returns (coeffs, point,
     residual).  Equivalent to recursing on orthogonal projections: rounding
@@ -72,7 +68,7 @@ def _nearest_rows(rows: Sequence[IntVector], target: Sequence[Fraction]):
     coeffs = [0] * m
     for j in reversed(range(m)):
         c = Fraction(_dot(w, bstar[j])) / bstar_sq[j]
-        a = _round_half_even(c)
+        a = round(c)  # exact on a Fraction; ties go to the even integer
         coeffs[j] = a
         if a != 0:
             w = [wi - a * bi for wi, bi in zip(w, rows[j])]

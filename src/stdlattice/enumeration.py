@@ -6,6 +6,14 @@ that dominates the requested norm, and survivors are filtered by the exact
 target norm.  Output lists are sign-canonical (first nonzero ambient
 coordinate positive) and sorted by (norm, lexicographic coordinates), which
 makes every downstream certificate deterministic.
+
+Every search runs on an LLL-reduced basis of the input lattice.  The output
+is a set of ambient vectors, so it does not depend on the basis it was found
+from, while the reduced basis has short, nearly orthogonal rows and a far
+smaller search tree.  The minima start from a bound that already covers
+lambda_n: the largest row norm of the reduced basis, and under L1/Linf also
+the largest norm of the L2 minima witnesses, whichever is smaller (any n
+independent lattice vectors bound lambda_n from above).
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from math import gcd
 from typing import NamedTuple, Sequence
 
 from .errors import ResourceLimitError
-from .exactlin import IntVector, LatticeBasis, RankTracker, _gso_rows
+from .exactlin import IntVector, LatticeBasis, RankTracker, _gso_rows, _lll_rows
 from .norms import NormKind, NormValue, double_radius, enumeration_radius_in_l2, measure
 
 DEFAULT_MAX_CANDIDATES = 10_000_000
@@ -126,7 +134,8 @@ def _enumerate_rows(
             work += 1
             if work > max_candidates:
                 raise ResourceLimitError(
-                    f"enumeration exceeded {max_candidates} candidate evaluations"
+                    f"enumeration exceeded {max_candidates} candidate evaluations "
+                    f"({kind.value} pass, bound {limit})"
                 )
             t = xi * den - center
             total = partial + t * t * bsq
@@ -176,7 +185,7 @@ def enumerate_short(
     if bound.value <= 0:
         raise ValueError("enumeration bound must be positive")
     _check_dim(basis.dim, max_dim)
-    entries = _enumerate_rows(basis.rows, kind, bound, max_candidates)
+    entries = _enumerate_rows(_lll_rows(basis.rows), kind, bound, max_candidates)
     return ShortVectorList(kind=kind, bound=bound, entries=tuple(entries))
 
 
@@ -196,6 +205,24 @@ def _greedy_minima(
     return minima, witnesses
 
 
+def _row_bound(rows: Sequence[IntVector], kind: NormKind) -> NormValue:
+    return NormValue(kind, max(measure(r, kind).value for r in rows))
+
+
+def _scan_minima(
+    rows: Sequence[IntVector], kind: NormKind, bound: NormValue, max_candidates: int
+) -> tuple[SuccessiveMinima, list[MeasuredVector]]:
+    m = len(rows)
+    while True:
+        entries = _enumerate_rows(rows, kind, bound, max_candidates)
+        minima, witnesses = _greedy_minima(entries, m)
+        if len(witnesses) == m:
+            return SuccessiveMinima(kind, tuple(minima), tuple(witnesses)), entries
+        # Only a caller's start bound can lie below lambda_n; doubling is the
+        # safety net that still reaches it.
+        bound = double_radius(bound)
+
+
 def _minima_with_entries(
     rows: Sequence[IntVector],
     kind: NormKind,
@@ -205,19 +232,15 @@ def _minima_with_entries(
 ) -> tuple[SuccessiveMinima, list[MeasuredVector]]:
     """The minima together with the enumeration pass they were read from:
     every vector of norm at most that pass's bound, which is >= lambda_n."""
-    m = len(rows)
+    rows = _lll_rows(rows)
     if start_bound is None:
-        bound = NormValue(kind, max(measure(r, kind).value for r in rows))
-    else:
-        bound = start_bound
-    while True:
-        entries = _enumerate_rows(rows, kind, bound, max_candidates)
-        minima, witnesses = _greedy_minima(entries, m)
-        if len(witnesses) == m:
-            return SuccessiveMinima(kind, tuple(minima), tuple(witnesses)), entries
-        # The basis rows themselves lie within the max-row-norm bound, so the
-        # first pass normally already has rank m; doubling is a safety net.
-        bound = double_radius(bound)
+        start_bound = _row_bound(rows, kind)
+        if kind is not NormKind.L2:
+            # The L2 pass is cheap on the reduced rows, and its witnesses are
+            # n independent vectors that are often much shorter in ``kind``.
+            l2, _ = _scan_minima(rows, NormKind.L2, _row_bound(rows, NormKind.L2), max_candidates)
+            start_bound = min(start_bound, _row_bound(l2.witnesses, kind))
+    return _scan_minima(rows, kind, start_bound, max_candidates)
 
 
 def _minima_rows(
@@ -243,8 +266,9 @@ def successive_minima(
 
     The witnesses are read off the sorted enumeration: a vector is kept iff
     it increases the rank of the kept set, so the i-th kept norm is the i-th
-    minimum.  The search radius starts at the largest row norm and doubles
-    until the witnesses span everything.
+    minimum.  The enumeration runs on an LLL-reduced basis from a radius
+    that already bounds lambda_n: the largest reduced row norm, and under
+    L1/Linf the smaller of that and the largest norm of the L2 witnesses.
     """
     _check_dim(basis.dim, max_dim)
     return _minima_rows(basis.rows, kind, max_candidates=max_candidates)

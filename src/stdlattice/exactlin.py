@@ -114,11 +114,6 @@ def _bareiss_det(mat: Sequence[Sequence[int]]) -> int:
     return sign * a[-1][-1]
 
 
-def determinant(basis: LatticeBasis) -> int:
-    """Exact determinant of the basis; its absolute value is the covolume."""
-    return basis.det
-
-
 def _matrix_rows(mat) -> list[list[int]]:
     if isinstance(mat, LatticeBasis):
         return [list(r) for r in mat.rows]
@@ -286,6 +281,71 @@ def _gso_rows(rows: Sequence[Sequence[int]]):
         bstar.append(v)
         bstar_sq.append(sq)
     return mu, bstar, bstar_sq
+
+
+def _lll_rows(rows: Sequence[Sequence[int]]) -> tuple[IntVector, ...]:
+    """LLL-reduced basis (delta = 3/4) of the lattice of independent rows.
+
+    All-integer LLL (Cohen, Alg. 2.6.7): with B_i the squared Gram-Schmidt
+    lengths, d[i] = B_1 ... B_i is the Gram determinant of the first i rows
+    and lam[k][j] = mu_kj * d[j + 1]; both stay integers under every size
+    reduction and swap, so no Fraction is built.  The result has the same
+    row span over the integers, |mu_kj| <= 1/2 and the Lovasz condition
+    B_k >= (3/4 - mu_k,k-1^2) B_k-1.
+    """
+    b = [list(_as_int_row(r)) for r in rows]
+    m = len(b)
+    d = [1] * (m + 1)
+    lam = [[0] * m for _ in range(m)]
+
+    def reduce(k: int, j: int) -> None:
+        # Size-reduce row k against row j: subtract round(mu_kj) times it.
+        dj = d[j + 1]
+        if 2 * abs(lam[k][j]) <= dj:
+            return
+        q = (2 * lam[k][j] + dj) // (2 * dj)
+        b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+        lam[k][j] -= q * dj
+        for i in range(j):
+            lam[k][i] -= q * lam[j][i]
+
+    d[1] = _dot(b[0], b[0])
+    if d[1] == 0:
+        raise StructuralError("rows are linearly dependent")
+    k, k_max = 1, 0
+    while k < m:
+        if k > k_max:
+            k_max = k
+            for j in range(k + 1):
+                u = _dot(b[k], b[j])
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                elif u == 0:
+                    raise StructuralError("rows are linearly dependent")
+                else:
+                    d[k + 1] = u
+        reduce(k, k - 1)
+        lk = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lk * lk:
+            # Lovasz condition fails: swap rows k-1 and k and update the
+            # integral Gram-Schmidt data of the rows they touch.
+            b[k], b[k - 1] = b[k - 1], b[k]
+            for j in range(k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            big = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+            for i in range(k + 1, k_max + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+                lam[i][k - 1] = (big * t + lk * lam[i][k]) // d[k + 1]
+            d[k] = big
+            k = max(1, k - 1)
+        else:
+            for j in range(k - 2, -1, -1):
+                reduce(k, j)
+            k += 1
+    return tuple(tuple(r) for r in b)
 
 
 def gso(basis: LatticeBasis) -> GsoData:

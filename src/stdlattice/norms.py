@@ -79,11 +79,6 @@ def measure(coords: Sequence[Rational], kind: NormKind) -> NormValue:
     return NormValue(kind, value)
 
 
-def norm_le(a: NormValue, b: NormValue) -> bool:
-    """Exact test ``a <= b``; raises on mismatched kinds."""
-    return a <= b
-
-
 def enumeration_radius_in_l2(bound: NormValue, dim: int) -> NormValue:
     """Squared L2 radius R^2 such that every vector within ``bound`` under
     its own norm satisfies ||v||_2^2 <= R^2.

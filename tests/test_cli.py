@@ -215,6 +215,15 @@ class TestErrorClasses:
         assert code == 4
         assert "resource" in err
 
+    def test_resource_ceiling_names_the_pass(self, tmp_path, capsys):
+        path = write_json_basis(tmp_path, "i3.json", [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        code, out, err = run_cli(
+            ["minima", path, "--norm", "l1", "--max-candidates", "1"], capsys
+        )
+        assert code == 4
+        assert out == ""
+        assert "candidate evaluations (l2 pass, bound 1)" in err
+
     def test_max_dim_flag(self, tmp_path, capsys):
         path = write_json_basis(tmp_path, "l5.json", parity_rows(5))
         code, _, _ = run_cli(["minima", path, "--max-dim", "4"], capsys)
@@ -234,6 +243,15 @@ class TestErrorClasses:
         code, _, err = run_cli(["minima", str(path)], capsys)
         assert code == 2
         assert "'dim'" in err
+
+    @pytest.mark.parametrize("norm", ["[]", "{}", '["l1"]', "1", "null"])
+    def test_non_string_norm_is_input_error(self, tmp_path, capsys, norm):
+        # An unhashable "norm" value used to escape as a TypeError traceback.
+        path = tmp_path / "norm.json"
+        path.write_text('{"dim": 1, "basis": [[1]], "norm": %s}' % norm)
+        code, _, err = run_cli(["minima", str(path)], capsys)
+        assert code == 2
+        assert "unknown norm" in err
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_max_dim_checked_before_any_determinant(self, tmp_path, capsys, monkeypatch, fmt):

@@ -12,7 +12,6 @@ from stdlattice import (
     NormValue,
     Verdict,
     check_standard,
-    determinant,
     enumerate_short,
     gso,
     hermite_form,
@@ -35,7 +34,7 @@ BIG = 10**30
 class TestArbitraryPrecision:
     def test_determinant_of_huge_entries(self):
         b = LatticeBasis([[BIG, 1], [1, BIG]])
-        assert determinant(b) == BIG * BIG - 1
+        assert b.det == BIG * BIG - 1
         assert cofactor_det(b.rows) == BIG * BIG - 1
 
     def test_hermite_round_trip_huge(self):
@@ -69,7 +68,7 @@ class TestArbitraryPrecision:
         prod = 1
         for sq in data.bstar_sq:
             prod *= sq
-        assert prod == determinant(b) ** 2
+        assert prod == b.det ** 2
 
 
 class TestDegenerateArguments:
@@ -92,7 +91,7 @@ class TestDegenerateArguments:
 
     def test_dimension_one_everything(self):
         b = LatticeBasis([[-9]])
-        assert determinant(b) == -9
+        assert b.det == -9
         sm = successive_minima(b, NormKind.LINF)
         assert [nv.value for nv in sm.minima] == [9]
         cert = check_standard(b, NormKind.L2)

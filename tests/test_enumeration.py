@@ -79,6 +79,14 @@ class TestEnumerateShort:
                 identity_basis(4), NormKind.L2, NormValue(NormKind.L2, 1), max_dim=3
             )
 
+    def test_ceiling_message_names_the_pass(self):
+        with pytest.raises(
+            ResourceLimitError, match=r"exceeded 10 candidate evaluations \(l1 pass, bound 8\)$"
+        ):
+            enumerate_short(
+                identity_basis(3), NormKind.L1, NormValue(NormKind.L1, 8), max_candidates=10
+            )
+
 
 class TestSuccessiveMinima:
     def test_identity_4(self):
@@ -117,6 +125,20 @@ class TestSuccessiveMinima:
             a = successive_minima(b, kind)
             c = successive_minima(scaled, kind)
             assert [x.value * factor for x in a.minima] == [x.value for x in c.minima]
+
+    def test_skewed_z4_l1_within_a_small_ceiling(self):
+        # A skewed basis of Z^4.  Enumerated on these rows from their largest
+        # L1 norm (16, an L2 radius of 256) the search ran past 10,000
+        # candidates; on the reduced basis it needs a few dozen.
+        b = LatticeBasis([[1, 1, 2, 1], [2, 3, 7, 4], [0, 0, 2, 1], [1, 2, 8, 5]])
+        sm = successive_minima(b, NormKind.L1, max_candidates=10_000)
+        assert [nv.value for nv in sm.minima] == [1, 1, 1, 1]
+
+    def test_ceiling_in_the_l2_pass_of_an_l1_search(self):
+        # L1/Linf minima first run the L2 minima for their start bound; the
+        # error says which of the two passes ran out.
+        with pytest.raises(ResourceLimitError, match=r"\(l2 pass, bound 1\)$"):
+            successive_minima(identity_basis(3), NormKind.L1, max_candidates=1)
 
     def test_lambda1_is_enumeration_minimum(self):
         rng = random.Random(17)

@@ -1,16 +1,16 @@
 import itertools
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stdlattice import (
     DimensionMismatchError,
     LatticeBasis,
     StructuralError,
-    determinant,
     gso,
     hermite_form,
     hnf_nonzero_rows,
@@ -19,7 +19,7 @@ from stdlattice import (
     parity_lattice,
     same_lattice,
 )
-from stdlattice.exactlin import RankTracker
+from stdlattice.exactlin import RankTracker, _gso_rows, _lll_rows, rank_of_rows
 from util import apply_unimodular, cofactor_det, identity_basis, mat_mul, random_basis, random_unimodular
 
 small_matrix = st.integers(2, 4).flatmap(
@@ -50,29 +50,29 @@ class TestLatticeBasis:
 
 class TestDeterminant:
     def test_identity(self):
-        assert determinant(identity_basis(3)) == 1
+        assert identity_basis(3).det == 1
 
     def test_parity_lattice_5(self):
         b = parity_lattice(5)
-        assert determinant(b) == 16
+        assert b.det == 16
         assert cofactor_det(b.rows) == 16
 
     def test_triangular(self):
-        assert determinant(LatticeBasis([[2, 0], [1, 2]])) == 4
+        assert LatticeBasis([[2, 0], [1, 2]]).det == 4
 
     def test_matches_cofactor_expansion(self):
         rng = random.Random(101)
         for _ in range(50):
             n = rng.randint(1, 4)
             b = random_basis(rng, n, -5, 5)
-            assert determinant(b) == cofactor_det(b.rows)
+            assert b.det == cofactor_det(b.rows)
 
     def test_unimodular_invariance(self):
         rng = random.Random(7)
         for _ in range(30):
             b = random_basis(rng, rng.randint(1, 4), -4, 4)
             u = random_unimodular(rng, b.dim)
-            assert abs(determinant(apply_unimodular(u, b))) == abs(determinant(b))
+            assert abs(apply_unimodular(u, b).det) == abs(b.det)
 
 
 class TestHermiteForm:
@@ -239,7 +239,7 @@ class TestGso:
             prod = 1
             for sq in data.bstar_sq:
                 prod *= sq
-            assert prod == determinant(b) ** 2
+            assert prod == b.det ** 2
 
 
 def test_hnf_nonzero_rows_drops_padding():
@@ -289,5 +289,50 @@ class TestRankTracker:
             b = random_basis(rng, rng.randint(1, 6), -9, 9)
             tracker = RankTracker()
             assert all(tracker.add(r) for r in b.rows)
-            assert tracker.divisor == abs(determinant(b))
+            assert tracker.divisor == abs(b.det)
             assert not tracker.add(b.rows[0])
+
+
+def assert_lll_reduced(rows):
+    """Size reduction and the Lovasz condition at delta = 3/4, both checked
+    on the exact Fraction Gram-Schmidt data."""
+    mu, _, bstar_sq = _gso_rows(rows)
+    for k in range(1, len(rows)):
+        assert all(abs(mu[k][j]) <= Fraction(1, 2) for j in range(k))
+        assert bstar_sq[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * bstar_sq[k - 1]
+
+
+class TestLll:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_skewed_rows_come_back_reduced_with_the_same_span(self, data):
+        n = data.draw(st.integers(2, 7))
+        m = data.draw(st.integers(1, n))
+        entries = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+        rows = [list(r) for r in data.draw(st.lists(entries, min_size=m, max_size=m))]
+        assume(rank_of_rows(rows) == m)
+        # Skew by unimodular row operations: the lattice stays the same.
+        for _ in range(data.draw(st.integers(0, 12))):
+            i = data.draw(st.integers(0, m - 1))
+            j = data.draw(st.integers(0, m - 1))
+            if i != j:
+                c = data.draw(st.integers(-4, 4))
+                rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        out = _lll_rows(rows)
+        assert all(isinstance(x, int) for row in out for x in row)
+        assert hnf_nonzero_rows(out) == hnf_nonzero_rows(rows)
+        assert_lll_reduced(out)
+        assert _lll_rows(out) == out
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_identity_is_unchanged(self, n):
+        rows = identity_basis(n).rows
+        assert _lll_rows(rows) == rows
+
+    def test_skewed_z4_reduces_to_unit_vectors(self):
+        out = _lll_rows([[1, 1, 2, 1], [2, 3, 7, 4], [0, 0, 2, 1], [1, 2, 8, 5]])
+        assert sorted(tuple(abs(x) for x in r) for r in out) == sorted(identity_basis(4).rows)
+
+    def test_dependent_rows_are_rejected(self):
+        with pytest.raises(StructuralError):
+            _lll_rows([[1, 2, 3], [2, 4, 6]])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stdlattice import NormKind, NormValue, enumeration_radius_in_l2, measure, norm_le
+from stdlattice import NormKind, NormValue, enumeration_radius_in_l2, measure
 
 vectors = st.lists(st.integers(-50, 50), min_size=1, max_size=6)
 kinds = st.sampled_from([NormKind.L1, NormKind.L2, NormKind.LINF])
@@ -20,14 +20,14 @@ def test_measure_examples():
 
 
 def test_norm_le():
-    assert norm_le(NormValue(NormKind.L2, 4), NormValue(NormKind.L2, 5))
-    assert norm_le(NormValue(NormKind.L1, 2), NormValue(NormKind.L1, 2))
-    assert not norm_le(NormValue(NormKind.L2, 5), NormValue(NormKind.L2, 4))
+    assert NormValue(NormKind.L2, 4) <= NormValue(NormKind.L2, 5)
+    assert NormValue(NormKind.L1, 2) <= NormValue(NormKind.L1, 2)
+    assert not NormValue(NormKind.L2, 5) <= NormValue(NormKind.L2, 4)
 
 
 def test_norm_le_kind_mismatch():
     with pytest.raises(ValueError):
-        norm_le(NormValue(NormKind.L1, 1), NormValue(NormKind.L2, 1))
+        NormValue(NormKind.L1, 1) <= NormValue(NormKind.L2, 1)
 
 
 def test_norm_value_rejects_negative():

@@ -111,6 +111,21 @@ class TestSearchWork:
         assert cert.verdict is Verdict.NON_STANDARD
         assert calls == {"enumerate": 1, "det": 0}
 
+    def test_l1_check_enumerates_in_l2_then_l1(self, monkeypatch):
+        # The L1 start bound comes from the L2 witnesses, so an L1 check makes
+        # exactly two enumerations: the L2 pass and the L1 pass.
+        kinds = []
+        inner = enumeration._enumerate_rows
+
+        def recorded(rows, kind, bound, max_candidates):
+            kinds.append(kind)
+            return inner(rows, kind, bound, max_candidates)
+
+        monkeypatch.setattr(enumeration, "_enumerate_rows", recorded)
+        cert = check_standard(parity_lattice(6), NormKind.L1)
+        assert cert.verdict is Verdict.NON_STANDARD
+        assert kinds == [NormKind.L2, NormKind.L1]
+
 
 class TestIsOrthogonalBasis:
     def test_diagonal(self):

@@ -16,7 +16,6 @@ from stdlattice import (
     Verdict,
     brute_minima,
     check_standard,
-    determinant,
     measure,
     parity_lattice,
 )
@@ -32,7 +31,7 @@ def brute_standard(basis, kind):
     levels = []
     for nv in sm.minima:
         levels.append([vec for vec, got in entries if got.value == nv.value])
-    target = abs(determinant(basis))
+    target = abs(basis.det)
 
     def tuples(level, start, chosen):
         if level == n:
