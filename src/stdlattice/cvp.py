@@ -6,16 +6,22 @@ whether that bound is attained exactly.  The rounding is the recursive
 project-and-round construction: the last basis coefficient is rounded to the
 nearest integer (ties to the even integer) and the procedure recurses on the
 hyperplane spanned by the remaining rows.
+
+The rounding runs on integers: the target is scaled by its common
+denominator and each coefficient is an exact quotient of integers built from
+the integral Gram-Schmidt data of the rows (``exactlin._integral_gso``), so
+no Gram-Schmidt vector or Fraction is formed until the final distance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import DimensionMismatchError
-from .exactlin import IntVector, LatticeBasis, _dot, _gso_rows, _solve_exact
+from .exactlin import IntVector, LatticeBasis, _dot, _gso_row, _integral_gso, _solve_exact
 from .norms import NormKind, measure
 
 Rational = int | Fraction
@@ -58,24 +64,37 @@ def _as_rational_vector(target: Sequence[Rational], width: int) -> list[Fraction
     return v
 
 
-def _nearest_rows(rows: Sequence[IntVector], target: Sequence[Fraction]):
+def _nearest_rows(rows: Sequence[IntVector], target: Sequence[Rational]):
     """Round ``target`` onto the lattice of ``rows``; returns (coeffs, point,
-    residual).  Equivalent to recursing on orthogonal projections: rounding
-    runs over the Gram-Schmidt directions from last row to first."""
+    dist_sq).  Equivalent to recursing on orthogonal projections: rounding
+    runs over the Gram-Schmidt directions from last row to first.
+
+    All in integers: with q the common denominator of the target, W = q w
+    and the integral data (d, lam) of the rows, the coefficient rounded at
+    row j is c_j = <W, d_j b*_j> / (q d_j+1), and the numerators s_j form the
+    lam row of W.  Subtracting a_j b_j from w lowers s_i by a_j q lam_ji for
+    every i < j and leaves s_i for i > j alone.
+    """
     m = len(rows)
-    _, bstar, bstar_sq = _gso_rows(rows)
-    w = list(target)
+    d, lam = _integral_gso(rows)
+    q = lcm(*(t.denominator for t in target))
+    big_w = [t.numerator * (q // t.denominator) for t in target]
+    s, _ = _gso_row(big_w, rows, d, lam)
     coeffs = [0] * m
     for j in reversed(range(m)):
-        c = Fraction(_dot(w, bstar[j])) / bstar_sq[j]
-        a = round(c)  # exact on a Fraction; ties go to the even integer
+        den = q * d[j + 1]
+        a, r = divmod(s[j], den)
+        if 2 * r > den or (2 * r == den and a % 2):  # ties go to the even integer
+            a += 1
         coeffs[j] = a
         if a != 0:
-            w = [wi - a * bi for wi, bi in zip(w, rows[j])]
+            for i in range(j):
+                s[i] -= a * q * lam[j][i]
     point = tuple(
         sum(coeffs[i] * rows[i][j] for i in range(m)) for j in range(len(target))
     )
-    return coeffs, point, w
+    residual = [x - q * p for x, p in zip(big_w, point)]
+    return coeffs, point, Fraction(_dot(residual, residual), q * q)
 
 
 def nearest_plane(basis: LatticeBasis, target: Sequence[Rational]) -> NearestPointResult:
@@ -87,8 +106,7 @@ def nearest_plane(basis: LatticeBasis, target: Sequence[Rational]) -> NearestPoi
     half-integral configuration reported by :func:`equality_case_analyze`.
     """
     v = _as_rational_vector(target, basis.dim)
-    coeffs, point, w = _nearest_rows(basis.rows, v)
-    dist_sq = Fraction(_dot(w, w))
+    coeffs, point, dist_sq = _nearest_rows(basis.rows, v)
     max_row_sq = max(measure(row, NormKind.L2).value for row in basis.rows)
     bound_sq = Fraction(basis.dim, 4) * max_row_sq
     return NearestPointResult(

@@ -1,11 +1,12 @@
 """Exhaustive short-vector enumeration and successive minima with witnesses.
 
 The enumerator is a depth-first search over basis coefficients driven by the
-exact Gram-Schmidt data: partial squared-L2 sums prune against the L2 radius
-that dominates the requested norm, and survivors are filtered by the exact
-target norm.  Output lists are sign-canonical (first nonzero ambient
-coordinate positive) and sorted by (norm, lexicographic coordinates), which
-makes every downstream certificate deterministic.
+integral Gram-Schmidt data (d, lam) that LLL leaves behind, so it builds no
+Gram-Schmidt vector and no Fraction: partial squared-L2 sums prune against
+the L2 radius that dominates the requested norm, and survivors are filtered
+by the exact target norm.  Output lists are sign-canonical (first nonzero
+ambient coordinate positive) and sorted by (norm, lexicographic
+coordinates), which makes every downstream certificate deterministic.
 
 Every search runs on an LLL-reduced basis of the input lattice.  The output
 is a set of ambient vectors, so it does not depend on the basis it was found
@@ -19,12 +20,11 @@ independent lattice vectors bound lambda_n from above).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import NamedTuple, Sequence
 
 from .errors import ResourceLimitError
-from .exactlin import IntVector, LatticeBasis, RankTracker, _gso_rows, _lll_rows
+from .exactlin import IntVector, LatticeBasis, RankTracker, _lll_rows
 from .norms import NormKind, NormValue, double_radius, enumeration_radius_in_l2, measure
 
 DEFAULT_MAX_CANDIDATES = 10_000_000
@@ -87,29 +87,28 @@ def _canonical_sign(vec: tuple[int, ...]) -> tuple[int, ...]:
 
 def _enumerate_rows(
     rows: Sequence[IntVector],
+    d: Sequence[int],
+    lam: Sequence[Sequence[int]],
     kind: NormKind,
     bound: NormValue,
     max_candidates: int,
 ) -> list[MeasuredVector]:
+    """Every nonzero vector of norm at most ``bound`` in the lattice of
+    ``rows``, given their integral Gram-Schmidt data (d, lam) from LLL."""
     m = len(rows)
     n = len(rows[0])
-    mu, _, bstar_sq = _gso_rows(rows)
-    r2 = Fraction(enumeration_radius_in_l2(bound, n).value)
+    r2 = enumeration_radius_in_l2(bound, n).value  # an int or a Fraction
     limit = bound.value
 
     # The pruning condition sum_l (x_l - c_l)^2 ||b*_l||^2 <= R^2 is evaluated
-    # in scaled integers: with D a common denominator of the mu entries and E
-    # one of the squared star lengths, every term times D^2 E is integral, so
-    # the whole walk runs on exact machine integers.
-    den = 1
-    for i in range(m):
-        for j in range(i):
-            den = den * mu[i][j].denominator // gcd(den, mu[i][j].denominator)
-    sq_den = 1
-    for sq in bstar_sq:
-        sq_den = sq_den * sq.denominator // gcd(sq_den, sq.denominator)
-    mu_scaled = [[int(mu[i][j] * den) for j in range(i)] for i in range(m)]
-    bsq_scaled = [int(sq * sq_den) for sq in bstar_sq]
+    # in scaled integers.  mu_ij = lam_ij / d_j+1 and ||b*_j||^2 = d_j+1 / d_j,
+    # so D = lcm(d_1 .. d_m-1) clears every mu and E = lcm(d_0 .. d_m-1) every
+    # squared star length: each term times D^2 E is an integer, and the
+    # comparison is the same exact one for any common multiples D and E.
+    den = lcm(*d[1:m])
+    sq_den = lcm(*d[:m])
+    mu_scaled = [[lam[i][j] * (den // d[j + 1]) for j in range(i)] for i in range(m)]
+    bsq_scaled = [d[j + 1] * (sq_den // d[j]) for j in range(m)]
     # S_scaled <= R^2 * D^2 * E  <=>  S_scaled * rd <= rn * D^2 * E.
     cap = r2.numerator * den * den * sq_den
     rd = r2.denominator
@@ -185,7 +184,7 @@ def enumerate_short(
     if bound.value <= 0:
         raise ValueError("enumeration bound must be positive")
     _check_dim(basis.dim, max_dim)
-    entries = _enumerate_rows(_lll_rows(basis.rows), kind, bound, max_candidates)
+    entries = _enumerate_rows(*_lll_rows(basis.rows), kind, bound, max_candidates)
     return ShortVectorList(kind=kind, bound=bound, entries=tuple(entries))
 
 
@@ -210,11 +209,12 @@ def _row_bound(rows: Sequence[IntVector], kind: NormKind) -> NormValue:
 
 
 def _scan_minima(
-    rows: Sequence[IntVector], kind: NormKind, bound: NormValue, max_candidates: int
+    reduced, kind: NormKind, bound: NormValue, max_candidates: int
 ) -> tuple[SuccessiveMinima, list[MeasuredVector]]:
-    m = len(rows)
+    """Minima from ``reduced`` = (rows, d, lam) as returned by LLL."""
+    m = len(reduced[0])
     while True:
-        entries = _enumerate_rows(rows, kind, bound, max_candidates)
+        entries = _enumerate_rows(*reduced, kind, bound, max_candidates)
         minima, witnesses = _greedy_minima(entries, m)
         if len(witnesses) == m:
             return SuccessiveMinima(kind, tuple(minima), tuple(witnesses)), entries
@@ -232,15 +232,16 @@ def _minima_with_entries(
 ) -> tuple[SuccessiveMinima, list[MeasuredVector]]:
     """The minima together with the enumeration pass they were read from:
     every vector of norm at most that pass's bound, which is >= lambda_n."""
-    rows = _lll_rows(rows)
+    reduced = _lll_rows(rows)
+    rows = reduced[0]
     if start_bound is None:
         start_bound = _row_bound(rows, kind)
         if kind is not NormKind.L2:
             # The L2 pass is cheap on the reduced rows, and its witnesses are
             # n independent vectors that are often much shorter in ``kind``.
-            l2, _ = _scan_minima(rows, NormKind.L2, _row_bound(rows, NormKind.L2), max_candidates)
+            l2, _ = _scan_minima(reduced, NormKind.L2, _row_bound(rows, NormKind.L2), max_candidates)
             start_bound = min(start_bound, _row_bound(l2.witnesses, kind))
-    return _scan_minima(rows, kind, start_bound, max_candidates)
+    return _scan_minima(reduced, kind, start_bound, max_candidates)
 
 
 def _minima_rows(

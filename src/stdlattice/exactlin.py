@@ -1,8 +1,11 @@
 """Exact integer/rational linear algebra shared by every other module.
 
-All arithmetic is arbitrary precision: matrices are Python ints, derived
-quantities are ``fractions.Fraction``.  Nothing here ever touches a float,
-so every equality test downstream is decidable.
+All arithmetic is arbitrary precision and nothing here ever touches a
+float, so every equality test downstream is decidable.  Matrices are Python
+ints.  Gram-Schmidt data is integral too: the Gram determinants d_i and
+lam_kj = mu_kj * d_j+1 (``_integral_gso``), which LLL keeps through its
+reduction and hands to enumeration and nearest plane.  Rational results
+(solutions, inverses, the public ``gso``) are ``fractions.Fraction``.
 
 Conventions:
   * basis vectors are ROWS of the matrix,
@@ -256,47 +259,101 @@ def _dot(a, b) -> Rational:
     return sum(x * y for x, y in zip(a, b))
 
 
+def _gso_row(
+    v: Sequence[int],
+    rows: Sequence[Sequence[int]],
+    d: Sequence[int],
+    lam: Sequence[Sequence[int]],
+) -> tuple[list[int], int]:
+    """Integral Gram-Schmidt data of ``v`` set after independent ``rows``.
+
+    ``d`` and ``lam`` are the integral data of ``rows``: d[i] is the Gram
+    determinant of the first i rows (B_0 ... B_i-1 in squared star lengths)
+    and lam[k][j] = mu_kj * d[j + 1] for j < k.  Returns the row
+    [<v, d_j b*_j>]_j, which is v's lam row, and the Gram determinant of the
+    rows with v appended, zero iff v lies in their span.  Every ``//`` in
+    the recurrence (Erlingsson-Kaltofen-Musser) divides exactly.
+    """
+    lam_v: list[int] = []
+    for j, row in enumerate(rows):
+        u = _dot(v, row)
+        for i in range(j):
+            u = (d[i + 1] * u - lam_v[i] * lam[j][i]) // d[i]
+        lam_v.append(u)
+    gram = _dot(v, v)
+    for i, x in enumerate(lam_v):
+        gram = (d[i + 1] * gram - x * x) // d[i]
+    return lam_v, gram
+
+
+def _integral_gso(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """Integral Gram-Schmidt data (d, lam) of independent integer rows, as
+    described in :func:`_gso_row`: mu_kj = lam[k][j] / d[j + 1] and
+    ||b*_k||^2 = d[k + 1] / d[k].  Raises StructuralError when the rows are
+    dependent."""
+    d = [1]
+    lam: list[list[int]] = []
+    for k, row in enumerate(rows):
+        lam_k, gram = _gso_row(row, rows[:k], d, lam)
+        if gram == 0:
+            raise StructuralError("rows are linearly dependent")
+        lam.append(lam_k)
+        d.append(gram)
+    return d, lam
+
+
 def _gso_rows(rows: Sequence[Sequence[int]]):
     """Exact Gram-Schmidt of independent integer rows.
 
-    Returns (mu, bstar, bstar_sq) as nested lists of Fractions; raises
+    Returns (mu, bstar, bstar_sq) as nested lists of Fractions, read off the
+    integral data: d_k b*_k is an integer vector, reached from b_k by the
+    vector form of the recurrence in :func:`_gso_row`.  Raises
     StructuralError when the rows are dependent.
     """
+    d, lam = _integral_gso(rows)
     m = len(rows)
     mu: list[list[Fraction]] = []
     bstar: list[list[Fraction]] = []
-    bstar_sq: list[Fraction] = []
-    for i in range(m):
-        v = [Fraction(x) for x in rows[i]]
-        murow = [Fraction(0)] * m
-        for j in range(m):
-            if j < i:
-                murow[j] = Fraction(_dot(rows[i], bstar[j])) / bstar_sq[j]
-                v = [a - murow[j] * b for a, b in zip(v, bstar[j])]
-        murow[i] = Fraction(1)
-        sq = _dot(v, v)
-        if sq == 0:
-            raise StructuralError("rows are linearly dependent")
-        mu.append(murow)
-        bstar.append(v)
-        bstar_sq.append(sq)
+    scaled: list[list[int]] = []
+    for k in range(m):
+        u = list(rows[k])
+        for j in range(k):
+            u = [(d[j + 1] * a - lam[k][j] * b) // d[j] for a, b in zip(u, scaled[j])]
+        scaled.append(u)
+        bstar.append([Fraction(a, d[k]) for a in u])
+        mu.append(
+            [Fraction(lam[k][j], d[j + 1]) for j in range(k)]
+            + [Fraction(1)]
+            + [Fraction(0)] * (m - k - 1)
+        )
+    bstar_sq = [Fraction(d[k + 1], d[k]) for k in range(m)]
     return mu, bstar, bstar_sq
 
 
-def _lll_rows(rows: Sequence[Sequence[int]]) -> tuple[IntVector, ...]:
-    """LLL-reduced basis (delta = 3/4) of the lattice of independent rows.
+def _lll_rows(
+    rows: Sequence[Sequence[int]],
+) -> tuple[tuple[IntVector, ...], list[int], list[list[int]]]:
+    """LLL-reduced basis (delta = 3/4) of the lattice of independent rows,
+    with its integral Gram-Schmidt data: returns (rows, d, lam) as in
+    :func:`_integral_gso`.
 
-    All-integer LLL (Cohen, Alg. 2.6.7): with B_i the squared Gram-Schmidt
-    lengths, d[i] = B_1 ... B_i is the Gram determinant of the first i rows
-    and lam[k][j] = mu_kj * d[j + 1]; both stay integers under every size
-    reduction and swap, so no Fraction is built.  The result has the same
-    row span over the integers, |mu_kj| <= 1/2 and the Lovasz condition
+    All-integer LLL (Cohen, Alg. 2.6.7): d and lam stay integers under every
+    size reduction and swap, so no Fraction is built.  The result has the
+    same row span over the integers, |mu_kj| <= 1/2 and the Lovasz condition
     B_k >= (3/4 - mu_k,k-1^2) B_k-1.
     """
     b = [list(_as_int_row(r)) for r in rows]
     m = len(b)
-    d = [1] * (m + 1)
-    lam = [[0] * m for _ in range(m)]
+    d = [1]
+    lam: list[list[int]] = []
+
+    def add_row(k: int) -> None:
+        # Rows are met in order; row k is still an input row when it is.
+        lam_k, gram = _gso_row(b[k], b[:k], d, lam)
+        if gram == 0:
+            raise StructuralError("rows are linearly dependent")
+        lam.append(lam_k)
+        d.append(gram)
 
     def reduce(k: int, j: int) -> None:
         # Size-reduce row k against row j: subtract round(mu_kj) times it.
@@ -309,23 +366,11 @@ def _lll_rows(rows: Sequence[Sequence[int]]) -> tuple[IntVector, ...]:
         for i in range(j):
             lam[k][i] -= q * lam[j][i]
 
-    d[1] = _dot(b[0], b[0])
-    if d[1] == 0:
-        raise StructuralError("rows are linearly dependent")
-    k, k_max = 1, 0
+    add_row(0)
+    k = 1
     while k < m:
-        if k > k_max:
-            k_max = k
-            for j in range(k + 1):
-                u = _dot(b[k], b[j])
-                for i in range(j):
-                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-                if j < k:
-                    lam[k][j] = u
-                elif u == 0:
-                    raise StructuralError("rows are linearly dependent")
-                else:
-                    d[k + 1] = u
+        if k == len(lam):
+            add_row(k)
         reduce(k, k - 1)
         lk = lam[k][k - 1]
         if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lk * lk:
@@ -335,7 +380,7 @@ def _lll_rows(rows: Sequence[Sequence[int]]) -> tuple[IntVector, ...]:
             for j in range(k - 1):
                 lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
             big = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
-            for i in range(k + 1, k_max + 1):
+            for i in range(k + 1, len(lam)):
                 t = lam[i][k]
                 lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
                 lam[i][k - 1] = (big * t + lk * lam[i][k]) // d[k + 1]
@@ -345,7 +390,7 @@ def _lll_rows(rows: Sequence[Sequence[int]]) -> tuple[IntVector, ...]:
             for j in range(k - 2, -1, -1):
                 reduce(k, j)
             k += 1
-    return tuple(tuple(r) for r in b)
+    return tuple(tuple(r) for r in b), d, lam
 
 
 def gso(basis: LatticeBasis) -> GsoData:

@@ -20,8 +20,6 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 from .cvp import _nearest_rows
@@ -145,47 +143,6 @@ def check_standard(
     return StandardnessCertificate(Verdict.STANDARD, found, sm, stats)
 
 
-def _primitive_integer_kernel(coeff_rows: Sequence[Sequence[int]], m: int) -> list[int]:
-    """Primitive integer normal vector g with s . g = 0 for every row s."""
-    aug = [[Fraction(x) for x in row] for row in coeff_rows]
-    # Rational kernel of a (m-1) x m matrix of rank m-1 is one-dimensional.
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(m):
-        pr = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-    if r != m - 1:
-        raise StructuralError("spanning set is linearly dependent")
-    pivot_cols = {pc for _, pc in pivots}
-    free = next(c for c in range(m) if c not in pivot_cols)
-    g = [Fraction(0)] * m
-    g[free] = Fraction(1)
-    for pr, pc in pivots:
-        g[pc] = -aug[pr][free]
-    denom = 1
-    for x in g:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in g]
-    g0 = 0
-    for x in ints:
-        g0 = gcd(g0, x)
-    ints = [x // g0 for x in ints]
-    first = next(x for x in ints if x != 0)
-    if first < 0:
-        ints = [-x for x in ints]
-    return ints
-
-
 def _section_rows(
     rows: Sequence[IntVector], spanning: Sequence[IntVector]
 ) -> tuple[IntVector, ...]:
@@ -205,7 +162,12 @@ def _section_rows(
         coeff_rows.append([int(c) for c in x])
     if rank_of_rows(coeff_rows) != m - 1:
         raise StructuralError("spanning set is linearly dependent")
-    g = _primitive_integer_kernel(coeff_rows, m)
+    # The coefficient rows have rank m - 1, so the Hermite form of their
+    # transpose ends in one zero row, and the matching row of U spans the
+    # integer kernel: the primitive normal g of the hyperplane, up to sign.
+    g = hermite_form(list(zip(*coeff_rows))).u[-1]
+    if next(x for x in g if x) < 0:
+        g = tuple(-x for x in g)
     hf = hermite_form([[gi] for gi in g])
     kernel = hf.u[1:]
     n = len(rows[0])
@@ -269,7 +231,7 @@ def _half_coset_completion(
             break
     if outside is None:
         raise InternalConsistencyError("no lattice point outside the candidate sublattice")
-    _, point, w = _nearest_rows(candidate, [Fraction(t) for t in outside])
+    _, point, _ = _nearest_rows(candidate, outside)
     short = tuple(o - p for o, p in zip(outside, point))
     return tuple(candidate[:-1]) + (short,)
 

@@ -10,7 +10,14 @@ from stdlattice import (
     member,
     nearest_plane,
 )
-from util import identity_basis, random_basis, random_rational_vector
+from stdlattice.cvp import _nearest_rows
+from util import (
+    identity_basis,
+    random_basis,
+    random_orthogonal_rows_basis,
+    random_rational_vector,
+    reference_nearest_rows,
+)
 
 
 def scaled_identity(n, k):
@@ -79,6 +86,38 @@ class TestNearestPlane:
             v = random_rational_vector(rng, n)
             res = nearest_plane(b, v)
             assert res.dist_sq == brute_cvp(b, v).dist_sq
+
+
+class TestIntegralRounding:
+    """The integer rounding against the Fraction Gram-Schmidt reference."""
+
+    def test_agrees_with_the_fraction_reference(self):
+        rng = random.Random(43)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            b = random_basis(rng, n, -5, 5)
+            v = random_rational_vector(rng, n, span=8, max_den=rng.choice([1, 2, 3, 6, 7]))
+            coeffs, point, dist_sq = _nearest_rows(b.rows, v)
+            assert (coeffs, point, dist_sq) == reference_nearest_rows(b.rows, v)
+            res = nearest_plane(b, v)
+            assert (list(res.coeffs), res.point, res.dist_sq) == (coeffs, point, dist_sq)
+
+    def test_exact_ties_on_orthogonal_bases(self):
+        # Half-odd coefficients put every rounding exactly on a tie.
+        rng = random.Random(47)
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            b = random_orthogonal_rows_basis(rng, n)
+            half_odd = [Fraction(2 * rng.randint(-4, 4) + 1, 2) for _ in range(n)]
+            v = [sum(c * row[k] for c, row in zip(half_odd, b.rows)) for k in range(n)]
+            coeffs, point, dist_sq = _nearest_rows(b.rows, v)
+            assert (coeffs, point, dist_sq) == reference_nearest_rows(b.rows, v)
+            assert all(a % 2 == 0 for a in coeffs)
+
+    def test_skewed_rows_with_a_large_common_denominator(self):
+        rows = ((3, 1, 4), (1, 5, 9), (2, 6, 5))
+        v = [Fraction(7, 11), Fraction(-13, 17), Fraction(5, 3)]
+        assert _nearest_rows(rows, v) == reference_nearest_rows(rows, v)
 
 
 class TestEqualityCaseAnalyze:

@@ -134,6 +134,31 @@ class TestSuccessiveMinima:
         sm = successive_minima(b, NormKind.L1, max_candidates=10_000)
         assert [nv.value for nv in sm.minima] == [1, 1, 1, 1]
 
+    def test_smallest_sufficient_ceiling_is_pinned(self):
+        # A skewed basis whose reduced Gram-Schmidt data is fractional: the
+        # L1 minima need exactly 928 candidate evaluations in their largest
+        # pass, so any moved pruning decision or search order shows here.
+        b = LatticeBasis(
+            [
+                [0, 1, 4, -4, 3],
+                [-1, -4, -1, 2, 0],
+                [-1, -6, -10, 5, -5],
+                [-3, 1, -2, -4, 3],
+                [7, -10, -4, 16, -9],
+            ]
+        )
+        sm = successive_minima(b, NormKind.L1, max_candidates=928)
+        assert [nv.value for nv in sm.minima] == [6, 7, 8, 8, 8]
+        assert sm.witnesses == (
+            (3, 1, -2, 0, 0),
+            (0, 0, 1, 5, -1),
+            (0, 2, -3, 1, 2),
+            (1, 1, 0, 1, -5),
+            (1, 4, 1, -2, 0),
+        )
+        with pytest.raises(ResourceLimitError, match=r"exceeded 927 .*\(l1 pass, bound 11\)$"):
+            successive_minima(b, NormKind.L1, max_candidates=927)
+
     def test_ceiling_in_the_l2_pass_of_an_l1_search(self):
         # L1/Linf minima first run the L2 minima for their start bound; the
         # error says which of the two passes ran out.

@@ -19,8 +19,17 @@ from stdlattice import (
     parity_lattice,
     same_lattice,
 )
-from stdlattice.exactlin import RankTracker, _gso_rows, _lll_rows, rank_of_rows
-from util import apply_unimodular, cofactor_det, identity_basis, mat_mul, random_basis, random_unimodular
+from stdlattice.exactlin import RankTracker, _gso_rows, _integral_gso, _lll_rows, rank_of_rows
+from util import (
+    apply_unimodular,
+    cofactor_det,
+    identity_basis,
+    mat_mul,
+    random_basis,
+    random_unimodular,
+    reference_gso_rows,
+    reference_integral_gso,
+)
 
 small_matrix = st.integers(2, 4).flatmap(
     lambda n: st.lists(
@@ -293,10 +302,55 @@ class TestRankTracker:
             assert not tracker.add(b.rows[0])
 
 
+def independent_rows(data, m, n, lo=-9, hi=9):
+    entries = st.lists(st.integers(lo, hi), min_size=n, max_size=n)
+    rows = [list(r) for r in data.draw(st.lists(entries, min_size=m, max_size=m))]
+    assume(rank_of_rows(rows) == m)
+    return rows
+
+
+class TestIntegralGso:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_fraction_reference(self, data):
+        n = data.draw(st.integers(1, 7))
+        m = data.draw(st.integers(1, n))
+        rows = independent_rows(data, m, n)
+        d, lam = _integral_gso(rows)
+        assert all(isinstance(x, int) for x in d)
+        assert all(isinstance(x, int) for row in lam for x in row)
+        assert (d, lam) == reference_integral_gso(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_dependent_rows_are_rejected(self, data):
+        n = data.draw(st.integers(1, 6))
+        m = data.draw(st.integers(1, n))
+        rows = independent_rows(data, m, n, -5, 5)
+        cs = data.draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
+        combo = [sum(c * r[j] for c, r in zip(cs, rows)) for j in range(n)]
+        at = data.draw(st.integers(0, m))
+        rows.insert(at, combo)
+        with pytest.raises(StructuralError):
+            reference_gso_rows(rows)
+        with pytest.raises(StructuralError):
+            _integral_gso(rows)
+        with pytest.raises(StructuralError):
+            _lll_rows(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_gso_rows_match_the_fraction_reference(self, data):
+        n = data.draw(st.integers(1, 6))
+        m = data.draw(st.integers(1, n))
+        rows = independent_rows(data, m, n)
+        assert _gso_rows(rows) == reference_gso_rows(rows)
+
+
 def assert_lll_reduced(rows):
     """Size reduction and the Lovasz condition at delta = 3/4, both checked
-    on the exact Fraction Gram-Schmidt data."""
-    mu, _, bstar_sq = _gso_rows(rows)
+    on the Fraction reference Gram-Schmidt data."""
+    mu, _, bstar_sq = reference_gso_rows(rows)
     for k in range(1, len(rows)):
         assert all(abs(mu[k][j]) <= Fraction(1, 2) for j in range(k))
         assert bstar_sq[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * bstar_sq[k - 1]
@@ -308,9 +362,7 @@ class TestLll:
     def test_skewed_rows_come_back_reduced_with_the_same_span(self, data):
         n = data.draw(st.integers(2, 7))
         m = data.draw(st.integers(1, n))
-        entries = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
-        rows = [list(r) for r in data.draw(st.lists(entries, min_size=m, max_size=m))]
-        assume(rank_of_rows(rows) == m)
+        rows = independent_rows(data, m, n)
         # Skew by unimodular row operations: the lattice stays the same.
         for _ in range(data.draw(st.integers(0, 12))):
             i = data.draw(st.integers(0, m - 1))
@@ -318,20 +370,23 @@ class TestLll:
             if i != j:
                 c = data.draw(st.integers(-4, 4))
                 rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-        out = _lll_rows(rows)
+        out, d, lam = _lll_rows(rows)
         assert all(isinstance(x, int) for row in out for x in row)
         assert hnf_nonzero_rows(out) == hnf_nonzero_rows(rows)
         assert_lll_reduced(out)
-        assert _lll_rows(out) == out
+        # The Gram-Schmidt data LLL hands on is that of the rows it returns.
+        assert (d, lam) == reference_integral_gso(out)
+        assert _lll_rows(out)[0] == out
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_identity_is_unchanged(self, n):
         rows = identity_basis(n).rows
-        assert _lll_rows(rows) == rows
+        assert _lll_rows(rows) == (rows, [1] * (n + 1), [[0] * k for k in range(n)])
 
     def test_skewed_z4_reduces_to_unit_vectors(self):
-        out = _lll_rows([[1, 1, 2, 1], [2, 3, 7, 4], [0, 0, 2, 1], [1, 2, 8, 5]])
+        out, d, _ = _lll_rows([[1, 1, 2, 1], [2, 3, 7, 4], [0, 0, 2, 1], [1, 2, 8, 5]])
         assert sorted(tuple(abs(x) for x in r) for r in out) == sorted(identity_basis(4).rows)
+        assert d == [1] * 5
 
     def test_dependent_rows_are_rejected(self):
         with pytest.raises(StructuralError):

@@ -20,6 +20,7 @@ from stdlattice import (
     standardize_low_dim,
     successive_minima,
 )
+from stdlattice import cvp, standardness
 from stdlattice.standardness import _half_coset_completion
 from util import identity_basis, random_basis, random_orthogonal_rows_basis
 
@@ -111,15 +112,33 @@ class TestSearchWork:
         assert cert.verdict is Verdict.NON_STANDARD
         assert calls == {"enumerate": 1, "det": 0}
 
+    def test_no_fraction_gram_schmidt_on_the_search_paths(self, monkeypatch):
+        # Enumeration prunes on the integral data LLL hands over, so neither
+        # the minima nor a check build the Fraction Gram-Schmidt.
+        calls = []
+        inner = exactlin._gso_rows
+
+        def counted(rows):
+            calls.append(rows)
+            return inner(rows)
+
+        # Every module's binding, so that a re-import by name is caught too.
+        for module in (exactlin, enumeration, cvp, standardness):
+            monkeypatch.setattr(module, "_gso_rows", counted, raising=False)
+        for kind in NormKind:
+            successive_minima(parity_lattice(5), kind)
+            check_standard(parity_lattice(5), kind)
+        assert calls == []
+
     def test_l1_check_enumerates_in_l2_then_l1(self, monkeypatch):
         # The L1 start bound comes from the L2 witnesses, so an L1 check makes
         # exactly two enumerations: the L2 pass and the L1 pass.
         kinds = []
         inner = enumeration._enumerate_rows
 
-        def recorded(rows, kind, bound, max_candidates):
+        def recorded(rows, d, lam, kind, bound, max_candidates):
             kinds.append(kind)
-            return inner(rows, kind, bound, max_candidates)
+            return inner(rows, d, lam, kind, bound, max_candidates)
 
         monkeypatch.setattr(enumeration, "_enumerate_rows", recorded)
         cert = check_standard(parity_lattice(6), NormKind.L1)

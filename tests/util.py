@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: seeded random instances and tiny
-independent oracles (cofactor determinants, raw coefficient-box scans)."""
+independent oracles (cofactor determinants, raw coefficient-box scans, a
+Fraction Gram-Schmidt and the nearest-plane rounding built on it)."""
 
 from __future__ import annotations
 
@@ -121,3 +122,51 @@ def random_orthogonal_rows_basis(rng: random.Random, n: int, max_entry: int = 5)
         sign = rng.choice([-1, 1])
         rows.append([sign * diag[i] if j == perm[i] else 0 for j in range(n)])
     return LatticeBasis(rows)
+
+
+def reference_gso_rows(rows):
+    """Exact Gram-Schmidt by Fraction arithmetic, independent of the
+    library's integral recurrence: (mu, bstar, bstar_sq) as nested lists.
+    Raises StructuralError when the rows are dependent."""
+    m = len(rows)
+    mu, bstar, bstar_sq = [], [], []
+    for i in range(m):
+        v = [Fraction(x) for x in rows[i]]
+        murow = [Fraction(0)] * m
+        for j in range(i):
+            murow[j] = sum(a * b for a, b in zip(rows[i], bstar[j])) / bstar_sq[j]
+            v = [a - murow[j] * b for a, b in zip(v, bstar[j])]
+        murow[i] = Fraction(1)
+        sq = sum(a * a for a in v)
+        if sq == 0:
+            raise StructuralError("rows are linearly dependent")
+        mu.append(murow)
+        bstar.append(v)
+        bstar_sq.append(sq)
+    return mu, bstar, bstar_sq
+
+
+def reference_integral_gso(rows):
+    """(d, lam) read off the Fraction reference: d[i] is the product of the
+    first i squared star lengths and lam[k][j] = mu_kj * d[j + 1]."""
+    mu, _, bstar_sq = reference_gso_rows(rows)
+    d = [Fraction(1)]
+    for sq in bstar_sq:
+        d.append(d[-1] * sq)
+    lam = [[mu[k][j] * d[j + 1] for j in range(k)] for k in range(len(rows))]
+    return d, lam
+
+
+def reference_nearest_rows(rows, target):
+    """Nearest-plane rounding on the Fraction reference Gram-Schmidt, ties to
+    the even integer: (coeffs, point, dist_sq)."""
+    m = len(rows)
+    _, bstar, bstar_sq = reference_gso_rows(rows)
+    w = [Fraction(t) for t in target]
+    coeffs = [0] * m
+    for j in reversed(range(m)):
+        a = round(sum(x * y for x, y in zip(w, bstar[j])) / bstar_sq[j])
+        coeffs[j] = a
+        w = [wi - a * bi for wi, bi in zip(w, rows[j])]
+    point = tuple(sum(coeffs[i] * rows[i][k] for i in range(m)) for k in range(len(target)))
+    return coeffs, point, sum(x * x for x in w)
