@@ -7,21 +7,23 @@ project-and-round construction: the last basis coefficient is rounded to the
 nearest integer (ties to the even integer) and the procedure recurses on the
 hyperplane spanned by the remaining rows.
 
-The rounding runs on integers: the target is scaled by its common
-denominator and each coefficient is an exact quotient of integers built from
-the integral Gram-Schmidt data of the rows (``exactlin._integral_gso``), so
-no Gram-Schmidt vector or Fraction is formed until the final distance.
+The rounding runs on integers (``exactlin._nearest_rows``): the target is
+scaled by its common denominator and each coefficient is an exact quotient
+of integers built from the integral Gram-Schmidt data of the rows
+(``exactlin._integral_gso``), so no Gram-Schmidt vector or Fraction is formed
+until the final distance.  The same rounding decides membership: a lattice
+point comes back unchanged at distance zero, with its integer coefficients,
+and every other point moves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .errors import DimensionMismatchError
-from .exactlin import IntVector, LatticeBasis, _dot, _gso_row, _integral_gso, _solve_exact
+from .exactlin import IntVector, LatticeBasis, _coefficients, _dot, _nearest_rows
 from .norms import NormKind, measure
 
 Rational = int | Fraction
@@ -64,39 +66,6 @@ def _as_rational_vector(target: Sequence[Rational], width: int) -> list[Fraction
     return v
 
 
-def _nearest_rows(rows: Sequence[IntVector], target: Sequence[Rational]):
-    """Round ``target`` onto the lattice of ``rows``; returns (coeffs, point,
-    dist_sq).  Equivalent to recursing on orthogonal projections: rounding
-    runs over the Gram-Schmidt directions from last row to first.
-
-    All in integers: with q the common denominator of the target, W = q w
-    and the integral data (d, lam) of the rows, the coefficient rounded at
-    row j is c_j = <W, d_j b*_j> / (q d_j+1), and the numerators s_j form the
-    lam row of W.  Subtracting a_j b_j from w lowers s_i by a_j q lam_ji for
-    every i < j and leaves s_i for i > j alone.
-    """
-    m = len(rows)
-    d, lam = _integral_gso(rows)
-    q = lcm(*(t.denominator for t in target))
-    big_w = [t.numerator * (q // t.denominator) for t in target]
-    s, _ = _gso_row(big_w, rows, d, lam)
-    coeffs = [0] * m
-    for j in reversed(range(m)):
-        den = q * d[j + 1]
-        a, r = divmod(s[j], den)
-        if 2 * r > den or (2 * r == den and a % 2):  # ties go to the even integer
-            a += 1
-        coeffs[j] = a
-        if a != 0:
-            for i in range(j):
-                s[i] -= a * q * lam[j][i]
-    point = tuple(
-        sum(coeffs[i] * rows[i][j] for i in range(m)) for j in range(len(target))
-    )
-    residual = [x - q * p for x, p in zip(big_w, point)]
-    return coeffs, point, Fraction(_dot(residual, residual), q * q)
-
-
 def nearest_plane(basis: LatticeBasis, target: Sequence[Rational]) -> NearestPointResult:
     """Lattice point within sqrt(n)/2 * (max row norm) of ``target``.
 
@@ -128,10 +97,10 @@ def equality_case_analyze(basis: LatticeBasis, target: Sequence[Rational]) -> Eq
     )
     norms = [measure(row, NormKind.L2).value for row in rows]
     equal_norms = len(set(norms)) == 1
-    coeffs = _solve_exact(rows, v)
-    half_odd = all(
-        (2 * c).denominator == 1 and (2 * c).numerator % 2 != 0 for c in coeffs
-    )
+    # Every coefficient of v is half-odd iff 2v is a lattice point whose
+    # coefficients are all odd.
+    doubled = _coefficients(rows, [2 * t for t in v])
+    half_odd = doubled is not None and all(c % 2 for c in doubled)
     return EqualityCaseReport(
         orthogonal=orthogonal,
         equal_norms=equal_norms,

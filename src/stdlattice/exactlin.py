@@ -4,8 +4,11 @@ All arithmetic is arbitrary precision and nothing here ever touches a
 float, so every equality test downstream is decidable.  Matrices are Python
 ints.  Gram-Schmidt data is integral too: the Gram determinants d_i and
 lam_kj = mu_kj * d_j+1 (``_integral_gso``), which LLL keeps through its
-reduction and hands to enumeration and nearest plane.  Rational results
-(solutions, inverses, the public ``gso``) are ``fractions.Fraction``.
+reduction and hands to enumeration and nearest plane.  Nearest-plane
+rounding (``_nearest_rows``) also decides membership: it leaves a lattice
+point where it is and moves every other point, so no linear system is
+solved.  Rational results (the public ``gso``, squared distances) are
+``fractions.Fraction``.
 
 Conventions:
   * basis vectors are ROWS of the matrix,
@@ -20,6 +23,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, StructuralError
@@ -193,53 +197,13 @@ def same_lattice(b: LatticeBasis, c: LatticeBasis) -> bool:
     return hermite_form(b.rows).h == hermite_form(c.rows).h
 
 
-def _solve_exact(rows: Sequence[Sequence[Rational]], target: Sequence[Rational]):
-    """Solve ``x . rows = target`` over the rationals.
-
-    ``rows`` must be linearly independent (m rows of length n, m <= n).
-    Returns the unique coefficient list, or None when the target lies outside
-    the rational row span.
-    """
-    m = len(rows)
-    n = len(rows[0])
-    if len(target) != n:
-        raise DimensionMismatchError(f"vector length {len(target)} does not match width {n}")
-    # One equation per ambient coordinate, one unknown per row.
-    aug = [[Fraction(rows[i][j]) for i in range(m)] + [Fraction(target[j])] for j in range(n)]
-    used = [False] * n
-    pivot_row_of = []
-    for col in range(m):
-        pr = next((j for j in range(n) if not used[j] and aug[j][col] != 0), None)
-        if pr is None:
-            raise StructuralError("rows are linearly dependent")
-        used[pr] = True
-        pivot_row_of.append(pr)
-        pv = aug[pr][col]
-        aug[pr] = [x / pv for x in aug[pr]]
-        prow = aug[pr]
-        for j in range(n):
-            if j != pr and aug[j][col] != 0:
-                f = aug[j][col]
-                aug[j] = [a - f * b for a, b in zip(aug[j], prow)]
-    for j in range(n):
-        if not used[j] and aug[j][m] != 0:
-            return None
-    return [aug[pivot_row_of[col]][m] for col in range(m)]
-
-
 def member(basis: LatticeBasis, vector: Sequence[int]) -> IntVector | None:
     """Integer coefficients of ``vector`` in ``basis``, or None if the vector
     is not a lattice point."""
     v = _as_int_row(vector)
     if len(v) != basis.dim:
         raise DimensionMismatchError(f"vector length {len(v)} does not match dimension {basis.dim}")
-    x = _solve_exact(basis.rows, v)
-    coeffs = []
-    for c in x:
-        if c.denominator != 1:
-            return None
-        coeffs.append(int(c))
-    return tuple(coeffs)
+    return _coefficients(basis.rows, v)
 
 
 def is_basis_of(vectors: Sequence[Sequence[int]], basis: LatticeBasis) -> bool:
@@ -300,6 +264,47 @@ def _integral_gso(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[i
         lam.append(lam_k)
         d.append(gram)
     return d, lam
+
+
+def _nearest_rows(rows: Sequence[IntVector], target: Sequence[Rational]):
+    """Round ``target`` onto the lattice of ``rows``; returns (coeffs, point,
+    dist_sq).  Equivalent to recursing on orthogonal projections: rounding
+    runs over the Gram-Schmidt directions from last row to first.
+
+    All in integers: with q the common denominator of the target, W = q w
+    and the integral data (d, lam) of the rows, the coefficient rounded at
+    row j is c_j = <W, d_j b*_j> / (q d_j+1), and the numerators s_j form the
+    lam row of W.  Subtracting a_j b_j from w lowers s_i by a_j q lam_ji for
+    every i < j and leaves s_i for i > j alone.
+    """
+    m = len(rows)
+    d, lam = _integral_gso(rows)
+    q = lcm(*(t.denominator for t in target))
+    big_w = [t.numerator * (q // t.denominator) for t in target]
+    s, _ = _gso_row(big_w, rows, d, lam)
+    coeffs = [0] * m
+    for j in reversed(range(m)):
+        den = q * d[j + 1]
+        a, r = divmod(s[j], den)
+        if 2 * r > den or (2 * r == den and a % 2):  # ties go to the even integer
+            a += 1
+        coeffs[j] = a
+        if a != 0:
+            for i in range(j):
+                s[i] -= a * q * lam[j][i]
+    point = tuple(
+        sum(coeffs[i] * rows[i][j] for i in range(m)) for j in range(len(target))
+    )
+    residual = [x - q * p for x, p in zip(big_w, point)]
+    return coeffs, point, Fraction(_dot(residual, residual), q * q)
+
+
+def _coefficients(rows: Sequence[IntVector], target: Sequence[Rational]) -> IntVector | None:
+    """Integer coefficients of ``target`` in independent ``rows``, or None
+    when it is not in their lattice.  Nearest-plane rounding leaves a lattice
+    point where it is and moves any other point, in the span or not."""
+    coeffs, _, dist_sq = _nearest_rows(rows, target)
+    return tuple(coeffs) if dist_sq == 0 else None
 
 
 def _gso_rows(rows: Sequence[Sequence[int]]):
@@ -463,22 +468,3 @@ def rank_of_rows(rows: Sequence[Sequence[int]]) -> int:
     for row in rows:
         tracker.add(row)
     return tracker.rank
-
-
-def invert_rational(rows: Sequence[Sequence[int]]) -> list[list[Fraction]]:
-    """Exact inverse of a nonsingular square integer matrix."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if j == i else 0) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        pr = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if pr is None:
-            raise StructuralError("matrix is singular")
-        a[col], a[pr] = a[pr], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [row[n:] for row in a]

@@ -1,8 +1,10 @@
 """Brute-force ground truth for minima and closest points on small instances.
 
 Everything here is a plain coefficient-box scan: no Gram-Schmidt pruning, no
-recursive rounding, no shared search code with the fast paths.  It exists to
-be compared against, so it is deliberately dumb and allowed to be slow.
+recursive rounding, no shared search code with the fast paths.  Coefficients
+are read through its own Fraction inverse (``invert_rational``), not through
+the library's nearest-plane membership test.  It exists to be compared
+against, so it is deliberately dumb and allowed to be slow.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Sequence
 
 from .enumeration import MeasuredVector, SuccessiveMinima, _canonical_sign, _greedy_minima
 from .errors import ResourceLimitError, StructuralError
-from .exactlin import IntVector, LatticeBasis, _solve_exact, hnf_nonzero_rows, invert_rational
+from .exactlin import IntVector, LatticeBasis, hnf_nonzero_rows
 from .norms import NormKind, NormValue, double_radius, enumeration_radius_in_l2, measure
 
 ORACLE_MAX_DIM = 5
@@ -51,6 +53,33 @@ def ceil_sqrt(x: Fraction | int) -> int:
     while m * m * f.denominator < f.numerator:
         m += 1
     return m
+
+
+def invert_rational(rows: Sequence[Sequence[int]]) -> list[list[Fraction]]:
+    """Exact inverse of a nonsingular square integer matrix."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(1 if j == i else 0) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for col in range(n):
+        pr = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if pr is None:
+            raise StructuralError("matrix is singular")
+        a[col], a[pr] = a[pr], a[col]
+        pv = a[col][col]
+        a[col] = [x / pv for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return [row[n:] for row in a]
+
+
+def _times_inverse(
+    vec: Sequence[int | Fraction], inv: Sequence[Sequence[Fraction]]
+) -> list[Fraction]:
+    """Coordinates x with x . B = vec, read as vec . B^-1 from ``inv`` = B^-1."""
+    n = len(inv)
+    return [sum(vec[j] * inv[j][i] for j in range(n)) for i in range(n)]
 
 
 def _inverse_column_sq(basis: LatticeBasis) -> list[Fraction]:
@@ -178,7 +207,7 @@ def brute_cvp(
     scan_basis = LatticeBasis(hnf_nonzero_rows(basis.rows))
     rows = scan_basis.rows
     inv = invert_rational(rows)
-    center = [sum(t[j] * inv[j][i] for j in range(n)) for i in range(n)]
+    center = _times_inverse(t, inv)
     colsq = _inverse_column_sq(scan_basis)
 
     def dist_sq_of(coeffs: Sequence[int]) -> Fraction:
@@ -192,8 +221,7 @@ def brute_cvp(
     from .cvp import nearest_plane
 
     seed = nearest_plane(basis, t)
-    seed_coeffs = _solve_exact(rows, seed.point)
-    seed_coeffs = tuple(int(c) for c in seed_coeffs)
+    seed_coeffs = tuple(int(c) for c in _times_inverse(seed.point, inv))
     best_sq = dist_sq_of(seed_coeffs)
     best: list[tuple[int, ...]] = [seed_coeffs]
     visited = 0
@@ -249,5 +277,5 @@ def brute_cvp(
     winner = min(best)
     point = tuple(sum(winner[i] * rows[i][j] for i in range(n)) for j in range(n))
     # Report coefficients with respect to the caller's basis.
-    out_coeffs = tuple(int(c) for c in _solve_exact(basis.rows, point))
+    out_coeffs = tuple(int(c) for c in _times_inverse(point, invert_rational(basis.rows)))
     return BruteCvpResult(point=point, coeffs=out_coeffs, dist_sq=best_sq)

@@ -22,7 +22,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cvp import _nearest_rows
 from .enumeration import (
     DEFAULT_MAX_CANDIDATES,
     DEFAULT_MAX_DIM,
@@ -36,8 +35,10 @@ from .exactlin import (
     IntVector,
     LatticeBasis,
     RankTracker,
+    _as_int_row,
+    _coefficients,
     _dot,
-    _solve_exact,
+    _nearest_rows,
     hermite_form,
     hnf_nonzero_rows,
     is_basis_of,
@@ -156,10 +157,10 @@ def _section_rows(
     m = len(rows)
     coeff_rows = []
     for s in spanning:
-        x = _solve_exact(rows, s)
-        if x is None or any(c.denominator != 1 for c in x):
+        x = _coefficients(rows, s)
+        if x is None:
             raise StructuralError("spanning vector is not a lattice member")
-        coeff_rows.append([int(c) for c in x])
+        coeff_rows.append(x)
     if rank_of_rows(coeff_rows) != m - 1:
         raise StructuralError("spanning set is linearly dependent")
     # The coefficient rows have rank m - 1, so the Hermite form of their
@@ -184,7 +185,7 @@ def section_lattice(
     lattice, where H is the hyperplane spanned by the given n-1 lattice
     members."""
     n = basis.dim
-    span = [tuple(int(x) for x in s) for s in spanning]
+    span = [_as_int_row(s) for s in spanning]
     if len(span) != n - 1:
         raise StructuralError(f"expected {n - 1} spanning vectors, got {len(span)}")
     for s in span:
@@ -220,15 +221,11 @@ def _half_coset_completion(
         raise InternalConsistencyError(
             "candidate completion failed outside the equal-norm configuration"
         )
-    outside = None
     row_list = [tuple(r) for r in rows]
-    for v in itertools.chain(
-        row_list, (tuple(a + b for a, b in zip(p, q)) for p, q in itertools.combinations(row_list, 2))
-    ):
-        x = _solve_exact(candidate, v)
-        if x is None or any(c.denominator != 1 for c in x):
-            outside = v
-            break
+    sums = (tuple(a + b for a, b in zip(p, q)) for p, q in itertools.combinations(row_list, 2))
+    outside = next(
+        (v for v in itertools.chain(row_list, sums) if _coefficients(candidate, v) is None), None
+    )
     if outside is None:
         raise InternalConsistencyError("no lattice point outside the candidate sublattice")
     _, point, _ = _nearest_rows(candidate, outside)

@@ -10,18 +10,37 @@ from stdlattice import (
     member,
     nearest_plane,
 )
-from stdlattice.cvp import _nearest_rows
+from stdlattice.exactlin import _nearest_rows
 from util import (
     identity_basis,
     random_basis,
     random_orthogonal_rows_basis,
     random_rational_vector,
     reference_nearest_rows,
+    reference_solve,
 )
 
 
 def scaled_identity(n, k):
     return LatticeBasis([[k if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+HADAMARD_4 = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
+
+
+def orthogonal_equal_norm_basis(rng, n):
+    """Pairwise orthogonal rows of one common norm: a signed permutation
+    times k, a rotation-like 2 x 2 block, or a scaled 4 x 4 Hadamard."""
+    k = rng.randint(1, 3)
+    if n == 2 and rng.random() < 0.5:
+        a, c = rng.randint(1, 3), rng.randint(1, 3)
+        return LatticeBasis([[a, c], [-c, a]])
+    if n == 4 and rng.random() < 0.5:
+        return LatticeBasis([[k * x for x in row] for row in HADAMARD_4])
+    perm = rng.sample(range(n), n)
+    return LatticeBasis(
+        [[rng.choice([-k, k]) if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    )
 
 
 class TestNearestPlane:
@@ -139,6 +158,34 @@ class TestEqualityCaseAnalyze:
         exact = brute_cvp(b, [Fraction(1, 2), Fraction(1, 2)])
         max_sq = max(measure(row, NormKind.L2).value for row in b.rows)
         assert exact.dist_sq < Fraction(2, 4) * max_sq
+
+    def test_half_odd_coefficients_match_the_fraction_solve(self):
+        # Coefficients k + 1/2, k and k + 1/4 mixed: all-half-odd targets,
+        # targets with an integer coefficient and quarter targets all occur.
+        rng = random.Random(59)
+        seen = {"half-odd": 0, "integer": 0, "quarter": 0}
+        for i in range(300):
+            n = rng.randint(1, 5)
+            if i % 2:
+                b = random_basis(rng, n, -4, 4)
+            else:
+                b = orthogonal_equal_norm_basis(rng, n)
+            offsets = rng.choices(
+                [Fraction(1, 2), Fraction(0), Fraction(1, 4)], weights=[8, 1, 1], k=n
+            )
+            cs = [rng.randint(-3, 3) + off for off in offsets]
+            v = [sum(c * row[j] for c, row in zip(cs, b.rows)) for j in range(n)]
+            x = reference_solve(b.rows, v)
+            assert x == cs
+            expected = all((2 * c).denominator == 1 and (2 * c).numerator % 2 for c in x)
+            assert equality_case_analyze(b, v).half_integer_coefficients == expected
+            if expected:
+                seen["half-odd"] += 1
+            elif Fraction(1, 4) in offsets:
+                seen["quarter"] += 1
+            else:
+                seen["integer"] += 1
+        assert all(count >= 20 for count in seen.values()), seen
 
     def test_characterization_implies_exact_equality(self):
         rng = random.Random(47)

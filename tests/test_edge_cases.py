@@ -25,7 +25,7 @@ from stdlattice import (
     section_lattice,
     successive_minima,
 )
-from util import cofactor_det, mat_mul, random_basis
+from util import cofactor_det, mat_mul, random_basis, reference_solve
 
 
 BIG = 10**30
@@ -107,14 +107,12 @@ class TestDegenerateArguments:
             sec_basis_3 = list(sec)
             # every small lattice point lying on the witness plane must be an
             # integer combination of the section rows (saturation)
-            from stdlattice.exactlin import _solve_exact
-
             normal = None
             for vec, _ in enumerate_short(b, NormKind.LINF, NormValue(NormKind.LINF, 3)).entries:
-                x = _solve_exact(sm.witnesses[:2], vec)
+                x = reference_solve(sm.witnesses[:2], vec)
                 on_plane = x is not None
                 if on_plane:
-                    y = _solve_exact(sec_basis_3, vec)
+                    y = reference_solve(sec_basis_3, vec)
                     assert y is not None and all(c.denominator == 1 for c in y)
 
 

@@ -19,7 +19,14 @@ from stdlattice import (
     parity_lattice,
     same_lattice,
 )
-from stdlattice.exactlin import RankTracker, _gso_rows, _integral_gso, _lll_rows, rank_of_rows
+from stdlattice.exactlin import (
+    RankTracker,
+    _coefficients,
+    _gso_rows,
+    _integral_gso,
+    _lll_rows,
+    rank_of_rows,
+)
 from util import (
     apply_unimodular,
     cofactor_det,
@@ -29,6 +36,7 @@ from util import (
     random_unimodular,
     reference_gso_rows,
     reference_integral_gso,
+    reference_solve,
 )
 
 small_matrix = st.integers(2, 4).flatmap(
@@ -345,6 +353,62 @@ class TestIntegralGso:
         m = data.draw(st.integers(1, n))
         rows = independent_rows(data, m, n)
         assert _gso_rows(rows) == reference_gso_rows(rows)
+
+
+def combination(cs, rows):
+    return tuple(sum(c * r[j] for c, r in zip(cs, rows)) for j in range(len(rows[0])))
+
+
+class TestCoefficients:
+    """Membership by nearest-plane rounding against a Fraction solve."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_fraction_solve(self, data):
+        n = data.draw(st.integers(1, 6))
+        m = data.draw(st.integers(1, n))
+        rows = independent_rows(data, m, n, -6, 6)
+        basis = LatticeBasis(rows) if m == n else None
+        # Integer combinations are members with exactly those coefficients.
+        cs = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m)))
+        v = combination(cs, rows)
+        assert _coefficients(rows, v) == cs
+        assert tuple(reference_solve(rows, v)) == cs
+        if basis is not None:
+            assert member(basis, v) == cs
+        # A rational combination with a non-integer coefficient stays in the
+        # span but leaves the lattice.
+        dens = data.draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+        nums = data.draw(st.lists(st.integers(-12, 12), min_size=m, max_size=m))
+        fr = [Fraction(a, den) for a, den in zip(nums, dens)]
+        assume(any(f.denominator > 1 for f in fr))
+        w = combination(fr, rows)
+        assert reference_solve(rows, w) == fr
+        assert _coefficients(rows, w) is None
+        # An arbitrary integer point: off the span when m < n, and for
+        # m == n a member exactly when its rational solution is integral.
+        u = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)))
+        x = reference_solve(rows, u)
+        expected = None
+        if x is not None and all(c.denominator == 1 for c in x):
+            expected = tuple(int(c) for c in x)
+        assert _coefficients(rows, u) == expected
+        if basis is not None:
+            assert member(basis, u) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_dependent_rows_are_rejected(self, data):
+        n = data.draw(st.integers(1, 6))
+        m = data.draw(st.integers(1, n))
+        rows = independent_rows(data, m, n, -5, 5)
+        cs = data.draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
+        rows.insert(data.draw(st.integers(0, m)), list(combination(cs, rows)))
+        v = data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+        with pytest.raises(StructuralError):
+            reference_solve(rows, v)
+        with pytest.raises(StructuralError):
+            _coefficients(rows, v)
 
 
 def assert_lll_reduced(rows):

@@ -12,9 +12,14 @@ from stdlattice import (
     brute_cvp,
     brute_minima,
     coefficient_box,
+    equality_case_analyze,
+    is_basis_of,
     measure,
+    member,
     nearest_plane,
     parity_lattice,
+    section_lattice,
+    standardize_low_dim,
     successive_minima,
 )
 from util import identity_basis, random_basis, random_rational_vector
@@ -77,8 +82,7 @@ class TestBruteMinima:
 
 def raw_cvp_scan(basis, target):
     """Closest squared distance by the dumbest possible full product scan."""
-    from stdlattice.exactlin import invert_rational
-    from stdlattice.oracle import ceil_sqrt
+    from stdlattice.oracle import ceil_sqrt, invert_rational
 
     n = basis.dim
     t = [Fraction(v) for v in target]
@@ -137,3 +141,26 @@ class TestBruteCvp:
             assert exact.dist_sq <= np_res.dist_sq
             diff = [Fraction(t) - p for t, p in zip(v, exact.point)]
             assert sum(d * d for d in diff) == exact.dist_sq
+
+
+def test_library_paths_never_use_the_oracle_inverse(monkeypatch):
+    """The oracle's Fraction inverse is its own: no library path calls it."""
+    from stdlattice import oracle
+
+    def refuse(rows):
+        raise AssertionError("invert_rational called outside the oracle")
+
+    monkeypatch.setattr(oracle, "invert_rational", refuse)
+    half = [Fraction(1, 2), Fraction(-3, 2), Fraction(1, 2), Fraction(5, 2)]
+    skewed = LatticeBasis([[2, 1, 0, 0], [0, 3, 1, 0], [1, 0, 4, 1], [0, 1, 0, 5]])
+    for b in (parity_lattice(4), skewed):
+        assert member(b, b.rows[0]) == (1, 0, 0, 0)
+        assert is_basis_of(b.rows, b)
+        sm = successive_minima(b, NormKind.L2)
+        assert len(section_lattice(b, sm.witnesses[:3])) == 3
+        assert is_basis_of(standardize_low_dim(b), b)
+        assert member(b, nearest_plane(b, half).point) is not None
+        equality_case_analyze(b, half)
+    # The patch is live: the oracle itself still reaches it.
+    with pytest.raises(AssertionError, match="outside the oracle"):
+        brute_cvp(parity_lattice(4), half)

@@ -22,7 +22,7 @@ from stdlattice import (
 )
 from stdlattice import cvp, standardness
 from stdlattice.standardness import _half_coset_completion
-from util import identity_basis, random_basis, random_orthogonal_rows_basis
+from util import identity_basis, random_basis, random_orthogonal_rows_basis, reference_solve
 
 
 def verify_achieving_basis(rows, basis, kind):
@@ -209,13 +209,17 @@ class TestSectionLattice:
         with pytest.raises(StructuralError):
             section_lattice(LatticeBasis([[2, 0], [0, 2]]), [(1, 0)])
 
+    def test_rejects_non_integer_spanning_entries(self):
+        with pytest.raises(StructuralError):
+            section_lattice(LatticeBasis([[1, 0], [0, 1]]), [(1.5, 0)])
+        with pytest.raises(StructuralError):
+            section_lattice(identity_basis(3), [(1, 0, 0), (0, 1.0, 0)])
+
     def test_rejects_dependent_spanning(self):
         with pytest.raises(StructuralError):
             section_lattice(identity_basis(3), [(1, 0, 0), (2, 0, 0)])
 
     def test_section_members_lie_on_hyperplane(self):
-        from stdlattice.exactlin import _solve_exact
-
         rng = random.Random(71)
         for _ in range(15):
             n = rng.randint(2, 4)
@@ -228,7 +232,7 @@ class TestSectionLattice:
                 assert member(b, v) is not None
             # spanning vectors belong to the section lattice
             for s in spanning:
-                x = _solve_exact(sec, s)
+                x = reference_solve(sec, s)
                 assert x is not None and all(c.denominator == 1 for c in x)
 
 

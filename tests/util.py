@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: seeded random instances and tiny
 independent oracles (cofactor determinants, raw coefficient-box scans, a
-Fraction Gram-Schmidt and the nearest-plane rounding built on it)."""
+Fraction Gram-Schmidt and the nearest-plane rounding built on it, and a
+Fraction Gauss-Jordan solve)."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import random
 from fractions import Fraction
 
 from stdlattice import LatticeBasis, NormKind, coefficient_box, measure
-from stdlattice.errors import StructuralError
+from stdlattice.errors import DimensionMismatchError, StructuralError
 
 
 def random_basis(rng: random.Random, n: int, lo: int, hi: int) -> LatticeBasis:
@@ -170,3 +171,39 @@ def reference_nearest_rows(rows, target):
         w = [wi - a * bi for wi, bi in zip(w, rows[j])]
     point = tuple(sum(coeffs[i] * rows[i][k] for i in range(m)) for k in range(len(target)))
     return coeffs, point, sum(x * x for x in w)
+
+
+def reference_solve(rows, target):
+    """Solve ``x . rows = target`` over the rationals by Fraction
+    Gauss-Jordan elimination, independent of the library's nearest-plane
+    membership test.
+
+    ``rows`` must be linearly independent (m rows of length n, m <= n).
+    Returns the unique coefficient list, or None when the target lies outside
+    the rational row span.  Raises StructuralError on dependent rows.
+    """
+    m = len(rows)
+    n = len(rows[0])
+    if len(target) != n:
+        raise DimensionMismatchError(f"vector length {len(target)} does not match width {n}")
+    # One equation per ambient coordinate, one unknown per row.
+    aug = [[Fraction(rows[i][j]) for i in range(m)] + [Fraction(target[j])] for j in range(n)]
+    used = [False] * n
+    pivot_row_of = []
+    for col in range(m):
+        pr = next((j for j in range(n) if not used[j] and aug[j][col] != 0), None)
+        if pr is None:
+            raise StructuralError("rows are linearly dependent")
+        used[pr] = True
+        pivot_row_of.append(pr)
+        pv = aug[pr][col]
+        aug[pr] = [x / pv for x in aug[pr]]
+        prow = aug[pr]
+        for j in range(n):
+            if j != pr and aug[j][col] != 0:
+                f = aug[j][col]
+                aug[j] = [a - f * b for a, b in zip(aug[j], prow)]
+    for j in range(n):
+        if not used[j] and aug[j][m] != 0:
+            return None
+    return [aug[pivot_row_of[col]][m] for col in range(m)]
