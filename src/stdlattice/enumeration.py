@@ -1,12 +1,18 @@
 """Exhaustive short-vector enumeration and successive minima with witnesses.
 
-The enumerator is a depth-first search over basis coefficients driven by the
-integral Gram-Schmidt data (d, lam) that LLL leaves behind, so it builds no
-Gram-Schmidt vector and no Fraction: partial squared-L2 sums prune against
-the L2 radius that dominates the requested norm, and survivors are filtered
-by the exact target norm.  Output lists are sign-canonical (first nonzero
-ambient coordinate positive) and sorted by (norm, lexicographic
-coordinates), which makes every downstream certificate deterministic.
+The enumerator is one iterative depth-first loop over levels (Schnorr-Euchner
+style) driven by the integral Gram-Schmidt data (d, lam) that LLL leaves
+behind, so it builds no Gram-Schmidt vector and no Fraction: partial
+squared-L2 sums prune against the L2 radius that dominates the requested
+norm, and survivors are filtered by the exact target norm.  Each level keeps
+its scaled center, partial sum, zero-prefix flag and ambient partial vector,
+so a leaf costs O(n), one row added to its parent's vector.  Each level
+sweeps upward from the integer nearest its center to the first failure, then
+downward from one below it (only upward from 0 while every coefficient above
+is zero), which fixes the visited set and hence the candidate count that the
+ceiling limits.  Output lists are sign-canonical (first nonzero ambient
+coordinate positive) and sorted by (norm, lexicographic coordinates), which
+makes every downstream certificate deterministic.
 
 Every search runs on an LLL-reduced basis of the input lattice.  The output
 is a set of ambient vectors, so it does not depend on the basis it was found
@@ -21,11 +27,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import ResourceLimitError
 from .exactlin import IntVector, LatticeBasis, RankTracker, _lll_rows
-from .norms import NormKind, NormValue, double_radius, enumeration_radius_in_l2, measure
+from .norms import (
+    NormKind,
+    NormValue,
+    double_radius,
+    enumeration_radius_in_l2,
+    measure,
+    require_kind,
+)
 
 DEFAULT_MAX_CANDIDATES = 10_000_000
 DEFAULT_MAX_DIM = 12
@@ -107,65 +121,74 @@ def _enumerate_rows(
     # comparison is the same exact one for any common multiples D and E.
     den = lcm(*d[1:m])
     sq_den = lcm(*d[:m])
-    mu_scaled = [[lam[i][j] * (den // d[j + 1]) for j in range(i)] for i in range(m)]
+    # mu_cols[l] holds the scaled mu_il for i > l: the weights of l's center.
+    mu_cols = [[lam[i][j] * (den // d[j + 1]) for i in range(j + 1, m)] for j in range(m)]
     bsq_scaled = [d[j + 1] * (sq_den // d[j]) for j in range(m)]
     # S_scaled <= R^2 * D^2 * E  <=>  S_scaled * rd <= rn * D^2 * E.
     cap = r2.numerator * den * den * sq_den
     rd = r2.denominator
 
+    # One loop over levels, top (m-1) to leaf (0).  Per level: the current
+    # coefficient, its sweep direction (+1 up, -1 down) and start, the scaled
+    # center, the partial squared sum of the levels above, and whether every
+    # coefficient above is zero (then only the upward sweep from 0 runs: the
+    # negative branch mirrors it).  vecs[l] is the ambient vector
+    # sum_{i>=l} x_i rows_i, so a leaf adds one row to vecs[1].
     found: list[MeasuredVector] = []
-    x = [0] * m
+    xs = [0] * m
+    steps = [1] * m
+    starts = [0] * m
+    centers = [0] * m
+    partials = [0] * m
+    zeros = [True] * m
+    vecs = [None] * m + [(0,) * n]
+    row0 = rows[0]
+    level = m - 1
     work = 0
+    while True:
+        xi = xs[level]
+        work += 1
+        if work > max_candidates:
+            raise ResourceLimitError(
+                f"enumeration exceeded {max_candidates} candidate evaluations "
+                f"({kind.value} pass, bound {limit})"
+            )
+        t = xi * den - centers[level]
+        total = partials[level] + t * t * bsq_scaled[level]
+        if total * rd <= cap:
+            zero = zeros[level] and xi == 0
+            if level:
+                vecs[level] = [p + xi * r for p, r in zip(vecs[level + 1], rows[level])]
+                level -= 1
+                center = -sum(map(mul, xs[level + 1 :], mu_cols[level]))
+                centers[level] = center
+                partials[level] = total
+                zeros[level] = zero
+                steps[level] = 1
+                if zero:
+                    xs[level] = 0
+                else:
+                    # Nearest integer to center/den; a tie can fall either
+                    # way, both tied values lie inside the interval whenever
+                    # any integer does.
+                    starts[level] = xs[level] = (2 * center + den) // (2 * den)
+                continue
+            if not zero:
+                vec = tuple([p + xi * r for p, r in zip(vecs[1], row0)])
+                nv = measure(vec, kind)
+                if 0 < nv.value <= limit:
+                    found.append(MeasuredVector(_canonical_sign(vec), nv))
+            xs[0] = xi + steps[0]
+            continue
+        if steps[level] == 1 and not zeros[level]:
+            steps[level] = -1
+            xs[level] = starts[level] - 1
+            continue
+        level += 1
+        if level == m:
+            break
+        xs[level] += steps[level]
 
-    def emit() -> None:
-        vec = tuple(sum(x[i] * rows[i][j] for i in range(m) if x[i]) for j in range(n))
-        nv = measure(vec, kind)
-        if 0 < nv.value <= limit:
-            found.append(MeasuredVector(_canonical_sign(vec), nv))
-
-    def descend(level: int, partial: int, zero_prefix: bool) -> None:
-        nonlocal work
-        center = -sum(x[i] * mu_scaled[i][level] for i in range(level + 1, m))
-        bsq = bsq_scaled[level]
-
-        def step(xi: int) -> bool:
-            nonlocal work
-            work += 1
-            if work > max_candidates:
-                raise ResourceLimitError(
-                    f"enumeration exceeded {max_candidates} candidate evaluations "
-                    f"({kind.value} pass, bound {limit})"
-                )
-            t = xi * den - center
-            total = partial + t * t * bsq
-            if total * rd > cap:
-                return False
-            x[level] = xi
-            if level == 0:
-                if not (zero_prefix and xi == 0):
-                    emit()
-            else:
-                descend(level - 1, total, zero_prefix and xi == 0)
-            return True
-
-        # Nearest integer to center/den; a tie can fall either way, both
-        # tied values lie inside the interval whenever any integer does.
-        start = (2 * center + den) // (2 * den)
-        if zero_prefix:
-            # Mirror coefficient vectors are redundant: once the prefix is all
-            # zeros the negative branch is the mirror of the positive one.
-            xi = 0
-            while step(xi):
-                xi += 1
-        else:
-            xi = start
-            while step(xi):
-                xi += 1
-            xi = start - 1
-            while step(xi):
-                xi -= 1
-
-    descend(m - 1, 0, True)
     found.sort(key=lambda e: (e.norm.value, e.vector))
     return found
 
@@ -179,6 +202,7 @@ def enumerate_short(
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> ShortVectorList:
     """All nonzero lattice vectors with norm at most ``bound``, up to sign."""
+    require_kind(kind)
     if bound.kind is not kind:
         raise ValueError(f"bound kind {bound.kind.value} does not match requested {kind.value}")
     if bound.value <= 0:
@@ -271,6 +295,7 @@ def successive_minima(
     that already bounds lambda_n: the largest reduced row norm, and under
     L1/Linf the smaller of that and the largest norm of the L2 witnesses.
     """
+    require_kind(kind)
     _check_dim(basis.dim, max_dim)
     return _minima_rows(basis.rows, kind, max_candidates=max_candidates)
 

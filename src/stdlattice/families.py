@@ -21,7 +21,7 @@ from .enumeration import (
     enumerate_short,
 )
 from .exactlin import IntVector, LatticeBasis
-from .norms import NormKind, NormValue, measure
+from .norms import NormKind, NormValue, measure, require_kind
 from .standardness import StandardnessCertificate, Verdict, check_standard
 
 
@@ -78,6 +78,7 @@ def verify_family(
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> FamilyReport:
     """Full report on the dimension-n parity lattice under ``kind``."""
+    require_kind(kind)
     _check_dim(n, max_dim)
     basis = parity_lattice(n)
     cert = check_standard(basis, kind, max_candidates=max_candidates, max_dim=max_dim)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .enumeration import DEFAULT_MAX_CANDIDATES, _minima_rows
 from .errors import InternalConsistencyError, StructuralError
 from .exactlin import IntVector, LatticeBasis, is_basis_of
-from .norms import NormKind, NormValue, measure
+from .norms import NormKind, NormValue, measure, require_kind
 from .oracle import ceil_sqrt
 
 
@@ -47,6 +47,7 @@ def min_translate(b2: IntVector, b1: IntVector, kind: NormKind) -> int:
     nondecreasing; two bisections locate the full (possibly flat) minimizer
     interval, and ties resolve to the smallest |q|, then the nonnegative one.
     """
+    require_kind(kind)
     b1 = tuple(b1)
     b2 = tuple(b2)
     if not any(b1):
@@ -93,6 +94,7 @@ def reduce_2d(
     minima are then verified against enumeration; failure of that check is a
     loud internal error, not a silent downgrade.
     """
+    require_kind(kind)
     if basis.dim != 2:
         raise StructuralError("reduce_2d requires dimension 2")
     b1, b2 = basis.rows

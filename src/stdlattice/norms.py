@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import InputError
+
 Rational = int | Fraction
 
 
@@ -67,15 +69,27 @@ class NormValue:
         return self.kind is NormKind.L2
 
 
+def _unknown_kind(kind: object) -> InputError:
+    return InputError(f"unknown norm kind {kind!r}; expected a NormKind member")
+
+
+def require_kind(kind: object) -> None:
+    """Reject anything but a NormKind member, e.g. the string "l1"."""
+    if not isinstance(kind, NormKind):
+        raise _unknown_kind(kind)
+
+
 def measure(coords: Sequence[Rational], kind: NormKind) -> NormValue:
     """Exact norm of a vector: sum of |coords| for L1, max |coord| for Linf,
     sum of squares (the squared Euclidean norm) for L2."""
     if kind is NormKind.L1:
-        value = sum(abs(x) for x in coords)
+        value = sum(map(abs, coords))
     elif kind is NormKind.LINF:
-        value = max((abs(x) for x in coords), default=0)
-    else:
+        value = max(map(abs, coords), default=0)
+    elif kind is NormKind.L2:
         value = sum(x * x for x in coords)
+    else:
+        raise _unknown_kind(kind)
     return NormValue(kind, value)
 
 
@@ -90,7 +104,9 @@ def enumeration_radius_in_l2(bound: NormValue, dim: int) -> NormValue:
         return NormValue(NormKind.L2, bound.value * bound.value)
     if bound.kind is NormKind.LINF:
         return NormValue(NormKind.L2, dim * bound.value * bound.value)
-    return NormValue(NormKind.L2, bound.value)
+    if bound.kind is NormKind.L2:
+        return NormValue(NormKind.L2, bound.value)
+    raise _unknown_kind(bound.kind)
 
 
 def double_radius(bound: NormValue) -> NormValue:

@@ -17,7 +17,14 @@ from typing import Sequence
 from .enumeration import MeasuredVector, SuccessiveMinima, _canonical_sign, _greedy_minima
 from .errors import ResourceLimitError, StructuralError
 from .exactlin import IntVector, LatticeBasis, hnf_nonzero_rows
-from .norms import NormKind, NormValue, double_radius, enumeration_radius_in_l2, measure
+from .norms import (
+    NormKind,
+    NormValue,
+    double_radius,
+    enumeration_radius_in_l2,
+    measure,
+    require_kind,
+)
 
 ORACLE_MAX_DIM = 5
 DEFAULT_MAX_POINTS = 100_000_000
@@ -94,6 +101,7 @@ def coefficient_box(basis: LatticeBasis, kind: NormKind, bound: NormValue) -> Co
     If x . B = v then x_i is the dot product of v with column i of B^-1, so
     |x_i| <= ||v||_2 * ||column_i(B^-1)||_2 <= R * max column norm.
     """
+    require_kind(kind)
     if bound.value <= 0:
         raise ValueError("bound must be positive")
     r2 = Fraction(enumeration_radius_in_l2(bound, basis.dim).value)
@@ -166,6 +174,7 @@ def brute_minima(
     at 1 (no nonzero integer vector is smaller) and doubles until the
     witnesses span everything.
     """
+    require_kind(kind)
     _check_oracle_dim(basis)
     n = basis.dim
     scan_basis = LatticeBasis(hnf_nonzero_rows(basis.rows))

@@ -45,7 +45,7 @@ from .exactlin import (
     member,
     rank_of_rows,
 )
-from .norms import NormKind, NormValue, measure
+from .norms import NormKind, NormValue, measure, require_kind
 
 
 class Verdict(enum.Enum):
@@ -94,6 +94,7 @@ def check_standard(
     ||b_i|| = lambda_i, nondecreasing candidate index inside equal-minima
     runs) was exhausted; re-running the deterministic search replays it.
     """
+    require_kind(kind)
     _check_dim(basis.dim, max_dim)
     sm, entries = _minima_with_entries(basis.rows, kind, max_candidates=max_candidates)
     n = basis.dim

@@ -7,12 +7,15 @@ from stdlattice import (
     NormKind,
     NormValue,
     ResourceLimitError,
+    check_standard,
     enumerate_short,
+    enumeration,
     is_basis_of,
     minima_witness_check,
     parity_lattice,
     successive_minima,
 )
+from stdlattice.enumeration import DEFAULT_MAX_CANDIDATES
 from util import apply_unimodular, box_short_vectors, identity_basis, random_basis, random_unimodular
 
 
@@ -207,3 +210,117 @@ class TestWitnessCheck:
         sm = successive_minima(b, NormKind.L2)
         assert minima_witness_check(b, sm)
         assert not is_basis_of(sm.witnesses, b)
+
+
+L1, L2, LINF = NormKind.L1, NormKind.L2, NormKind.LINF
+
+# The skewed basis of the 928/927 pin above.
+SKEWED_5 = (
+    (0, 1, 4, -4, 3),
+    (-1, -4, -1, 2, 0),
+    (-1, -6, -10, 5, -5),
+    (-3, 1, -2, -4, 3),
+    (7, -10, -4, 16, -9),
+)
+
+# (rows, kind, bound or None for successive_minima, smallest sufficient
+# max_candidates, the ResourceLimitError message one below it).  Skewed bases
+# of dims 2-6 and parity lattices under all three norms; the thresholds are
+# the search's exact work, so any change to the visited set or to the order of
+# the passes shows here.
+WORK_TABLE = [
+    (((-3, 1), (-1, 1)), L1, None, 11, "10 candidate evaluations (l1 pass, bound 2)"),
+    (((-1, -3), (2, 1)), LINF, 9, 69, "68 candidate evaluations (linf pass, bound 9)"),
+    (((2, 0, -4), (4, 5, -19), (1, -2, 2)), L2, None, 27, "26 candidate evaluations (l2 pass, bound 8)"),
+    (((-4, 1, 5), (-4, -3, 4), (-2, 4, 1)), L1, 12, 140, "139 candidate evaluations (l1 pass, bound 12)"),
+    (
+        ((10, 3, -11, 2), (-3, 1, -4, -1), (-3, -4, -3, -4), (7, 6, -1, 3)),
+        LINF, None, 95, "94 candidate evaluations (linf pass, bound 5)",
+    ),
+    (
+        ((1, 2, -2, 4), (0, -1, -3, 1), (4, 0, 5, -5), (-3, -4, 2, -4)),
+        L2, 60, 280, "279 candidate evaluations (l2 pass, bound 60)",
+    ),
+    (
+        ((6, 3, -1, -5, 3), (3, -3, -3, 2, 4), (2, -1, 0, 2, 4), (-2, 1, 0, 4, -2), (1, -3, -4, 4, 0)),
+        L1, None, 1297, "1296 candidate evaluations (l1 pass, bound 9)",
+    ),
+    (
+        ((4, 1, -1, 3, -1), (3, 0, 2, -2, 3), (-4, -3, -4, 4, -10), (0, 5, 6, -1, 2), (1, 1, 2, 0, 2)),
+        L2, None, 71, "70 candidate evaluations (l2 pass, bound 27)",
+    ),
+    (
+        (
+            (0, 3, 0, -6, -4, -5), (1, 0, 3, 3, 4, -4), (0, -2, 2, 3, 1, 4),
+            (-4, -2, -3, 2, -4, 0), (3, 1, -2, -3, 4, 4), (4, -3, 2, 0, -1, -3),
+        ),
+        LINF, None, 889, "888 candidate evaluations (linf pass, bound 4)",
+    ),
+    (
+        (
+            (4, 3, -1, 0, 1, 0), (-1, -1, 1, 2, 0, -3), (1, -4, -2, 4, 4, 0),
+            (1, 1, -2, -4, 1, -4), (4, -4, -2, -3, 3, 0), (-2, 4, -2, 1, 2, 2),
+        ),
+        L1, None, 1861, "1860 candidate evaluations (l1 pass, bound 10)",
+    ),
+    (parity_lattice(5).rows, L2, None, 103, "102 candidate evaluations (l2 pass, bound 5)"),
+    (parity_lattice(6).rows, L1, 6, 9040, "9039 candidate evaluations (l1 pass, bound 6)"),
+    (parity_lattice(4).rows, LINF, None, 230, "229 candidate evaluations (linf pass, bound 2)"),
+]
+
+
+def _run_at(rows, kind, bound, max_candidates):
+    b = LatticeBasis(rows)
+    if bound is None:
+        return successive_minima(b, kind, max_candidates=max_candidates)
+    return enumerate_short(b, kind, NormValue(kind, bound), max_candidates=max_candidates)
+
+
+class TestExactWork:
+    @pytest.mark.parametrize("rows, kind, bound, k, message", WORK_TABLE)
+    def test_smallest_sufficient_ceiling(self, rows, kind, bound, k, message):
+        assert _run_at(rows, kind, bound, k) == _run_at(rows, kind, bound, DEFAULT_MAX_CANDIDATES)
+        with pytest.raises(ResourceLimitError) as err:
+            _run_at(rows, kind, bound, k - 1)
+        assert str(err.value) == "enumeration exceeded " + message
+
+    # What the benchmark tracer reports as enumeration.leaves: every call of
+    # enumeration.measure, the start-bound row norms included.
+    @pytest.fixture
+    def leaves(self, monkeypatch):
+        count = [0]
+        real = enumeration.measure
+
+        def counted(vec, kind):
+            count[0] += 1
+            return real(vec, kind)
+
+        monkeypatch.setattr(enumeration, "measure", counted)
+        return count
+
+    @pytest.mark.parametrize("n, expected", [(3, 29), (4, 108), (5, 41), (6, 62), (7, 99)])
+    def test_leaf_count_l1_parity_check(self, leaves, n, expected):
+        check_standard(parity_lattice(n), L1)
+        assert leaves[0] == expected
+
+    @pytest.mark.parametrize(
+        "rows, kind, expected",
+        [(SKEWED_5, L1, 408), (WORK_TABLE[7][0], L2, 18), (WORK_TABLE[8][0], LINF, 518)],
+    )
+    def test_leaf_count_skewed_minima(self, leaves, rows, kind, expected):
+        successive_minima(LatticeBasis(rows), kind)
+        assert leaves[0] == expected
+
+    def test_leaves_are_measured_through_module_globals(self):
+        # The benchmark tracer counts leaves by wrapping enumeration.measure;
+        # binding it any other way (a default argument, a renamed import)
+        # would hide every leaf from it.
+        def global_names(code):
+            names = set(code.co_names)
+            for const in code.co_consts:
+                if hasattr(const, "co_names"):
+                    names |= global_names(const)
+            return names
+
+        assert "measure" in global_names(enumeration._enumerate_rows.__code__)
+        assert enumeration._enumerate_rows.__globals__ is vars(enumeration)

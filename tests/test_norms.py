@@ -4,7 +4,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stdlattice import NormKind, NormValue, enumeration_radius_in_l2, measure
+from stdlattice import (
+    InputError,
+    LatticeBasis,
+    NormKind,
+    NormValue,
+    brute_minima,
+    check_standard,
+    coefficient_box,
+    enumerate_short,
+    enumeration,
+    enumeration_radius_in_l2,
+    measure,
+    min_translate,
+    reduce_2d,
+    successive_minima,
+    verify_family,
+)
 
 vectors = st.lists(st.integers(-50, 50), min_size=1, max_size=6)
 kinds = st.sampled_from([NormKind.L1, NormKind.L2, NormKind.LINF])
@@ -83,3 +99,38 @@ def test_enumeration_radius_soundness(kind):
         for v in itertools.product(range(-4, 5), repeat=dim):
             if measure(v, kind).value <= bound.value:
                 assert measure(v, NormKind.L2).value <= r2
+
+
+SKEW_2D = LatticeBasis([[2, 1], [0, 3]])
+NOT_A_KIND = ["l1", "L2", None, 1]
+
+# Each public entry point that takes a kind, called with ``kind`` in its place.
+ENTRY_POINTS = {
+    "measure": lambda kind: measure((1, 2), kind),
+    "successive_minima": lambda kind: successive_minima(SKEW_2D, kind),
+    "enumerate_short": lambda kind: enumerate_short(SKEW_2D, kind, NormValue(kind, 5)),
+    "check_standard": lambda kind: check_standard(SKEW_2D, kind),
+    "reduce_2d": lambda kind: reduce_2d(SKEW_2D, kind),
+    "verify_family": lambda kind: verify_family(3, kind),
+    "brute_minima": lambda kind: brute_minima(SKEW_2D, kind),
+    "min_translate": lambda kind: min_translate((0, 3), (2, 1), kind),
+    "coefficient_box": lambda kind: coefficient_box(SKEW_2D, kind, NormValue(kind, 5)),
+    "enumeration_radius_in_l2": lambda kind: enumeration_radius_in_l2(NormValue(kind, 5), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("kind", NOT_A_KIND, ids=repr)
+def test_unknown_kind_is_rejected_before_any_arithmetic(name, kind, monkeypatch):
+    # A string kind used to fall through to the L2 branch: the "l1" minima of
+    # SKEW_2D came back as (5, 8), squared-L2 values labelled l1.
+    def no_reduction(rows):
+        raise AssertionError("lattice reduction ran on an unknown kind")
+
+    monkeypatch.setattr(enumeration, "_lll_rows", no_reduction)
+    with pytest.raises(InputError, match="unknown norm kind"):
+        ENTRY_POINTS[name](kind)
+
+
+def test_l1_minima_of_the_regression_basis():
+    assert [nv.value for nv in successive_minima(SKEW_2D, NormKind.L1).minima] == [3, 3]

@@ -5,7 +5,7 @@ Fraction Gauss-Jordan solve)."""
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -73,31 +73,48 @@ def box_short_vectors(basis: LatticeBasis, kind: NormKind, bound):
     """Sign-canonical short vectors by raw coefficient-box product scan.
 
     Independent of both the pruned enumerator and the oracle module's own
-    nested scan; exists purely to cross-check them.
+    nested scan; exists purely to cross-check them.  Coefficient i ranges
+    over |x_i| <= ceil(R * ||column_i(B^-1)||_2) (at least 1), the cover
+    whose largest entry is ``coefficient_box``; B^-1 comes from the Fraction
+    reference solve, and points are built one row at a time.
     """
-    m = coefficient_box(basis, kind, bound).per_coeff_bound
     n = basis.dim
+    r2 = coefficient_box(basis, kind, bound).l2_radius_sq
+    inverse = [reference_solve(basis.rows, [int(i == j) for i in range(n)]) for j in range(n)]
+    ranges = []
+    for i in range(n):
+        need = r2 * sum(row[i] * row[i] for row in inverse)  # m_i^2 >= need
+        m = math.isqrt(math.ceil(need))
+        if m * m < need:
+            m += 1
+        ranges.append(range(-max(m, 1), max(m, 1) + 1))
     seen = set()
     out = []
-    for coeffs in itertools.product(range(-m, m + 1), repeat=n):
-        vec = tuple(
-            sum(coeffs[i] * basis.rows[i][j] for i in range(n)) for j in range(n)
-        )
-        if not any(vec):
-            continue
-        nv = measure(vec, kind)
-        if nv.value > bound.value:
-            continue
-        canon = vec
-        for x in canon:
-            if x < 0:
-                canon = tuple(-y for y in canon)
-                break
-            if x > 0:
-                break
-        if canon not in seen:
-            seen.add(canon)
-            out.append((canon, nv))
+
+    def scan(i, partial):
+        if i == n:
+            vec = tuple(partial)
+            if not any(vec):
+                return
+            nv = measure(vec, kind)
+            if nv.value > bound.value:
+                return
+            canon = vec
+            for x in canon:
+                if x < 0:
+                    canon = tuple(-y for y in canon)
+                    break
+                if x > 0:
+                    break
+            if canon not in seen:
+                seen.add(canon)
+                out.append((canon, nv))
+            return
+        row = basis.rows[i]
+        for c in ranges[i]:
+            scan(i + 1, [p + c * r for p, r in zip(partial, row)])
+
+    scan(0, [0] * n)
     out.sort(key=lambda e: (e[1].value, e[0]))
     return out
 
