@@ -39,7 +39,12 @@ from .exactlin import LatticeBasis
 from .families import verify_family
 from .norm2d import reduce_2d
 from .norms import NormKind, measure
-from .standardness import Verdict, check_standard, standardize_low_dim
+from .standardness import (
+    StandardnessCertificate,
+    Verdict,
+    check_standard,
+    standardize_low_dim,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -135,8 +140,7 @@ def _jnum(x):
 
 
 def _fmt(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return str(_jnum(x))
 
 
 def _minima_label(kind: NormKind) -> str:
@@ -149,6 +153,16 @@ def _minima_json(sm: SuccessiveMinima) -> dict:
         "squared": sm.kind is NormKind.L2,
         "values": [_jnum(nv.value) for nv in sm.minima],
         "witnesses": [list(w) for w in sm.witnesses],
+    }
+
+
+def _certificate_json(cert: StandardnessCertificate) -> dict:
+    return {
+        "basis": [list(r) for r in cert.basis] if cert.basis is not None else None,
+        "search_stats": {
+            "level_candidates": list(cert.stats.level_candidates),
+            "nodes_explored": cert.stats.nodes_explored,
+        },
     }
 
 
@@ -194,12 +208,8 @@ def cmd_check(args) -> int:
         "command": "check",
         "dim": basis.dim,
         "verdict": cert.verdict.value,
-        "basis": [list(r) for r in cert.basis] if cert.basis is not None else None,
         "minima": _minima_json(cert.minima),
-        "search_stats": {
-            "level_candidates": list(cert.stats.level_candidates),
-            "nodes_explored": cert.stats.nodes_explored,
-        },
+        **_certificate_json(cert),
     }
 
     def text():
@@ -264,12 +274,11 @@ def cmd_reduce2d(args) -> int:
 
 
 def cmd_family(args) -> int:
-    kind = _NORM_NAMES[args.norm] if args.norm is not None else NormKind.L2
+    kind = _resolve_kind(args.norm, None)
     report = verify_family(
         args.n, kind, max_candidates=args.max_candidates, max_dim=args.max_dim
     )
     arg = report.parity_argument
-    cert = report.certificate
     payload = {
         "command": "family",
         "n": report.n,
@@ -284,13 +293,7 @@ def cmd_family(args) -> int:
             "forces_odd_vector": arg.forces_odd_vector,
             "consistent": arg.consistent,
         },
-        "certificate": {
-            "basis": [list(r) for r in cert.basis] if cert.basis is not None else None,
-            "search_stats": {
-                "level_candidates": list(cert.stats.level_candidates),
-                "nodes_explored": cert.stats.nodes_explored,
-            },
-        },
+        "certificate": _certificate_json(report.certificate),
     }
 
     def text():

@@ -30,12 +30,11 @@ from math import lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .errors import ResourceLimitError
+from .errors import InternalConsistencyError, ResourceLimitError
 from .exactlin import IntVector, LatticeBasis, RankTracker, _lll_rows
 from .norms import (
     NormKind,
     NormValue,
-    double_radius,
     enumeration_radius_in_l2,
     measure,
     require_kind,
@@ -235,16 +234,19 @@ def _row_bound(rows: Sequence[IntVector], kind: NormKind) -> NormValue:
 def _scan_minima(
     reduced, kind: NormKind, bound: NormValue, max_candidates: int
 ) -> tuple[SuccessiveMinima, list[MeasuredVector]]:
-    """Minima from ``reduced`` = (rows, d, lam) as returned by LLL."""
+    """Minima from ``reduced`` = (rows, d, lam) as returned by LLL, read off
+    one enumeration pass.  Every caller's ``bound`` is the largest norm of n
+    independent lattice vectors, so it covers lambda_n; a pass that finds
+    fewer than n independent vectors is a bug, never a short answer."""
     m = len(reduced[0])
-    while True:
-        entries = _enumerate_rows(*reduced, kind, bound, max_candidates)
-        minima, witnesses = _greedy_minima(entries, m)
-        if len(witnesses) == m:
-            return SuccessiveMinima(kind, tuple(minima), tuple(witnesses)), entries
-        # Only a caller's start bound can lie below lambda_n; doubling is the
-        # safety net that still reaches it.
-        bound = double_radius(bound)
+    entries = _enumerate_rows(*reduced, kind, bound, max_candidates)
+    minima, witnesses = _greedy_minima(entries, m)
+    if len(witnesses) < m:
+        raise InternalConsistencyError(
+            f"start bound {bound.value} lies below lambda_{m}: "
+            f"{len(witnesses)} independent vectors found"
+        )
+    return SuccessiveMinima(kind, tuple(minima), tuple(witnesses)), entries
 
 
 def _minima_with_entries(

@@ -4,9 +4,12 @@ The parity lattice in dimension n consists of the integer vectors whose
 coordinates all share one parity.  It is the classical source of
 non-standard examples: under L2 it stops being standard at n = 5, under L1
 already at n = 3.  ``verify_family`` decides standardness generically and
-then replays the direct parity argument (coset minima plus the determinant
-obstruction forcing an odd vector into every basis), so the two proofs guard
-each other.
+then replays the paper's direct parity argument, so the two proofs guard each
+other.  That argument needs no search: every coordinate of an all-odd vector
+has |x_i| >= 1, so the odd-coset minimum is the norm of (1, ..., 1); every
+nonzero all-even vector has some |x_i| >= 2, so the even-coset minimum is the
+norm of 2e_1.  A determinant obstruction then forces an odd vector into every
+basis.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ from .enumeration import (
     DEFAULT_MAX_DIM,
     SuccessiveMinima,
     _check_dim,
-    enumerate_short,
 )
-from .exactlin import IntVector, LatticeBasis
+from .exactlin import LatticeBasis
 from .norms import NormKind, NormValue, measure, require_kind
 from .standardness import StandardnessCertificate, Verdict, check_standard
 
@@ -29,6 +31,9 @@ from .standardness import StandardnessCertificate, Verdict, check_standard
 class ParityArgument:
     """Replay of the direct non-standardness argument.
 
+    The coset minima are read off the parity argument, not searched for:
+    ``odd_coset_min`` is the norm of (1, ..., 1) (n under L1 and squared L2,
+    1 under Linf) and ``even_coset_min`` the norm of 2e_1 (2, 4 and 2).
     ``forces_odd_vector``: any n all-even vectors have determinant divisible
     by 2^n, which exceeds the covolume 2^(n-1), so every basis contains an
     all-odd vector.  The verdict must then be NonStandard exactly when the
@@ -62,14 +67,6 @@ def parity_lattice(n: int) -> LatticeBasis:
     return LatticeBasis(rows)
 
 
-def _coset_minimum(entries, want_odd: bool) -> NormValue:
-    for vec, nv in entries:
-        odd = all(x % 2 != 0 for x in vec)
-        if odd == want_odd:
-            return nv
-    raise AssertionError("coset witness missing from enumeration")
-
-
 def verify_family(
     n: int,
     kind: NormKind,
@@ -84,21 +81,8 @@ def verify_family(
     cert = check_standard(basis, kind, max_candidates=max_candidates, max_dim=max_dim)
     sm = cert.minima
 
-    # Both coset witnesses (2e_1 all-even, the all-ones vector all-odd) fit
-    # under this bound, so each coset minimum is visible in one enumeration.
-    two_e1: IntVector = tuple(2 if j == 0 else 0 for j in range(n))
-    ones: IntVector = (1,) * n
-    bound_value = max(measure(two_e1, kind).value, measure(ones, kind).value)
-    entries = enumerate_short(
-        basis,
-        kind,
-        NormValue(kind, bound_value),
-        max_candidates=max_candidates,
-        max_dim=max_dim,
-    ).entries
-
-    odd_min = _coset_minimum(entries, want_odd=True)
-    even_min = _coset_minimum(entries, want_odd=False)
+    odd_min = measure((1,) * n, kind)
+    even_min = measure((2,) + (0,) * (n - 1), kind)
     covolume = abs(basis.det)
     divisor = 2**n
     forces_odd = divisor > covolume

@@ -107,10 +107,3 @@ def enumeration_radius_in_l2(bound: NormValue, dim: int) -> NormValue:
     if bound.kind is NormKind.L2:
         return NormValue(NormKind.L2, bound.value)
     raise _unknown_kind(bound.kind)
-
-
-def double_radius(bound: NormValue) -> NormValue:
-    """The bound whose underlying norm radius is doubled (factor 4 for the
-    squared L2 representation)."""
-    factor = 4 if bound.kind is NormKind.L2 else 2
-    return NormValue(bound.kind, bound.value * factor)

@@ -20,7 +20,6 @@ from .exactlin import IntVector, LatticeBasis, hnf_nonzero_rows
 from .norms import (
     NormKind,
     NormValue,
-    double_radius,
     enumeration_radius_in_l2,
     measure,
     require_kind,
@@ -159,6 +158,13 @@ def _scan_box(basis: LatticeBasis, kind: NormKind, bound: NormValue, max_points:
     rec(0, (0,) * n, True)
     out.sort(key=lambda e: (e.norm.value, e.vector))
     return out
+
+
+def double_radius(bound: NormValue) -> NormValue:
+    """The bound whose underlying norm radius is doubled (factor 4 for the
+    squared L2 representation)."""
+    factor = 4 if bound.kind is NormKind.L2 else 2
+    return NormValue(bound.kind, bound.value * factor)
 
 
 def brute_minima(

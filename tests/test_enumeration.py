@@ -3,6 +3,7 @@ import random
 import pytest
 
 from stdlattice import (
+    InternalConsistencyError,
     LatticeBasis,
     NormKind,
     NormValue,
@@ -115,6 +116,15 @@ class TestSuccessiveMinima:
             a = successive_minima(b, kind)
             c = successive_minima(apply_unimodular(u, b), kind)
             assert [x.value for x in a.minima] == [x.value for x in c.minima]
+
+    def test_start_bound_below_lambda_n_is_an_internal_error(self):
+        # Every caller's start bound covers lambda_n, so the minima come from
+        # one pass; a bound below it must fail loudly, not be doubled up to
+        # (1, 9) or answered short.
+        with pytest.raises(InternalConsistencyError, match="lies below lambda_2"):
+            enumeration._minima_with_entries(
+                ((1, 0), (0, 3)), NormKind.L2, start_bound=NormValue(NormKind.L2, 1)
+            )
 
     def test_scaling_law(self):
         rng = random.Random(13)

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,13 +7,17 @@ from stdlattice import (
     NormKind,
     ResourceLimitError,
     Verdict,
+    check_standard,
+    cli,
     enumerate_short,
+    enumeration,
     exactlin,
     member,
     parity_lattice,
     verify_family,
 )
 from stdlattice.norms import NormValue
+from util import box_short_vectors
 
 
 class TestParityLattice:
@@ -104,21 +109,45 @@ class TestVerifyFamily:
             assert rep.parity_argument.consistent
 
     def test_coset_minima_match_enumeration(self):
-        for n in (2, 3, 4, 5):
+        # The closed form against an independent scan of each coset.
+        for n in range(1, 7):
             for kind in NormKind:
-                rep = verify_family(n, kind)
-                bound = NormValue(
-                    kind,
-                    max(
-                        rep.parity_argument.odd_coset_min.value,
-                        rep.parity_argument.even_coset_min.value,
-                    ),
-                )
-                entries = enumerate_short(parity_lattice(n), kind, bound).entries
-                odd = [e.norm.value for e in entries if all(x % 2 != 0 for x in e.vector)]
-                even = [e.norm.value for e in entries if all(x % 2 == 0 for x in e.vector)]
-                assert min(odd) == rep.parity_argument.odd_coset_min.value
-                assert min(even) == rep.parity_argument.even_coset_min.value
+                arg = verify_family(n, kind).parity_argument
+                assert arg.odd_coset_min.value == (1 if kind is NormKind.LINF else n)
+                assert arg.even_coset_min.value == (4 if kind is NormKind.L2 else 2)
+                bound = NormValue(kind, max(arg.odd_coset_min.value, arg.even_coset_min.value))
+                entries = box_short_vectors(parity_lattice(n), kind, bound)
+                odd = [nv.value for vec, nv in entries if all(x % 2 for x in vec)]
+                even = [nv.value for vec, nv in entries if not any(x % 2 for x in vec)]
+                assert min(odd) == arg.odd_coset_min.value, (n, kind)
+                assert min(even) == arg.even_coset_min.value, (n, kind)
+
+    def test_no_enumeration_beyond_check_standard(self, monkeypatch):
+        calls = []
+        real = enumeration._enumerate_rows
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(enumeration, "_enumerate_rows", counted)
+        for n in range(1, 7):
+            for kind in NormKind:
+                calls.clear()
+                check_standard(parity_lattice(n), kind)
+                alone = len(calls)
+                calls.clear()
+                verify_family(n, kind)
+                assert len(calls) == alone == (1 if kind is NormKind.L2 else 2), (n, kind)
+
+    @pytest.mark.parametrize("norm, even", [("l1", 2), ("l2", 4)])
+    def test_cli_family_12(self, norm, even, capsys):
+        assert cli.main(["family", "12", "--norm", norm, "--json"]) == 3
+        data = json.loads(capsys.readouterr().out)
+        assert data["verdict"] == "NonStandard"
+        assert data["parity_argument"]["odd_coset_min"] == 12
+        assert data["parity_argument"]["even_coset_min"] == even
+        assert data["parity_argument"]["consistent"] is True
 
     def test_determinant_obstruction_recorded(self):
         rep = verify_family(6, NormKind.L2)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from stdlattice import (
+    DimensionMismatchError,
     InternalConsistencyError,
     LatticeBasis,
     NormKind,
@@ -206,8 +207,15 @@ class TestSectionLattice:
             assert sec_a == sec_b == ((1, 0, 0), (0, 1, 0))
 
     def test_rejects_non_member_spanning(self):
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match=r"spanning vector \(1, 0\) is not in the lattice"):
             section_lattice(LatticeBasis([[2, 0], [0, 2]]), [(1, 0)])
+
+    def test_rejects_wrong_length_spanning(self):
+        # Nearest-plane rounding would zip a short vector down to a prefix.
+        with pytest.raises(DimensionMismatchError, match="vector length 2 does not match dimension 3"):
+            section_lattice(identity_basis(3), [(1, 0, 0), (0, 1)])
+        with pytest.raises(DimensionMismatchError, match="vector length 4 does not match dimension 3"):
+            section_lattice(identity_basis(3), [(1, 0, 0, 0), (0, 1, 0)])
 
     def test_rejects_non_integer_spanning_entries(self):
         with pytest.raises(StructuralError):
