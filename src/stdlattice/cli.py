@@ -314,8 +314,32 @@ def cmd_family(args) -> int:
     return EXIT_OK if report.verdict is Verdict.STANDARD else EXIT_NON_STANDARD
 
 
+# A decimal token with an exponent, for which Fraction builds 10**|exponent|;
+# every token it matches is one that Fraction accepts.
+_DECIMAL_EXPONENT = re.compile(
+    r"\s*[-+]?(?=\.?\d)(?P<whole>\d*(?:_\d+)*)(?:\.(?P<frac>\d+(?:_\d+)*)?)?"
+    r"[eE](?P<exponent>[-+]?\d+(?:_\d+)*)\s*"
+)
+
+
 def _parse_rational(token: str) -> Fraction:
+    """Exact value of a coordinate token.
+
+    A nonzero mantissa of d digits times 10**e has a numerator (e > 0) or a
+    reduced denominator (e < 0) of more than |e| - d digits, so a token with
+    |e| above the interpreter's int print limit plus d could never be
+    printed; it is rejected before the power of ten is built.
+    """
+    limit = sys.get_int_max_str_digits()
     try:
+        match = _DECIMAL_EXPONENT.fullmatch(token)
+        if limit and match:
+            mantissa = (match["whole"] + (match["frac"] or "")).replace("_", "")
+            if any(map(int, mantissa)) and abs(int(match["exponent"])) > limit + len(mantissa):
+                raise InputError(
+                    f"rational coordinate {token!r} is too large: its numerator or "
+                    f"denominator has more than {limit} digits"
+                )
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational coordinate {token!r}: {exc}") from exc

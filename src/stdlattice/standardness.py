@@ -3,10 +3,18 @@ minima-achieving basis for dimensions up to 4 under L2.
 
 A lattice is standard when some basis b_1..b_n has ||b_i|| equal to the i-th
 successive minimum for every i.  The decision procedure reuses the
-enumeration behind the minima (every vector up to a bound >= lambda_n),
-restricts level i to vectors of norm exactly lambda_i, and backtracks with
-rank and determinant-divisor pruning; the search order is deterministic, so
-certificates are reproducible by replay.
+enumeration behind the minima (every vector up to a bound >= lambda_n) and
+restricts level i to vectors of norm exactly lambda_i.  It answers
+NonStandard by one of two routes:
+
+* generation: the union of the levels generates a proper sublattice (the
+  product of the pivots of its Hermite form is not |det|), so no basis can
+  be drawn from it.  This is the paper's argument for the parity lattices;
+* exhaustion: the levels generate the lattice, but a backtrack with rank
+  and determinant-divisor pruning finds no basis among them.
+
+The search order is deterministic, so certificates are reproducible by
+replay.
 
 Both prunings come from one incremental column reduction of the chosen
 vectors (``RankTracker``).  Unimodular column operations preserve the gcd of
@@ -54,7 +62,13 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class SearchStats:
-    """Size of each candidate level and the number of search nodes tried."""
+    """Size of each candidate level and the number of search nodes tried.
+
+    A backtrack counts one node per candidate it tries.  A decision made at
+    the root, because the levels generate a proper sublattice, counts the
+    root alone: ``nodes_explored == 1``.  Every certificate therefore
+    reports at least one node.
+    """
 
     level_candidates: tuple[int, ...]
     nodes_explored: int
@@ -89,9 +103,13 @@ def check_standard(
     """Decide standardness and produce a re-checkable certificate.
 
     Standard: the first minima-achieving basis in deterministic search order.
-    NonStandard: the search space (all sign-canonical tuples with
-    ||b_i|| = lambda_i, nondecreasing candidate index inside equal-minima
-    runs) was exhausted; re-running the deterministic search replays it.
+    NonStandard, by one of two routes:
+
+    * the vectors of norm equal to some lambda_i generate a proper
+      sublattice, decided by one Hermite form before any search;
+    * the search space (all sign-canonical tuples with ||b_i|| = lambda_i,
+      nondecreasing candidate index inside equal-minima runs) was
+      exhausted; re-running the deterministic search replays it.
     """
     require_kind(kind)
     _check_dim(basis.dim, max_dim)
@@ -102,7 +120,20 @@ def check_standard(
     for vec, nv in entries:
         pool.setdefault(nv.value, []).append(vec)
     levels = [pool.get(nv.value, []) for nv in sm.minima]
+    level_candidates = tuple(len(c) for c in levels)
     target_det = abs(basis.det)
+    # Root test: every level draws from this union, so if it generates a
+    # proper sublattice no basis can be drawn from it.  It holds the minima
+    # witnesses, so it has full rank and the pivots of its Hermite form
+    # multiply to the covolume of the lattice it generates.
+    union = [v for value in dict.fromkeys(nv.value for nv in sm.minima) for v in pool[value]]
+    covolume = 1
+    for row in hnf_nonzero_rows(union):
+        covolume *= next(x for x in row if x)
+    if covolume != target_det:
+        return StandardnessCertificate(
+            Verdict.NON_STANDARD, None, sm, SearchStats(level_candidates, 1)
+        )
     tracker = RankTracker()
     chosen: list[IntVector] = []
     nodes = 0
@@ -133,7 +164,7 @@ def check_standard(
         return None
 
     found = search(0, 0)
-    stats = SearchStats(tuple(len(c) for c in levels), nodes)
+    stats = SearchStats(level_candidates, nodes)
     if found is None:
         return StandardnessCertificate(Verdict.NON_STANDARD, None, sm, stats)
     if not is_basis_of(found, basis):

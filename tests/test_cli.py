@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from stdlattice import LatticeBasis, NormKind, exactlin, successive_minima
+from stdlattice import InputError, LatticeBasis, NormKind, cli, exactlin, successive_minima
 from stdlattice.cli import main
 
 
@@ -208,6 +209,40 @@ class TestErrorClasses:
         path = write_json_basis(tmp_path, "i2.json", [[1, 0], [0, 1]])
         code, _, err = run_cli(["nearest", path, "x", "y"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("token", ["1e3000000", "-2.5E-3000000", "1e99999999999999999999"])
+    def test_giant_exponent_is_rejected_before_any_arithmetic(
+        self, tmp_path, capsys, monkeypatch, token
+    ):
+        # Such a coordinate cannot be printed, so the command could only fail;
+        # it used to fail after seconds of arithmetic on the giant power of ten.
+        def no_arithmetic(*args):
+            raise AssertionError("nearest_plane ran on a giant coordinate")
+
+        monkeypatch.setattr(cli, "nearest_plane", no_arithmetic)
+        path = write_json_basis(tmp_path, "i2.json", [[1, 0], [0, 1]])
+        code, out, err = run_cli(["nearest", path, token, "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"rational coordinate {token!r} is too large" in err
+
+    @pytest.mark.parametrize("token", ["1e400", "-3.5e-2000"])
+    def test_large_exponent_below_the_print_limit_is_answered(self, tmp_path, capsys, token):
+        path = write_json_basis(tmp_path, "i2.json", [[1, 0], [0, 1]])
+        code, _, _ = run_cli(["nearest", path, token, "1", "--json"], capsys)
+        assert code == 0
+
+    def test_exponent_bound_is_print_limit_plus_mantissa_digits(self, monkeypatch):
+        assert cli._parse_rational("1e-4000") == Fraction(1, 10**4000)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 100)
+        assert cli._parse_rational("12.5e103") == Fraction(125 * 10**102)
+        assert cli._parse_rational("1e-101") == Fraction(1, 10**101)
+        for token in ("12.5e104", "1_0e-103"):
+            with pytest.raises(InputError, match="too large"):
+                cli._parse_rational(token)
+        assert cli._parse_rational("0e104") == 0
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        assert cli._parse_rational("1e104") == 10**104
 
     def test_resource_ceiling(self, tmp_path, capsys):
         path = write_json_basis(tmp_path, "l5.json", parity_rows(5))

@@ -26,6 +26,14 @@ tokens = st.sampled_from(
         "0", "1", "-1", "2", "3", "5", "-3/2", "1/2", "1/0", ".5", "-.5", "x", "",
     ]
 ) | st.integers(-10**6, 10**6).map(str)
+# Decimal coordinates for nearest, including exponents past the int print
+# limit, which must be refused before the power of ten is built.
+exponent_tokens = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["1", "-2.5", ".5", "3.", "1_0"]),
+    st.sampled_from(["e", "E"]),
+    st.sampled_from([0, 3, -3, 400, -2000, 4302, -4302, 10**6, -(10**6), 10**20]).map(str),
+)
 
 json_values = st.recursive(
     st.none()
@@ -75,7 +83,7 @@ contents = (
 @given(
     command=st.sampled_from(FILE_COMMANDS + ["family"]),
     content=contents,
-    extra=st.lists(tokens, max_size=5),
+    extra=st.lists(tokens | exponent_tokens, max_size=5),
     missing_file=st.booleans(),
 )
 def test_cli_exit_codes_are_classified(command, content, extra, missing_file):

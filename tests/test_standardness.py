@@ -89,10 +89,24 @@ class TestCheckStandard:
 class TestSearchWork:
     @pytest.mark.parametrize("n", range(5, 11))
     def test_parity_l2_search_size_is_pinned(self, n):
+        # The levels are the n vectors 2e_i up to sign, which generate 2Z^n
+        # at index 2, so the root test decides and counts the root only.
         cert = check_standard(parity_lattice(n), NormKind.L2)
         assert cert.verdict is Verdict.NON_STANDARD
-        assert cert.stats.nodes_explored == 2**n - 1
+        assert cert.stats.nodes_explored == 1
         assert cert.stats.level_candidates == (n,) * n
+
+    def test_parity_non_standardness_is_decided_without_the_backtrack(self, monkeypatch):
+        class NoBacktrack:
+            def __init__(self):
+                raise AssertionError("backtrack started on a parity lattice")
+
+        monkeypatch.setattr(standardness, "RankTracker", NoBacktrack)
+        cases = [(n, NormKind.L2) for n in range(5, 11)]
+        cases += [(n, NormKind.L1) for n in range(3, 9)]
+        for n, kind in cases:
+            cert = check_standard(parity_lattice(n), kind)
+            assert cert.verdict is Verdict.NON_STANDARD, (n, kind)
 
     def test_one_enumeration_and_no_determinant_per_check(self, monkeypatch):
         basis = parity_lattice(6)

@@ -57,6 +57,13 @@ NON_STANDARD_L1_3D = [
     ((0, -4, -4), (-1, -4, 1), (-3, -2, -2)),
     ((-2, 4, 3), (2, 3, -4), (2, -3, 4)),
 ]
+# The levels of these two generate the whole lattice, so check_standard
+# cannot decide them at the root and must exhaust the backtrack; pinned
+# with the number of nodes it tries.
+NON_STANDARD_L1_4D_FULL_POOL = [
+    (((0, 1, -2, 2), (-1, -3, -1, 1), (2, 3, -3, 2), (1, 3, -3, -1)), (4, 4, 4, 5), 13),
+    (((-2, -1, -3, -3), (-1, -2, 2, 1), (3, 2, -2, -3), (-2, 3, -3, -3)), (4, 4, 4, 7), 7),
+]
 
 
 def test_verdicts_agree_on_random_small_lattices():
@@ -83,9 +90,23 @@ def test_frozen_non_standard_instances():
         assert brute_standard(b, NormKind.L1) is Verdict.NON_STANDARD
 
 
+def test_non_standard_instances_with_a_generating_pool_exhaust_the_backtrack():
+    for rows, minima, nodes in NON_STANDARD_L1_4D_FULL_POOL:
+        b = LatticeBasis(rows)
+        cert = check_standard(b, NormKind.L1)
+        assert cert.verdict is Verdict.NON_STANDARD
+        assert [nv.value for nv in cert.minima.minima] == list(minima)
+        assert cert.stats.nodes_explored == nodes
+        assert brute_standard(b, NormKind.L1) is Verdict.NON_STANDARD
+
+
 def test_non_standardness_is_presentation_independent():
     rng = random.Random(31337)
-    targets = [LatticeBasis(NON_STANDARD_L1_3D[0]), parity_lattice(3)]
+    targets = [
+        LatticeBasis(NON_STANDARD_L1_3D[0]),
+        parity_lattice(3),
+        LatticeBasis(NON_STANDARD_L1_4D_FULL_POOL[0][0]),
+    ]
     for base in targets:
         for _ in range(5):
             disguised = apply_unimodular(random_unimodular(rng, base.dim), base)
