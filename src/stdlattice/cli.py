@@ -314,14 +314,6 @@ def cmd_family(args) -> int:
     return EXIT_OK if report.verdict is Verdict.STANDARD else EXIT_NON_STANDARD
 
 
-# A decimal token with an exponent, for which Fraction builds 10**|exponent|;
-# every token it matches is one that Fraction accepts.
-_DECIMAL_EXPONENT = re.compile(
-    r"\s*[-+]?(?=\.?\d)(?P<whole>\d*(?:_\d+)*)(?:\.(?P<frac>\d+(?:_\d+)*)?)?"
-    r"[eE](?P<exponent>[-+]?\d+(?:_\d+)*)\s*"
-)
-
-
 def _parse_rational(token: str) -> Fraction:
     """Exact value of a coordinate token.
 
@@ -332,10 +324,11 @@ def _parse_rational(token: str) -> Fraction:
     """
     limit = sys.get_int_max_str_digits()
     try:
-        match = _DECIMAL_EXPONENT.fullmatch(token)
-        if limit and match:
-            mantissa = (match["whole"] + (match["frac"] or "")).replace("_", "")
-            if any(map(int, mantissa)) and abs(int(match["exponent"])) > limit + len(mantissa):
+        head, sep, exponent = token.strip().lower().partition("e")
+        if limit and sep:
+            digits = head.lstrip("+-").replace(".", "").replace("_", "")
+            nonzero = digits.isdecimal() and digits.strip("0")
+            if nonzero and abs(int(exponent)) > limit + len(digits):
                 raise InputError(
                     f"rational coordinate {token!r} is too large: its numerator or "
                     f"denominator has more than {limit} digits"

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .enumeration import (
     DEFAULT_MAX_CANDIDATES,
@@ -93,6 +94,32 @@ def is_orthogonal_basis(basis: LatticeBasis) -> bool:
     return all(_dot(rows[i], rows[j]) == 0 for i in range(n) for j in range(i + 1, n))
 
 
+def _generates(vectors: Iterable[IntVector], n: int, det: int) -> bool:
+    """True iff lattice vectors of dimension ``n`` generate the lattice of
+    covolume ``det`` that holds them.
+
+    The Hermite form grows one vector at a time, so no reduction sees more
+    than n + 1 rows.  A vector it already generates is skipped after one
+    pass of echelon division, and the scan stops once the generated lattice
+    has full rank and covolume ``det`` (the product of its diagonal pivots).
+    """
+    hnf: tuple[IntVector, ...] = ()
+    for vec in vectors:
+        rest = list(vec)
+        for row in hnf:
+            c = next(j for j, x in enumerate(row) if x)
+            q, r = divmod(rest[c], row[c])
+            if r or any(rest[:c]):
+                break
+            rest = [a - q * b for a, b in zip(rest, row)]
+        if not any(rest):
+            continue
+        hnf = hnf_nonzero_rows(hnf + (vec,))
+        if len(hnf) == n and math.prod(hnf[i][i] for i in range(n)) == det:
+            return True
+    return False
+
+
 def check_standard(
     basis: LatticeBasis,
     kind: NormKind,
@@ -106,7 +133,8 @@ def check_standard(
     NonStandard, by one of two routes:
 
     * the vectors of norm equal to some lambda_i generate a proper
-      sublattice, decided by one Hermite form before any search;
+      sublattice, decided before any search by a Hermite form grown one
+      vector at a time (``_generates``);
     * the search space (all sign-canonical tuples with ||b_i|| = lambda_i,
       nondecreasing candidate index inside equal-minima runs) was
       exhausted; re-running the deterministic search replays it.
@@ -123,14 +151,9 @@ def check_standard(
     level_candidates = tuple(len(c) for c in levels)
     target_det = abs(basis.det)
     # Root test: every level draws from this union, so if it generates a
-    # proper sublattice no basis can be drawn from it.  It holds the minima
-    # witnesses, so it has full rank and the pivots of its Hermite form
-    # multiply to the covolume of the lattice it generates.
-    union = [v for value in dict.fromkeys(nv.value for nv in sm.minima) for v in pool[value]]
-    covolume = 1
-    for row in hnf_nonzero_rows(union):
-        covolume *= next(x for x in row if x)
-    if covolume != target_det:
+    # proper sublattice no basis can be drawn from it.
+    union = (v for value in dict.fromkeys(nv.value for nv in sm.minima) for v in pool[value])
+    if not _generates(union, n, target_det):
         return StandardnessCertificate(
             Verdict.NON_STANDARD, None, sm, SearchStats(level_candidates, 1)
         )

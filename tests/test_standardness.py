@@ -108,6 +108,22 @@ class TestSearchWork:
             cert = check_standard(parity_lattice(n), kind)
             assert cert.verdict is Verdict.NON_STANDARD, (n, kind)
 
+    def test_generation_test_reduces_at_most_n_plus_one_rows(self, monkeypatch):
+        # Z^8 under Linf has one level of (3^8 - 1) / 2 = 3280 vectors; the
+        # generation test must not take the Hermite form of all of them.
+        sizes = []
+        hermite_form = exactlin.hermite_form
+
+        def counted(mat):
+            sizes.append(len(mat))
+            return hermite_form(mat)
+
+        monkeypatch.setattr(exactlin, "hermite_form", counted)
+        cert = check_standard(identity_basis(8), NormKind.LINF)
+        assert cert.verdict is Verdict.STANDARD
+        assert cert.stats.level_candidates == (3280,) * 8
+        assert sizes and max(sizes) <= 9
+
     def test_one_enumeration_and_no_determinant_per_check(self, monkeypatch):
         basis = parity_lattice(6)
         calls = {"enumerate": 0, "det": 0}
