@@ -6,6 +6,10 @@ constructs such a basis in dimension at most 4 under L2, reduces 2D bases
 under any built-in norm, and generates the parity-lattice counterexample
 family.  Everything runs on arbitrary-precision integers and rationals; no
 floating point anywhere.
+
+The brute-force oracle (``brute_minima``, ``brute_cvp``, ``coefficient_box``
+and their records) loads on first access, so importing the package or
+running the CLI does not build it.
 """
 
 from .cvp import EqualityCaseReport, NearestPointResult, equality_case_analyze, nearest_plane
@@ -42,13 +46,6 @@ from .exactlin import (
 from .families import FamilyReport, ParityArgument, parity_lattice, verify_family
 from .norm2d import Reduced2DBasis, min_translate, reduce_2d
 from .norms import NormKind, NormValue, enumeration_radius_in_l2, measure
-from .oracle import (
-    BruteCvpResult,
-    CoefficientBox,
-    brute_cvp,
-    brute_minima,
-    coefficient_box,
-)
 from .standardness import (
     SearchStats,
     StandardnessCertificate,
@@ -114,3 +111,20 @@ __all__ = [
     "successive_minima",
     "verify_family",
 ]
+
+# The oracle is for tests and cross-checks; load it on first access so that
+# importing the package, and so every CLI call, skips it.
+_ORACLE_NAMES = ("BruteCvpResult", "CoefficientBox", "brute_cvp", "brute_minima", "coefficient_box")
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        value = globals()[name] = getattr(oracle, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_ORACLE_NAMES))

@@ -320,15 +320,22 @@ def _parse_rational(token: str) -> Fraction:
     A nonzero mantissa of d digits times 10**e has a numerator (e > 0) or a
     reduced denominator (e < 0) of more than |e| - d digits, so a token with
     |e| above the interpreter's int print limit plus d could never be
-    printed; it is rejected before the power of ten is built.
+    printed; it is rejected before the power of ten is built.  A zero
+    mantissa is 0 whatever its exponent: its syntax is checked on a copy
+    whose exponent digits are all 0, so no power of ten is built either.
     """
     limit = sys.get_int_max_str_digits()
     try:
         head, sep, exponent = token.strip().lower().partition("e")
-        if limit and sep:
-            digits = head.lstrip("+-").replace(".", "").replace("_", "")
-            nonzero = digits.isdecimal() and digits.strip("0")
-            if nonzero and abs(int(exponent)) > limit + len(digits):
+        digits = head.lstrip("+-").replace(".", "").replace("_", "")
+        if sep and digits.isdecimal():
+            if not digits.strip("0"):
+                zeroed = "".join("0" if c.isdecimal() else c for c in exponent)
+                try:
+                    return Fraction(f"{head}e{zeroed}")
+                except ValueError:
+                    pass  # malformed: Fraction(token) below reports it as typed
+            elif limit and abs(int(exponent)) > limit + len(digits):
                 raise InputError(
                     f"rational coordinate {token!r} is too large: its numerator or "
                     f"denominator has more than {limit} digits"

@@ -18,9 +18,8 @@ and every other point moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatchError
 from .exactlin import IntVector, LatticeBasis, _coefficients, _dot, _nearest_rows
@@ -29,8 +28,7 @@ from .norms import NormKind, measure
 Rational = int | Fraction
 
 
-@dataclass(frozen=True)
-class NearestPointResult:
+class NearestPointResult(NamedTuple):
     """A lattice point within the guaranteed distance of the target.
 
     ``dist_sq`` is the exact squared distance, ``bound_sq`` is
@@ -44,8 +42,7 @@ class NearestPointResult:
     at_equality: bool
 
 
-@dataclass(frozen=True)
-class EqualityCaseReport:
+class EqualityCaseReport(NamedTuple):
     """The three exact conditions under which the distance bound is tight:
     pairwise orthogonal rows, all row norms equal, and every basis
     coefficient of the target a half-odd integer."""

@@ -25,7 +25,6 @@ independent lattice vectors bound lambda_n from above).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -49,8 +48,7 @@ class MeasuredVector(NamedTuple):
     norm: NormValue
 
 
-@dataclass(frozen=True)
-class ShortVectorList:
+class ShortVectorList(NamedTuple):
     """Every nonzero lattice vector with norm <= bound, up to sign.
 
     Exactly one of v, -v appears; the kept representative has its first
@@ -66,8 +64,7 @@ class ShortVectorList:
         return tuple(e.vector for e in self.entries)
 
 
-@dataclass(frozen=True)
-class SuccessiveMinima:
+class SuccessiveMinima(NamedTuple):
     """The n sorted minima under ``kind`` with independent witness vectors."""
 
     kind: NormKind
@@ -75,8 +72,7 @@ class SuccessiveMinima:
     witnesses: tuple[IntVector, ...]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     ok: bool
     problems: tuple[str, ...]
 

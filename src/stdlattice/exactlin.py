@@ -21,7 +21,6 @@ Conventions:
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Sequence
@@ -84,8 +83,7 @@ class HermiteForm(NamedTuple):
     u: tuple[IntVector, ...]
 
 
-@dataclass(frozen=True)
-class GsoData:
+class GsoData(NamedTuple):
     """Exact Gram-Schmidt data for a row matrix.
 
     ``mu`` is square lower triangular with unit diagonal, ``bstar_sq`` holds

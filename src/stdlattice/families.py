@@ -14,7 +14,7 @@ basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .enumeration import (
     DEFAULT_MAX_CANDIDATES,
@@ -27,8 +27,7 @@ from .norms import NormKind, NormValue, measure, require_kind
 from .standardness import StandardnessCertificate, Verdict, check_standard
 
 
-@dataclass(frozen=True)
-class ParityArgument:
+class ParityArgument(NamedTuple):
     """Replay of the direct non-standardness argument.
 
     The coset minima are read off the parity argument, not searched for:
@@ -48,8 +47,7 @@ class ParityArgument:
     consistent: bool
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     n: int
     kind: NormKind
     minima: SuccessiveMinima

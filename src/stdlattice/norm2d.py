@@ -11,18 +11,16 @@ certified reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .enumeration import DEFAULT_MAX_CANDIDATES, _minima_rows
 from .errors import InternalConsistencyError, StructuralError
 from .exactlin import IntVector, LatticeBasis, is_basis_of
-from .norms import NormKind, NormValue, measure, require_kind
-from .oracle import ceil_sqrt
+from .norms import NormKind, NormValue, ceil_sqrt, measure, require_kind
 
 
-@dataclass(frozen=True)
-class Reduced2DBasis:
+class Reduced2DBasis(NamedTuple):
     """A basis pair sorted by norm whose norms are the two minima."""
 
     b1: IntVector

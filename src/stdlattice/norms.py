@@ -4,14 +4,15 @@ The Euclidean norm is represented exclusively by its SQUARE so that every
 value stays rational; squaring is monotone on nonnegative reals, so all
 comparisons, minima and argmins are preserved.  Human-facing output marks
 squared values explicitly (the CLI prints them under a "squared" label).
+``ceil_sqrt`` turns such a squared bound back into an integer radius.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import isqrt
+from typing import NamedTuple, Sequence
 
 from .errors import InputError
 
@@ -24,20 +25,29 @@ class NormKind(enum.Enum):
     LINF = "linf"
 
 
-@dataclass(frozen=True)
-class NormValue:
+class _NormFields(NamedTuple):
+    kind: NormKind
+    value: Rational
+
+
+class NormValue(_NormFields):
     """Exact comparable size of a vector under a fixed norm.
 
     For L1/Linf this is the norm itself; for L2 it is the squared norm.
     Comparisons are only defined between values of the same kind.
     """
 
-    kind: NormKind
-    value: Rational
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.value < 0:
+    def __new__(cls, kind: NormKind, value: Rational):
+        if value < 0:
             raise ValueError("norm values are nonnegative")
+        return tuple.__new__(cls, (kind, value))
+
+    @classmethod
+    def _make(cls, iterable) -> "NormValue":
+        # _replace builds through _make; route it through the check above.
+        return cls(*iterable)
 
     def _check_kind(self, other: "NormValue") -> None:
         if not isinstance(other, NormValue):
@@ -67,6 +77,17 @@ class NormValue:
     @property
     def is_squared(self) -> bool:
         return self.kind is NormKind.L2
+
+
+def ceil_sqrt(x: Fraction | int) -> int:
+    """Smallest integer m >= 0 with m*m >= x (x >= 0)."""
+    f = Fraction(x)
+    if f < 0:
+        raise ValueError("negative radicand")
+    m = isqrt(f.numerator // f.denominator)
+    while m * m * f.denominator < f.numerator:
+        m += 1
+    return m
 
 
 def _unknown_kind(kind: object) -> InputError:

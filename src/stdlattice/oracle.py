@@ -9,10 +9,8 @@ against, so it is deliberately dumb and allowed to be slow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .enumeration import MeasuredVector, SuccessiveMinima, _canonical_sign, _greedy_minima
 from .errors import ResourceLimitError, StructuralError
@@ -20,6 +18,7 @@ from .exactlin import IntVector, LatticeBasis, hnf_nonzero_rows
 from .norms import (
     NormKind,
     NormValue,
+    ceil_sqrt,
     enumeration_radius_in_l2,
     measure,
     require_kind,
@@ -29,8 +28,7 @@ ORACLE_MAX_DIM = 5
 DEFAULT_MAX_POINTS = 100_000_000
 
 
-@dataclass(frozen=True)
-class CoefficientBox:
+class CoefficientBox(NamedTuple):
     """Provably sufficient coefficient range for a box scan.
 
     Every lattice vector with norm <= the target bound has coefficients
@@ -43,22 +41,10 @@ class CoefficientBox:
     max_inverse_column_sq: Fraction
 
 
-@dataclass(frozen=True)
-class BruteCvpResult:
+class BruteCvpResult(NamedTuple):
     point: IntVector
     coeffs: tuple[int, ...]
     dist_sq: Fraction
-
-
-def ceil_sqrt(x: Fraction | int) -> int:
-    """Smallest integer m >= 0 with m*m >= x (x >= 0)."""
-    f = Fraction(x)
-    if f < 0:
-        raise ValueError("negative radicand")
-    m = isqrt(f.numerator // f.denominator)
-    while m * m * f.denominator < f.numerator:
-        m += 1
-    return m
 
 
 def invert_rational(rows: Sequence[Sequence[int]]) -> list[list[Fraction]]:

@@ -28,8 +28,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .enumeration import (
     DEFAULT_MAX_CANDIDATES,
@@ -61,8 +60,7 @@ class Verdict(enum.Enum):
     NON_STANDARD = "NonStandard"
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     """Size of each candidate level and the number of search nodes tried.
 
     A backtrack counts one node per candidate it tries.  A decision made at
@@ -75,8 +73,7 @@ class SearchStats:
     nodes_explored: int
 
 
-@dataclass(frozen=True)
-class StandardnessCertificate:
+class StandardnessCertificate(NamedTuple):
     verdict: Verdict
     basis: tuple[IntVector, ...] | None
     minima: SuccessiveMinima

@@ -226,6 +226,28 @@ class TestErrorClasses:
         assert out == ""
         assert f"rational coordinate {token!r} is too large" in err
 
+    @pytest.mark.parametrize(
+        "token", ["0e99999999999999999999", "-0e3000000", "0.000e-3000000", "0_0E+99999999999999999999"]
+    )
+    def test_zero_mantissa_is_zero_without_building_the_power(self, token):
+        # Fraction(token) builds 10**|e| first: seconds for e = 3000000, and it
+        # never finishes for twenty digits.
+        assert cli._parse_rational(token) == 0
+
+    def test_zero_mantissa_with_giant_exponent_is_answered(self, tmp_path, capsys):
+        path = write_json_basis(tmp_path, "i2.json", [[1, 0], [0, 1]])
+        code, out, _ = run_cli(["nearest", path, "0e99999999999999999999", "1", "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["target"] == [0, 1]
+
+    @pytest.mark.parametrize("token", ["0e9999x", "0e", "0e 5", "0e1__0", "0e5e5", "0.0.e5"])
+    def test_malformed_zero_mantissa_keeps_its_message(self, tmp_path, capsys, token):
+        path = write_json_basis(tmp_path, "i2.json", [[1, 0], [0, 1]])
+        code, out, err = run_cli(["nearest", path, token, "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"bad rational coordinate {token!r}: Invalid literal for Fraction: {token!r}" in err
+
     @pytest.mark.parametrize("token", ["1e400", "-3.5e-2000"])
     def test_large_exponent_below_the_print_limit_is_answered(self, tmp_path, capsys, token):
         path = write_json_basis(tmp_path, "i2.json", [[1, 0], [0, 1]])

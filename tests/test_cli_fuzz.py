@@ -27,10 +27,11 @@ tokens = st.sampled_from(
     ]
 ) | st.integers(-10**6, 10**6).map(str)
 # Decimal coordinates for nearest, including exponents past the int print
-# limit, which must be refused before the power of ten is built.
+# limit, which must be refused before the power of ten is built, and zero
+# mantissas, which are 0 whatever the exponent and must not build it either.
 exponent_tokens = st.builds(
     "{}{}{}".format,
-    st.sampled_from(["1", "-2.5", ".5", "3.", "1_0"]),
+    st.sampled_from(["1", "-2.5", ".5", "3.", "1_0", "0", "-0.00", ".0", "0_0"]),
     st.sampled_from(["e", "E"]),
     st.sampled_from([0, 3, -3, 400, -2000, 4302, -4302, 10**6, -(10**6), 10**20]).map(str),
 )
