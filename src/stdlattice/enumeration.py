@@ -17,10 +17,15 @@ makes every downstream certificate deterministic.
 Every search runs on an LLL-reduced basis of the input lattice.  The output
 is a set of ambient vectors, so it does not depend on the basis it was found
 from, while the reduced basis has short, nearly orthogonal rows and a far
-smaller search tree.  The minima start from a bound that already covers
-lambda_n: the largest row norm of the reduced basis, and under L1/Linf also
-the largest norm of the L2 minima witnesses, whichever is smaller (any n
-independent lattice vectors bound lambda_n from above).
+smaller search tree.  The minima are read off a pass whose bound already
+covers lambda_n: the norms N_1 <= .. <= N_n of n independent lattice vectors,
+the reduced rows or under L1/Linf the L2 minima witnesses when their largest
+norm is smaller, bound lambda_n by N_n.  When the norms have the parity
+shape (N_1 < N_n-1 = N_n) and the L2 radius of N_1 reaches the last
+Gram-Schmidt length, one probe pass at N_1 runs first; if it finds n
+independent vectors it covers lambda_n and the minima are read off it, and
+otherwise the pass at N_n runs.  The probe's radius is below N_n, so its
+search tree is a subset of that pass's.
 """
 
 from __future__ import annotations
@@ -223,26 +228,62 @@ def _greedy_minima(
     return minima, witnesses
 
 
-def _row_bound(rows: Sequence[IntVector], kind: NormKind) -> NormValue:
-    return NormValue(kind, max(measure(r, kind).value for r in rows))
+def _pass_minima(
+    reduced, kind: NormKind, bound: NormValue, max_candidates: int
+) -> tuple[SuccessiveMinima, list[MeasuredVector]]:
+    """One enumeration pass over ``reduced`` = (rows, d, lam) as returned by
+    LLL, and the minima its greedy scan reads off: fewer than n of them when
+    ``bound`` lies below lambda_n."""
+    entries = _enumerate_rows(*reduced, kind, bound, max_candidates)
+    minima, witnesses = _greedy_minima(entries, len(reduced[0]))
+    return SuccessiveMinima(kind, tuple(minima), tuple(witnesses)), entries
 
 
 def _scan_minima(
     reduced, kind: NormKind, bound: NormValue, max_candidates: int
 ) -> tuple[SuccessiveMinima, list[MeasuredVector]]:
-    """Minima from ``reduced`` = (rows, d, lam) as returned by LLL, read off
-    one enumeration pass.  Every caller's ``bound`` is the largest norm of n
-    independent lattice vectors, so it covers lambda_n; a pass that finds
-    fewer than n independent vectors is a bug, never a short answer."""
+    """Minima from ``reduced`` read off one enumeration pass.  Every caller's
+    ``bound`` is the largest norm of n independent lattice vectors, so it
+    covers lambda_n; a pass that finds fewer than n independent vectors is a
+    bug, never a short answer."""
     m = len(reduced[0])
-    entries = _enumerate_rows(*reduced, kind, bound, max_candidates)
-    minima, witnesses = _greedy_minima(entries, m)
-    if len(witnesses) < m:
+    sm, entries = _pass_minima(reduced, kind, bound, max_candidates)
+    if len(sm.witnesses) < m:
         raise InternalConsistencyError(
             f"start bound {bound.value} lies below lambda_{m}: "
-            f"{len(witnesses)} independent vectors found"
+            f"{len(sm.witnesses)} independent vectors found"
         )
-    return SuccessiveMinima(kind, tuple(minima), tuple(witnesses)), entries
+    return sm, entries
+
+
+def _sorted_norms(vectors: Sequence[IntVector], kind: NormKind) -> list:
+    return sorted(measure(v, kind).value for v in vectors)
+
+
+def _bounded_minima(
+    reduced, kind: NormKind, norms: Sequence, max_candidates: int
+) -> tuple[SuccessiveMinima, list[MeasuredVector]]:
+    """Minima from ``reduced`` and the sorted ``kind`` norms N_1 <= .. <= N_n
+    of n independent lattice vectors; N_n covers lambda_n.
+
+    When at least two of the vectors share the top norm and a shorter one
+    exists, as in the parity lattices, one probe pass at N_1 runs first.
+    Every vector of norm <= N_1 is in it, so if it holds n independent
+    vectors then lambda_n <= N_1 and its greedy scan is exact; otherwise the
+    pass at N_n runs.  The probe is skipped when its squared L2 radius is
+    below the last squared Gram-Schmidt length (R^2 < d_n / d_n-1): then no
+    vector with a nonzero last coefficient fits, so its rank stays below n.
+    """
+    m = len(norms)
+    low, top = norms[0], norms[-1]
+    if low < top == norms[-2]:
+        probe = NormValue(kind, low)
+        d = reduced[1]
+        if enumeration_radius_in_l2(probe, len(reduced[0][0])).value * d[m - 1] >= d[m]:
+            sm, entries = _pass_minima(reduced, kind, probe, max_candidates)
+            if len(sm.witnesses) == m:
+                return sm, entries
+    return _scan_minima(reduced, kind, NormValue(kind, top), max_candidates)
 
 
 def _minima_with_entries(
@@ -253,17 +294,27 @@ def _minima_with_entries(
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
 ) -> tuple[SuccessiveMinima, list[MeasuredVector]]:
     """The minima together with the enumeration pass they were read from:
-    every vector of norm at most that pass's bound, which is >= lambda_n."""
+    every vector of norm at most that pass's bound, which is >= lambda_n.
+
+    A caller's ``start_bound`` is used as is, for one pass.  Without one the
+    bound comes from n independent vectors (see :func:`_bounded_minima`):
+    the reduced rows, or under L1/Linf the L2 minima witnesses when their
+    largest ``kind`` norm is smaller, found by an L2 search of its own.
+    """
     reduced = _lll_rows(rows)
-    rows = reduced[0]
-    if start_bound is None:
-        start_bound = _row_bound(rows, kind)
-        if kind is not NormKind.L2:
-            # The L2 pass is cheap on the reduced rows, and its witnesses are
-            # n independent vectors that are often much shorter in ``kind``.
-            l2, _ = _scan_minima(reduced, NormKind.L2, _row_bound(rows, NormKind.L2), max_candidates)
-            start_bound = min(start_bound, _row_bound(l2.witnesses, kind))
-    return _scan_minima(reduced, kind, start_bound, max_candidates)
+    if start_bound is not None:
+        return _scan_minima(reduced, kind, start_bound, max_candidates)
+    norms = _sorted_norms(reduced[0], kind)
+    if kind is not NormKind.L2:
+        # The L2 search is cheap on the reduced rows, and its witnesses are
+        # n independent vectors that are often much shorter in ``kind``.
+        l2, _ = _bounded_minima(
+            reduced, NormKind.L2, _sorted_norms(reduced[0], NormKind.L2), max_candidates
+        )
+        witness_norms = _sorted_norms(l2.witnesses, kind)
+        if witness_norms[-1] < norms[-1]:
+            norms = witness_norms
+    return _bounded_minima(reduced, kind, norms, max_candidates)
 
 
 def _minima_rows(
@@ -289,9 +340,10 @@ def successive_minima(
 
     The witnesses are read off the sorted enumeration: a vector is kept iff
     it increases the rank of the kept set, so the i-th kept norm is the i-th
-    minimum.  The enumeration runs on an LLL-reduced basis from a radius
-    that already bounds lambda_n: the largest reduced row norm, and under
-    L1/Linf the smaller of that and the largest norm of the L2 witnesses.
+    minimum.  The enumeration runs on an LLL-reduced basis to a radius that
+    bounds lambda_n: the largest reduced row norm, and under L1/Linf the
+    smaller of that and the largest norm of the L2 witnesses, after a probe
+    pass at the smallest of those norms when their shape allows it.
     """
     require_kind(kind)
     _check_dim(basis.dim, max_dim)

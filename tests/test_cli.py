@@ -254,6 +254,37 @@ class TestErrorClasses:
         code, _, _ = run_cli(["nearest", path, token, "1", "--json"], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize("token", ["1e-2200", "1e-4000", "1/3" + "0" * 2200])
+    def test_target_with_unprintable_squared_denominator_is_refused_first(
+        self, tmp_path, capsys, monkeypatch, token
+    ):
+        # dist² carries the square of the common denominator: a denominator
+        # of 2,201 digits parses, but its square cannot be printed, which
+        # used to fail with the interpreter's own message after the rounding.
+        def no_arithmetic(*args):
+            raise AssertionError("nearest_plane ran on an unprintable target")
+
+        monkeypatch.setattr(cli, "nearest_plane", no_arithmetic)
+        path = write_json_basis(tmp_path, "i2.json", [[1, 0], [0, 1]])
+        code, out, err = run_cli(["nearest", path, token, "1"], capsys)
+        assert code == 2
+        assert out == ""
+        limit = sys.get_int_max_str_digits()
+        assert f"common denominator has more than {limit} digits" in err
+
+    def test_squared_denominator_limit_is_exact(self, tmp_path, capsys, monkeypatch):
+        # Refused exactly when the square has more digits than the limit:
+        # 10**100 squared has 201 digits.
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 201)
+        path = write_json_basis(tmp_path, "i2.json", [[1, 0], [0, 1]])
+        code, out, _ = run_cli(["nearest", path, "1e-100", "1", "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["dist_sq"] == "1/" + "1" + "0" * 200
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 200)
+        code, out, err = run_cli(["nearest", path, "1e-100", "1"], capsys)
+        assert code == 2
+        assert "more than 200 digits" in err
+
     def test_exponent_bound_is_print_limit_plus_mantissa_digits(self, monkeypatch):
         assert cli._parse_rational("1e-4000") == Fraction(1, 10**4000)
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 100)

@@ -17,7 +17,14 @@ from stdlattice import (
     successive_minima,
 )
 from stdlattice.enumeration import DEFAULT_MAX_CANDIDATES
-from util import apply_unimodular, box_short_vectors, identity_basis, random_basis, random_unimodular
+from util import (
+    apply_unimodular,
+    box_short_vectors,
+    identity_basis,
+    random_basis,
+    random_unimodular,
+    single_pass_bounds,
+)
 
 
 class TestEnumerateShort:
@@ -273,9 +280,9 @@ WORK_TABLE = [
         ),
         L1, None, 1861, "1860 candidate evaluations (l1 pass, bound 10)",
     ),
-    (parity_lattice(5).rows, L2, None, 103, "102 candidate evaluations (l2 pass, bound 5)"),
+    (parity_lattice(5).rows, L2, None, 87, "86 candidate evaluations (l2 pass, bound 4)"),
     (parity_lattice(6).rows, L1, 6, 9040, "9039 candidate evaluations (l1 pass, bound 6)"),
-    (parity_lattice(4).rows, LINF, None, 230, "229 candidate evaluations (linf pass, bound 2)"),
+    (parity_lattice(4).rows, LINF, None, 56, "55 candidate evaluations (l2 pass, bound 4)"),
 ]
 
 
@@ -294,6 +301,45 @@ class TestExactWork:
             _run_at(rows, kind, bound, k - 1)
         assert str(err.value) == "enumeration exceeded " + message
 
+    @pytest.mark.parametrize(
+        "rows, kind, bound",
+        [row[:3] for row in WORK_TABLE]
+        + [(parity_lattice(n).rows, kind, None) for n in range(2, 11) for kind in NormKind],
+    )
+    def test_no_pass_runs_above_the_single_pass_bound(self, passes, rows, kind, bound):
+        # A probe only adds a pass below the bound a one-pass search starts
+        # from, so no pass visits more of the tree than that search did.
+        _run_at(rows, kind, bound, DEFAULT_MAX_CANDIDATES)
+        made = list(passes)
+        limits = {kind: bound} if bound is not None else single_pass_bounds(rows, kind)
+        assert made and all(value <= limits[k] for k, value in made), (made, limits)
+
+    @pytest.mark.parametrize("n", range(5, 11))
+    def test_parity_l2_minima_come_from_one_probe_pass(self, passes, n):
+        # The reduced rows have norms 4 and n (the two odd rows): the probe at
+        # 4 holds the n vectors 2e_i, and no odd vector is enumerated.
+        sm = successive_minima(parity_lattice(n), L2)
+        assert [nv.value for nv in sm.minima] == [4] * n
+        assert passes == [(L2, 4)]
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            # One row has the top norm: no probe, though the radius test
+            # alone would allow it.
+            (((2, 0), (1, 2)), [(L2, 5)]),
+            # The probe's radius 1 is below the last Gram-Schmidt length 2:
+            # no probe.
+            (((1, 0, 0), (0, 2, 0), (0, 0, 2)), [(L2, 4)]),
+            # Norms 14, 17, 17: the probe at 14 finds two independent
+            # vectors, one short, and the pass at 17 follows.
+            (((-2, -2, 3), (1, -2, -3), (2, -3, 2)), [(L2, 14), (L2, 17)]),
+        ],
+    )
+    def test_probe_gate(self, passes, rows, expected):
+        successive_minima(LatticeBasis(rows), L2)
+        assert passes == expected
+
     # What the benchmark tracer reports as enumeration.leaves: every call of
     # enumeration.measure, the start-bound row norms included.
     @pytest.fixture
@@ -308,7 +354,7 @@ class TestExactWork:
         monkeypatch.setattr(enumeration, "measure", counted)
         return count
 
-    @pytest.mark.parametrize("n, expected", [(3, 29), (4, 108), (5, 41), (6, 62), (7, 99)])
+    @pytest.mark.parametrize("n, expected", [(3, 23), (4, 36), (5, 25), (6, 30), (7, 35)])
     def test_leaf_count_l1_parity_check(self, leaves, n, expected):
         check_standard(parity_lattice(n), L1)
         assert leaves[0] == expected

@@ -10,7 +10,6 @@ from stdlattice import (
     check_standard,
     cli,
     enumerate_short,
-    enumeration,
     exactlin,
     member,
     parity_lattice,
@@ -122,23 +121,16 @@ class TestVerifyFamily:
                 assert min(odd) == arg.odd_coset_min.value, (n, kind)
                 assert min(even) == arg.even_coset_min.value, (n, kind)
 
-    def test_no_enumeration_beyond_check_standard(self, monkeypatch):
-        calls = []
-        real = enumeration._enumerate_rows
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(enumeration, "_enumerate_rows", counted)
+    def test_no_enumeration_beyond_check_standard(self, passes):
         for n in range(1, 7):
             for kind in NormKind:
-                calls.clear()
+                passes.clear()
                 check_standard(parity_lattice(n), kind)
-                alone = len(calls)
-                calls.clear()
+                alone = list(passes)
+                passes.clear()
                 verify_family(n, kind)
-                assert len(calls) == alone == (1 if kind is NormKind.L2 else 2), (n, kind)
+                assert passes == alone, (n, kind)
+                assert len(alone) == (1 if kind is NormKind.L2 else 2), (n, kind)
 
     @pytest.mark.parametrize("norm, even", [("l1", 2), ("l2", 4)])
     def test_cli_family_12(self, norm, even, capsys):
@@ -147,6 +139,17 @@ class TestVerifyFamily:
         assert data["verdict"] == "NonStandard"
         assert data["parity_argument"]["odd_coset_min"] == 12
         assert data["parity_argument"]["even_coset_min"] == even
+        assert data["parity_argument"]["consistent"] is True
+
+    def test_cli_family_12_linf(self, capsys):
+        # Every Linf minimum is 1, met by the odd vectors, which generate
+        # the lattice; a pass to bound 2 used to exceed the default ceiling.
+        assert cli.main(["family", "12", "--norm", "linf", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["verdict"] == "Standard"
+        assert data["minima"]["values"] == [1] * 12
+        assert data["parity_argument"]["odd_coset_min"] == 1
+        assert data["parity_argument"]["even_coset_min"] == 2
         assert data["parity_argument"]["consistent"] is True
 
     def test_determinant_obstruction_recorded(self):

@@ -1,0 +1,79 @@
+"""Differential test: the probe pass of a minima search changes no answer.
+
+Without a caller's start bound, a minima search may first enumerate at the
+smallest norm of its n bounding vectors and stop there when that pass holds
+n independent vectors.  Its minima, witnesses and standardness certificates
+must equal those read off one forced pass at the largest of those norms, the
+bound a one-pass search starts from.  For dimensions <= 5 the brute-force
+oracle pins the minima independently.
+"""
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from stdlattice import (
+    LatticeBasis,
+    NormKind,
+    NormValue,
+    brute_minima,
+    check_standard,
+    parity_lattice,
+    standardness,
+    successive_minima,
+)
+from stdlattice.enumeration import DEFAULT_MAX_CANDIDATES, _scan_minima
+from stdlattice.exactlin import _lll_rows, rank_of_rows
+from util import single_pass_bounds
+
+
+def forced_single_pass(rows, kind, max_candidates=DEFAULT_MAX_CANDIDATES):
+    bound = NormValue(kind, single_pass_bounds(rows, kind)[kind])
+    return _scan_minima(_lll_rows(rows), kind, bound, max_candidates)
+
+
+def assert_probe_changes_nothing(basis, kind):
+    sm = successive_minima(basis, kind)
+    cert = check_standard(basis, kind)
+    assert sm == forced_single_pass(basis.rows, kind)[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(standardness, "_minima_with_entries", forced_single_pass)
+        assert check_standard(basis, kind) == cert
+    if basis.dim <= 5:
+        assert brute_minima(basis, kind) == sm
+
+
+@pytest.mark.parametrize("kind", list(NormKind))
+@pytest.mark.parametrize("n", range(2, 11))
+def test_parity_probe_agrees_with_one_pass(n, kind):
+    assert_probe_changes_nothing(parity_lattice(n), kind)
+
+
+@st.composite
+def skewed_bases(draw):
+    """A random basis, or one of a congruence lattice {x : a.x = 0 mod q},
+    whose reduced rows often share their top norm as the parity lattice's
+    do; then skewed by elementary row operations."""
+    n = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        entries = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+        rows = [list(r) for r in draw(st.lists(entries, min_size=n, max_size=n))]
+        assume(rank_of_rows(rows) == n)
+    else:
+        q = draw(st.integers(2, 4))
+        a = [1] + draw(st.lists(st.integers(0, q - 1), min_size=n - 1, max_size=n - 1))
+        rows = [[q] + [0] * (n - 1)]
+        rows += [[-a[i]] + [int(j == i) for j in range(1, n)] for i in range(1, n)]
+    for _ in range(draw(st.integers(0, 8))):
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(0, n - 1))
+        if i != j:
+            c = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return LatticeBasis(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(skewed_bases(), st.sampled_from(list(NormKind)))
+def test_skewed_probe_agrees_with_one_pass(basis, kind):
+    assert_probe_changes_nothing(basis, kind)

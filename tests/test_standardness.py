@@ -124,24 +124,22 @@ class TestSearchWork:
         assert cert.stats.level_candidates == (3280,) * 8
         assert sizes and max(sizes) <= 9
 
-    def test_one_enumeration_and_no_determinant_per_check(self, monkeypatch):
+    def test_one_enumeration_and_no_determinant_per_check(self, passes, monkeypatch):
+        # The reduced rows have norms 4 and 6 (the two odd rows); the probe
+        # at 4 already holds the minima, so norm 6 is never enumerated.
         basis = parity_lattice(6)
-        calls = {"enumerate": 0, "det": 0}
+        dets = []
+        inner = exactlin._bareiss_det
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+        def counted(mat):
+            dets.append(mat)
+            return inner(mat)
 
-            return wrapper
-
-        monkeypatch.setattr(
-            enumeration, "_enumerate_rows", counted("enumerate", enumeration._enumerate_rows)
-        )
-        monkeypatch.setattr(exactlin, "_bareiss_det", counted("det", exactlin._bareiss_det))
+        monkeypatch.setattr(exactlin, "_bareiss_det", counted)
         cert = check_standard(basis, NormKind.L2)
         assert cert.verdict is Verdict.NON_STANDARD
-        assert calls == {"enumerate": 1, "det": 0}
+        assert passes == [(NormKind.L2, 4)]
+        assert dets == []
 
     def test_no_fraction_gram_schmidt_on_the_search_paths(self, monkeypatch):
         # Enumeration prunes on the integral data LLL hands over, so neither
@@ -161,20 +159,22 @@ class TestSearchWork:
             check_standard(parity_lattice(5), kind)
         assert calls == []
 
-    def test_l1_check_enumerates_in_l2_then_l1(self, monkeypatch):
+    def test_l1_check_enumerates_in_l2_then_l1(self, passes):
         # The L1 start bound comes from the L2 witnesses, so an L1 check makes
-        # exactly two enumerations: the L2 pass and the L1 pass.
-        kinds = []
-        inner = enumeration._enumerate_rows
-
-        def recorded(rows, d, lam, kind, bound, max_candidates):
-            kinds.append(kind)
-            return inner(rows, d, lam, kind, bound, max_candidates)
-
-        monkeypatch.setattr(enumeration, "_enumerate_rows", recorded)
+        # exactly two enumerations: the L2 pass (the probe at 4) and the L1
+        # pass at the witnesses' L1 norm.
         cert = check_standard(parity_lattice(6), NormKind.L1)
         assert cert.verdict is Verdict.NON_STANDARD
-        assert kinds == [NormKind.L2, NormKind.L1]
+        assert passes == [(NormKind.L2, 4), (NormKind.L1, 2)]
+
+    def test_linf_parity_10_within_a_small_ceiling(self, passes):
+        # The reduced rows have Linf norm 2, except the two odd rows with 1;
+        # the probe at 1 holds the 2^9 odd vectors, of full rank, so the pass
+        # to bound 2 (797,882 candidate evaluations) is never made.
+        cert = check_standard(parity_lattice(10), NormKind.LINF, max_candidates=10_000)
+        assert cert.verdict is Verdict.STANDARD
+        assert [nv.value for nv in cert.minima.minima] == [1] * 10
+        assert passes == [(NormKind.L2, 4), (NormKind.LINF, 1)]
 
 
 class TestIsOrthogonalBasis:

@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: seeded random instances and tiny
 independent oracles (cofactor determinants, raw coefficient-box scans, a
-Fraction Gram-Schmidt and the nearest-plane rounding built on it, and a
-Fraction Gauss-Jordan solve)."""
+Fraction Gram-Schmidt and the nearest-plane rounding built on it, a
+Fraction Gauss-Jordan solve, and the start bounds of a one-pass minima
+search)."""
 
 from __future__ import annotations
 
@@ -9,8 +10,10 @@ import math
 import random
 from fractions import Fraction
 
-from stdlattice import LatticeBasis, NormKind, coefficient_box, measure
+from stdlattice import LatticeBasis, NormKind, NormValue, coefficient_box, measure
+from stdlattice.enumeration import DEFAULT_MAX_CANDIDATES, _scan_minima
 from stdlattice.errors import DimensionMismatchError, StructuralError
+from stdlattice.exactlin import _lll_rows
 
 
 def random_basis(rng: random.Random, n: int, lo: int, hi: int) -> LatticeBasis:
@@ -124,6 +127,24 @@ def random_rational_vector(rng: random.Random, n: int, span: int = 6, max_den: i
         Fraction(rng.randint(-span * max_den, span * max_den), rng.randint(1, max_den))
         for _ in range(n)
     ]
+
+
+def single_pass_bounds(rows, kind: NormKind) -> dict:
+    """The bounds a minima search reads its minima off in one pass, per
+    pass kind: the largest L2 norm of the LLL-reduced rows for the L2 pass,
+    and under L1/Linf the smaller of the largest ``kind`` norm of those rows
+    and of the L2 minima witnesses (found by one L2 pass) for the last."""
+    reduced = _lll_rows(rows)
+
+    def largest(vectors, k):
+        return max(measure(v, k).value for v in vectors)
+
+    bounds = {NormKind.L2: largest(reduced[0], NormKind.L2)}
+    if kind is not NormKind.L2:
+        bound = NormValue(NormKind.L2, bounds[NormKind.L2])
+        l2, _ = _scan_minima(reduced, NormKind.L2, bound, DEFAULT_MAX_CANDIDATES)
+        bounds[kind] = min(largest(reduced[0], kind), largest(l2.witnesses, kind))
+    return bounds
 
 
 def identity_basis(n: int) -> LatticeBasis:
