@@ -3,9 +3,12 @@
 Dimension 2 is the last dimension where every lattice is standard under
 *every* norm, and the reduction is a short loop: translate the longer vector
 by its best integer multiple of the shorter one, swap, repeat.  The library
-verifies each result against enumeration, so what prints below is certified,
-not heuristic.  Note how the minima (and the reduced bases) differ between
-norms on the same lattice.
+certifies each result by the generalized Gauss criterion ||b1|| <= ||b2|| <=
+min(||b2 + b1||, ||b2 - b1||), which under any norm makes the pair's norms the
+two minima (Kaib and Schnorr 1996), plus a covolume check that the pair is a
+basis of the input lattice, so what prints below is certified, not heuristic.
+Note how the minima (and the reduced bases) differ between norms on the same
+lattice.
 """
 
 import random

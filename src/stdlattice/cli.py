@@ -351,16 +351,23 @@ def cmd_nearest(args) -> int:
     point = [_parse_rational(tok) for tok in args.point]
     if len(point) != basis.dim:
         raise InputError(f"expected {basis.dim} coordinates, got {len(point)}")
-    # dist² and bound² carry the square of the common denominator, so a
-    # target whose squared denominator cannot be printed could only fail
-    # after the rounding; refuse it first.
+    # The target is printed, and dist² and bound² carry the square of the
+    # common denominator, so a target with a numerator or squared denominator
+    # that cannot be printed could only fail after the rounding; refuse it
+    # first.
     limit = sys.get_int_max_str_digits()
-    den = lcm(*(x.denominator for x in point))
-    if limit and den * den >= 10**limit:
-        raise InputError(
-            f"target is too fine: the square of its coordinates' common denominator "
-            f"has more than {limit} digits"
-        )
+    if limit:
+        ceiling = 10**limit
+        if any(abs(x.numerator) >= ceiling for x in point):
+            raise InputError(
+                f"target is too large: a coordinate's numerator has more than {limit} digits"
+            )
+        den = lcm(*(x.denominator for x in point))
+        if den * den >= ceiling:
+            raise InputError(
+                f"target is too fine: the square of its coordinates' common denominator "
+                f"has more than {limit} digits"
+            )
     res = nearest_plane(basis, point)
     eq = equality_case_analyze(basis, point)
     payload = {

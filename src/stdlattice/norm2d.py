@@ -1,23 +1,23 @@
 """Two-dimensional reduction achieving both successive minima under any of
 the built-in norms.
 
-The loop is the classical alternation: translate the longer vector by the
-best integer multiple of the shorter one, swap, repeat until the longer norm
-stops improving.  Because the L1 and Linf balls have flat facets, local
-optimality is not taken on faith: the result is verified against a fresh
-enumeration before it is returned, turning the heuristic loop into a
-certified reduction.
+The loop is the generalized Gauss reduction (Kaib and Schnorr, "The
+generalized Gauss reduction algorithm", J. Algorithms 21, 1996): translate
+the longer vector by the best integer multiple of the shorter one, swap,
+repeat until the longer norm stops improving.  It stops at a pair with
+||b1|| <= ||b2|| <= min(||b2 + b1||, ||b2 - b1||), and under any norm such a
+pair attains lambda_1 and lambda_2.  Both that criterion and a 2x2 covolume
+check (the pair is a basis of the input lattice) are verified on the result
+before it is returned, so the reduction is certified without enumerating.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
-from .enumeration import DEFAULT_MAX_CANDIDATES, _minima_rows
-from .errors import InternalConsistencyError, StructuralError
-from .exactlin import IntVector, LatticeBasis, is_basis_of
-from .norms import NormKind, NormValue, ceil_sqrt, measure, require_kind
+from .errors import InputError, InternalConsistencyError, StructuralError
+from .exactlin import IntVector, LatticeBasis
+from .norms import NormKind, NormValue, measure, require_kind
 
 
 class Reduced2DBasis(NamedTuple):
@@ -30,20 +30,21 @@ class Reduced2DBasis(NamedTuple):
 
 
 def _bracket(b2: IntVector, b1: IntVector, kind: NormKind) -> int:
-    """Every minimizer q of ||b2 + q b1|| satisfies |q| <= 2||b2|| / ||b1||."""
+    """Under L1/Linf every minimizer q of ||b2 + q b1|| satisfies
+    |q| <= 2||b2|| / ||b1||."""
     m1 = measure(b1, kind).value
     m2 = measure(b2, kind).value
-    if kind is NormKind.L2:
-        return ceil_sqrt(Fraction(4 * m2, m1)) + 1
     return -((-2 * m2) // m1) + 1
 
 
 def min_translate(b2: IntVector, b1: IntVector, kind: NormKind) -> int:
-    """The integer q minimizing ||b2 + q b1|| under ``kind``.
+    """The integer q minimizing f(q) = ||b2 + q b1|| under ``kind``.
 
-    f(q) = ||b2 + q b1|| is convex, so its forward difference is
-    nondecreasing; two bisections locate the full (possibly flat) minimizer
-    interval, and ties resolve to the smallest |q|, then the nonnegative one.
+    Under L2, f(q)^2 is a quadratic minimized at -<b2, b1> / <b1, b1>, so q is
+    that value's floor or the integer above it, compared exactly.  Under L1
+    and Linf, f is convex, so its forward difference is nondecreasing; two
+    bisections locate the full (possibly flat) minimizer interval.  Ties
+    resolve to the smallest |q|, then the nonnegative one.
     """
     require_kind(kind)
     b1 = tuple(b1)
@@ -51,8 +52,20 @@ def min_translate(b2: IntVector, b1: IntVector, kind: NormKind) -> int:
     if not any(b1):
         raise StructuralError("translation vector must be nonzero")
 
+    if kind is NormKind.L2:
+        dot = sum(v * u for v, u in zip(b2, b1))
+        sq = sum(u * u for u in b1)
+        q = -dot // sq
+        # f(q + 1)^2 - f(q)^2; on a tie the smaller |q| is q when q >= 0.
+        step = 2 * dot + (2 * q + 1) * sq
+        return q + 1 if step < 0 or (step == 0 and q < 0) else q
+
+    values = {}
+
     def f(q: int):
-        return measure(tuple(v + q * u for v, u in zip(b2, b1)), kind).value
+        if q not in values:
+            values[q] = measure(tuple(v + q * u for v, u in zip(b2, b1)), kind).value
+        return values[q]
 
     def diff_nonneg(q: int) -> bool:
         return f(q + 1) >= f(q)
@@ -78,24 +91,9 @@ def min_translate(b2: IntVector, b1: IntVector, kind: NormKind) -> int:
     return left if left > 0 else right
 
 
-def reduce_2d(
-    basis: LatticeBasis,
-    kind: NormKind,
-    *,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
-) -> Reduced2DBasis:
-    """Reduce a 2D basis until it achieves (lambda_1, lambda_2) under ``kind``.
-
-    Each step replaces the longer vector by its best translate along the
-    shorter one (a unimodular operation, so the pair stays a basis); the
-    multiset of norms strictly decreases, hence termination.  The claimed
-    minima are then verified against enumeration; failure of that check is a
-    loud internal error, not a silent downgrade.
-    """
-    require_kind(kind)
-    if basis.dim != 2:
-        raise StructuralError("reduce_2d requires dimension 2")
-    b1, b2 = basis.rows
+def _gauss_loop(b1: IntVector, b2: IntVector, kind: NormKind) -> tuple[IntVector, IntVector]:
+    """Translate the longer vector by its best multiple of the shorter one and
+    swap until the longer norm stops improving; returns (shorter, longer)."""
     if measure(b1, kind).value > measure(b2, kind).value:
         b1, b2 = b2, b1
     while True:
@@ -107,16 +105,56 @@ def reduce_2d(
             break
         if measure(b2, kind).value < measure(b1, kind).value:
             b1, b2 = b2, b1
-    # The reduced pair bounds lambda_2, so the verification enumeration can
-    # start there instead of at the (possibly enormous) input row norms.
-    start = NormValue(kind, max(measure(b1, kind).value, measure(b2, kind).value))
-    sm = _minima_rows(basis.rows, kind, start_bound=start, max_candidates=max_candidates)
+    return b1, b2
+
+
+def _cross(u: IntVector, v: IntVector) -> int:
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def reduce_2d(
+    basis: LatticeBasis,
+    kind: NormKind,
+    *,
+    max_candidates: int | None = None,
+) -> Reduced2DBasis:
+    """Reduce a 2D basis until it achieves (lambda_1, lambda_2) under ``kind``.
+
+    Each step replaces the longer vector by its best translate along the
+    shorter one (a unimodular operation, so the pair stays a basis); the
+    multiset of norms strictly decreases, hence termination.  The result is
+    certified by the generalized Gauss criterion ||b1|| <= ||b2|| <=
+    min(||b2 + b1||, ||b2 - b1||), which under any norm makes the pair's norms
+    the two minima (Kaib and Schnorr 1996), and by a covolume check that the
+    pair is a basis of the input lattice.  Failure of either check is a loud
+    internal error, not a silent downgrade.
+
+    ``max_candidates`` is accepted so that callers passing the other searches'
+    ceiling keep working; nothing here enumerates, so it bounds nothing.  A
+    value other than None must still be a positive int.
+    """
+    if max_candidates is not None and (
+        isinstance(max_candidates, bool) or not isinstance(max_candidates, int) or max_candidates < 1
+    ):
+        raise InputError(f"max_candidates must be a positive integer, got {max_candidates!r}")
+    require_kind(kind)
+    if basis.dim != 2:
+        raise StructuralError("reduce_2d requires dimension 2")
+    b1, b2 = _gauss_loop(*basis.rows, kind)
     n1, n2 = measure(b1, kind), measure(b2, kind)
-    if (n1.value, n2.value) != (sm.minima[0].value, sm.minima[1].value):
+    plus = measure(tuple(v + u for v, u in zip(b2, b1)), kind).value
+    minus = measure(tuple(v - u for v, u in zip(b2, b1)), kind).value
+    if not n1.value <= n2.value <= min(plus, minus):
         raise InternalConsistencyError(
-            f"reduced norms ({n1.value}, {n2.value}) do not match the minima "
-            f"({sm.minima[0].value}, {sm.minima[1].value})"
+            f"reduced pair misses the Gauss criterion: norms ({n1.value}, {n2.value}), "
+            f"translates b2 + b1 {plus} and b2 - b1 {minus}"
         )
-    if not is_basis_of((b1, b2), basis):
+    # By Cramer's rule b = x r1 + y r2 with x = (b x r2) / det and
+    # y = (r1 x b) / det, so integral quotients put b1 and b2 in the lattice,
+    # and two lattice members spanning covolume |det| are a basis of it.
+    r1, r2 = basis.rows
+    det = basis.det
+    members = all(_cross(b, r2) % det == 0 == _cross(r1, b) % det for b in (b1, b2))
+    if not members or abs(_cross(b1, b2)) != abs(det):
         raise InternalConsistencyError("reduction steps lost the basis property")
     return Reduced2DBasis(b1=b1, b2=b2, norms=(n1, n2), kind=kind)

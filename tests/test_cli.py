@@ -285,6 +285,30 @@ class TestErrorClasses:
         assert code == 2
         assert "more than 200 digits" in err
 
+    @pytest.mark.parametrize("token", ["1e4300", "-1e4300", "99e4299", "1.5e4300"])
+    def test_target_with_unprintable_numerator_is_refused_first(
+        self, tmp_path, capsys, monkeypatch, token
+    ):
+        # 10**4300 has 4,301 digits: the token parses (its exponent is within
+        # the print limit plus the mantissa's digits), but printing the target
+        # used to fail with the interpreter's own message after the rounding.
+        def no_arithmetic(*args):
+            raise AssertionError("nearest_plane ran on an unprintable target")
+
+        monkeypatch.setattr(cli, "nearest_plane", no_arithmetic)
+        path = write_json_basis(tmp_path, "i2.json", [[1, 0], [0, 1]])
+        code, out, err = run_cli(["nearest", path, token, "1"], capsys)
+        assert code == 2
+        assert out == ""
+        limit = sys.get_int_max_str_digits()
+        assert f"target is too large: a coordinate's numerator has more than {limit} digits" in err
+
+    def test_numerator_at_the_print_limit_is_answered(self, tmp_path, capsys):
+        path = write_json_basis(tmp_path, "i2.json", [[1, 0], [0, 1]])
+        code, out, _ = run_cli(["nearest", path, "1e4299", "1", "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["point"] == [10**4299, 1]
+
     def test_exponent_bound_is_print_limit_plus_mantissa_digits(self, monkeypatch):
         assert cli._parse_rational("1e-4000") == Fraction(1, 10**4000)
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 100)

@@ -6,6 +6,7 @@ brute-force oracle.  The oracle's public names still reach every caller: as
 attributes, by name import, by star import and in `dir()`.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import stdlattice
-from stdlattice import norms
+from stdlattice import norm2d, norms
 
 ORACLE_NAMES = ["BruteCvpResult", "CoefficientBox", "brute_cvp", "brute_minima", "coefficient_box"]
 
@@ -97,3 +98,18 @@ def test_ceil_sqrt_lives_in_norms_and_stays_importable_from_the_oracle():
     assert [ceil_sqrt(x) for x in (0, 1, 2, 4, Fraction(9, 4), Fraction(10, 4))] == [0, 1, 2, 2, 2, 2]
     with pytest.raises(ValueError, match="negative radicand"):
         ceil_sqrt(-1)
+
+
+def test_norm2d_depends_only_on_errors_exactlin_and_norms():
+    # The 2D reduction is certified by the Gauss criterion and a covolume
+    # check, so it needs neither the enumeration nor the nearest-plane
+    # membership test.
+    tree = ast.parse(Path(norm2d.__file__).read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.setdefault(node.module, set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("stdlattice") for a in node.names)
+    assert set(imported) == {"errors", "exactlin", "norms"}
+    assert "is_basis_of" not in imported["exactlin"]

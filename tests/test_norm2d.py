@@ -1,18 +1,67 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stdlattice import (
+    InputError,
+    InternalConsistencyError,
     LatticeBasis,
     NormKind,
     StructuralError,
     brute_minima,
+    exactlin,
     is_basis_of,
     measure,
     min_translate,
+    norm2d,
     reduce_2d,
 )
 from util import identity_basis, random_basis
+
+ENTRIES = st.integers(-9, 9)
+VECTORS = st.tuples(ENTRIES, ENTRIES)
+# Row operations rows[i] += c * rows[1 - i]: a skewed presentation.
+SKEWS = st.lists(st.tuples(st.integers(0, 1), st.sampled_from([-5, -3, -2, 2, 3, 5])), max_size=8)
+
+
+def brute_translate(b2, b1, kind, window=400):
+    """The minimizer of ||b2 + q b1|| over |q| <= window, ties to the
+    smallest |q|, then the nonnegative one."""
+    values = {q: measure((b2[0] + q * b1[0], b2[1] + q * b1[1]), kind).value for q in range(-window, window + 1)}
+    best = min(values.values())
+    return min((q for q, v in values.items() if v == best), key=lambda q: (abs(q), q < 0))
+
+
+def meets_gauss_criterion(b1, b2, kind) -> bool:
+    plus = measure((b2[0] + b1[0], b2[1] + b1[1]), kind).value
+    minus = measure((b2[0] - b1[0], b2[1] - b1[1]), kind).value
+    return measure(b1, kind).value <= measure(b2, kind).value <= min(plus, minus)
+
+
+@st.composite
+def gauss_pairs(draw):
+    """(b1, b2, kind) with entries in [-9, 9] meeting the criterion under kind,
+    b2 drawn from every partner of b1 that does (b1's rotation by a right
+    angle always does)."""
+    kind = draw(st.sampled_from(list(NormKind)))
+    b1 = draw(VECTORS.filter(any))
+    box = range(-9, 10)
+    partners = [
+        (x, y)
+        for x in box
+        for y in box
+        if b1[0] * y != b1[1] * x and meets_gauss_criterion(b1, (x, y), kind)
+    ]
+    return b1, draw(st.sampled_from(partners)), kind
+
+
+def skewed(b1, b2, skews) -> LatticeBasis:
+    rows = [list(b1), list(b2)]
+    for i, c in skews:
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[1 - i])]
+    return LatticeBasis(rows)
 
 
 class TestMinTranslate:
@@ -35,17 +84,27 @@ class TestMinTranslate:
             if b1 == (0, 0):
                 b1 = (1, 0)
             b2 = (rng.randint(-40, 40), rng.randint(-40, 40))
-            q = min_translate(b2, b1, kind)
+            assert min_translate(b2, b1, kind) == brute_translate(b2, b1, kind)
 
-            def f(t):
-                return measure((b2[0] + t * b1[0], b2[1] + t * b1[1]), kind).value
+    @pytest.mark.parametrize(
+        "b2, b1, expected",
+        [((1, 0), (2, 0), 0), ((3, 0), (2, 0), -1), ((-3, 0), (2, 0), 1), ((5, 7), (2, 0), -2), ((-5, 1), (2, 0), 2)],
+    )
+    def test_exact_l2_half_ties(self, b2, b1, expected):
+        # ||b2 + q b1|| is equal at the two integers around -<b2, b1>/<b1, b1>,
+        # a half-integer: the smaller |q| wins.
+        assert min_translate(b2, b1, NormKind.L2) == expected
+        assert brute_translate(b2, b1, NormKind.L2) == expected
 
-            best = min(f(t) for t in range(-200, 201))
-            assert f(q) == best
-            # tie rule: smallest |q|, then the nonnegative one
-            winners = [t for t in range(-200, 201) if f(t) == best]
-            expected = min(winners, key=lambda t: (abs(t), t < 0))
-            assert q == expected
+    @settings(max_examples=100, deadline=None)
+    @given(VECTORS, st.integers(-20, 20), st.integers(-5, 5), st.sampled_from(list(NormKind)))
+    def test_differential_on_half_integer_optima(self, c, m, t, kind):
+        # b1 = 2c and b2 = (2m + 1) c + t c^perp: under L2 the real optimum is
+        # -(2m + 1)/2, an exact tie between two integers.
+        assume(any(c))
+        b1 = (2 * c[0], 2 * c[1])
+        b2 = ((2 * m + 1) * c[0] - t * c[1], (2 * m + 1) * c[1] + t * c[0])
+        assert min_translate(b2, b1, kind) == brute_translate(b2, b1, kind)
 
     def test_unimodality_witness(self):
         rng = random.Random(89)
@@ -92,3 +151,88 @@ class TestReduce2D:
             assert [nv.value for nv in red.norms] == [nv.value for nv in sm.minima]
             assert is_basis_of((red.b1, red.b2), b)
             assert red.norms[0].value <= red.norms[1].value
+
+    def test_makes_no_enumeration_pass_and_no_gram_schmidt(self, passes, monkeypatch):
+        rng = random.Random(101)
+        bases = [random_basis(rng, 2, -12, 12) for _ in range(30)]
+        bases.append(LatticeBasis([[1, 0], [10**30, 1]]))
+
+        def no_gso(rows):
+            raise AssertionError("reduce_2d built a Gram-Schmidt basis")
+
+        monkeypatch.setattr(exactlin, "_integral_gso", no_gso)
+        for basis in bases:
+            for kind in NormKind:
+                reduce_2d(basis, kind)
+        assert passes == []
+
+
+class TestGaussCriterion:
+    @settings(max_examples=300, deadline=None)
+    @given(gauss_pairs(), SKEWS)
+    def test_pairs_meeting_the_criterion_attain_the_minima(self, pair, skews):
+        # The generalized Gauss reduction theorem: under any norm, a pair with
+        # ||b1|| <= ||b2|| <= min(||b2 + b1||, ||b2 - b1||) attains both minima
+        # of the lattice it spans, whatever basis presents that lattice.
+        b1, b2, kind = pair
+        basis = skewed(b1, b2, skews)
+        norms = [measure(b1, kind).value, measure(b2, kind).value]
+        assert [nv.value for nv in brute_minima(basis, kind).minima] == norms
+        assert [nv.value for nv in reduce_2d(basis, kind).norms] == norms
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    @pytest.mark.parametrize("rows", [[[1, 0], [37, 1]], [[7, 3], [4, 2]], [[5, 8], [13, 21]], [[89, 55], [34, 21]]])
+    def test_loop_stopped_one_step_early_is_caught(self, monkeypatch, kind, rows):
+        basis = LatticeBasis(rows)
+        real = norm2d.min_translate
+        calls = []
+
+        def counting(b2, b1, k):
+            calls.append(None)
+            return real(b2, b1, k)
+
+        monkeypatch.setattr(norm2d, "min_translate", counting)
+        reduce_2d(basis, kind)
+        # The last call finds no improvement; the one before it makes the last step.
+        last_step = len(calls) - 1
+        assert last_step >= 1
+
+        def skipping(b2, b1, k):
+            calls.append(None)
+            return 0 if len(calls) == last_step else real(b2, b1, k)
+
+        calls.clear()
+        monkeypatch.setattr(norm2d, "min_translate", skipping)
+        with pytest.raises(InternalConsistencyError, match="Gauss criterion"):
+            reduce_2d(basis, kind)
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    @pytest.mark.parametrize(
+        "pair",
+        [((0, 1), (4, 0)), ((1, 0), (0, 2))],
+        ids=["members-with-twice-the-covolume", "right-covolume-with-a-non-member"],
+    )
+    def test_pair_that_is_no_basis_is_caught(self, monkeypatch, kind, pair):
+        # Both pairs meet the criterion; neither is a basis of 2Z x Z.
+        assert meets_gauss_criterion(*pair, kind)
+        monkeypatch.setattr(norm2d, "_gauss_loop", lambda b1, b2, k: pair)
+        with pytest.raises(InternalConsistencyError, match="lost the basis property"):
+            reduce_2d(LatticeBasis([[2, 0], [0, 1]]), kind)
+
+
+class TestMaxCandidates:
+    @pytest.mark.parametrize("value", [0, -5, True, False, 2.5, 10.0, "10"])
+    def test_refused_before_any_arithmetic(self, monkeypatch, value):
+        def no_loop(*args):
+            raise AssertionError("reduce_2d ran on a bad max_candidates")
+
+        monkeypatch.setattr(norm2d, "_gauss_loop", no_loop)
+        with pytest.raises(InputError, match=f"max_candidates must be a positive integer, got {value!r}"):
+            reduce_2d(LatticeBasis([[1, 0], [5, 1]]), NormKind.L1, max_candidates=value)
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_bounds_nothing(self, kind):
+        rng = random.Random(103)
+        for _ in range(20):
+            basis = random_basis(rng, 2, -12, 12)
+            assert reduce_2d(basis, kind, max_candidates=1) == reduce_2d(basis, kind)
