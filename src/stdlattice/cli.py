@@ -167,19 +167,24 @@ def _certificate_json(cert: StandardnessCertificate) -> dict:
     }
 
 
-def _print_minima_text(sm: SuccessiveMinima) -> None:
+def _minima_text(sm: SuccessiveMinima) -> list[str]:
     label = _minima_label(sm.kind)
     values = ", ".join(_fmt(nv.value) for nv in sm.minima)
-    print(f"{label} = [{values}]")
-    for i, w in enumerate(sm.witnesses):
-        print(f"witness {i + 1}: {list(w)}  {label} = {_fmt(sm.minima[i].value)}")
+    return [f"{label} = [{values}]"] + [
+        f"witness {i + 1}: {list(w)}  {label} = {_fmt(sm.minima[i].value)}"
+        for i, w in enumerate(sm.witnesses)
+    ]
 
 
-def _emit(args, payload: dict, text_printer) -> None:
+def _emit(args, payload: dict, text_lines) -> None:
+    """Write the JSON payload or the text lines in one piece.  The whole
+    output is rendered first, so a value that cannot be printed fails before
+    anything reaches stdout: an answer is never cut short."""
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        out = json.dumps(payload, sort_keys=True, indent=2)
     else:
-        text_printer()
+        out = "\n".join(text_lines())
+    print(out)
 
 
 def cmd_minima(args) -> int:
@@ -191,9 +196,7 @@ def cmd_minima(args) -> int:
     payload = {"command": "minima", "dim": basis.dim, "minima": _minima_json(sm)}
 
     def text():
-        print(f"dim: {basis.dim}")
-        print(f"norm: {kind.value}")
-        _print_minima_text(sm)
+        return [f"dim: {basis.dim}", f"norm: {kind.value}", *_minima_text(sm)]
 
     _emit(args, payload, text)
     return EXIT_OK
@@ -214,17 +217,15 @@ def cmd_check(args) -> int:
     }
 
     def text():
-        print(f"dim: {basis.dim}")
-        print(f"norm: {kind.value}")
-        print(f"verdict: {cert.verdict.value}")
-        _print_minima_text(cert.minima)
-        if cert.basis is not None:
-            for i, row in enumerate(cert.basis):
-                print(f"basis {i + 1}: {list(row)}")
-        print(
+        return [
+            f"dim: {basis.dim}",
+            f"norm: {kind.value}",
+            f"verdict: {cert.verdict.value}",
+            *_minima_text(cert.minima),
+            *(f"basis {i + 1}: {list(row)}" for i, row in enumerate(cert.basis or ())),
             f"search: candidates per level {list(cert.stats.level_candidates)}, "
-            f"nodes {cert.stats.nodes_explored}"
-        )
+            f"nodes {cert.stats.nodes_explored}",
+        ]
 
     _emit(args, payload, text)
     return EXIT_OK if cert.verdict is Verdict.STANDARD else EXIT_NON_STANDARD
@@ -243,10 +244,11 @@ def cmd_standardize(args) -> int:
     }
 
     def text():
-        print(f"dim: {basis.dim}")
-        for i, row in enumerate(rows):
-            print(f"basis {i + 1}: {list(row)}  λ² = {_fmt(norms[i])}")
-        print(f"determinant: {basis.det}")
+        return [
+            f"dim: {basis.dim}",
+            *(f"basis {i + 1}: {list(row)}  λ² = {_fmt(norms[i])}" for i, row in enumerate(rows)),
+            f"determinant: {basis.det}",
+        ]
 
     _emit(args, payload, text)
     return EXIT_OK
@@ -266,9 +268,11 @@ def cmd_reduce2d(args) -> int:
     }
 
     def text():
-        print(f"norm: {kind.value}")
-        print(f"b1: {list(red.b1)}  {label} = {_fmt(red.norms[0].value)}")
-        print(f"b2: {list(red.b2)}  {label} = {_fmt(red.norms[1].value)}")
+        return [
+            f"norm: {kind.value}",
+            f"b1: {list(red.b1)}  {label} = {_fmt(red.norms[0].value)}",
+            f"b2: {list(red.b2)}  {label} = {_fmt(red.norms[1].value)}",
+        ]
 
     _emit(args, payload, text)
     return EXIT_OK
@@ -298,18 +302,18 @@ def cmd_family(args) -> int:
     }
 
     def text():
-        print(f"parity lattice n = {report.n}, norm: {kind.value}")
-        print(f"verdict: {report.verdict.value}")
-        _print_minima_text(report.minima)
         label = _minima_label(kind)
-        print(f"odd-coset minimum  {label} = {_fmt(arg.odd_coset_min.value)}")
-        print(f"even-coset minimum {label} = {_fmt(arg.even_coset_min.value)}")
-        print(
+        return [
+            f"parity lattice n = {report.n}, norm: {kind.value}",
+            f"verdict: {report.verdict.value}",
+            *_minima_text(report.minima),
+            f"odd-coset minimum  {label} = {_fmt(arg.odd_coset_min.value)}",
+            f"even-coset minimum {label} = {_fmt(arg.even_coset_min.value)}",
             f"covolume {arg.covolume}; any all-even n-tuple has determinant divisible by "
             f"{arg.even_tuple_divisor}; forces an odd vector in every basis: "
-            f"{arg.forces_odd_vector}"
-        )
-        print(f"parity argument consistent with verdict: {arg.consistent}")
+            f"{arg.forces_odd_vector}",
+            f"parity argument consistent with verdict: {arg.consistent}",
+        ]
 
     _emit(args, payload, text)
     return EXIT_OK if report.verdict is Verdict.STANDARD else EXIT_NON_STANDARD
@@ -386,17 +390,17 @@ def cmd_nearest(args) -> int:
     }
 
     def text():
-        print(f"target: [{', '.join(_fmt(x) for x in point)}]")
-        print(f"nearest point: {list(res.point)}")
-        print(f"coefficients: {list(res.coeffs)}")
-        print(f"dist² = {_fmt(res.dist_sq)}")
-        print(f"bound² = {_fmt(res.bound_sq)}")
-        print(f"at_equality: {res.at_equality}")
-        print(
+        return [
+            f"target: [{', '.join(_fmt(x) for x in point)}]",
+            f"nearest point: {list(res.point)}",
+            f"coefficients: {list(res.coeffs)}",
+            f"dist² = {_fmt(res.dist_sq)}",
+            f"bound² = {_fmt(res.bound_sq)}",
+            f"at_equality: {res.at_equality}",
             f"equality conditions: orthogonal={eq.orthogonal}, "
             f"equal_norms={eq.equal_norms}, "
-            f"half_integer_coefficients={eq.half_integer_coefficients}"
-        )
+            f"half_integer_coefficients={eq.half_integer_coefficients}",
+        ]
 
     _emit(args, payload, text)
     return EXIT_OK

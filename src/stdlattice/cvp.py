@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatchError
-from .exactlin import IntVector, LatticeBasis, _coefficients, _dot, _nearest_rows
+from .exactlin import IntVector, LatticeBasis, _coefficients, _nearest_rows, _pairwise_orthogonal
 from .norms import NormKind, measure
 
 Rational = int | Fraction
@@ -88,10 +88,7 @@ def equality_case_analyze(basis: LatticeBasis, target: Sequence[Rational]) -> Eq
     """Check each equality condition of the distance bound exactly."""
     v = _as_rational_vector(target, basis.dim)
     rows = basis.rows
-    n = basis.dim
-    orthogonal = all(
-        _dot(rows[i], rows[j]) == 0 for i in range(n) for j in range(i + 1, n)
-    )
+    orthogonal = _pairwise_orthogonal(rows)
     norms = [measure(row, NormKind.L2).value for row in rows]
     equal_norms = len(set(norms)) == 1
     # Every coefficient of v is half-odd iff 2v is a lattice point whose

@@ -228,34 +228,6 @@ def _greedy_minima(
     return minima, witnesses
 
 
-def _pass_minima(
-    reduced, kind: NormKind, bound: NormValue, max_candidates: int
-) -> tuple[SuccessiveMinima, list[MeasuredVector]]:
-    """One enumeration pass over ``reduced`` = (rows, d, lam) as returned by
-    LLL, and the minima its greedy scan reads off: fewer than n of them when
-    ``bound`` lies below lambda_n."""
-    entries = _enumerate_rows(*reduced, kind, bound, max_candidates)
-    minima, witnesses = _greedy_minima(entries, len(reduced[0]))
-    return SuccessiveMinima(kind, tuple(minima), tuple(witnesses)), entries
-
-
-def _scan_minima(
-    reduced, kind: NormKind, bound: NormValue, max_candidates: int
-) -> tuple[SuccessiveMinima, list[MeasuredVector]]:
-    """Minima from ``reduced`` read off one enumeration pass.  Every caller's
-    ``bound`` is the largest norm of n independent lattice vectors, so it
-    covers lambda_n; a pass that finds fewer than n independent vectors is a
-    bug, never a short answer."""
-    m = len(reduced[0])
-    sm, entries = _pass_minima(reduced, kind, bound, max_candidates)
-    if len(sm.witnesses) < m:
-        raise InternalConsistencyError(
-            f"start bound {bound.value} lies below lambda_{m}: "
-            f"{len(sm.witnesses)} independent vectors found"
-        )
-    return sm, entries
-
-
 def _sorted_norms(vectors: Sequence[IntVector], kind: NormKind) -> list:
     return sorted(measure(v, kind).value for v in vectors)
 
@@ -263,8 +235,11 @@ def _sorted_norms(vectors: Sequence[IntVector], kind: NormKind) -> list:
 def _bounded_minima(
     reduced, kind: NormKind, norms: Sequence, max_candidates: int
 ) -> tuple[SuccessiveMinima, list[MeasuredVector]]:
-    """Minima from ``reduced`` and the sorted ``kind`` norms N_1 <= .. <= N_n
-    of n independent lattice vectors; N_n covers lambda_n.
+    """Minima from ``reduced`` = (rows, d, lam) as returned by LLL and the
+    sorted ``kind`` norms N_1 <= .. <= N_n of n independent lattice vectors,
+    together with the enumeration pass they were read from.  N_n covers
+    lambda_n, so the pass at N_n finds n independent vectors; one that finds
+    fewer is a bug, never a short answer.
 
     When at least two of the vectors share the top norm and a shorter one
     exists, as in the parity lattices, one probe pass at N_1 runs first.
@@ -276,34 +251,36 @@ def _bounded_minima(
     """
     m = len(norms)
     low, top = norms[0], norms[-1]
+    bounds = [top]
     if low < top == norms[-2]:
-        probe = NormValue(kind, low)
         d = reduced[1]
-        if enumeration_radius_in_l2(probe, len(reduced[0][0])).value * d[m - 1] >= d[m]:
-            sm, entries = _pass_minima(reduced, kind, probe, max_candidates)
-            if len(sm.witnesses) == m:
-                return sm, entries
-    return _scan_minima(reduced, kind, NormValue(kind, top), max_candidates)
+        radius = enumeration_radius_in_l2(NormValue(kind, low), len(reduced[0][0]))
+        if radius.value * d[m - 1] >= d[m]:
+            bounds.insert(0, low)
+    for value in bounds:
+        entries = _enumerate_rows(*reduced, kind, NormValue(kind, value), max_candidates)
+        minima, witnesses = _greedy_minima(entries, m)
+        if len(witnesses) == m:
+            return SuccessiveMinima(kind, tuple(minima), tuple(witnesses)), entries
+    raise InternalConsistencyError(
+        f"bound {top} lies below lambda_{m}: {len(witnesses)} independent vectors found"
+    )
 
 
 def _minima_with_entries(
     rows: Sequence[IntVector],
     kind: NormKind,
     *,
-    start_bound: NormValue | None = None,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
 ) -> tuple[SuccessiveMinima, list[MeasuredVector]]:
     """The minima together with the enumeration pass they were read from:
     every vector of norm at most that pass's bound, which is >= lambda_n.
 
-    A caller's ``start_bound`` is used as is, for one pass.  Without one the
-    bound comes from n independent vectors (see :func:`_bounded_minima`):
+    The bound comes from n independent vectors (see :func:`_bounded_minima`):
     the reduced rows, or under L1/Linf the L2 minima witnesses when their
     largest ``kind`` norm is smaller, found by an L2 search of its own.
     """
     reduced = _lll_rows(rows)
-    if start_bound is not None:
-        return _scan_minima(reduced, kind, start_bound, max_candidates)
     norms = _sorted_norms(reduced[0], kind)
     if kind is not NormKind.L2:
         # The L2 search is cheap on the reduced rows, and its witnesses are
@@ -315,18 +292,6 @@ def _minima_with_entries(
         if witness_norms[-1] < norms[-1]:
             norms = witness_norms
     return _bounded_minima(reduced, kind, norms, max_candidates)
-
-
-def _minima_rows(
-    rows: Sequence[IntVector],
-    kind: NormKind,
-    *,
-    start_bound: NormValue | None = None,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
-) -> SuccessiveMinima:
-    return _minima_with_entries(
-        rows, kind, start_bound=start_bound, max_candidates=max_candidates
-    )[0]
 
 
 def successive_minima(
@@ -347,7 +312,7 @@ def successive_minima(
     """
     require_kind(kind)
     _check_dim(basis.dim, max_dim)
-    return _minima_rows(basis.rows, kind, max_candidates=max_candidates)
+    return _minima_with_entries(basis.rows, kind, max_candidates=max_candidates)[0]
 
 
 def minima_witness_check(
@@ -390,7 +355,7 @@ def minima_witness_check(
     if rank_of_rows(sm.witnesses) != n:
         problems.append("witnesses are linearly dependent")
     if not problems:
-        fresh = _minima_rows(basis.rows, sm.kind, max_candidates=max_candidates)
+        fresh = _minima_with_entries(basis.rows, sm.kind, max_candidates=max_candidates)[0]
         for i in range(n):
             if fresh.minima[i].value != sm.minima[i].value:
                 problems.append(

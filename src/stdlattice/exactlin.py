@@ -221,6 +221,11 @@ def _dot(a, b) -> Rational:
     return sum(x * y for x, y in zip(a, b))
 
 
+def _pairwise_orthogonal(rows: Sequence[Sequence[int]]) -> bool:
+    """True iff the dot product of every two distinct rows vanishes."""
+    return all(_dot(a, b) == 0 for i, a in enumerate(rows) for b in rows[i + 1 :])
+
+
 def _gso_row(
     v: Sequence[int],
     rows: Sequence[Sequence[int]],
@@ -248,6 +253,19 @@ def _gso_row(
     return lam_v, gram
 
 
+def _append_gso_row(
+    rows: Sequence[Sequence[int]], d: list[int], lam: list[list[int]]
+) -> None:
+    """Extend the integral data (d, lam) of rows[:k], k = len(lam), by row k.
+    Raises StructuralError when row k lies in the span of the rows before it."""
+    k = len(lam)
+    lam_k, gram = _gso_row(rows[k], rows[:k], d, lam)
+    if gram == 0:
+        raise StructuralError("rows are linearly dependent")
+    lam.append(lam_k)
+    d.append(gram)
+
+
 def _integral_gso(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
     """Integral Gram-Schmidt data (d, lam) of independent integer rows, as
     described in :func:`_gso_row`: mu_kj = lam[k][j] / d[j + 1] and
@@ -255,12 +273,8 @@ def _integral_gso(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[i
     dependent."""
     d = [1]
     lam: list[list[int]] = []
-    for k, row in enumerate(rows):
-        lam_k, gram = _gso_row(row, rows[:k], d, lam)
-        if gram == 0:
-            raise StructuralError("rows are linearly dependent")
-        lam.append(lam_k)
-        d.append(gram)
+    for _ in rows:
+        _append_gso_row(rows, d, lam)
     return d, lam
 
 
@@ -350,14 +364,6 @@ def _lll_rows(
     d = [1]
     lam: list[list[int]] = []
 
-    def add_row(k: int) -> None:
-        # Rows are met in order; row k is still an input row when it is.
-        lam_k, gram = _gso_row(b[k], b[:k], d, lam)
-        if gram == 0:
-            raise StructuralError("rows are linearly dependent")
-        lam.append(lam_k)
-        d.append(gram)
-
     def reduce(k: int, j: int) -> None:
         # Size-reduce row k against row j: subtract round(mu_kj) times it.
         dj = d[j + 1]
@@ -369,11 +375,12 @@ def _lll_rows(
         for i in range(j):
             lam[k][i] -= q * lam[j][i]
 
-    add_row(0)
+    _append_gso_row(b, d, lam)
     k = 1
     while k < m:
         if k == len(lam):
-            add_row(k)
+            # Rows are met in order; row k is still an input row here.
+            _append_gso_row(b, d, lam)
         reduce(k, k - 1)
         lk = lam[k][k - 1]
         if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lk * lk:

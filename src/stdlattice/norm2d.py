@@ -91,21 +91,25 @@ def min_translate(b2: IntVector, b1: IntVector, kind: NormKind) -> int:
     return left if left > 0 else right
 
 
-def _gauss_loop(b1: IntVector, b2: IntVector, kind: NormKind) -> tuple[IntVector, IntVector]:
+def _gauss_loop(
+    b1: IntVector, b2: IntVector, kind: NormKind
+) -> tuple[IntVector, IntVector, NormValue, NormValue]:
     """Translate the longer vector by its best multiple of the shorter one and
-    swap until the longer norm stops improving; returns (shorter, longer)."""
-    if measure(b1, kind).value > measure(b2, kind).value:
-        b1, b2 = b2, b1
+    swap until the longer norm stops improving; returns (shorter, longer) and
+    their norms.  Each step measures only its new translate."""
+    n1, n2 = measure(b1, kind), measure(b2, kind)
+    if n1.value > n2.value:
+        b1, b2, n1, n2 = b2, b1, n2, n1
     while True:
         q = min_translate(b2, b1, kind)
         cand = tuple(v + q * u for v, u in zip(b2, b1))
-        if measure(cand, kind).value < measure(b2, kind).value:
-            b2 = cand
-        else:
+        nc = measure(cand, kind)
+        if nc.value >= n2.value:
             break
-        if measure(b2, kind).value < measure(b1, kind).value:
-            b1, b2 = b2, b1
-    return b1, b2
+        b2, n2 = cand, nc
+        if n2.value < n1.value:
+            b1, b2, n1, n2 = b2, b1, n2, n1
+    return b1, b2, n1, n2
 
 
 def _cross(u: IntVector, v: IntVector) -> int:
@@ -140,8 +144,7 @@ def reduce_2d(
     require_kind(kind)
     if basis.dim != 2:
         raise StructuralError("reduce_2d requires dimension 2")
-    b1, b2 = _gauss_loop(*basis.rows, kind)
-    n1, n2 = measure(b1, kind), measure(b2, kind)
+    b1, b2, n1, n2 = _gauss_loop(*basis.rows, kind)
     plus = measure(tuple(v + u for v, u in zip(b2, b1)), kind).value
     minus = measure(tuple(v - u for v, u in zip(b2, b1)), kind).value
     if not n1.value <= n2.value <= min(plus, minus):

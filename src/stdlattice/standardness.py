@@ -35,8 +35,8 @@ from .enumeration import (
     DEFAULT_MAX_DIM,
     SuccessiveMinima,
     _check_dim,
-    _minima_rows,
     _minima_with_entries,
+    successive_minima,
 )
 from .errors import DimensionMismatchError, InternalConsistencyError, StructuralError
 from .exactlin import (
@@ -45,14 +45,13 @@ from .exactlin import (
     RankTracker,
     _as_int_row,
     _coefficients,
-    _dot,
     _nearest_rows,
+    _pairwise_orthogonal,
     hermite_form,
     hnf_nonzero_rows,
     is_basis_of,
-    rank_of_rows,
 )
-from .norms import NormKind, NormValue, measure, require_kind
+from .norms import NormKind, measure, require_kind
 
 
 class Verdict(enum.Enum):
@@ -86,9 +85,7 @@ class StandardnessCertificate(NamedTuple):
 
 def is_orthogonal_basis(basis: LatticeBasis) -> bool:
     """True iff all pairwise dot products of the rows vanish."""
-    rows = basis.rows
-    n = basis.dim
-    return all(_dot(rows[i], rows[j]) == 0 for i in range(n) for j in range(i + 1, n))
+    return _pairwise_orthogonal(basis.rows)
 
 
 def _generates(vectors: Iterable[IntVector], n: int, det: int) -> bool:
@@ -212,15 +209,16 @@ def _section_rows(
         if x is None:
             raise StructuralError(f"spanning vector {s} is not in the lattice")
         coeff_rows.append(x)
-    if rank_of_rows(coeff_rows) != m - 1:
+    # The Hermite form of the transpose of the coefficient rows has their
+    # rank as its number of nonzero rows.  At rank m - 1 it ends in one zero
+    # row, and the matching row of U spans the integer kernel: the primitive
+    # normal g of the hyperplane, up to a sign that the canonical Hermite
+    # rows of the section do not see.
+    hf = hermite_form(list(zip(*coeff_rows)))
+    if sum(map(any, hf.h)) != m - 1:
         raise StructuralError("spanning set is linearly dependent")
-    # The coefficient rows have rank m - 1, so the Hermite form of their
-    # transpose ends in one zero row, and the matching row of U spans the
-    # integer kernel: the primitive normal g of the hyperplane, up to a sign
-    # that the canonical Hermite rows of the section do not see.
-    g = hermite_form(list(zip(*coeff_rows))).u[-1]
-    hf = hermite_form([[gi] for gi in g])
-    kernel = hf.u[1:]
+    g = hf.u[-1]
+    kernel = hermite_form([[gi] for gi in g]).u[1:]
     n = len(rows[0])
     section = [
         tuple(sum(k[i] * rows[i][j] for i in range(m)) for j in range(n)) for k in kernel
@@ -255,8 +253,7 @@ def _half_coset_completion(
     the fundamental cell by nearest-plane rounding yields a vector of minimal
     norm that replaces the last candidate row.
     """
-    k = len(candidate)
-    if any(_dot(candidate[i], candidate[j]) != 0 for i in range(k) for j in range(i + 1, k)):
+    if not _pairwise_orthogonal(candidate):
         raise InternalConsistencyError(
             "candidate completion failed outside the orthogonal configuration"
         )
@@ -278,29 +275,30 @@ def _half_coset_completion(
 
 
 def _standardize_rows(
-    rows: Sequence[IntVector],
-    *,
-    start_bound: NormValue | None,
-    max_candidates: int,
-) -> tuple[tuple[IntVector, ...], SuccessiveMinima]:
+    rows: Sequence[IntVector], witnesses: Sequence[IntVector]
+) -> tuple[IntVector, ...]:
+    """Minima-achieving basis of the lattice of ``rows`` (rank m), given its
+    greedy L2 minima witnesses w_1..w_m.
+
+    The section through w_1..w_m-1 recurses on those same witnesses, with
+    no search of its own: it holds them, every lattice vector sorted before
+    w_i lies in the span of w_1..w_i-1 and so in the section, and hence the
+    greedy scan of the section's sorted vectors would pick w_1..w_m-1 again.
+    """
     m = len(rows)
-    sm = _minima_rows(rows, NormKind.L2, start_bound=start_bound, max_candidates=max_candidates)
     if m == 1:
-        return tuple(rows), sm
-    section = _section_rows(rows, sm.witnesses[: m - 1])
-    sub, _ = _standardize_rows(
-        section, start_bound=sm.minima[m - 2], max_candidates=max_candidates
-    )
-    candidate = sub + (sm.witnesses[m - 1],)
+        return tuple(rows)
+    section = _section_rows(rows, witnesses[: m - 1])
+    candidate = _standardize_rows(section, witnesses[: m - 1]) + (witnesses[m - 1],)
     if hnf_nonzero_rows(candidate) == hnf_nonzero_rows(rows):
-        return candidate, sm
+        return candidate
     if m < 4:
         raise InternalConsistencyError(
             f"induction candidate failed in dimension {m}; this should be impossible"
         )
     # Only the top-level call of a dimension-4 input gets here, and
     # standardize_low_dim verifies what it returns.
-    return _half_coset_completion(candidate, rows), sm
+    return _half_coset_completion(candidate, rows)
 
 
 def standardize_low_dim(
@@ -310,17 +308,18 @@ def standardize_low_dim(
 ) -> tuple[IntVector, ...]:
     """Minima-achieving basis under L2 for dimension at most 4.
 
-    Constructive induction: standardize the section through the first n-1
-    minima witnesses, append the last witness, and repair the single possible
-    failure (an orthogonal equal-norm index-2 configuration, dimension 4
-    only) by the half-coset translate.  The output is verified before it is
-    returned; rows come back sorted by norm.
+    Constructive induction on one minima search: standardize the section
+    through the first n-1 minima witnesses, append the last witness, and
+    repair the single possible failure (an orthogonal equal-norm index-2
+    configuration, dimension 4 only) by the half-coset translate.  The
+    section through the first k witnesses has the first k minima, attained
+    by those same witnesses, so no section is searched again.  The output
+    is verified before it is returned; rows come back sorted by norm.
     """
     if basis.dim > 4:
         raise StructuralError("constructive standardization is limited to dimension <= 4")
-    result, sm = _standardize_rows(
-        basis.rows, start_bound=None, max_candidates=max_candidates
-    )
+    sm = successive_minima(basis, NormKind.L2, max_candidates=max_candidates)
+    result = _standardize_rows(basis.rows, sm.witnesses)
     if not is_basis_of(result, basis):
         raise InternalConsistencyError("standardization output is not a basis")
     for vec, nv in zip(result, sm.minima):

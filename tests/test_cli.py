@@ -309,6 +309,18 @@ class TestErrorClasses:
         assert code == 0
         assert json.loads(out)["point"] == [10**4299, 1]
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_unprintable_nearest_point_leaves_stdout_empty(self, tmp_path, capsys, fmt):
+        # The target 10**limit - 1 (limit nines) can be printed, but its
+        # nearest point on 2Z x 2Z, 10**limit, cannot.  The answer is rendered
+        # whole before any of it is written, so none of it reaches stdout.
+        limit = sys.get_int_max_str_digits()
+        path = write_json_basis(tmp_path, "2i2.json", [[2, 0], [0, 2]])
+        code, out, err = run_cli(["nearest", path, "9" * limit, "1", *fmt], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_exponent_bound_is_print_limit_plus_mantissa_digits(self, monkeypatch):
         assert cli._parse_rational("1e-4000") == Fraction(1, 10**4000)
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 100)

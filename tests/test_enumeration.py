@@ -17,6 +17,7 @@ from stdlattice import (
     successive_minima,
 )
 from stdlattice.enumeration import DEFAULT_MAX_CANDIDATES
+from stdlattice.exactlin import _lll_rows
 from util import (
     apply_unimodular,
     box_short_vectors,
@@ -124,14 +125,13 @@ class TestSuccessiveMinima:
             c = successive_minima(apply_unimodular(u, b), kind)
             assert [x.value for x in a.minima] == [x.value for x in c.minima]
 
-    def test_start_bound_below_lambda_n_is_an_internal_error(self):
-        # Every caller's start bound covers lambda_n, so the minima come from
-        # one pass; a bound below it must fail loudly, not be doubled up to
-        # (1, 9) or answered short.
-        with pytest.raises(InternalConsistencyError, match="lies below lambda_2"):
-            enumeration._minima_with_entries(
-                ((1, 0), (0, 3)), NormKind.L2, start_bound=NormValue(NormKind.L2, 1)
-            )
+    def test_bound_below_lambda_n_is_an_internal_error(self):
+        # The bounding norms always come from n independent lattice vectors,
+        # so the top one covers lambda_n; norms below it must fail loudly,
+        # not be doubled up to (1, 9) or answered short.
+        reduced = _lll_rows(((1, 0), (0, 3)))
+        with pytest.raises(InternalConsistencyError, match="bound 1 lies below lambda_2"):
+            enumeration._bounded_minima(reduced, NormKind.L2, [1, 1], DEFAULT_MAX_CANDIDATES)
 
     def test_scaling_law(self):
         rng = random.Random(13)

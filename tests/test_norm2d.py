@@ -166,6 +166,28 @@ class TestReduce2D:
                 reduce_2d(basis, kind)
         assert passes == []
 
+    def test_measures_each_norm_once(self, monkeypatch):
+        # A Fibonacci pair takes six translates under L2, where min_translate
+        # measures nothing.  The two inputs, one new translate per step and
+        # the criterion's b2 + b1 and b2 - b1 are all that is measured.
+        measured, translates = [], []
+        real_measure, real_translate = norm2d.measure, norm2d.min_translate
+
+        def counting_measure(v, k):
+            measured.append(v)
+            return real_measure(v, k)
+
+        def counting_translate(b2, b1, k):
+            translates.append(None)
+            return real_translate(b2, b1, k)
+
+        monkeypatch.setattr(norm2d, "measure", counting_measure)
+        monkeypatch.setattr(norm2d, "min_translate", counting_translate)
+        red = reduce_2d(LatticeBasis([[34, 21], [55, 34]]), NormKind.L2)
+        assert (red.b1, red.b2) == ((1, 0), (0, 1))
+        assert len(translates) == 6
+        assert len(measured) == 2 + 6 + 2
+
 
 class TestGaussCriterion:
     @settings(max_examples=300, deadline=None)
@@ -215,7 +237,8 @@ class TestGaussCriterion:
     def test_pair_that_is_no_basis_is_caught(self, monkeypatch, kind, pair):
         # Both pairs meet the criterion; neither is a basis of 2Z x Z.
         assert meets_gauss_criterion(*pair, kind)
-        monkeypatch.setattr(norm2d, "_gauss_loop", lambda b1, b2, k: pair)
+        norms = tuple(measure(v, kind) for v in pair)
+        monkeypatch.setattr(norm2d, "_gauss_loop", lambda b1, b2, k: pair + norms)
         with pytest.raises(InternalConsistencyError, match="lost the basis property"):
             reduce_2d(LatticeBasis([[2, 0], [0, 1]]), kind)
 

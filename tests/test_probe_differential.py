@@ -1,10 +1,10 @@
 """Differential test: the probe pass of a minima search changes no answer.
 
-Without a caller's start bound, a minima search may first enumerate at the
-smallest norm of its n bounding vectors and stop there when that pass holds
-n independent vectors.  Its minima, witnesses and standardness certificates
-must equal those read off one forced pass at the largest of those norms, the
-bound a one-pass search starts from.  For dimensions <= 5 the brute-force
+A minima search may first enumerate at the smallest norm of its n bounding
+vectors and stop there when that pass holds n independent vectors.  Its
+minima, witnesses and standardness certificates must equal those read off
+one forced pass at the largest of those norms, the bound a one-pass search
+starts from.  For dimensions <= 5 the brute-force
 oracle pins the minima independently.
 """
 
@@ -15,21 +15,21 @@ from hypothesis import strategies as st
 from stdlattice import (
     LatticeBasis,
     NormKind,
-    NormValue,
     brute_minima,
     check_standard,
     parity_lattice,
     standardness,
     successive_minima,
 )
-from stdlattice.enumeration import DEFAULT_MAX_CANDIDATES, _scan_minima
+from stdlattice.enumeration import DEFAULT_MAX_CANDIDATES, _bounded_minima
 from stdlattice.exactlin import _lll_rows, rank_of_rows
 from util import single_pass_bounds
 
 
 def forced_single_pass(rows, kind, max_candidates=DEFAULT_MAX_CANDIDATES):
-    bound = NormValue(kind, single_pass_bounds(rows, kind)[kind])
-    return _scan_minima(_lll_rows(rows), kind, bound, max_candidates)
+    # n equal bounding norms leave no room for a probe.
+    norms = [single_pass_bounds(rows, kind)[kind]] * len(rows)
+    return _bounded_minima(_lll_rows(rows), kind, norms, max_candidates)
 
 
 def assert_probe_changes_nothing(basis, kind):

@@ -23,7 +23,14 @@ from stdlattice import (
 )
 from stdlattice import cvp, standardness
 from stdlattice.standardness import _half_coset_completion
-from util import identity_basis, random_basis, random_orthogonal_rows_basis, reference_solve
+from util import (
+    apply_unimodular,
+    identity_basis,
+    random_basis,
+    random_orthogonal_rows_basis,
+    random_unimodular,
+    reference_solve,
+)
 
 
 def verify_achieving_basis(rows, basis, kind):
@@ -309,6 +316,46 @@ class TestStandardizeLowDim:
     def test_rejects_dimension_5(self):
         with pytest.raises(StructuralError):
             standardize_low_dim(identity_basis(5))
+
+    def test_makes_the_passes_of_one_minima_search(self, passes):
+        # Every section is standardized from the lattice's own witnesses, so
+        # the only enumeration is the L2 minima search of the whole lattice.
+        rng = random.Random(83)
+        bases = [parity_lattice(4), identity_basis(3)]
+        bases += [random_basis(rng, rng.randint(1, 4), -5, 5) for _ in range(20)]
+        for b in bases:
+            successive_minima(b, NormKind.L2)
+            expected = passes[:]
+            passes.clear()
+            standardize_low_dim(b)
+            assert passes == expected
+            passes.clear()
+
+    @pytest.mark.parametrize(
+        "q", [(2, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 1), (2, 1, 1, 0), (3, 1, 2, 2)]
+    )
+    def test_d4_type_lattices(self, q):
+        # The rows of a quaternion's left-multiplication matrix are an
+        # orthogonal frame f of equal norms N = |q|^2; with |q|^2 even, half
+        # their sum is integral and K + Z (sum f) / 2 is a scaled D4 with 24
+        # vectors of norm N, three orthogonal frames among them.  This is
+        # the one configuration in dimension 4 where minima witnesses can
+        # fail to be a basis: four from one frame generate K, of index 2.
+        # Signed permutations and a unimodular change of basis disguise it.
+        a, b, c, d = q
+        frame = [[a, -b, -c, -d], [b, a, -d, c], [c, d, a, -b], [d, -c, b, a]]
+        norm = a * a + b * b + c * c + d * d
+        half = [sum(col) // 2 for col in zip(*frame)]
+        rng = random.Random(sum(q))
+        for _ in range(8):
+            perm = rng.sample(range(4), 4)
+            signs = [rng.choice((1, -1)) for _ in range(4)]
+            rows = [[s * r[p] for p, s in zip(perm, signs)] for r in frame[:3] + [half]]
+            basis = apply_unimodular(random_unimodular(rng, 4), LatticeBasis(rows))
+            assert abs(basis.det) * 2 == norm * norm
+            out = standardize_low_dim(basis)
+            verify_achieving_basis(out, basis, NormKind.L2)
+            assert [measure(r, NormKind.L2).value for r in out] == [norm] * 4
 
 
 class TestHalfCosetCompletion:

@@ -10,8 +10,8 @@ import math
 import random
 from fractions import Fraction
 
-from stdlattice import LatticeBasis, NormKind, NormValue, coefficient_box, measure
-from stdlattice.enumeration import DEFAULT_MAX_CANDIDATES, _scan_minima
+from stdlattice import LatticeBasis, NormKind, coefficient_box, measure
+from stdlattice.enumeration import DEFAULT_MAX_CANDIDATES, _bounded_minima
 from stdlattice.errors import DimensionMismatchError, StructuralError
 from stdlattice.exactlin import _lll_rows
 
@@ -141,8 +141,9 @@ def single_pass_bounds(rows, kind: NormKind) -> dict:
 
     bounds = {NormKind.L2: largest(reduced[0], NormKind.L2)}
     if kind is not NormKind.L2:
-        bound = NormValue(NormKind.L2, bounds[NormKind.L2])
-        l2, _ = _scan_minima(reduced, NormKind.L2, bound, DEFAULT_MAX_CANDIDATES)
+        # n equal norms: no probe, one pass at the largest reduced row norm.
+        norms = [bounds[NormKind.L2]] * len(reduced[0])
+        l2, _ = _bounded_minima(reduced, NormKind.L2, norms, DEFAULT_MAX_CANDIDATES)
         bounds[kind] = min(largest(reduced[0], kind), largest(l2.witnesses, kind))
     return bounds
 
