@@ -35,7 +35,7 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import InternalConsistencyError, ResourceLimitError
-from .exactlin import IntVector, LatticeBasis, RankTracker, _lll_rows
+from .exactlin import IntVector, LatticeBasis, RankTracker, _check_ceiling, _lll_rows
 from .norms import (
     NormKind,
     NormValue,
@@ -86,6 +86,7 @@ class CheckResult(NamedTuple):
 
 
 def _check_dim(dim: int, max_dim: int) -> None:
+    _check_ceiling("max_dim", max_dim)
     if dim > max_dim:
         raise ResourceLimitError(f"dimension {dim} exceeds the configured cap {max_dim}")
 
@@ -208,6 +209,7 @@ def enumerate_short(
     if bound.value <= 0:
         raise ValueError("enumeration bound must be positive")
     _check_dim(basis.dim, max_dim)
+    _check_ceiling("max_candidates", max_candidates)
     entries = _enumerate_rows(*_lll_rows(basis.rows), kind, bound, max_candidates)
     return ShortVectorList(kind=kind, bound=bound, entries=tuple(entries))
 
@@ -280,6 +282,7 @@ def _minima_with_entries(
     the reduced rows, or under L1/Linf the L2 minima witnesses when their
     largest ``kind`` norm is smaller, found by an L2 search of its own.
     """
+    _check_ceiling("max_candidates", max_candidates)
     reduced = _lll_rows(rows)
     norms = _sorted_norms(reduced[0], kind)
     if kind is not NormKind.L2:
@@ -330,6 +333,8 @@ def minima_witness_check(
     """
     from .exactlin import member, rank_of_rows
 
+    _check_ceiling("max_dim", max_dim)
+    _check_ceiling("max_candidates", max_candidates)
     problems: list[str] = []
     n = basis.dim
     if len(sm.minima) != n or len(sm.witnesses) != n:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Sequence
 
-from .errors import DimensionMismatchError, StructuralError
+from .errors import DimensionMismatchError, InputError, StructuralError
 
 IntVector = tuple[int, ...]
 Rational = int | Fraction
@@ -33,10 +33,21 @@ RationalVector = tuple[Fraction, ...]
 
 
 def _as_int_row(row: Sequence) -> tuple[int, ...]:
+    """The entries of ``row`` as ints; a ``bool`` is refused, not read as 0/1."""
     try:
-        return tuple(operator.index(x) for x in row)
+        entries = tuple(row)
+        if bool in map(type, entries):
+            raise TypeError("bool entry")
+        return tuple(map(operator.index, entries))
     except TypeError as exc:
         raise StructuralError(f"matrix entries must be integers: {row!r}") from exc
+
+
+def _check_ceiling(name: str, value) -> None:
+    """Refuse a search ceiling that is not a positive ``int`` (a ``bool`` is
+    not one) before any work is spent under it."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InputError(f"{name} must be a positive integer, got {value!r}")
 
 
 class LatticeBasis:

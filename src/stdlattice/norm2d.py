@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import InputError, InternalConsistencyError, StructuralError
-from .exactlin import IntVector, LatticeBasis
+from .errors import InternalConsistencyError, StructuralError
+from .exactlin import IntVector, LatticeBasis, _check_ceiling
 from .norms import NormKind, NormValue, measure, require_kind
 
 
@@ -137,10 +137,8 @@ def reduce_2d(
     ceiling keep working; nothing here enumerates, so it bounds nothing.  A
     value other than None must still be a positive int.
     """
-    if max_candidates is not None and (
-        isinstance(max_candidates, bool) or not isinstance(max_candidates, int) or max_candidates < 1
-    ):
-        raise InputError(f"max_candidates must be a positive integer, got {max_candidates!r}")
+    if max_candidates is not None:
+        _check_ceiling("max_candidates", max_candidates)
     require_kind(kind)
     if basis.dim != 2:
         raise StructuralError("reduce_2d requires dimension 2")

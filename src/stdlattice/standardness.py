@@ -1,5 +1,5 @@
-"""Standardness decisions with certificates, and the constructive
-minima-achieving basis for dimensions up to 4 under L2.
+"""Standardness decisions with certificates, and the minima-achieving basis
+for dimensions up to 4 under L2.
 
 A lattice is standard when some basis b_1..b_n has ||b_i|| equal to the i-th
 successive minimum for every i.  The decision procedure reuses the
@@ -21,12 +21,15 @@ vectors (``RankTracker``).  Unimodular column operations preserve the gcd of
 the maximal minors (Cauchy-Binet), so the reduction yields that gcd as the
 product of its pivots, updated in one step per added vector; a partial tuple
 whose gcd does not divide |det| can never complete to a basis.
+
+By the paper's theorem every lattice of dimension n <= 4 is standard under
+L2, so there the L2 certificate always carries a minima-achieving basis, and
+``standardize_low_dim`` returns it.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from typing import Iterable, NamedTuple, Sequence
 
@@ -36,7 +39,6 @@ from .enumeration import (
     SuccessiveMinima,
     _check_dim,
     _minima_with_entries,
-    successive_minima,
 )
 from .errors import DimensionMismatchError, InternalConsistencyError, StructuralError
 from .exactlin import (
@@ -45,7 +47,6 @@ from .exactlin import (
     RankTracker,
     _as_int_row,
     _coefficients,
-    _nearest_rows,
     _pairwise_orthogonal,
     hermite_form,
     hnf_nonzero_rows,
@@ -242,65 +243,6 @@ def section_lattice(
     return _section_rows(basis.rows, span)
 
 
-def _half_coset_completion(
-    candidate: Sequence[IntVector], rows: Sequence[IntVector]
-) -> tuple[IntVector, ...]:
-    """Resolve the one configuration where the induction candidate fails.
-
-    ``candidate`` must be four mutually orthogonal equal-norm vectors
-    generating an index-2 sublattice K of the target lattice; every outside
-    point then sits at half-integral coefficients, so translating one into
-    the fundamental cell by nearest-plane rounding yields a vector of minimal
-    norm that replaces the last candidate row.
-    """
-    if not _pairwise_orthogonal(candidate):
-        raise InternalConsistencyError(
-            "candidate completion failed outside the orthogonal configuration"
-        )
-    norms = {measure(c, NormKind.L2).value for c in candidate}
-    if len(norms) != 1:
-        raise InternalConsistencyError(
-            "candidate completion failed outside the equal-norm configuration"
-        )
-    row_list = [tuple(r) for r in rows]
-    sums = (tuple(a + b for a, b in zip(p, q)) for p, q in itertools.combinations(row_list, 2))
-    outside = next(
-        (v for v in itertools.chain(row_list, sums) if _coefficients(candidate, v) is None), None
-    )
-    if outside is None:
-        raise InternalConsistencyError("no lattice point outside the candidate sublattice")
-    _, point, _ = _nearest_rows(candidate, outside)
-    short = tuple(o - p for o, p in zip(outside, point))
-    return tuple(candidate[:-1]) + (short,)
-
-
-def _standardize_rows(
-    rows: Sequence[IntVector], witnesses: Sequence[IntVector]
-) -> tuple[IntVector, ...]:
-    """Minima-achieving basis of the lattice of ``rows`` (rank m), given its
-    greedy L2 minima witnesses w_1..w_m.
-
-    The section through w_1..w_m-1 recurses on those same witnesses, with
-    no search of its own: it holds them, every lattice vector sorted before
-    w_i lies in the span of w_1..w_i-1 and so in the section, and hence the
-    greedy scan of the section's sorted vectors would pick w_1..w_m-1 again.
-    """
-    m = len(rows)
-    if m == 1:
-        return tuple(rows)
-    section = _section_rows(rows, witnesses[: m - 1])
-    candidate = _standardize_rows(section, witnesses[: m - 1]) + (witnesses[m - 1],)
-    if hnf_nonzero_rows(candidate) == hnf_nonzero_rows(rows):
-        return candidate
-    if m < 4:
-        raise InternalConsistencyError(
-            f"induction candidate failed in dimension {m}; this should be impossible"
-        )
-    # Only the top-level call of a dimension-4 input gets here, and
-    # standardize_low_dim verifies what it returns.
-    return _half_coset_completion(candidate, rows)
-
-
 def standardize_low_dim(
     basis: LatticeBasis,
     *,
@@ -308,21 +250,18 @@ def standardize_low_dim(
 ) -> tuple[IntVector, ...]:
     """Minima-achieving basis under L2 for dimension at most 4.
 
-    Constructive induction on one minima search: standardize the section
-    through the first n-1 minima witnesses, append the last witness, and
-    repair the single possible failure (an orthogonal equal-norm index-2
-    configuration, dimension 4 only) by the half-coset translate.  The
-    section through the first k witnesses has the first k minima, attained
-    by those same witnesses, so no section is searched again.  The output
-    is verified before it is returned; rows come back sorted by norm.
+    This is the basis of the L2 certificate, ``check_standard(basis, L2)``,
+    which the theorem guarantees for n <= 4; that call makes one minima
+    search and verifies the basis before returning it.  When the greedy
+    minima witnesses form a basis, every prefix of them is primitive, so
+    the backtrack's first basis is those witnesses.  Rows come back sorted
+    by norm; in dimension 1 the input row is returned as it is.
     """
     if basis.dim > 4:
         raise StructuralError("constructive standardization is limited to dimension <= 4")
-    sm = successive_minima(basis, NormKind.L2, max_candidates=max_candidates)
-    result = _standardize_rows(basis.rows, sm.witnesses)
-    if not is_basis_of(result, basis):
-        raise InternalConsistencyError("standardization output is not a basis")
-    for vec, nv in zip(result, sm.minima):
-        if measure(vec, NormKind.L2).value != nv.value:
-            raise InternalConsistencyError("standardization output misses the minima")
-    return result
+    cert = check_standard(basis, NormKind.L2, max_candidates=max_candidates)
+    if not cert.standard:
+        raise InternalConsistencyError(
+            f"dimension {basis.dim} lattice is NonStandard under L2, contradicting the theorem"
+        )
+    return basis.rows if basis.dim == 1 else cert.basis

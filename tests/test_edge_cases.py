@@ -7,23 +7,30 @@ from fractions import Fraction
 import pytest
 
 from stdlattice import (
+    InputError,
     LatticeBasis,
+    StructuralError,
     NormKind,
     NormValue,
     Verdict,
     check_standard,
     enumerate_short,
+    enumeration,
     gso,
+    is_basis_of,
     hermite_form,
     measure,
     member,
     min_translate,
+    minima_witness_check,
     nearest_plane,
     parity_lattice,
     reduce_2d,
     same_lattice,
     section_lattice,
+    standardize_low_dim,
     successive_minima,
+    verify_family,
 )
 from util import cofactor_det, mat_mul, random_basis, reference_solve
 
@@ -134,3 +141,51 @@ class TestBeyondDefaultTable:
         assert [nv.value for nv in red.norms] == [1, 1]
         red1 = reduce_2d(b, NormKind.L1)
         assert [nv.value for nv in red1.norms] == [1, 1]
+
+
+P3_MINIMA = successive_minima(parity_lattice(3), NormKind.L2)
+
+CEILING_CALLS = {
+    "successive_minima": lambda **kw: successive_minima(parity_lattice(3), NormKind.L2, **kw),
+    "check_standard": lambda **kw: check_standard(parity_lattice(3), NormKind.L1, **kw),
+    "standardize_low_dim": lambda **kw: standardize_low_dim(parity_lattice(3), **kw),
+    "enumerate_short": lambda **kw: enumerate_short(
+        parity_lattice(3), NormKind.L2, NormValue(NormKind.L2, 4), **kw
+    ),
+    "verify_family": lambda **kw: verify_family(3, NormKind.L2, **kw),
+    "minima_witness_check": lambda **kw: minima_witness_check(parity_lattice(3), P3_MINIMA, **kw),
+}
+
+
+class TestHostileScalars:
+    @pytest.mark.parametrize("value", [0, -5, True, 2.5])
+    @pytest.mark.parametrize(
+        "call, ceiling",
+        [(c, "max_candidates") for c in CEILING_CALLS]
+        + [(c, "max_dim") for c in CEILING_CALLS if c != "standardize_low_dim"],
+    )
+    def test_bad_ceiling_is_an_input_error_before_lll(self, monkeypatch, call, ceiling, value):
+        # These used to raise ResourceLimitError ("enumeration exceeded -5
+        # candidate evaluations", "configured cap True") as if a real
+        # ceiling had been reached.
+        def no_lll(rows):
+            raise AssertionError("LLL ran under a bad ceiling")
+
+        monkeypatch.setattr(enumeration, "_lll_rows", no_lll)
+        with pytest.raises(InputError, match=f"{ceiling} must be a positive integer, got {value!r}"):
+            CEILING_CALLS[call](**{ceiling: value})
+
+    def test_boolean_entries_are_refused(self):
+        # True and False are ints to Python, but not lattice coordinates:
+        # [[True, False], [False, True]] used to be read as the identity.
+        identity = LatticeBasis([[1, 0], [0, 1]])
+        refusals = [
+            lambda: LatticeBasis([[True, False], [False, True]]),
+            lambda: LatticeBasis([[2, 0], [1, True]]),
+            lambda: member(identity, (True, 0)),
+            lambda: is_basis_of([(1, 0), (False, 1)], identity),
+            lambda: section_lattice(identity, [(True, 0)]),
+        ]
+        for refuse in refusals:
+            with pytest.raises(StructuralError, match="matrix entries must be integers"):
+                refuse()

@@ -9,6 +9,7 @@ from stdlattice import (
     NormKind,
     StructuralError,
     Verdict,
+    brute_minima,
     check_standard,
     enumeration,
     exactlin,
@@ -22,7 +23,6 @@ from stdlattice import (
     successive_minima,
 )
 from stdlattice import cvp, standardness
-from stdlattice.standardness import _half_coset_completion
 from util import (
     apply_unimodular,
     identity_basis,
@@ -300,18 +300,32 @@ class TestStandardizeLowDim:
             verify_achieving_basis(rows, b, NormKind.L2)
             norms = [measure(r, NormKind.L2).value for r in rows]
             assert norms == sorted(norms)
+            # When the greedy witnesses form a basis, the backtrack's first
+            # basis is those witnesses, in their order.
+            assert rows == successive_minima(b, NormKind.L2).witnesses
 
-    def test_agreement_with_check_standard(self):
+    def test_agreement_with_brute_minima(self):
         rng = random.Random(79)
         for _ in range(25):
             n = rng.randint(1, 4)
             b = random_basis(rng, n, -4, 4)
-            cert = check_standard(b, NormKind.L2)
-            assert cert.verdict is Verdict.STANDARD
             rows = standardize_low_dim(b)
             assert [measure(r, NormKind.L2).value for r in rows] == [
-                nv.value for nv in cert.minima.minima
+                nv.value for nv in brute_minima(b, NormKind.L2).minima
             ]
+
+    def test_non_standard_verdict_is_an_internal_error(self, monkeypatch):
+        # The theorem makes every lattice of dimension <= 4 standard under
+        # L2, so a NonStandard certificate there is a bug, never an answer.
+        def non_standard(basis, kind, **kwargs):
+            sm = successive_minima(basis, kind)
+            stats = standardness.SearchStats((1,) * basis.dim, 1)
+            return standardness.StandardnessCertificate(Verdict.NON_STANDARD, None, sm, stats)
+
+        monkeypatch.setattr(standardness, "check_standard", non_standard)
+        for b in (parity_lattice(4), identity_basis(3), LatticeBasis([[-7]])):
+            with pytest.raises(InternalConsistencyError, match="contradicting the theorem"):
+                standardize_low_dim(b)
 
     def test_rejects_dimension_5(self):
         with pytest.raises(StructuralError):
@@ -356,19 +370,5 @@ class TestStandardizeLowDim:
             out = standardize_low_dim(basis)
             verify_achieving_basis(out, basis, NormKind.L2)
             assert [measure(r, NormKind.L2).value for r in out] == [norm] * 4
+            assert out == successive_minima(basis, NormKind.L2).witnesses
 
-
-class TestHalfCosetCompletion:
-    def test_repairs_orthogonal_index_two_candidate(self):
-        b = parity_lattice(4)
-        candidate = ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))
-        rows = _half_coset_completion(candidate, b.rows)
-        assert rows[:3] == candidate[:3]
-        assert all(x % 2 == 1 for x in rows[3])
-        verify_achieving_basis(rows, b, NormKind.L2)
-
-    def test_rejects_non_orthogonal_candidate(self):
-        b = parity_lattice(4)
-        candidate = ((2, 0, 0, 0), (2, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))
-        with pytest.raises(InternalConsistencyError):
-            _half_coset_completion(candidate, b.rows)
