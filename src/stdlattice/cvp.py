@@ -11,9 +11,10 @@ The rounding runs on integers (``exactlin._nearest_rows``): the target is
 scaled by its common denominator and each coefficient is an exact quotient
 of integers built from the integral Gram-Schmidt data of the rows
 (``exactlin._integral_gso``), so no Gram-Schmidt vector or Fraction is formed
-until the final distance.  The same rounding decides membership: a lattice
-point comes back unchanged at distance zero, with its integer coefficients,
-and every other point moves.
+until the final distance.  Membership, which the equality-case analysis
+reads, uses the same quotients without rounding (``exactlin._coefficients``):
+a point is in the lattice iff it lies in the span and every quotient is
+exact.
 """
 
 from __future__ import annotations

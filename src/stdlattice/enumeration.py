@@ -35,7 +35,17 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import InternalConsistencyError, ResourceLimitError
-from .exactlin import IntVector, LatticeBasis, RankTracker, _check_ceiling, _lll_rows
+from .exactlin import (
+    IntVector,
+    LatticeBasis,
+    RankTracker,
+    _as_int_row,
+    _check_ceiling,
+    _coefficients,
+    _integral_gso,
+    _lll_rows,
+    rank_of_rows,
+)
 from .norms import (
     NormKind,
     NormValue,
@@ -216,8 +226,11 @@ def enumerate_short(
 
 def _greedy_minima(
     entries: Sequence[MeasuredVector], want: int
-) -> tuple[list[NormValue], list[IntVector]]:
-    """Scan a sorted enumeration, keeping each vector that grows the rank."""
+) -> tuple[list[NormValue], list[IntVector], int]:
+    """Scan a sorted enumeration, keeping each vector that grows the rank.
+    Also returns the gcd of the maximal minors of the kept vectors, which is
+    |det| of the witnesses once ``want`` of them are kept in dimension
+    ``want``."""
     tracker = RankTracker()
     minima: list[NormValue] = []
     witnesses: list[IntVector] = []
@@ -227,7 +240,7 @@ def _greedy_minima(
             witnesses.append(vec)
             if len(witnesses) == want:
                 break
-    return minima, witnesses
+    return minima, witnesses, tracker.divisor
 
 
 def _sorted_norms(vectors: Sequence[IntVector], kind: NormKind) -> list:
@@ -236,10 +249,11 @@ def _sorted_norms(vectors: Sequence[IntVector], kind: NormKind) -> list:
 
 def _bounded_minima(
     reduced, kind: NormKind, norms: Sequence, max_candidates: int
-) -> tuple[SuccessiveMinima, list[MeasuredVector]]:
+) -> tuple[SuccessiveMinima, list[MeasuredVector], int]:
     """Minima from ``reduced`` = (rows, d, lam) as returned by LLL and the
     sorted ``kind`` norms N_1 <= .. <= N_n of n independent lattice vectors,
-    together with the enumeration pass they were read from.  N_n covers
+    together with the enumeration pass they were read from and |det| of the
+    witnesses, which the greedy scan's rank tracker holds.  N_n covers
     lambda_n, so the pass at N_n finds n independent vectors; one that finds
     fewer is a bug, never a short answer.
 
@@ -261,9 +275,9 @@ def _bounded_minima(
             bounds.insert(0, low)
     for value in bounds:
         entries = _enumerate_rows(*reduced, kind, NormValue(kind, value), max_candidates)
-        minima, witnesses = _greedy_minima(entries, m)
+        minima, witnesses, witness_det = _greedy_minima(entries, m)
         if len(witnesses) == m:
-            return SuccessiveMinima(kind, tuple(minima), tuple(witnesses)), entries
+            return SuccessiveMinima(kind, tuple(minima), tuple(witnesses)), entries, witness_det
     raise InternalConsistencyError(
         f"bound {top} lies below lambda_{m}: {len(witnesses)} independent vectors found"
     )
@@ -274,9 +288,10 @@ def _minima_with_entries(
     kind: NormKind,
     *,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
-) -> tuple[SuccessiveMinima, list[MeasuredVector]]:
+) -> tuple[SuccessiveMinima, list[MeasuredVector], int]:
     """The minima together with the enumeration pass they were read from:
-    every vector of norm at most that pass's bound, which is >= lambda_n.
+    every vector of norm at most that pass's bound, which is >= lambda_n,
+    and |det| of the witnesses.
 
     The bound comes from n independent vectors (see :func:`_bounded_minima`):
     the reduced rows, or under L1/Linf the L2 minima witnesses when their
@@ -288,9 +303,9 @@ def _minima_with_entries(
     if kind is not NormKind.L2:
         # The L2 search is cheap on the reduced rows, and its witnesses are
         # n independent vectors that are often much shorter in ``kind``.
-        l2, _ = _bounded_minima(
+        l2 = _bounded_minima(
             reduced, NormKind.L2, _sorted_norms(reduced[0], NormKind.L2), max_candidates
-        )
+        )[0]
         witness_norms = _sorted_norms(l2.witnesses, kind)
         if witness_norms[-1] < norms[-1]:
             norms = witness_norms
@@ -331,8 +346,6 @@ def minima_witness_check(
     against a fresh enumeration; returns ok=False with diagnostics instead of
     raising.
     """
-    from .exactlin import member, rank_of_rows
-
     _check_ceiling("max_dim", max_dim)
     _check_ceiling("max_candidates", max_candidates)
     problems: list[str] = []
@@ -346,11 +359,12 @@ def minima_witness_check(
     for i in range(1, n):
         if sm.minima[i].value < sm.minima[i - 1].value:
             problems.append(f"minima are not nondecreasing at position {i + 1}")
+    gso = _integral_gso(basis.rows)
     for i, w in enumerate(sm.witnesses):
         if len(w) != n:
             problems.append(f"witness {i + 1} has wrong length")
             return CheckResult(False, tuple(problems))
-        if member(basis, w) is None:
+        if _coefficients(basis.rows, _as_int_row(w), gso) is None:
             problems.append(f"witness {i + 1} is not a lattice point")
         got = measure(w, sm.kind)
         if got.value != sm.minima[i].value:

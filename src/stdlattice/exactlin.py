@@ -4,10 +4,12 @@ All arithmetic is arbitrary precision and nothing here ever touches a
 float, so every equality test downstream is decidable.  Matrices are Python
 ints.  Gram-Schmidt data is integral too: the Gram determinants d_i and
 lam_kj = mu_kj * d_j+1 (``_integral_gso``), which LLL keeps through its
-reduction and hands to enumeration and nearest plane.  Nearest-plane
-rounding (``_nearest_rows``) also decides membership: it leaves a lattice
-point where it is and moves every other point, so no linear system is
-solved.  Rational results (the public ``gso``, squared distances) are
+reduction and hands to enumeration and nearest plane.  Membership
+(``_coefficients``) reads the same data by exact division: the scaled
+target's lam row gives each coefficient, from the last row to the first, as
+a quotient that must leave no remainder, so no linear system is solved and
+one Gram-Schmidt of a basis serves every vector tested against it.
+Rational results (the public ``gso``, squared distances) are
 ``fractions.Fraction``.
 
 Conventions:
@@ -209,10 +211,15 @@ def same_lattice(b: LatticeBasis, c: LatticeBasis) -> bool:
 def member(basis: LatticeBasis, vector: Sequence[int]) -> IntVector | None:
     """Integer coefficients of ``vector`` in ``basis``, or None if the vector
     is not a lattice point."""
-    v = _as_int_row(vector)
+    return _member(basis, _as_int_row(vector))
+
+
+def _member(basis: LatticeBasis, v: IntVector, gso=None) -> IntVector | None:
+    """:func:`member` of an int row, optionally on the integral data (d, lam)
+    of ``basis.rows`` that the caller reuses across vectors."""
     if len(v) != basis.dim:
         raise DimensionMismatchError(f"vector length {len(v)} does not match dimension {basis.dim}")
-    return _coefficients(basis.rows, v)
+    return _coefficients(basis.rows, v, gso)
 
 
 def is_basis_of(vectors: Sequence[Sequence[int]], basis: LatticeBasis) -> bool:
@@ -223,7 +230,8 @@ def is_basis_of(vectors: Sequence[Sequence[int]], basis: LatticeBasis) -> bool:
         raise DimensionMismatchError(
             f"expected {basis.dim} vectors, got {len(rows)}"
         )
-    if any(member(basis, v) is None for v in rows):
+    gso = _integral_gso(basis.rows)
+    if any(_member(basis, v, gso) is None for v in rows):
         return False
     return abs(_bareiss_det(rows)) == abs(basis.det)
 
@@ -289,6 +297,12 @@ def _integral_gso(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[i
     return d, lam
 
 
+def _scaled(target: Sequence[Rational]) -> tuple[int, list[int]]:
+    """(q, q * target) for q the common denominator of a rational vector."""
+    q = lcm(*(t.denominator for t in target))
+    return q, [t.numerator * (q // t.denominator) for t in target]
+
+
 def _nearest_rows(rows: Sequence[IntVector], target: Sequence[Rational]):
     """Round ``target`` onto the lattice of ``rows``; returns (coeffs, point,
     dist_sq).  Equivalent to recursing on orthogonal projections: rounding
@@ -302,8 +316,7 @@ def _nearest_rows(rows: Sequence[IntVector], target: Sequence[Rational]):
     """
     m = len(rows)
     d, lam = _integral_gso(rows)
-    q = lcm(*(t.denominator for t in target))
-    big_w = [t.numerator * (q // t.denominator) for t in target]
+    q, big_w = _scaled(target)
     s, _ = _gso_row(big_w, rows, d, lam)
     coeffs = [0] * m
     for j in reversed(range(m)):
@@ -322,12 +335,34 @@ def _nearest_rows(rows: Sequence[IntVector], target: Sequence[Rational]):
     return coeffs, point, Fraction(_dot(residual, residual), q * q)
 
 
-def _coefficients(rows: Sequence[IntVector], target: Sequence[Rational]) -> IntVector | None:
+def _coefficients(
+    rows: Sequence[IntVector], target: Sequence[Rational], gso=None
+) -> IntVector | None:
     """Integer coefficients of ``target`` in independent ``rows``, or None
-    when it is not in their lattice.  Nearest-plane rounding leaves a lattice
-    point where it is and moves any other point, in the span or not."""
-    coeffs, _, dist_sq = _nearest_rows(rows, target)
-    return tuple(coeffs) if dist_sq == 0 else None
+    when it is not in their lattice.  ``gso`` is the integral data (d, lam)
+    of ``rows`` when the caller already has it.
+
+    Exact division, in the notation of :func:`_nearest_rows`: a nonzero Gram
+    value of W puts the target off the span.  In the span, once the terms of
+    the rows after j are subtracted, s_j = x_j q d_j+1 for the rational
+    coefficient x_j, so from the last row to the first each s_j must be
+    divisible by q d_j+1, and the quotients are the coefficients.
+    """
+    d, lam = _integral_gso(rows) if gso is None else gso
+    q, big_w = _scaled(target)
+    s, gram = _gso_row(big_w, rows, d, lam)
+    if gram:
+        return None
+    coeffs = [0] * len(rows)
+    for j in reversed(range(len(rows))):
+        a, r = divmod(s[j], q * d[j + 1])
+        if r:
+            return None
+        coeffs[j] = a
+        if a:
+            for i in range(j):
+                s[i] -= a * q * lam[j][i]
+    return tuple(coeffs)
 
 
 def _gso_rows(rows: Sequence[Sequence[int]]):

@@ -3,7 +3,7 @@
 Everything here is a plain coefficient-box scan: no Gram-Schmidt pruning, no
 recursive rounding, no shared search code with the fast paths.  Coefficients
 are read through its own Fraction inverse (``invert_rational``), not through
-the library's nearest-plane membership test.  It exists to be compared
+the library's exact-division membership test.  It exists to be compared
 against, so it is deliberately dumb and allowed to be slow.
 """
 
@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 from .enumeration import MeasuredVector, SuccessiveMinima, _canonical_sign, _greedy_minima
 from .errors import ResourceLimitError, StructuralError
-from .exactlin import IntVector, LatticeBasis, hnf_nonzero_rows
+from .exactlin import IntVector, LatticeBasis, _check_ceiling, hnf_nonzero_rows
 from .norms import (
     NormKind,
     NormValue,
@@ -168,12 +168,13 @@ def brute_minima(
     """
     require_kind(kind)
     _check_oracle_dim(basis)
+    _check_ceiling("max_points", max_points)
     n = basis.dim
     scan_basis = LatticeBasis(hnf_nonzero_rows(basis.rows))
     bound = NormValue(kind, 1)
     while True:
         entries = _scan_box(scan_basis, kind, bound, max_points)
-        minima, witnesses = _greedy_minima(entries, n)
+        minima, witnesses, _ = _greedy_minima(entries, n)
         if len(witnesses) == n:
             return SuccessiveMinima(kind, tuple(minima), tuple(witnesses))
         bound = double_radius(bound)
@@ -199,6 +200,7 @@ def brute_cvp(
     rule.  The returned ``coeffs`` are relative to the caller's basis.
     """
     _check_oracle_dim(basis)
+    _check_ceiling("max_points", max_points)
     n = basis.dim
     t = [Fraction(v) for v in target]
     if len(t) != n:

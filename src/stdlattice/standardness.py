@@ -9,7 +9,11 @@ NonStandard by one of two routes:
 
 * generation: the union of the levels generates a proper sublattice (the
   product of the pivots of its Hermite form is not |det|), so no basis can
-  be drawn from it.  This is the paper's argument for the parity lattices;
+  be drawn from it.  This is the paper's argument for the parity lattices.
+  The test is skipped when the greedy minima witnesses, which lie in that
+  union, already have |det| equal to the lattice's: then they are a basis
+  and the union generates the lattice.  The rank tracker of the greedy scan
+  holds that determinant, so the skip costs nothing;
 * exhaustion: the levels generate the lattice, but a backtrack with rank
   and determinant-divisor pruning finds no basis among them.
 
@@ -47,6 +51,7 @@ from .exactlin import (
     RankTracker,
     _as_int_row,
     _coefficients,
+    _integral_gso,
     _pairwise_orthogonal,
     hermite_form,
     hnf_nonzero_rows,
@@ -129,14 +134,19 @@ def check_standard(
 
     * the vectors of norm equal to some lambda_i generate a proper
       sublattice, decided before any search by a Hermite form grown one
-      vector at a time (``_generates``);
+      vector at a time (``_generates``).  This root test runs only when
+      |det| of the greedy witnesses differs from |det| of the lattice:
+      witnesses of full covolume are a basis drawn from those vectors, so
+      they generate the lattice;
     * the search space (all sign-canonical tuples with ||b_i|| = lambda_i,
       nondecreasing candidate index inside equal-minima runs) was
       exhausted; re-running the deterministic search replays it.
     """
     require_kind(kind)
     _check_dim(basis.dim, max_dim)
-    sm, entries = _minima_with_entries(basis.rows, kind, max_candidates=max_candidates)
+    sm, entries, witness_det = _minima_with_entries(
+        basis.rows, kind, max_candidates=max_candidates
+    )
     n = basis.dim
     # Entries longer than lambda_n match no level, so none need filtering.
     pool: dict[object, list[IntVector]] = {}
@@ -146,12 +156,14 @@ def check_standard(
     level_candidates = tuple(len(c) for c in levels)
     target_det = abs(basis.det)
     # Root test: every level draws from this union, so if it generates a
-    # proper sublattice no basis can be drawn from it.
-    union = (v for value in dict.fromkeys(nv.value for nv in sm.minima) for v in pool[value])
-    if not _generates(union, n, target_det):
-        return StandardnessCertificate(
-            Verdict.NON_STANDARD, None, sm, SearchStats(level_candidates, 1)
-        )
+    # proper sublattice no basis can be drawn from it.  Witnesses of full
+    # covolume already generate the lattice from inside the union.
+    if witness_det != target_det:
+        union = (v for value in dict.fromkeys(nv.value for nv in sm.minima) for v in pool[value])
+        if not _generates(union, n, target_det):
+            return StandardnessCertificate(
+                Verdict.NON_STANDARD, None, sm, SearchStats(level_candidates, 1)
+            )
     tracker = RankTracker()
     chosen: list[IntVector] = []
     nodes = 0
@@ -204,9 +216,10 @@ def _section_rows(
     therefore the whole section, not a finite-index sublattice of it.
     """
     m = len(rows)
+    gso = _integral_gso(rows)
     coeff_rows = []
     for s in spanning:
-        x = _coefficients(rows, s)
+        x = _coefficients(rows, s, gso)
         if x is None:
             raise StructuralError(f"spanning vector {s} is not in the lattice")
         coeff_rows.append(x)

@@ -19,12 +19,14 @@ from stdlattice import (
     parity_lattice,
     same_lattice,
 )
+from stdlattice import exactlin, section_lattice, standardness
 from stdlattice.exactlin import (
     RankTracker,
     _coefficients,
     _gso_rows,
     _integral_gso,
     _lll_rows,
+    _nearest_rows,
     rank_of_rows,
 )
 from util import (
@@ -224,6 +226,30 @@ class TestIsBasisOf:
         vectors = [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 1, 1, 1)]
         assert is_basis_of(vectors, b)
 
+    def test_vectors_are_checked_in_order_with_an_early_exit(self):
+        b = parity_lattice(2)
+        # A non-member before a vector of the wrong length answers False.
+        assert not is_basis_of([(1, 0), (1, 0, 0)], b)
+        with pytest.raises(DimensionMismatchError, match="vector length 3 does not match"):
+            is_basis_of([(1, 1), (1, 0, 0)], b)
+
+    def test_one_gram_schmidt_per_call(self, monkeypatch):
+        calls = []
+        inner = exactlin._integral_gso
+
+        def counted(rows):
+            calls.append(rows)
+            return inner(rows)
+
+        for module in (exactlin, standardness):
+            monkeypatch.setattr(module, "_integral_gso", counted)
+        b = parity_lattice(4)
+        assert is_basis_of(b.rows, b)
+        assert calls == [b.rows]
+        calls.clear()
+        assert len(section_lattice(b, b.rows[:3])) == 3
+        assert calls == [b.rows]
+
 
 class TestGso:
     def test_identity(self):
@@ -359,8 +385,64 @@ def combination(cs, rows):
     return tuple(sum(c * r[j] for c, r in zip(cs, rows)) for j in range(len(rows[0])))
 
 
+def fraction_coefficients(rows, target):
+    """Integer coefficients by an independent Fraction solve, or None."""
+    x = reference_solve(rows, target)
+    if x is None or any(c.denominator != 1 for c in x):
+        return None
+    return tuple(int(c) for c in x)
+
+
+def rounding_coefficients(rows, target):
+    """Membership as nearest-plane rounding defines it: a lattice point is
+    left where it is, at distance zero, and every other point moves."""
+    coeffs, _, dist_sq = _nearest_rows(rows, target)
+    return tuple(coeffs) if dist_sq == 0 else None
+
+
 class TestCoefficients:
-    """Membership by nearest-plane rounding against a Fraction solve."""
+    """Membership by exact division against a Fraction solve and against
+    nearest-plane rounding."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_exact_division_matches_rounding_and_the_fraction_solve(self, data):
+        n = data.draw(st.integers(1, 6))
+        m = data.draw(st.integers(1, n))
+        rows = independent_rows(data, m, n, -6, 6)
+        den = data.draw(st.integers(1, 4))
+        shape = data.draw(st.sampled_from(["combination", "ambient"]))
+        if shape == "combination":
+            # In the span; on the lattice iff every coefficient is integral.
+            nums = data.draw(st.lists(st.integers(-12, 12), min_size=m, max_size=m))
+            target = combination([Fraction(a, den) for a in nums], rows)
+        else:
+            # Anywhere: off the span whenever m < n but for a measure-zero
+            # set of targets.
+            nums = data.draw(st.lists(st.integers(-12, 12), min_size=n, max_size=n))
+            target = tuple(Fraction(a, den) for a in nums)
+        expected = fraction_coefficients(rows, target)
+        assert rounding_coefficients(rows, target) == expected
+        assert _coefficients(rows, target) == expected
+        assert _coefficients(rows, target, _integral_gso(rows)) == expected
+        if all(t.denominator == 1 for t in target):
+            ints = tuple(int(t) for t in target)
+            assert _coefficients(rows, ints) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_targets_off_the_span_of_fewer_rows(self, data):
+        n = data.draw(st.integers(2, 6))
+        m = data.draw(st.integers(1, n - 1))
+        rows = independent_rows(data, m, n, -6, 6)
+        unit = [[int(i == k) for i in range(n)] for k in range(n)]
+        off = next(e for e in unit if rank_of_rows(rows + [e]) == m + 1)
+        cs = data.draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m))
+        step = Fraction(data.draw(st.sampled_from([-3, -1, 1, 2])), data.draw(st.integers(1, 3)))
+        target = [c + step * e for c, e in zip(combination(cs, rows), off)]
+        assert reference_solve(rows, target) is None
+        assert rounding_coefficients(rows, target) is None
+        assert _coefficients(rows, target) is None
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

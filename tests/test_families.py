@@ -4,6 +4,7 @@ import random
 import pytest
 
 from stdlattice import (
+    InputError,
     NormKind,
     ResourceLimitError,
     Verdict,
@@ -36,6 +37,17 @@ class TestParityLattice:
     def test_rejects_nonpositive_dimension(self):
         with pytest.raises(ValueError):
             parity_lattice(0)
+
+    @pytest.mark.parametrize("n", [True, False, 2.5, "3", None])
+    def test_rejects_a_dimension_that_is_not_an_int(self, n, monkeypatch):
+        # Refused before the dimension cap or any arithmetic sees it.
+        dets = []
+        monkeypatch.setattr(exactlin, "_bareiss_det", lambda mat: dets.append(mat) or 1)
+        with pytest.raises(InputError, match="dimension must be an integer"):
+            parity_lattice(n)
+        with pytest.raises(InputError, match="dimension must be an integer"):
+            verify_family(n, NormKind.L2)
+        assert dets == []
 
     def test_small_members_share_parity(self):
         b = parity_lattice(3)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from stdlattice import (
+    InputError,
     LatticeBasis,
     NormKind,
     NormValue,
@@ -103,6 +104,16 @@ def raw_cvp_scan(basis, target):
     for x in itertools.product(*axes):
         best = min(best, dist(x))
     return best
+
+
+@pytest.mark.parametrize("bad", [0, -5, True, 2.5])
+def test_max_points_is_refused_before_any_scan(bad):
+    # A ceiling that is not a positive int is an input error, not a search
+    # that runs out or answers under it.
+    with pytest.raises(InputError, match="max_points"):
+        brute_minima(parity_lattice(3), NormKind.L2, max_points=bad)
+    with pytest.raises(InputError, match="max_points"):
+        brute_cvp(parity_lattice(3), [0, 0, 0], max_points=bad)
 
 
 class TestBruteCvp:

@@ -24,7 +24,9 @@ from stdlattice import (
 )
 from stdlattice import cvp, standardness
 from util import (
+    D4_QUATERNIONS,
     apply_unimodular,
+    d4_type_bases,
     identity_basis,
     random_basis,
     random_orthogonal_rows_basis,
@@ -118,6 +120,15 @@ class TestSearchWork:
     def test_generation_test_reduces_at_most_n_plus_one_rows(self, monkeypatch):
         # Z^8 under Linf has one level of (3^8 - 1) / 2 = 3280 vectors; the
         # generation test must not take the Hermite form of all of them.
+        # The check's unit-vector witnesses are a basis, so it skips the
+        # test; here it runs directly on that level.
+        basis = identity_basis(8)
+        cert = check_standard(basis, NormKind.LINF)
+        assert cert.verdict is Verdict.STANDARD
+        assert cert.stats.level_candidates == (3280,) * 8
+        _, entries, _ = enumeration._minima_with_entries(basis.rows, NormKind.LINF)
+        level = [vec for vec, nv in entries if nv.value == 1]
+        assert len(level) == 3280
         sizes = []
         hermite_form = exactlin.hermite_form
 
@@ -126,10 +137,33 @@ class TestSearchWork:
             return hermite_form(mat)
 
         monkeypatch.setattr(exactlin, "hermite_form", counted)
-        cert = check_standard(identity_basis(8), NormKind.LINF)
-        assert cert.verdict is Verdict.STANDARD
-        assert cert.stats.level_candidates == (3280,) * 8
+        assert standardness._generates(level, 8, 1)
         assert sizes and max(sizes) <= 9
+
+    def test_witness_basis_checks_build_no_hermite_form(self, monkeypatch):
+        # When the greedy witnesses are a basis the root generation test is
+        # skipped, and a Standard check then takes no Hermite form at all.
+        rng = random.Random(2024)
+        cases = [(identity_basis(8), NormKind.LINF)]
+        cases += [(random_basis(rng, rng.randint(2, 4), -5, 5), NormKind.L2) for _ in range(40)]
+        cases = [
+            (b, kind) for b, kind in cases if is_basis_of(successive_minima(b, kind).witnesses, b)
+        ]
+        assert len(cases) > 30
+        calls = []
+        inner = exactlin.hermite_form
+
+        def counted(mat):
+            calls.append(mat)
+            return inner(mat)
+
+        for module in (exactlin, standardness):
+            monkeypatch.setattr(module, "hermite_form", counted)
+        for b, kind in cases:
+            cert = check_standard(b, kind)
+            assert cert.verdict is Verdict.STANDARD
+            assert cert.basis == successive_minima(b, kind).witnesses
+        assert calls == []
 
     def test_one_enumeration_and_no_determinant_per_check(self, passes, monkeypatch):
         # The reduced rows have norms 4 and 6 (the two odd rows); the probe
@@ -345,9 +379,7 @@ class TestStandardizeLowDim:
             assert passes == expected
             passes.clear()
 
-    @pytest.mark.parametrize(
-        "q", [(2, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 1), (2, 1, 1, 0), (3, 1, 2, 2)]
-    )
+    @pytest.mark.parametrize("q", D4_QUATERNIONS)
     def test_d4_type_lattices(self, q):
         # The rows of a quaternion's left-multiplication matrix are an
         # orthogonal frame f of equal norms N = |q|^2; with |q|^2 even, half
@@ -356,16 +388,8 @@ class TestStandardizeLowDim:
         # the one configuration in dimension 4 where minima witnesses can
         # fail to be a basis: four from one frame generate K, of index 2.
         # Signed permutations and a unimodular change of basis disguise it.
-        a, b, c, d = q
-        frame = [[a, -b, -c, -d], [b, a, -d, c], [c, d, a, -b], [d, -c, b, a]]
-        norm = a * a + b * b + c * c + d * d
-        half = [sum(col) // 2 for col in zip(*frame)]
-        rng = random.Random(sum(q))
-        for _ in range(8):
-            perm = rng.sample(range(4), 4)
-            signs = [rng.choice((1, -1)) for _ in range(4)]
-            rows = [[s * r[p] for p, s in zip(perm, signs)] for r in frame[:3] + [half]]
-            basis = apply_unimodular(random_unimodular(rng, 4), LatticeBasis(rows))
+        norm = sum(x * x for x in q)
+        for basis in d4_type_bases(q):
             assert abs(basis.det) * 2 == norm * norm
             out = standardize_low_dim(basis)
             verify_achieving_basis(out, basis, NormKind.L2)

@@ -1,14 +1,21 @@
-"""Differential test of the standardness decision against a from-scratch
-tuple search over oracle-enumerated candidates.
+"""Differential tests of the standardness decision.
 
+Against a from-scratch tuple search over oracle-enumerated candidates:
 check_standard prunes with rank tracking and determinant divisors; this
 oracle does none of that, it just tries every index-monotone tuple of
 minimum-norm vectors and asks whether any has the right determinant.  The
 verdicts must agree on every instance, and when both say Standard the
 certified basis must have exactly the minima norms.
+
+Against itself with the root generation test always run: skipping that
+test when the greedy witnesses are a basis must change no certificate.
 """
 
 import random
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stdlattice import (
     LatticeBasis,
@@ -16,11 +23,21 @@ from stdlattice import (
     Verdict,
     brute_minima,
     check_standard,
+    enumeration,
     measure,
     parity_lattice,
+    standardness,
 )
+from stdlattice.exactlin import rank_of_rows
 from stdlattice.oracle import _scan_box
-from util import apply_unimodular, cofactor_det, random_basis, random_unimodular
+from util import (
+    D4_QUATERNIONS,
+    apply_unimodular,
+    cofactor_det,
+    d4_type_bases,
+    random_basis,
+    random_unimodular,
+)
 
 
 def brute_standard(basis, kind):
@@ -113,3 +130,57 @@ def test_non_standardness_is_presentation_independent():
             cert = check_standard(disguised, NormKind.L1)
             assert cert.verdict is Verdict.NON_STANDARD
             assert brute_standard(disguised, NormKind.L1) is Verdict.NON_STANDARD
+
+
+def minima_without_witness_det(rows, kind, max_candidates=enumeration.DEFAULT_MAX_CANDIDATES):
+    # No lattice has |det| 0, so the root test is never skipped.
+    sm, entries, _ = enumeration._minima_with_entries(rows, kind, max_candidates=max_candidates)
+    return sm, entries, 0
+
+
+def assert_skip_changes_nothing(basis, kind):
+    """The certificate with the root test skipped on a witness basis equals
+    the one with the root test forced, and the skip happens exactly when
+    the witnesses have the lattice's |det|."""
+    roots = []
+    inner = standardness._generates
+
+    def counted(vectors, n, det):
+        roots.append(n)
+        return inner(vectors, n, det)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(standardness, "_generates", counted)
+        cert = check_standard(basis, kind)
+        skipped = not roots
+        roots.clear()
+        mp.setattr(standardness, "_minima_with_entries", minima_without_witness_det)
+        forced = check_standard(basis, kind)
+        assert roots == [basis.dim]
+    assert cert == forced
+    witnesses = LatticeBasis(cert.minima.witnesses)
+    assert skipped == (abs(witnesses.det) == abs(basis.det))
+    if skipped:
+        assert cert.verdict is Verdict.STANDARD
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(list(NormKind)))
+def test_skipping_the_root_test_changes_no_certificate(data, kind):
+    n = data.draw(st.integers(2, 6))
+    entries = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    rows = data.draw(st.lists(entries, min_size=n, max_size=n))
+    assume(rank_of_rows(rows) == n)
+    assert_skip_changes_nothing(LatticeBasis(rows), kind)
+
+
+@pytest.mark.parametrize("kind", list(NormKind))
+@pytest.mark.parametrize("n", range(2, 11))
+def test_skipping_the_root_test_changes_no_parity_certificate(n, kind):
+    assert_skip_changes_nothing(parity_lattice(n), kind)
+
+
+@pytest.mark.parametrize("q", D4_QUATERNIONS)
+def test_skipping_the_root_test_changes_no_d4_type_certificate(q):
+    for basis in d4_type_bases(q):
+        assert_skip_changes_nothing(basis, NormKind.L2)

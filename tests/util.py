@@ -57,6 +57,29 @@ def apply_unimodular(u, basis: LatticeBasis) -> LatticeBasis:
     return LatticeBasis(mat_mul(u, basis.rows))
 
 
+# Quaternions q with |q|^2 even, one per shape of D4-type lattice below.
+D4_QUATERNIONS = [(2, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 1), (2, 1, 1, 0), (3, 1, 2, 2)]
+
+
+def d4_type_bases(q, count: int = 8) -> list[LatticeBasis]:
+    """Disguised bases of the D4-type lattice K + Z (sum f) / 2, where the
+    rows of the left-multiplication matrix of the quaternion q are an
+    orthogonal frame f of equal norms |q|^2 (even, so half their sum is
+    integral) and K is the lattice of f.  Each basis applies a random signed
+    permutation of coordinates and a random unimodular change of basis."""
+    a, b, c, d = q
+    frame = [[a, -b, -c, -d], [b, a, -d, c], [c, d, a, -b], [d, -c, b, a]]
+    half = [sum(col) // 2 for col in zip(*frame)]
+    rng = random.Random(sum(q))
+    out = []
+    for _ in range(count):
+        perm = rng.sample(range(4), 4)
+        signs = [rng.choice((1, -1)) for _ in range(4)]
+        rows = [[s * r[p] for p, s in zip(perm, signs)] for r in frame[:3] + [half]]
+        out.append(apply_unimodular(random_unimodular(rng, 4), LatticeBasis(rows)))
+    return out
+
+
 def cofactor_det(mat) -> int:
     """Determinant by Laplace expansion along the first row (independent of
     the library's fraction-free elimination)."""
@@ -143,7 +166,7 @@ def single_pass_bounds(rows, kind: NormKind) -> dict:
     if kind is not NormKind.L2:
         # n equal norms: no probe, one pass at the largest reduced row norm.
         norms = [bounds[NormKind.L2]] * len(reduced[0])
-        l2, _ = _bounded_minima(reduced, NormKind.L2, norms, DEFAULT_MAX_CANDIDATES)
+        l2 = _bounded_minima(reduced, NormKind.L2, norms, DEFAULT_MAX_CANDIDATES)[0]
         bounds[kind] = min(largest(reduced[0], kind), largest(l2.witnesses, kind))
     return bounds
 
