@@ -25,18 +25,10 @@ from .enumeration import (
     DEFAULT_MAX_CANDIDATES,
     DEFAULT_MAX_DIM,
     SuccessiveMinima,
-    _check_dim,
     successive_minima,
 )
-from .errors import (
-    DimensionMismatchError,
-    InputError,
-    InternalConsistencyError,
-    LatticeError,
-    ResourceLimitError,
-    StructuralError,
-)
-from .exactlin import LatticeBasis
+from .errors import InputError, InternalConsistencyError, LatticeError, ResourceLimitError
+from .exactlin import LatticeBasis, _check_dim, _check_positive_int
 from .families import verify_family
 from .norm2d import reduce_2d
 from .norms import NormKind, measure
@@ -64,17 +56,10 @@ def _parse_json_basis(data, max_dim: int) -> tuple[LatticeBasis, NormKind | None
         rows = data["basis"]
     except KeyError as exc:
         raise InputError(f"missing required key {exc}") from exc
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise InputError("'dim' must be a positive integer")
+    _check_positive_int("'dim'", dim)
     _check_dim(dim, max_dim)
     if not isinstance(rows, list) or len(rows) != dim:
         raise InputError(f"'basis' must be a list of {dim} rows")
-    for row in rows:
-        if not isinstance(row, list) or len(row) != dim:
-            raise InputError(f"every basis row must have {dim} entries")
-        for x in row:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise InputError(f"basis entries must be integers, got {x!r}")
     kind = None
     if "norm" in data:
         name = data["norm"]
@@ -93,8 +78,7 @@ def _parse_text_basis(text: str, max_dim: int) -> tuple[LatticeBasis, NormKind |
     except ValueError as exc:
         raise InputError(f"plain-text basis files contain integers only: {exc}") from exc
     dim = values[0]
-    if dim < 1:
-        raise InputError("dimension must be a positive integer")
+    _check_positive_int("'dim'", dim)
     _check_dim(dim, max_dim)
     if len(values) != 1 + dim * dim:
         raise InputError(
@@ -346,6 +330,8 @@ def _parse_rational(token: str) -> Fraction:
                     f"denominator has more than {limit} digits"
                 )
         return Fraction(token)
+    except InputError:
+        raise
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational coordinate {token!r}: {exc}") from exc
 
@@ -353,8 +339,6 @@ def _parse_rational(token: str) -> Fraction:
 def cmd_nearest(args) -> int:
     basis, _ = load_basis_file(args.file, args.max_dim)
     point = [_parse_rational(tok) for tok in args.point]
-    if len(point) != basis.dim:
-        raise InputError(f"expected {basis.dim} coordinates, got {len(point)}")
     # The target is printed, and dist² and bound² carry the square of the
     # common denominator, so a target with a numerator or squared denominator
     # that cannot be printed could only fail after the rounding; refuse it
@@ -416,16 +400,6 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="stdlattice",
@@ -438,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
         if norm_flag:
             p.add_argument("--norm", choices=sorted(_NORM_NAMES), default=None)
         p.add_argument("--json", action="store_true")
-        p.add_argument("--max-candidates", type=_positive_int, default=DEFAULT_MAX_CANDIDATES)
-        p.add_argument("--max-dim", type=_positive_int, default=DEFAULT_MAX_DIM)
+        p.add_argument("--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES)
+        p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
 
     p = sub.add_parser("minima", help="successive minima with witnesses")
     p.add_argument("file")
@@ -484,17 +458,16 @@ def main(argv=None) -> int:
         # exit class unless this was --help.
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
+        _check_positive_int("--max-candidates", args.max_candidates)
+        _check_positive_int("--max-dim", args.max_dim)
         return args.func(args)
-    except (InputError, StructuralError, DimensionMismatchError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except LatticeError as exc:
+    except (LatticeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

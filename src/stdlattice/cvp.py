@@ -22,11 +22,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import DimensionMismatchError
-from .exactlin import IntVector, LatticeBasis, _coefficients, _nearest_rows, _pairwise_orthogonal
+from .exactlin import (
+    IntVector,
+    LatticeBasis,
+    Rational,
+    _as_rational_row,
+    _coefficients,
+    _nearest_rows,
+    _pairwise_orthogonal,
+)
 from .norms import NormKind, measure
-
-Rational = int | Fraction
 
 
 class NearestPointResult(NamedTuple):
@@ -57,13 +62,6 @@ class EqualityCaseReport(NamedTuple):
         return self.orthogonal and self.equal_norms and self.half_integer_coefficients
 
 
-def _as_rational_vector(target: Sequence[Rational], width: int) -> list[Fraction]:
-    v = [Fraction(t) for t in target]
-    if len(v) != width:
-        raise DimensionMismatchError(f"target length {len(v)} does not match dimension {width}")
-    return v
-
-
 def nearest_plane(basis: LatticeBasis, target: Sequence[Rational]) -> NearestPointResult:
     """Lattice point within sqrt(n)/2 * (max row norm) of ``target``.
 
@@ -72,7 +70,7 @@ def nearest_plane(basis: LatticeBasis, target: Sequence[Rational]) -> NearestPoi
     exceeds the bound, and the bound is met exactly only in the orthogonal
     half-integral configuration reported by :func:`equality_case_analyze`.
     """
-    v = _as_rational_vector(target, basis.dim)
+    v = _as_rational_row(target, basis.dim)
     coeffs, point, dist_sq = _nearest_rows(basis.rows, v)
     max_row_sq = max(measure(row, NormKind.L2).value for row in basis.rows)
     bound_sq = Fraction(basis.dim, 4) * max_row_sq
@@ -87,7 +85,7 @@ def nearest_plane(basis: LatticeBasis, target: Sequence[Rational]) -> NearestPoi
 
 def equality_case_analyze(basis: LatticeBasis, target: Sequence[Rational]) -> EqualityCaseReport:
     """Check each equality condition of the distance bound exactly."""
-    v = _as_rational_vector(target, basis.dim)
+    v = _as_rational_row(target, basis.dim)
     rows = basis.rows
     orthogonal = _pairwise_orthogonal(rows)
     norms = [measure(row, NormKind.L2).value for row in rows]

@@ -40,7 +40,8 @@ from .exactlin import (
     LatticeBasis,
     RankTracker,
     _as_int_row,
-    _check_ceiling,
+    _check_dim,
+    _check_positive_int,
     _coefficients,
     _integral_gso,
     _lll_rows,
@@ -49,6 +50,7 @@ from .exactlin import (
 from .norms import (
     NormKind,
     NormValue,
+    _require_bound,
     enumeration_radius_in_l2,
     measure,
     require_kind,
@@ -93,12 +95,6 @@ class CheckResult(NamedTuple):
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _check_dim(dim: int, max_dim: int) -> None:
-    _check_ceiling("max_dim", max_dim)
-    if dim > max_dim:
-        raise ResourceLimitError(f"dimension {dim} exceeds the configured cap {max_dim}")
 
 
 def _canonical_sign(vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -213,13 +209,9 @@ def enumerate_short(
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> ShortVectorList:
     """All nonzero lattice vectors with norm at most ``bound``, up to sign."""
-    require_kind(kind)
-    if bound.kind is not kind:
-        raise ValueError(f"bound kind {bound.kind.value} does not match requested {kind.value}")
-    if bound.value <= 0:
-        raise ValueError("enumeration bound must be positive")
+    _require_bound(kind, bound)
     _check_dim(basis.dim, max_dim)
-    _check_ceiling("max_candidates", max_candidates)
+    _check_positive_int("max_candidates", max_candidates)
     entries = _enumerate_rows(*_lll_rows(basis.rows), kind, bound, max_candidates)
     return ShortVectorList(kind=kind, bound=bound, entries=tuple(entries))
 
@@ -297,7 +289,7 @@ def _minima_with_entries(
     the reduced rows, or under L1/Linf the L2 minima witnesses when their
     largest ``kind`` norm is smaller, found by an L2 search of its own.
     """
-    _check_ceiling("max_candidates", max_candidates)
+    _check_positive_int("max_candidates", max_candidates)
     reduced = _lll_rows(rows)
     norms = _sorted_norms(reduced[0], kind)
     if kind is not NormKind.L2:
@@ -346,8 +338,9 @@ def minima_witness_check(
     against a fresh enumeration; returns ok=False with diagnostics instead of
     raising.
     """
-    _check_ceiling("max_dim", max_dim)
-    _check_ceiling("max_candidates", max_candidates)
+    require_kind(sm.kind)
+    _check_dim(basis.dim, max_dim)
+    _check_positive_int("max_candidates", max_candidates)
     problems: list[str] = []
     n = basis.dim
     if len(sm.minima) != n or len(sm.witnesses) != n:

@@ -5,8 +5,10 @@ class LatticeError(Exception):
     """Base class for every error raised by this package."""
 
 
-class InputError(LatticeError):
-    """Malformed user input (unparseable file, bad coordinate string, ...)."""
+class InputError(LatticeError, ValueError):
+    """Malformed user input: an unparseable file, a float target, a ceiling
+    or dimension that is not a positive int, a negative norm value, ...  It
+    is also a ``ValueError``, which some of these refusals used to raise."""
 
 
 class StructuralError(LatticeError):

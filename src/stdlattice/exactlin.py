@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Sequence
 
-from .errors import DimensionMismatchError, InputError, StructuralError
+from .errors import DimensionMismatchError, InputError, ResourceLimitError, StructuralError
 
 IntVector = tuple[int, ...]
 Rational = int | Fraction
@@ -45,11 +45,44 @@ def _as_int_row(row: Sequence) -> tuple[int, ...]:
         raise StructuralError(f"matrix entries must be integers: {row!r}") from exc
 
 
-def _check_ceiling(name: str, value) -> None:
-    """Refuse a search ceiling that is not a positive ``int`` (a ``bool`` is
-    not one) before any work is spent under it."""
+def _as_int_rows(rows) -> tuple[IntVector, ...]:
+    """The rows of an integer matrix, each read by :func:`_as_int_row`; a
+    value that is not a sequence of rows is refused too."""
+    try:
+        return tuple(map(_as_int_row, rows))
+    except TypeError as exc:
+        raise StructuralError(f"a matrix must be a sequence of rows: {rows!r}") from exc
+
+
+def _as_rational_row(target, width: int) -> tuple[Rational, ...]:
+    """The coordinates of a target of length ``width``, each an exact ``int``
+    (not a ``bool``) or a ``Fraction``: a float is refused, so no binary
+    rounding of a decimal can decide an answer."""
+    try:
+        entries = tuple(target)
+        if not all(type(t) is int or isinstance(t, Fraction) for t in entries):
+            raise TypeError("inexact coordinate")
+    except TypeError as exc:
+        raise InputError(f"target coordinates must be ints or Fractions: {target!r}") from exc
+    if len(entries) != width:
+        raise DimensionMismatchError(
+            f"target length {len(entries)} does not match dimension {width}"
+        )
+    return entries
+
+
+def _check_positive_int(name: str, value) -> None:
+    """Refuse a ceiling or dimension that is not a positive ``int`` (a
+    ``bool`` is not one) before any work is spent under it."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise InputError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _check_dim(dim: int, max_dim: int) -> None:
+    """Refuse a bad ``max_dim``, then a dimension over it."""
+    _check_positive_int("max_dim", max_dim)
+    if dim > max_dim:
+        raise ResourceLimitError(f"dimension {dim} exceeds the configured cap {max_dim}")
 
 
 class LatticeBasis:
@@ -63,7 +96,7 @@ class LatticeBasis:
     __slots__ = ("rows", "dim", "det")
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        mat = tuple(_as_int_row(r) for r in rows)
+        mat = _as_int_rows(rows)
         if not mat:
             raise StructuralError("a basis needs at least one row")
         n = len(mat)
@@ -135,7 +168,7 @@ def _bareiss_det(mat: Sequence[Sequence[int]]) -> int:
 def _matrix_rows(mat) -> list[list[int]]:
     if isinstance(mat, LatticeBasis):
         return [list(r) for r in mat.rows]
-    rows = [list(_as_int_row(r)) for r in mat]
+    rows = list(map(list, _as_int_rows(mat)))
     if not rows:
         raise StructuralError("empty matrix")
     width = len(rows[0])
@@ -208,30 +241,32 @@ def same_lattice(b: LatticeBasis, c: LatticeBasis) -> bool:
     return hermite_form(b.rows).h == hermite_form(c.rows).h
 
 
+def _check_lengths(vectors: Sequence[IntVector], dim: int) -> None:
+    for v in vectors:
+        if len(v) != dim:
+            raise DimensionMismatchError(f"vector length {len(v)} does not match dimension {dim}")
+
+
 def member(basis: LatticeBasis, vector: Sequence[int]) -> IntVector | None:
     """Integer coefficients of ``vector`` in ``basis``, or None if the vector
     is not a lattice point."""
-    return _member(basis, _as_int_row(vector))
-
-
-def _member(basis: LatticeBasis, v: IntVector, gso=None) -> IntVector | None:
-    """:func:`member` of an int row, optionally on the integral data (d, lam)
-    of ``basis.rows`` that the caller reuses across vectors."""
-    if len(v) != basis.dim:
-        raise DimensionMismatchError(f"vector length {len(v)} does not match dimension {basis.dim}")
-    return _coefficients(basis.rows, v, gso)
+    v = _as_int_row(vector)
+    _check_lengths([v], basis.dim)
+    return _coefficients(basis.rows, v)
 
 
 def is_basis_of(vectors: Sequence[Sequence[int]], basis: LatticeBasis) -> bool:
     """True iff ``vectors`` is a basis of the lattice generated by ``basis``:
-    every vector is a member and the covolumes agree."""
-    rows = [_as_int_row(v) for v in vectors]
+    every vector is a member and the covolumes agree.  Every length is
+    checked before any membership test."""
+    rows = _as_int_rows(vectors)
     if len(rows) != basis.dim:
         raise DimensionMismatchError(
             f"expected {basis.dim} vectors, got {len(rows)}"
         )
+    _check_lengths(rows, basis.dim)
     gso = _integral_gso(basis.rows)
-    if any(_member(basis, v, gso) is None for v in rows):
+    if any(_coefficients(basis.rows, v, gso) is None for v in rows):
         return False
     return abs(_bareiss_det(rows)) == abs(basis.det)
 
@@ -405,7 +440,7 @@ def _lll_rows(
     same row span over the integers, |mu_kj| <= 1/2 and the Lovasz condition
     B_k >= (3/4 - mu_k,k-1^2) B_k-1.
     """
-    b = [list(_as_int_row(r)) for r in rows]
+    b = list(map(list, _as_int_rows(rows)))
     m = len(b)
     d = [1]
     lam: list[list[int]] = []

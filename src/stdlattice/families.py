@@ -16,14 +16,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .enumeration import (
-    DEFAULT_MAX_CANDIDATES,
-    DEFAULT_MAX_DIM,
-    SuccessiveMinima,
-    _check_dim,
-)
-from .errors import InputError
-from .exactlin import LatticeBasis
+from .enumeration import DEFAULT_MAX_CANDIDATES, DEFAULT_MAX_DIM, SuccessiveMinima
+from .exactlin import LatticeBasis, _check_dim, _check_positive_int
 from .norms import NormKind, NormValue, measure, require_kind
 from .standardness import StandardnessCertificate, Verdict, check_standard
 
@@ -57,17 +51,9 @@ class FamilyReport(NamedTuple):
     certificate: StandardnessCertificate
 
 
-def _check_family_dim(n) -> None:
-    """Refuse a dimension that is not an ``int`` (a ``bool`` is not one)."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise InputError(f"dimension must be an integer, got {n!r}")
-
-
 def parity_lattice(n: int) -> LatticeBasis:
     """Basis of the rank-n parity lattice: 2e_1, ..., 2e_(n-1), (1, ..., 1)."""
-    _check_family_dim(n)
-    if n < 1:
-        raise ValueError(f"dimension must be at least 1, got {n}")
+    _check_positive_int("dimension", n)
     rows = [[2 if j == i else 0 for j in range(n)] for i in range(n - 1)]
     rows.append([1] * n)
     return LatticeBasis(rows)
@@ -82,7 +68,7 @@ def verify_family(
 ) -> FamilyReport:
     """Full report on the dimension-n parity lattice under ``kind``."""
     require_kind(kind)
-    _check_family_dim(n)
+    _check_positive_int("dimension", n)
     _check_dim(n, max_dim)
     basis = parity_lattice(n)
     cert = check_standard(basis, kind, max_candidates=max_candidates, max_dim=max_dim)

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import InternalConsistencyError, StructuralError
-from .exactlin import IntVector, LatticeBasis, _check_ceiling
+from .errors import DimensionMismatchError, InternalConsistencyError, StructuralError
+from .exactlin import IntVector, LatticeBasis, _as_int_row, _check_positive_int
 from .norms import NormKind, NormValue, measure, require_kind
 
 
@@ -29,14 +29,6 @@ class Reduced2DBasis(NamedTuple):
     kind: NormKind
 
 
-def _bracket(b2: IntVector, b1: IntVector, kind: NormKind) -> int:
-    """Under L1/Linf every minimizer q of ||b2 + q b1|| satisfies
-    |q| <= 2||b2|| / ||b1||."""
-    m1 = measure(b1, kind).value
-    m2 = measure(b2, kind).value
-    return -((-2 * m2) // m1) + 1
-
-
 def min_translate(b2: IntVector, b1: IntVector, kind: NormKind) -> int:
     """The integer q minimizing f(q) = ||b2 + q b1|| under ``kind``.
 
@@ -47,8 +39,10 @@ def min_translate(b2: IntVector, b1: IntVector, kind: NormKind) -> int:
     resolve to the smallest |q|, then the nonnegative one.
     """
     require_kind(kind)
-    b1 = tuple(b1)
-    b2 = tuple(b2)
+    b1 = _as_int_row(b1)
+    b2 = _as_int_row(b2)
+    if len(b1) != len(b2):
+        raise DimensionMismatchError(f"vector lengths differ: {len(b2)} and {len(b1)}")
     if not any(b1):
         raise StructuralError("translation vector must be nonzero")
 
@@ -73,7 +67,8 @@ def min_translate(b2: IntVector, b1: IntVector, kind: NormKind) -> int:
     def diff_pos(q: int) -> bool:
         return f(q + 1) > f(q)
 
-    span = _bracket(b2, b1, kind)
+    # Every minimizer has |q| <= 2||b2|| / ||b1||; ||b2|| = f(0) is memoized.
+    span = -((-2 * f(0)) // measure(b1, kind).value) + 1
 
     def first_true(lo: int, hi: int, pred) -> int:
         while lo < hi:
@@ -138,7 +133,7 @@ def reduce_2d(
     value other than None must still be a positive int.
     """
     if max_candidates is not None:
-        _check_ceiling("max_candidates", max_candidates)
+        _check_positive_int("max_candidates", max_candidates)
     require_kind(kind)
     if basis.dim != 2:
         raise StructuralError("reduce_2d requires dimension 2")

@@ -15,6 +15,7 @@ from math import isqrt
 from typing import NamedTuple, Sequence
 
 from .errors import InputError
+from .exactlin import _check_positive_int
 
 Rational = int | Fraction
 
@@ -34,14 +35,16 @@ class NormValue(_NormFields):
     """Exact comparable size of a vector under a fixed norm.
 
     For L1/Linf this is the norm itself; for L2 it is the squared norm.
-    Comparisons are only defined between values of the same kind.
+    Comparisons are only defined between values of the same kind.  The value
+    must be a nonnegative ``int`` (exactly: not a ``bool``) or ``Fraction``,
+    so no float, nan or infinity can decide a comparison.
     """
 
     __slots__ = ()
 
     def __new__(cls, kind: NormKind, value: Rational):
-        if value < 0:
-            raise ValueError("norm values are nonnegative")
+        if not (type(value) is int or isinstance(value, Fraction)) or value < 0:
+            raise InputError(f"norm values are nonnegative ints or Fractions, got {value!r}")
         return tuple.__new__(cls, (kind, value))
 
     @classmethod
@@ -100,17 +103,29 @@ def require_kind(kind: object) -> None:
         raise _unknown_kind(kind)
 
 
+def _require_bound(kind: object, bound: object) -> None:
+    """Reject a search bound that is not a positive NormValue of ``kind``."""
+    require_kind(kind)
+    if not isinstance(bound, NormValue) or bound.kind is not kind or bound.value <= 0:
+        raise InputError(f"bound {bound!r} is not a positive {kind.value} NormValue")
+
+
 def measure(coords: Sequence[Rational], kind: NormKind) -> NormValue:
     """Exact norm of a vector: sum of |coords| for L1, max |coord| for Linf,
-    sum of squares (the squared Euclidean norm) for L2."""
-    if kind is NormKind.L1:
-        value = sum(map(abs, coords))
-    elif kind is NormKind.LINF:
-        value = max(map(abs, coords), default=0)
-    elif kind is NormKind.L2:
-        value = sum(x * x for x in coords)
-    else:
-        raise _unknown_kind(kind)
+    sum of squares (the squared Euclidean norm) for L2.  Coordinates that
+    are not numbers are refused with InputError, and so, through NormValue,
+    is a norm that is not an int or a Fraction (a float coordinate)."""
+    try:
+        if kind is NormKind.L1:
+            value = sum(map(abs, coords))
+        elif kind is NormKind.LINF:
+            value = max(map(abs, coords), default=0)
+        elif kind is NormKind.L2:
+            value = sum(x * x for x in coords)
+        else:
+            raise _unknown_kind(kind)
+    except TypeError as exc:
+        raise InputError(f"coordinates must be numbers: {coords!r}") from exc
     return NormValue(kind, value)
 
 
@@ -121,6 +136,7 @@ def enumeration_radius_in_l2(bound: NormValue, dim: int) -> NormValue:
     Uses ||v||_2 <= ||v||_1 and ||v||_2^2 <= dim * ||v||_inf^2; for L2 the
     bound already is the squared radius.
     """
+    _check_positive_int("dimension", dim)
     if bound.kind is NormKind.L1:
         return NormValue(NormKind.L2, bound.value * bound.value)
     if bound.kind is NormKind.LINF:

@@ -14,10 +14,17 @@ from typing import NamedTuple, Sequence
 
 from .enumeration import MeasuredVector, SuccessiveMinima, _canonical_sign, _greedy_minima
 from .errors import ResourceLimitError, StructuralError
-from .exactlin import IntVector, LatticeBasis, _check_ceiling, hnf_nonzero_rows
+from .exactlin import (
+    IntVector,
+    LatticeBasis,
+    _as_rational_row,
+    _check_positive_int,
+    hnf_nonzero_rows,
+)
 from .norms import (
     NormKind,
     NormValue,
+    _require_bound,
     ceil_sqrt,
     enumeration_radius_in_l2,
     measure,
@@ -86,9 +93,7 @@ def coefficient_box(basis: LatticeBasis, kind: NormKind, bound: NormValue) -> Co
     If x . B = v then x_i is the dot product of v with column i of B^-1, so
     |x_i| <= ||v||_2 * ||column_i(B^-1)||_2 <= R * max column norm.
     """
-    require_kind(kind)
-    if bound.value <= 0:
-        raise ValueError("bound must be positive")
+    _require_bound(kind, bound)
     r2 = Fraction(enumeration_radius_in_l2(bound, basis.dim).value)
     colsq = max(_inverse_column_sq(basis))
     m = ceil_sqrt(r2 * colsq)
@@ -168,7 +173,7 @@ def brute_minima(
     """
     require_kind(kind)
     _check_oracle_dim(basis)
-    _check_ceiling("max_points", max_points)
+    _check_positive_int("max_points", max_points)
     n = basis.dim
     scan_basis = LatticeBasis(hnf_nonzero_rows(basis.rows))
     bound = NormValue(kind, 1)
@@ -200,11 +205,9 @@ def brute_cvp(
     rule.  The returned ``coeffs`` are relative to the caller's basis.
     """
     _check_oracle_dim(basis)
-    _check_ceiling("max_points", max_points)
+    _check_positive_int("max_points", max_points)
     n = basis.dim
-    t = [Fraction(v) for v in target]
-    if len(t) != n:
-        raise StructuralError(f"target length {len(t)} does not match dimension {n}")
+    t = _as_rational_row(target, n)
     # Scan in the canonical Hermite basis of the same lattice: the point set
     # is unchanged and the triangular reduced rows keep the box small.
     scan_basis = LatticeBasis(hnf_nonzero_rows(basis.rows))

@@ -41,15 +41,16 @@ from .enumeration import (
     DEFAULT_MAX_CANDIDATES,
     DEFAULT_MAX_DIM,
     SuccessiveMinima,
-    _check_dim,
     _minima_with_entries,
 )
-from .errors import DimensionMismatchError, InternalConsistencyError, StructuralError
+from .errors import InternalConsistencyError, StructuralError
 from .exactlin import (
     IntVector,
     LatticeBasis,
     RankTracker,
-    _as_int_row,
+    _as_int_rows,
+    _check_dim,
+    _check_lengths,
     _coefficients,
     _integral_gso,
     _pairwise_orthogonal,
@@ -247,12 +248,10 @@ def section_lattice(
     lattice, where H is the hyperplane spanned by the given n-1 lattice
     members."""
     n = basis.dim
-    span = [_as_int_row(s) for s in spanning]
+    span = _as_int_rows(spanning)
     if len(span) != n - 1:
         raise StructuralError(f"expected {n - 1} spanning vectors, got {len(span)}")
-    for s in span:
-        if len(s) != n:
-            raise DimensionMismatchError(f"vector length {len(s)} does not match dimension {n}")
+    _check_lengths(span, n)
     return _section_rows(basis.rows, span)
 
 

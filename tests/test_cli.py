@@ -361,6 +361,16 @@ class TestErrorClasses:
         assert code == 2
         assert "must be a positive integer" in err
 
+    @pytest.mark.parametrize("flag", ["--max-candidates", "--max-dim"])
+    def test_ceiling_is_checked_by_commands_that_do_not_search(self, tmp_path, capsys, flag):
+        # nearest passes no ceiling to the library, so main checks both
+        # before any command runs.
+        path = write_json_basis(tmp_path, "i2.json", [[1, 0], [0, 1]])
+        code, out, err = run_cli(["nearest", path, "1", "1", flag, "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} must be a positive integer, got 0\n"
+
     def test_boolean_dim_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bool.json"
         path.write_text('{"dim": true, "basis": [[1]]}')

@@ -228,10 +228,11 @@ class TestIsBasisOf:
 
     def test_vectors_are_checked_in_order_with_an_early_exit(self):
         b = parity_lattice(2)
-        # A non-member before a vector of the wrong length answers False.
-        assert not is_basis_of([(1, 0), (1, 0, 0)], b)
-        with pytest.raises(DimensionMismatchError, match="vector length 3 does not match"):
-            is_basis_of([(1, 1), (1, 0, 0)], b)
+        # Every length is checked before any membership test, so a vector of
+        # the wrong length is refused whether a non-member precedes it or not.
+        for first in [(1, 0), (1, 1)]:
+            with pytest.raises(DimensionMismatchError, match="vector length 3 does not match"):
+                is_basis_of([first, (1, 0, 0)], b)
 
     def test_one_gram_schmidt_per_call(self, monkeypatch):
         calls = []

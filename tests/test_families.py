@@ -43,9 +43,9 @@ class TestParityLattice:
         # Refused before the dimension cap or any arithmetic sees it.
         dets = []
         monkeypatch.setattr(exactlin, "_bareiss_det", lambda mat: dets.append(mat) or 1)
-        with pytest.raises(InputError, match="dimension must be an integer"):
+        with pytest.raises(InputError, match="dimension must be a positive integer"):
             parity_lattice(n)
-        with pytest.raises(InputError, match="dimension must be an integer"):
+        with pytest.raises(InputError, match="dimension must be a positive integer"):
             verify_family(n, NormKind.L2)
         assert dets == []
 

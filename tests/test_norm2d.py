@@ -76,6 +76,18 @@ class TestMinTranslate:
         with pytest.raises(StructuralError):
             min_translate((1, 1), (0, 0), NormKind.L2)
 
+    @pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
+    def test_measures_each_input_at_most_once(self, monkeypatch, kind):
+        # ||b2|| is f(0), which the bisection evaluates anyway, so the span
+        # of candidates reads it from the memo instead of measuring b2 again.
+        measured = []
+        real_measure = norm2d.measure
+        monkeypatch.setattr(norm2d, "measure", lambda v, k: measured.append(v) or real_measure(v, k))
+        b2, b1 = (7, -3), (2, 1)
+        assert min_translate(b2, b1, kind) == brute_translate(b2, b1, kind)
+        assert measured.count(b2) == 1
+        assert measured.count(b1) == 1
+
     @pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF, NormKind.L2])
     def test_agrees_with_exhaustive_scan(self, kind):
         rng = random.Random(83)
