@@ -6,14 +6,17 @@ JSON object ({"dim": n, "basis": [[...], ...], "norm": "l2"}) or plain text
 (first line the dimension, then the rows); output is deterministic human
 text, or full structured certificates with --json.
 
-Exit codes: 0 success/Standard, 2 input error, 3 NonStandard verdict,
-4 resource ceiling, 5 internal consistency failure.
+Exit codes: 0 success/Standard, 2 input error or output that cannot be
+written, 3 NonStandard verdict, 4 resource ceiling, 5 internal consistency
+failure.  A stdout pipe that the reader closed exits 2 with no message; any
+other write error, such as a full disk, exits 2 with one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -163,12 +166,22 @@ def _minima_text(sm: SuccessiveMinima) -> list[str]:
 def _emit(args, payload: dict, text_lines) -> None:
     """Write the JSON payload or the text lines in one piece.  The whole
     output is rendered first, so a value that cannot be printed fails before
-    anything reaches stdout: an answer is never cut short."""
-    if args.json:
-        out = json.dumps(payload, sort_keys=True, indent=2)
-    else:
-        out = "\n".join(text_lines())
-    print(out)
+    anything reaches stdout: an answer is never cut short.  The write is
+    flushed here, so a stdout that cannot be written fails inside the
+    command, where ``run`` classifies it."""
+    try:
+        if args.json:
+            out = json.dumps(payload, sort_keys=True, indent=2)
+        else:
+            out = "\n".join(text_lines())
+    except ValueError as exc:
+        # Rendering ints and Fractions raises ValueError only for an int past
+        # the interpreter's int-to-str digit limit.
+        raise InputError(
+            f"the answer cannot be printed: it has an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits, the interpreter's print limit"
+        ) from exc
+    print(out, flush=True)
 
 
 def cmd_minima(args) -> int:
@@ -241,7 +254,7 @@ def cmd_standardize(args) -> int:
 def cmd_reduce2d(args) -> int:
     basis, file_kind = load_basis_file(args.file, args.max_dim)
     kind = _resolve_kind(args.norm, file_kind)
-    red = reduce_2d(basis, kind, max_candidates=args.max_candidates)
+    red = reduce_2d(basis, kind)
     label = _minima_label(kind)
     payload = {
         "command": "reduce2d",
@@ -408,11 +421,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, norm_flag: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, norm_flag: bool = True, enumerates: bool = True) -> None:
         if norm_flag:
             p.add_argument("--norm", choices=sorted(_NORM_NAMES), default=None)
         p.add_argument("--json", action="store_true")
-        p.add_argument("--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES)
+        if enumerates:
+            p.add_argument("--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES)
         p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
 
     p = sub.add_parser("minima", help="successive minima with witnesses")
@@ -432,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce2d", help="reduce a 2D basis under any built-in norm")
     p.add_argument("file")
-    common(p)
+    common(p, enumerates=False)
     p.set_defaults(func=cmd_reduce2d)
 
     p = sub.add_parser("family", help="verify the dimension-n parity lattice")
@@ -443,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nearest", help="nearest-plane point for a rational target")
     p.add_argument("file")
     p.add_argument("point", nargs="+", help="coordinates, integers or p/q")
-    common(p, norm_flag=False)
+    common(p, norm_flag=False, enumerates=False)
     p.set_defaults(func=cmd_nearest)
 
     return parser
@@ -458,7 +472,8 @@ def main(argv=None) -> int:
         # exit class unless this was --help.
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
-        _check_positive_int("--max-candidates", args.max_candidates)
+        if "max_candidates" in args:
+            _check_positive_int("--max-candidates", args.max_candidates)
         _check_positive_int("--max-dim", args.max_dim)
         return args.func(args)
     except ResourceLimitError as exc:
@@ -473,7 +488,18 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """Process entry point: ``main``, plus the failure only a process meets,
+    a stdout that cannot be written.  It exits 2, silently when the reader
+    closed the pipe, else with one ``error:`` line; stdout then points at
+    devnull, so the flush at exit cannot fail again."""
+    try:
+        code = main()
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        code = EXIT_INPUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DimensionMismatchError, InternalConsistencyError, StructuralError
-from .exactlin import IntVector, LatticeBasis, _as_int_row, _check_positive_int
+from .exactlin import IntVector, LatticeBasis, _as_int_row
 from .norms import NormKind, NormValue, measure, require_kind
 
 
@@ -111,12 +111,7 @@ def _cross(u: IntVector, v: IntVector) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def reduce_2d(
-    basis: LatticeBasis,
-    kind: NormKind,
-    *,
-    max_candidates: int | None = None,
-) -> Reduced2DBasis:
+def reduce_2d(basis: LatticeBasis, kind: NormKind) -> Reduced2DBasis:
     """Reduce a 2D basis until it achieves (lambda_1, lambda_2) under ``kind``.
 
     Each step replaces the longer vector by its best translate along the
@@ -127,13 +122,7 @@ def reduce_2d(
     the two minima (Kaib and Schnorr 1996), and by a covolume check that the
     pair is a basis of the input lattice.  Failure of either check is a loud
     internal error, not a silent downgrade.
-
-    ``max_candidates`` is accepted so that callers passing the other searches'
-    ceiling keep working; nothing here enumerates, so it bounds nothing.  A
-    value other than None must still be a positive int.
     """
-    if max_candidates is not None:
-        _check_positive_int("max_candidates", max_candidates)
     require_kind(kind)
     if basis.dim != 2:
         raise StructuralError("reduce_2d requires dimension 2")

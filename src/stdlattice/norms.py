@@ -35,14 +35,18 @@ class NormValue(_NormFields):
     """Exact comparable size of a vector under a fixed norm.
 
     For L1/Linf this is the norm itself; for L2 it is the squared norm.
-    Comparisons are only defined between values of the same kind.  The value
-    must be a nonnegative ``int`` (exactly: not a ``bool``) or ``Fraction``,
-    so no float, nan or infinity can decide a comparison.
+    The kind must be a ``NormKind`` member, and the value a nonnegative
+    ``int`` (exactly: not a ``bool``) or ``Fraction``, so no float, nan or
+    infinity can decide a comparison.  Comparisons are only defined between
+    values of the same kind; any other comparison raises InputError.
     """
 
     __slots__ = ()
 
     def __new__(cls, kind: NormKind, value: Rational):
+        # One type test: a NormValue is built for every enumeration leaf.
+        if type(kind) is not NormKind:
+            raise _unknown_kind(kind)
         if not (type(value) is int or isinstance(value, Fraction)) or value < 0:
             raise InputError(f"norm values are nonnegative ints or Fractions, got {value!r}")
         return tuple.__new__(cls, (kind, value))
@@ -54,9 +58,9 @@ class NormValue(_NormFields):
 
     def _check_kind(self, other: "NormValue") -> None:
         if not isinstance(other, NormValue):
-            raise TypeError(f"cannot compare NormValue with {type(other).__name__}")
+            raise InputError(f"cannot compare NormValue with {type(other).__name__}")
         if self.kind is not other.kind:
-            raise ValueError(f"norm kinds differ: {self.kind.value} vs {other.kind.value}")
+            raise InputError(f"norm kinds differ: {self.kind.value} vs {other.kind.value}")
 
     def __lt__(self, other):
         self._check_kind(other)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -319,7 +320,10 @@ class TestErrorClasses:
         code, out, err = run_cli(["nearest", path, "9" * limit, "1", *fmt], capsys)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ")
+        assert err == (
+            f"error: the answer cannot be printed: it has an integer of more than "
+            f"{limit} digits, the interpreter's print limit\n"
+        )
 
     def test_exponent_bound_is_print_limit_plus_mantissa_digits(self, monkeypatch):
         assert cli._parse_rational("1e-4000") == Fraction(1, 10**4000)
@@ -361,15 +365,35 @@ class TestErrorClasses:
         assert code == 2
         assert "must be a positive integer" in err
 
-    @pytest.mark.parametrize("flag", ["--max-candidates", "--max-dim"])
+    @pytest.mark.parametrize("flag", ["--max-dim"])
     def test_ceiling_is_checked_by_commands_that_do_not_search(self, tmp_path, capsys, flag):
-        # nearest passes no ceiling to the library, so main checks both
-        # before any command runs.
+        # nearest passes no ceiling to the library, so main checks the
+        # dimension cap before any command runs.
         path = write_json_basis(tmp_path, "i2.json", [[1, 0], [0, 1]])
         code, out, err = run_cli(["nearest", path, "1", "1", flag, "0"], capsys)
         assert code == 2
         assert out == ""
         assert err == f"error: {flag} must be a positive integer, got 0\n"
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "command", ["minima", "check", "standardize", "family", "reduce2d", "nearest"]
+    )
+    def test_candidate_ceiling_only_on_commands_that_search(self, tmp_path, capsys, command, value):
+        path = write_json_basis(tmp_path, "i2.json", [[1, 0], [0, 1]])
+        operands = {"family": ["3"], "nearest": [path, "1", "1"]}.get(command, [path])
+        assert main([command, "--help"]) == 0
+        usage = capsys.readouterr().out
+        assert "--max-dim" in usage
+        code, out, err = run_cli([command, *operands, "--max-candidates", value], capsys)
+        assert code == 2
+        assert out == ""
+        if command in ("reduce2d", "nearest"):
+            assert "--max-candidates" not in usage
+            assert f"unrecognized arguments: --max-candidates {value}" in err
+            assert "Traceback" not in err
+        else:
+            assert err == f"error: --max-candidates must be a positive integer, got {value}\n"
 
     def test_boolean_dim_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bool.json"
@@ -436,3 +460,39 @@ class TestDeterminism:
             assert runs[0].stdout == runs[1].stdout
             assert runs[0].stderr == runs[1].stderr
             assert runs[0].returncode == runs[1].returncode
+
+
+class TestOutputFailures:
+    """A stdout that cannot be written ends in exit 2, never in a traceback."""
+
+    def test_closed_pipe_exits_2_without_a_message(self, tmp_path):
+        # The answer is larger than a pipe holds, so the write fails whether
+        # it starts before or after the reader closes its end.
+        path = write_json_basis(tmp_path, "i12.json", [[int(i == j) for j in range(12)] for i in range(12)])
+        target = [str(10**2999 + i) for i in range(12)]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "stdlattice", "nearest", path, *target, "--json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 2
+        assert err == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_write_error_exits_2_with_one_error_line(self, tmp_path, fmt):
+        path = write_json_basis(tmp_path, "l5.json", parity_rows(5))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "stdlattice", "minima", path, *fmt],
+                stdout=full,
+                stderr=subprocess.PIPE,
+            )
+        assert proc.returncode == 2
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: cannot write the output: ")
+        assert "No space left on device" in lines[0]

@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 
 from stdlattice.cli import main
 
-CEILINGS = ["--max-candidates", "1000", "--max-dim", "4"]
 FILE_COMMANDS = ["minima", "check", "standardize", "reduce2d", "nearest"]
+# Only the commands that enumerate take a candidate ceiling; all six take
+# the dimension cap.
+SEARCHES = {"minima", "check", "standardize", "family"}
 
 tokens = st.sampled_from(
     [
@@ -93,7 +95,9 @@ def test_cli_exit_codes_are_classified(command, content, extra, missing_file):
         if not missing_file:
             with open(path, "wb") as fh:
                 fh.write(content)
-        argv = [command, *CEILINGS]
+        argv = [command, "--max-dim", "4"]
+        if command in SEARCHES:
+            argv += ["--max-candidates", "1000"]
         if command in FILE_COMMANDS:
             argv.append(path)
         argv += extra

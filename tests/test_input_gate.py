@@ -129,7 +129,6 @@ SLOTS = {
     "reduce_2d": {
         "entry": lambda x: reduce_2d(basis_with(x), L1),
         "kind": lambda x: reduce_2d(B2, x),
-        "max_candidates": lambda x: reduce_2d(B2, L2, max_candidates=x),
     },
     "min_translate": {
         "b2 entry": lambda x: min_translate((x, 1), (2, 1), L1),
@@ -263,6 +262,13 @@ REFUSALS = {
     "basis that is no matrix": (lambda: LatticeBasis(5), StructuralError),
     "vectors that are no matrix": (lambda: is_basis_of(5, B2), StructuralError),
     "Hermite form of no matrix": (lambda: hermite_form(5), StructuralError),
+    # NormValue(None, 1) used to be built, and its comparisons raised a
+    # bare ValueError across kinds and a TypeError against a number.
+    "None norm kind": (lambda: NormValue(None, 1), InputError),
+    "string norm kind": (lambda: NormValue("l2", 1), InputError),
+    "norm kind replaced": (lambda: NormValue(L2, 1)._replace(kind="l2"), InputError),
+    "norm values of two kinds compared": (lambda: NormValue(L1, 1) < NormValue(L2, 1), InputError),
+    "norm value compared with a number": (lambda: NormValue(L1, 1) < 1, InputError),
     # These used to raise a bare ValueError; InputError still is one.
     "negative norm value": (lambda: NormValue(L2, -1), InputError),
     "bound of another kind": (lambda: enumerate_short(B2, L1, NormValue(L2, 4)), InputError),

@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -5,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stdlattice import (
-    InputError,
     InternalConsistencyError,
     LatticeBasis,
     NormKind,
@@ -255,19 +255,8 @@ class TestGaussCriterion:
             reduce_2d(LatticeBasis([[2, 0], [0, 1]]), kind)
 
 
-class TestMaxCandidates:
-    @pytest.mark.parametrize("value", [0, -5, True, False, 2.5, 10.0, "10"])
-    def test_refused_before_any_arithmetic(self, monkeypatch, value):
-        def no_loop(*args):
-            raise AssertionError("reduce_2d ran on a bad max_candidates")
-
-        monkeypatch.setattr(norm2d, "_gauss_loop", no_loop)
-        with pytest.raises(InputError, match=f"max_candidates must be a positive integer, got {value!r}"):
-            reduce_2d(LatticeBasis([[1, 0], [5, 1]]), NormKind.L1, max_candidates=value)
-
-    @pytest.mark.parametrize("kind", list(NormKind))
-    def test_bounds_nothing(self, kind):
-        rng = random.Random(103)
-        for _ in range(20):
-            basis = random_basis(rng, 2, -12, 12)
-            assert reduce_2d(basis, kind, max_candidates=1) == reduce_2d(basis, kind)
+def test_takes_no_candidate_ceiling():
+    # reduce_2d enumerates nothing, so it has no ceiling to take.
+    assert list(inspect.signature(reduce_2d).parameters) == ["basis", "kind"]
+    with pytest.raises(TypeError):
+        reduce_2d(LatticeBasis([[1, 0], [5, 1]]), NormKind.L1, max_candidates=5)

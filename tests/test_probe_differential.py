@@ -73,7 +73,7 @@ def skewed_bases(draw):
     return LatticeBasis(rows)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(skewed_bases(), st.sampled_from(list(NormKind)))
 def test_skewed_probe_agrees_with_one_pass(basis, kind):
     assert_probe_changes_nothing(basis, kind)

@@ -9,6 +9,7 @@ import pytest
 
 from stdlattice import (
     CheckResult,
+    InputError,
     LatticeBasis,
     NormKind,
     NormValue,
@@ -210,9 +211,9 @@ def test_norm_value_ordering_across_kinds_raises():
         lambda: a > b,
         lambda: a >= b,
     ):
-        with pytest.raises(ValueError, match="norm kinds differ"):
+        with pytest.raises(InputError, match="norm kinds differ"):
             compare()
-    with pytest.raises(TypeError):
+    with pytest.raises(InputError, match="cannot compare NormValue with int"):
         a < 1
     assert a != b
 
