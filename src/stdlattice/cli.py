@@ -10,6 +10,8 @@ Exit codes: 0 success/Standard, 2 input error or output that cannot be
 written, 3 NonStandard verdict, 4 resource ceiling, 5 internal consistency
 failure.  A stdout pipe that the reader closed exits 2 with no message; any
 other write error, such as a full disk, exits 2 with one ``error:`` line.
+An interrupt (Ctrl-C, SIGINT) exits 130, 128 + SIGINT as shells report it,
+with one ``interrupted`` line on stderr.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ EXIT_INPUT = 2
 EXIT_NON_STANDARD = 3
 EXIT_RESOURCE = 4
 EXIT_INTERNAL = 5
+EXIT_INTERRUPTED = 130
 
 _NORM_NAMES = {kind.value: kind for kind in NormKind}
 
@@ -72,14 +75,22 @@ def _parse_json_basis(data, max_dim: int) -> tuple[LatticeBasis, NormKind | None
     return LatticeBasis(rows), kind
 
 
-def _parse_text_basis(text: str, max_dim: int) -> tuple[LatticeBasis, NormKind | None]:
+def _parse_text_basis(text: str, path: str, max_dim: int) -> tuple[LatticeBasis, NormKind | None]:
     tokens = text.split()
     if not tokens:
         raise InputError("empty basis file")
-    try:
-        values = [int(t) for t in tokens]
-    except ValueError as exc:
-        raise InputError(f"plain-text basis files contain integers only: {exc}") from exc
+    values = []
+    for t in tokens:
+        try:
+            values.append(int(t))
+        except ValueError as exc:
+            # int() refuses a well-formed integer only past the digit limit.
+            limit = sys.get_int_max_str_digits()
+            if re.fullmatch(r"[+-]?\d+(?:_\d+)*", t):
+                raise InputError(
+                    f"entry in {path} has more than {limit} digits, the interpreter's limit"
+                ) from exc
+            raise InputError(f"plain-text basis files contain integers only: {exc}") from exc
     dim = values[0]
     _check_positive_int("'dim'", dim)
     _check_dim(dim, max_dim)
@@ -97,17 +108,29 @@ def load_basis_file(path: str, max_dim: int) -> tuple[LatticeBasis, NormKind | N
     The dimension is checked against ``max_dim`` before any arithmetic is
     spent on the entries."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"cannot read {path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} at offset {exc.start})"
+        ) from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputError(f"invalid JSON in {path}: {exc}") from exc
+        except RecursionError as exc:
+            raise InputError(f"invalid JSON in {path}: nested too deeply") from exc
+        except ValueError as exc:
+            # The decoder's only other refusal: an integer past the digit limit.
+            raise InputError(
+                f"invalid JSON in {path}: an integer has more than "
+                f"{sys.get_int_max_str_digits()} digits, the interpreter's limit"
+            ) from exc
         return _parse_json_basis(data, max_dim)
-    return _parse_text_basis(text, max_dim)
+    return _parse_text_basis(text, path, max_dim)
 
 
 def _resolve_kind(flag_value: str | None, file_kind: NormKind | None) -> NormKind:
@@ -488,12 +511,16 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """Process entry point: ``main``, plus the failure only a process meets,
-    a stdout that cannot be written.  It exits 2, silently when the reader
-    closed the pipe, else with one ``error:`` line; stdout then points at
-    devnull, so the flush at exit cannot fail again."""
+    """Process entry point: ``main``, plus the failures only a process meets.
+    A stdout that cannot be written exits 2, silently when the reader closed
+    the pipe, else with one ``error:`` line; stdout then points at devnull,
+    so the flush at exit cannot fail again.  An interrupt exits 130 with one
+    ``interrupted`` line on stderr."""
     try:
         code = main()
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        code = EXIT_INTERRUPTED
     except OSError as exc:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if not isinstance(exc, BrokenPipeError):

@@ -34,9 +34,10 @@ def min_translate(b2: IntVector, b1: IntVector, kind: NormKind) -> int:
 
     Under L2, f(q)^2 is a quadratic minimized at -<b2, b1> / <b1, b1>, so q is
     that value's floor or the integer above it, compared exactly.  Under L1
-    and Linf, f is convex, so its forward difference is nondecreasing; two
-    bisections locate the full (possibly flat) minimizer interval.  Ties
-    resolve to the smallest |q|, then the nonnegative one.
+    and Linf, f is convex: q = 0 wins when neither neighbour is shorter than
+    f(0), and otherwise one bisection on the shorter neighbour's side finds
+    the minimizer nearest 0.  Ties resolve to the smallest |q|, then the
+    nonnegative one.
     """
     require_kind(kind)
     b1 = _as_int_row(b1)
@@ -54,36 +55,24 @@ def min_translate(b2: IntVector, b1: IntVector, kind: NormKind) -> int:
         step = 2 * dot + (2 * q + 1) * sq
         return q + 1 if step < 0 or (step == 0 and q < 0) else q
 
-    values = {}
-
     def f(q: int):
-        if q not in values:
-            values[q] = measure(tuple(v + q * u for v, u in zip(b2, b1)), kind).value
-        return values[q]
+        return measure(tuple(v + q * u for v, u in zip(b2, b1)), kind).value
 
-    def diff_nonneg(q: int) -> bool:
-        return f(q + 1) >= f(q)
-
-    def diff_pos(q: int) -> bool:
-        return f(q + 1) > f(q)
-
-    # Every minimizer has |q| <= 2||b2|| / ||b1||; ||b2|| = f(0) is memoized.
-    span = -((-2 * f(0)) // measure(b1, kind).value) + 1
-
-    def first_true(lo: int, hi: int, pred) -> int:
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if pred(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    left = first_true(-span - 1, span, diff_nonneg)
-    right = first_true(left, span, diff_pos)
-    if left <= 0 <= right:
+    f0, up, down = f(0), f(1), f(-1)
+    if up >= f0 <= down:
         return 0
-    return left if left > 0 else right
+    # By convexity only one neighbour beats f(0), and every minimizer lies on
+    # its side s.  Each has |q| <= 2||b2|| / ||b1||, so the least t >= 1 with
+    # f(s(t + 1)) >= f(st), the minimizer nearest 0, is at most hi.
+    s = 1 if up < f0 else -1
+    lo, hi = 1, -((-2 * f0) // measure(b1, kind).value)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if f(s * (mid + 1)) >= f(s * mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return s * lo
 
 
 def _gauss_loop(

@@ -1,7 +1,9 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -205,6 +207,40 @@ class TestErrorClasses:
         path.write_text("{not json")
         code, _, err = run_cli(["minima", str(path)], capsys)
         assert code == 2
+
+    def test_deeply_nested_json_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"dim": 1, "basis": ' + "[" * 200_000 + "]" * 200_000 + "}")
+        code, out, err = run_cli(["minima", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid JSON in {path}: nested too deeply\n"
+
+    def test_non_utf8_file_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "latin.txt"
+        path.write_bytes(b"2\n1 0\n0 \xff1\n")
+        code, out, err = run_cli(["minima", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read {path}: not UTF-8 text (byte 0xff at offset 8)\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_entry_past_the_digit_limit_names_the_file_and_the_limit(self, tmp_path, capsys, fmt):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("the interpreter has no int digit limit")
+        entry = "7" * (limit + 1)
+        path = tmp_path / f"big.{fmt}"
+        path.write_text(f'{{"dim": 1, "basis": [[{entry}]]}}' if fmt == "json" else f"1\n{entry}\n")
+        code, out, err = run_cli(["minima", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert str(path) in err and f"more than {limit} digits" in err
+        assert "set_int_max_str_digits" not in err and "integers only" not in err
+
+    def test_non_integer_token_keeps_its_message(self, tmp_path, capsys):
+        path = tmp_path / "word.txt"
+        path.write_text("1\n" + "7" * 5000 + "x\n")
+        code, out, err = run_cli(["minima", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert "plain-text basis files contain integers only" in err
 
     def test_bad_rational(self, tmp_path, capsys):
         path = write_json_basis(tmp_path, "i2.json", [[1, 0], [0, 1]])
@@ -496,3 +532,24 @@ class TestOutputFailures:
         assert len(lines) == 1
         assert lines[0].startswith("error: cannot write the output: ")
         assert "No space left on device" in lines[0]
+
+
+class TestInterrupt:
+    @pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
+    def test_interrupt_exits_130_without_a_traceback(self, tmp_path):
+        # Z^12 under Linf searches for many seconds, so SIGINT lands mid-search.
+        path = write_json_basis(tmp_path, "z12.json", [[int(i == j) for j in range(12)] for i in range(12)])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "stdlattice", "check", path, "--norm", "linf"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            time.sleep(2)
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == cli.EXIT_INTERRUPTED == 130
+        assert out == b""
+        assert err.decode().splitlines() == ["interrupted"]

@@ -29,7 +29,7 @@ SKEWS = st.lists(st.tuples(st.integers(0, 1), st.sampled_from([-5, -3, -2, 2, 3,
 def brute_translate(b2, b1, kind, window=400):
     """The minimizer of ||b2 + q b1|| over |q| <= window, ties to the
     smallest |q|, then the nonnegative one."""
-    values = {q: measure((b2[0] + q * b1[0], b2[1] + q * b1[1]), kind).value for q in range(-window, window + 1)}
+    values = {q: measure(tuple(v + q * u for v, u in zip(b2, b1)), kind).value for q in range(-window, window + 1)}
     best = min(values.values())
     return min((q for q, v in values.items() if v == best), key=lambda q: (abs(q), q < 0))
 
@@ -78,8 +78,8 @@ class TestMinTranslate:
 
     @pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
     def test_measures_each_input_at_most_once(self, monkeypatch, kind):
-        # ||b2|| is f(0), which the bisection evaluates anyway, so the span
-        # of candidates reads it from the memo instead of measuring b2 again.
+        # ||b2|| is f(0), which the check at 0 measures, and the bisection
+        # starts at q = +-1, so b2 is measured once and b1 only for its bound.
         measured = []
         real_measure = norm2d.measure
         monkeypatch.setattr(norm2d, "measure", lambda v, k: measured.append(v) or real_measure(v, k))
@@ -87,6 +87,49 @@ class TestMinTranslate:
         assert min_translate(b2, b1, kind) == brute_translate(b2, b1, kind)
         assert measured.count(b2) == 1
         assert measured.count(b1) == 1
+
+    @pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
+    def test_measures_three_translates_when_zero_is_optimal(self, monkeypatch, kind):
+        measured = []
+        real_measure = norm2d.measure
+        monkeypatch.setattr(norm2d, "measure", lambda v, k: measured.append(v) or real_measure(v, k))
+        b2, b1 = (0, 5, -2), (1, 0, 0)
+        assert min_translate(b2, b1, kind) == 0
+        assert sorted(measured) == sorted([b2, (1, 5, -2), (-1, 5, -2)])
+
+    @pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
+    @pytest.mark.parametrize("side", ["left", "right", "across"])
+    def test_differential_on_plateaus(self, kind, side):
+        # f is flat on [c - h, c + h]: under Linf b1 = e1 and b2 = (-c, h, r)
+        # with |r| <= h, under L1 b1 = e1 + e2 and b2 = (h - c, -h - c, r).
+        # The minimizer nearest 0 is the plateau's near end, or 0 inside it.
+        rng = random.Random(f"{kind.value}-{side}")
+        for _ in range(40):
+            n = rng.randint(2, 4)
+            h = rng.randint(1, 60)
+            c = {"left": -rng.randint(h + 1, 300), "right": rng.randint(h + 1, 300), "across": rng.randint(-h, h)}[side]
+            if kind is NormKind.LINF:
+                b1 = (1,) + (0,) * (n - 1)
+                b2 = (-c, h) + tuple(rng.randint(-h, h) for _ in range(n - 2))
+            else:
+                b1 = (1, 1) + (0,) * (n - 2)
+                b2 = (h - c, -h - c) + tuple(rng.randint(-500, 500) for _ in range(n - 2))
+            expected = {"left": c + h, "right": c - h, "across": 0}[side]
+            assert min_translate(b2, b1, kind) == expected
+            assert brute_translate(b2, b1, kind) == expected
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_differential_in_two_to_four_coordinates(self, kind):
+        # Each minimizer of sum or max of |b2_i + q b1_i| lies between the
+        # extreme ratios -b2_i / b1_i, so |q| <= 500 covers the one nearest 0.
+        rng = random.Random(113)
+        for _ in range(30):
+            n = rng.randint(2, 4)
+            b1 = tuple(rng.randint(-9, 9) for _ in range(n))
+            if not any(b1):
+                b1 = (1,) * n
+            b2 = tuple(rng.randint(-500, 500) for _ in range(n))
+            assert min_translate(b2, b1, kind) == brute_translate(b2, b1, kind, window=500)
 
     @pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF, NormKind.L2])
     def test_agrees_with_exhaustive_scan(self, kind):
