@@ -34,7 +34,7 @@ from math import lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .errors import InternalConsistencyError, ResourceLimitError
+from .errors import InputError, InternalConsistencyError, ResourceLimitError
 from .exactlin import (
     IntVector,
     LatticeBasis,
@@ -336,42 +336,50 @@ def minima_witness_check(
 
     Re-checks membership, norms, independence, ordering, and minimality
     against a fresh enumeration; returns ok=False with diagnostics instead of
-    raising.
+    raising.  A malformed certificate is refused with InputError.
     """
+    if not isinstance(sm, SuccessiveMinima):
+        raise InputError(f"expected a SuccessiveMinima certificate, got {type(sm).__name__}")
     require_kind(sm.kind)
+    try:
+        minima, witnesses = tuple(sm.minima), tuple(map(tuple, sm.witnesses))
+    except TypeError as exc:
+        raise InputError("minima must be a sequence and witnesses a sequence of rows") from exc
+    if not all(isinstance(nv, NormValue) for nv in minima):
+        raise InputError("every minimum must be a NormValue")
     _check_dim(basis.dim, max_dim)
     _check_positive_int("max_candidates", max_candidates)
     problems: list[str] = []
     n = basis.dim
-    if len(sm.minima) != n or len(sm.witnesses) != n:
-        problems.append(f"expected {n} minima and witnesses, got {len(sm.minima)}/{len(sm.witnesses)}")
+    if len(minima) != n or len(witnesses) != n:
+        problems.append(f"expected {n} minima and witnesses, got {len(minima)}/{len(witnesses)}")
         return CheckResult(False, tuple(problems))
-    for i, nv in enumerate(sm.minima):
+    for i, nv in enumerate(minima):
         if nv.kind is not sm.kind:
             problems.append(f"minimum {i + 1} has kind {nv.kind.value}, expected {sm.kind.value}")
     for i in range(1, n):
-        if sm.minima[i].value < sm.minima[i - 1].value:
+        if minima[i].value < minima[i - 1].value:
             problems.append(f"minima are not nondecreasing at position {i + 1}")
     gso = _integral_gso(basis.rows)
-    for i, w in enumerate(sm.witnesses):
+    for i, w in enumerate(witnesses):
         if len(w) != n:
             problems.append(f"witness {i + 1} has wrong length")
             return CheckResult(False, tuple(problems))
         if _coefficients(basis.rows, _as_int_row(w), gso) is None:
             problems.append(f"witness {i + 1} is not a lattice point")
         got = measure(w, sm.kind)
-        if got.value != sm.minima[i].value:
+        if got.value != minima[i].value:
             problems.append(
-                f"witness {i + 1} has norm {got.value}, certificate says {sm.minima[i].value}"
+                f"witness {i + 1} has norm {got.value}, certificate says {minima[i].value}"
             )
-    if rank_of_rows(sm.witnesses) != n:
+    if rank_of_rows(witnesses) != n:
         problems.append("witnesses are linearly dependent")
     if not problems:
         fresh = _minima_with_entries(basis.rows, sm.kind, max_candidates=max_candidates)[0]
         for i in range(n):
-            if fresh.minima[i].value != sm.minima[i].value:
+            if fresh.minima[i].value != minima[i].value:
                 problems.append(
                     f"minimum {i + 1} should be {fresh.minima[i].value}, certificate says "
-                    f"{sm.minima[i].value}"
+                    f"{minima[i].value}"
                 )
     return CheckResult(not problems, tuple(problems))

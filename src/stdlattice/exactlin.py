@@ -10,7 +10,9 @@ target's lam row gives each coefficient, from the last row to the first, as
 a quotient that must leave no remainder, so no linear system is solved and
 one Gram-Schmidt of a basis serves every vector tested against it.
 Rational results (the public ``gso``, squared distances) are
-``fractions.Fraction``.
+``fractions.Fraction``.  Every echelon form, the Hermite form's and the
+generation test's in ``standardness``, comes from one row insertion,
+``_echelon_insert``.
 
 Conventions:
   * basis vectors are ROWS of the matrix,
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, InputError, ResourceLimitError, StructuralError
@@ -177,54 +179,55 @@ def _matrix_rows(mat) -> list[list[int]]:
     return rows
 
 
+def _echelon_insert(
+    echelon: dict[int, Sequence[int]], vec: Sequence[int], width: int
+) -> Sequence[int] | None:
+    """Fold the integer row ``vec`` into ``echelon`` (rows keyed by pivot
+    column, pivots positive and within the first ``width`` entries), keeping
+    the span.  Where vec meets a pivot p with entry x, one unimodular step
+    [[s, t], [-x/g, p/g]] with g = gcd(p, x) makes g the pivot and clears x.
+    Returns None when vec opens a new pivot (the rank grew), else what is
+    left of it, zero in its first ``width`` entries."""
+    for c in range(width):
+        x = vec[c]
+        if not x:
+            continue
+        row = echelon.get(c)
+        if row is None:
+            echelon[c] = vec if x > 0 else [-a for a in vec]
+            return None
+        g = gcd(row[c], x)
+        p, x = row[c] // g, x // g
+        s = pow(p, -1, abs(x)) or 1
+        t = (1 - s * p) // x
+        if t:
+            echelon[c] = [s * a + t * b for a, b in zip(row, vec)]
+        vec = [p * b - x * a for a, b in zip(row, vec)]
+    return vec
+
+
 def hermite_form(mat) -> HermiteForm:
     """Canonical row Hermite normal form ``H`` with unimodular ``U`` such that
-    ``U * M = H``.  Accepts any integer matrix, square or not."""
+    ``U * M = H``.  Accepts any integer matrix, square or not.  Each row is
+    inserted with its identity row appended, so the tails record U, and the
+    rows that reduce to zero, the kernel rows of U, come last.  H is unique;
+    U is unique only when M is square and nonsingular."""
     rows = _matrix_rows(mat)
-    m = len(rows)
-    n = len(rows[0])
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def combine(i: int, q: int, r: int) -> None:
-        if q == 0:
-            return
-        ri, rr = rows[i], rows[r]
-        rows[i] = [a - q * b for a, b in zip(ri, rr)]
-        ui, ur = u[i], u[r]
-        u[i] = [a - q * b for a, b in zip(ui, ur)]
-
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        while True:
-            nz = [i for i in range(r, m) if rows[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: (abs(rows[i][c]), i))
-            if i0 != r:
-                rows[r], rows[i0] = rows[i0], rows[r]
-                u[r], u[i0] = u[i0], u[r]
-            settled = True
-            for i in range(r + 1, m):
-                if rows[i][c] != 0:
-                    combine(i, rows[i][c] // rows[r][c], r)
-                    if rows[i][c] != 0:
-                        settled = False
-            if settled:
-                break
-        if rows[r][c] == 0:
-            continue
-        if rows[r][c] < 0:
-            rows[r] = [-x for x in rows[r]]
-            u[r] = [-x for x in u[r]]
+    m, n = len(rows), len(rows[0])
+    echelon: dict[int, Sequence[int]] = {}
+    kernel = []
+    for i, row in enumerate(rows):
+        rest = _echelon_insert(echelon, row + [int(i == j) for j in range(m)], n)
+        if rest is not None:
+            kernel.append(rest)
+    cols = sorted(echelon)
+    out = [echelon[c] for c in cols]
+    for r, c in enumerate(cols):
         for i in range(r):
-            combine(i, rows[i][c] // rows[r][c], r)
-        r += 1
-    return HermiteForm(
-        tuple(tuple(row) for row in rows),
-        tuple(tuple(row) for row in u),
-    )
+            q = out[i][c] // out[r][c]
+            out[i] = [a - q * b for a, b in zip(out[i], out[r])]
+    out += kernel
+    return HermiteForm(tuple(tuple(r[:n]) for r in out), tuple(tuple(r[n:]) for r in out))
 
 
 def hnf_nonzero_rows(mat) -> tuple[IntVector, ...]:

@@ -140,11 +140,11 @@ def enumeration_radius_in_l2(bound: NormValue, dim: int) -> NormValue:
     Uses ||v||_2 <= ||v||_1 and ||v||_2^2 <= dim * ||v||_inf^2; for L2 the
     bound already is the squared radius.
     """
+    if not isinstance(bound, NormValue):
+        raise InputError(f"bound must be a NormValue, got {type(bound).__name__}")
     _check_positive_int("dimension", dim)
     if bound.kind is NormKind.L1:
         return NormValue(NormKind.L2, bound.value * bound.value)
     if bound.kind is NormKind.LINF:
         return NormValue(NormKind.L2, dim * bound.value * bound.value)
-    if bound.kind is NormKind.L2:
-        return NormValue(NormKind.L2, bound.value)
-    raise _unknown_kind(bound.kind)
+    return NormValue(NormKind.L2, bound.value)

@@ -7,9 +7,10 @@ enumeration behind the minima (every vector up to a bound >= lambda_n) and
 restricts level i to vectors of norm exactly lambda_i.  It answers
 NonStandard by one of two routes:
 
-* generation: the union of the levels generates a proper sublattice (the
-  product of the pivots of its Hermite form is not |det|), so no basis can
-  be drawn from it.  This is the paper's argument for the parity lattices.
+* generation: the union of the levels generates a proper sublattice, so
+  no basis can be drawn from it: folded one vector at a time into a single
+  echelon form (``_echelon_insert``), it never reaches n pivots whose
+  product is |det|.  This is the paper's argument for the parity lattices.
   The test is skipped when the greedy minima witnesses, which lie in that
   union, already have |det| equal to the lattice's: then they are a basis
   and the union generates the lattice.  The rank tracker of the greedy scan
@@ -52,6 +53,7 @@ from .exactlin import (
     _check_dim,
     _check_lengths,
     _coefficients,
+    _echelon_insert,
     _integral_gso,
     _pairwise_orthogonal,
     hermite_form,
@@ -97,26 +99,12 @@ def is_orthogonal_basis(basis: LatticeBasis) -> bool:
 
 def _generates(vectors: Iterable[IntVector], n: int, det: int) -> bool:
     """True iff lattice vectors of dimension ``n`` generate the lattice of
-    covolume ``det`` that holds them.
-
-    The Hermite form grows one vector at a time, so no reduction sees more
-    than n + 1 rows.  A vector it already generates is skipped after one
-    pass of echelon division, and the scan stops once the generated lattice
-    has full rank and covolume ``det`` (the product of its diagonal pivots).
-    """
-    hnf: tuple[IntVector, ...] = ()
+    covolume ``det`` that holds them: folded one at a time into an echelon
+    form of at most n rows, they reach n pivots whose product is ``det``."""
+    echelon: dict[int, Sequence[int]] = {}
     for vec in vectors:
-        rest = list(vec)
-        for row in hnf:
-            c = next(j for j, x in enumerate(row) if x)
-            q, r = divmod(rest[c], row[c])
-            if r or any(rest[:c]):
-                break
-            rest = [a - q * b for a, b in zip(rest, row)]
-        if not any(rest):
-            continue
-        hnf = hnf_nonzero_rows(hnf + (vec,))
-        if len(hnf) == n and math.prod(hnf[i][i] for i in range(n)) == det:
+        _echelon_insert(echelon, vec, n)
+        if len(echelon) == n and math.prod(row[c] for c, row in echelon.items()) == det:
             return True
     return False
 
@@ -134,8 +122,8 @@ def check_standard(
     NonStandard, by one of two routes:
 
     * the vectors of norm equal to some lambda_i generate a proper
-      sublattice, decided before any search by a Hermite form grown one
-      vector at a time (``_generates``).  This root test runs only when
+      sublattice, decided before any search by folding them one at a time
+      into an echelon form (``_generates``).  This root test runs only when
       |det| of the greedy witnesses differs from |det| of the lattice:
       witnesses of full covolume are a basis drawn from those vectors, so
       they generate the lattice;

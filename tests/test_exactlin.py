@@ -41,10 +41,26 @@ from util import (
     reference_solve,
 )
 
-small_matrix = st.integers(2, 4).flatmap(
-    lambda n: st.lists(
-        st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n
+def int_matrix(m, n):
+    return st.lists(
+        st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=m, max_size=m
     )
+
+
+def low_rank_matrix(shape):
+    """An m x n product (m x k)(k x n) with k below both sides."""
+    m, n = shape
+    return st.integers(1, min(m, n) - 1).flatmap(
+        lambda k: st.tuples(int_matrix(m, k), int_matrix(k, n)).map(lambda f: mat_mul(*f))
+    )
+
+
+# Square, non-square and rank-deficient, so U has kernel rows as well as
+# rows of H.
+small_matrix = st.one_of(
+    st.integers(2, 4).flatmap(lambda n: int_matrix(n, n)),
+    st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(lambda s: int_matrix(*s)),
+    st.tuples(st.integers(2, 5), st.integers(2, 5)).flatmap(low_rank_matrix),
 )
 
 
@@ -134,6 +150,17 @@ class TestHermiteForm:
         assert abs(cofactor_det(u)) == 1
         h2, _ = hermite_form(h)
         assert h2 == h
+
+    def test_echelon_insert_takes_one_gcd_step(self):
+        # (3, 1) meets the pivot 2 with gcd 1: [[2, -1], [-3, 2]] turns the
+        # pair into the pivot row (1, -1) and the rest (0, 2), a new pivot.
+        echelon = {0: [2, 0]}
+        assert exactlin._echelon_insert(echelon, [3, 1], 2) is None
+        assert echelon == {0: [1, -1], 1: [0, 2]}
+        # A vector the rows already generate leaves them alone and reduces
+        # to zero.
+        assert exactlin._echelon_insert(echelon, [5, -1], 2) == [0, 0]
+        assert echelon == {0: [1, -1], 1: [0, 2]}
 
     def test_canonical_shape(self):
         rng = random.Random(5)

@@ -81,6 +81,7 @@ SLOTS = {
         "kind": lambda x: measure((1, 2), x),
     },
     "enumeration_radius_in_l2": {
+        "bound": lambda x: enumeration_radius_in_l2(x, 2),
         "value": lambda x: enumeration_radius_in_l2(NormValue(LINF, x), 2),
         "dimension": lambda x: enumeration_radius_in_l2(NormValue(LINF, 1), x),
         "kind": lambda x: enumeration_radius_in_l2(NormValue(x, 1), 2),
@@ -116,6 +117,15 @@ SLOTS = {
             P3, minima_with(minima=(NormValue(L2, x),) + P3_MINIMA.minima[1:])
         ),
         "kind": lambda x: minima_witness_check(P3, minima_with(kind=x)),
+        "certificate": lambda x: minima_witness_check(P3, x),
+        "minima": lambda x: minima_witness_check(P3, minima_with(minima=x)),
+        "bare minimum": lambda x: minima_witness_check(
+            P3, minima_with(minima=(x,) + P3_MINIMA.minima[1:])
+        ),
+        "witnesses": lambda x: minima_witness_check(P3, minima_with(witnesses=x)),
+        "witness row": lambda x: minima_witness_check(
+            P3, minima_with(witnesses=(x,) + P3_MINIMA.witnesses[1:])
+        ),
         "max_candidates": lambda x: minima_witness_check(P3, P3_MINIMA, max_candidates=x),
         "max_dim": lambda x: minima_witness_check(P3, P3_MINIMA, max_dim=x),
     },
@@ -190,8 +200,8 @@ EXEMPT = {
     "SearchStats": "record inside StandardnessCertificate",
     "ShortVectorList": "record returned by enumerate_short",
     "StandardnessCertificate": "record returned by check_standard",
-    "SuccessiveMinima": "record returned by successive_minima; its fields are "
-    "checked where minima_witness_check reads them",
+    "SuccessiveMinima": "record returned by successive_minima; minima_witness_check "
+    "refuses one whose fields are not NormValues and integer rows",
     "NormKind": "enum of the three norms; every call checks its kind argument",
     "Verdict": "enum of the two verdicts",
     "LatticeError": "error class",
@@ -275,6 +285,30 @@ REFUSALS = {
     "zero bound": (lambda: enumerate_short(B2, L2, NormValue(L2, 0)), InputError),
     "parity lattice of dimension 0": (lambda: parity_lattice(0), InputError),
     "zero box bound": (lambda: coefficient_box(B2, L2, NormValue(L2, 0)), InputError),
+    # These used to raise a bare AttributeError or TypeError.
+    "radius of a bound that is no NormValue": (lambda: enumeration_radius_in_l2(5, 2), InputError),
+    "certificate that is a number": (lambda: minima_witness_check(P3, 5), InputError),
+    "certificate that is None": (lambda: minima_witness_check(P3, None), InputError),
+    "certificate that is a plain tuple": (
+        lambda: minima_witness_check(P3, tuple(P3_MINIMA)),
+        InputError,
+    ),
+    "certificate without minima": (
+        lambda: minima_witness_check(P3, minima_with(minima=None)),
+        InputError,
+    ),
+    "certificate without witnesses": (
+        lambda: minima_witness_check(P3, minima_with(witnesses=None)),
+        InputError,
+    ),
+    "minima that are numbers": (
+        lambda: minima_witness_check(P3, minima_with(minima=(1, 2, 3))),
+        InputError,
+    ),
+    "witness row that is None": (
+        lambda: minima_witness_check(P3, minima_with(witnesses=(None,) + P3_MINIMA.witnesses[1:])),
+        InputError,
+    ),
 }
 
 

@@ -117,11 +117,12 @@ class TestSearchWork:
             cert = check_standard(parity_lattice(n), kind)
             assert cert.verdict is Verdict.NON_STANDARD, (n, kind)
 
-    def test_generation_test_reduces_at_most_n_plus_one_rows(self, monkeypatch):
+    def test_generation_test_keeps_at_most_n_rows(self, monkeypatch):
         # Z^8 under Linf has one level of (3^8 - 1) / 2 = 3280 vectors; the
-        # generation test must not take the Hermite form of all of them.
-        # The check's unit-vector witnesses are a basis, so it skips the
-        # test; here it runs directly on that level.
+        # generation test must hold no more than 8 echelon rows, take no
+        # Hermite form and stop before it has inserted all of them.  The check's unit-vector
+        # witnesses are a basis, so it skips the test; here it runs directly
+        # on that level.
         basis = identity_basis(8)
         cert = check_standard(basis, NormKind.LINF)
         assert cert.verdict is Verdict.STANDARD
@@ -130,19 +131,30 @@ class TestSearchWork:
         level = [vec for vec, nv in entries if nv.value == 1]
         assert len(level) == 3280
         sizes = []
-        hermite_form = exactlin.hermite_form
+        insert = exactlin._echelon_insert
 
-        def counted(mat):
-            sizes.append(len(mat))
-            return hermite_form(mat)
+        def counted(echelon, vec, width):
+            rest = insert(echelon, vec, width)
+            sizes.append(len(echelon))
+            return rest
 
-        monkeypatch.setattr(exactlin, "hermite_form", counted)
+        def no_hermite_form(mat):
+            raise AssertionError("the generation test took a Hermite form")
+
+        monkeypatch.setattr(standardness, "_echelon_insert", counted)
+        for module, name in (
+            (exactlin, "hermite_form"),
+            (standardness, "hermite_form"),
+            (standardness, "hnf_nonzero_rows"),
+        ):
+            monkeypatch.setattr(module, name, no_hermite_form)
         assert standardness._generates(level, 8, 1)
-        assert sizes and max(sizes) <= 9
+        assert max(sizes) == 8
+        assert len(sizes) < len(level)
 
-    def test_witness_basis_checks_build_no_hermite_form(self, monkeypatch):
+    def test_witness_basis_checks_skip_the_generation_test(self, monkeypatch):
         # When the greedy witnesses are a basis the root generation test is
-        # skipped, and a Standard check then takes no Hermite form at all.
+        # skipped: a Standard check then never calls it.
         rng = random.Random(2024)
         cases = [(identity_basis(8), NormKind.LINF)]
         cases += [(random_basis(rng, rng.randint(2, 4), -5, 5), NormKind.L2) for _ in range(40)]
@@ -151,14 +163,13 @@ class TestSearchWork:
         ]
         assert len(cases) > 30
         calls = []
-        inner = exactlin.hermite_form
+        inner = standardness._generates
 
-        def counted(mat):
-            calls.append(mat)
-            return inner(mat)
+        def counted(vectors, n, det):
+            calls.append(n)
+            return inner(vectors, n, det)
 
-        for module in (exactlin, standardness):
-            monkeypatch.setattr(module, "hermite_form", counted)
+        monkeypatch.setattr(standardness, "_generates", counted)
         for b, kind in cases:
             cert = check_standard(b, kind)
             assert cert.verdict is Verdict.STANDARD

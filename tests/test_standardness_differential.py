@@ -9,8 +9,12 @@ certified basis must have exactly the minima norms.
 
 Against itself with the root generation test always run: skipping that
 test when the greedy witnesses are a basis must change no certificate.
+
+The root generation test itself, on vectors drawn from a lattice of known
+covolume, against the Hermite form of all of them at once.
 """
 
+import math
 import random
 
 import pytest
@@ -24,6 +28,7 @@ from stdlattice import (
     brute_minima,
     check_standard,
     enumeration,
+    hnf_nonzero_rows,
     measure,
     parity_lattice,
     standardness,
@@ -35,6 +40,7 @@ from util import (
     apply_unimodular,
     cofactor_det,
     d4_type_bases,
+    mat_mul,
     random_basis,
     random_unimodular,
 )
@@ -184,3 +190,38 @@ def test_skipping_the_root_test_changes_no_parity_certificate(n, kind):
 def test_skipping_the_root_test_changes_no_d4_type_certificate(q):
     for basis in d4_type_bases(q):
         assert_skip_changes_nothing(basis, NormKind.L2)
+
+
+PRIME_FACTORS = {1: [], 2: [2], 3: [3], 4: [2, 2], 6: [2, 3], 8: [2, 2, 2]}
+
+
+@st.composite
+def vectors_in_a_lattice(draw):
+    """(vectors, n, det): 1 to 2n + 2 integer combinations, coefficients in
+    [-3, 3], of the rows of an upper triangular basis of covolume det, so
+    the vectors lie in a lattice of covolume det, as ``_generates`` asks."""
+    n = draw(st.integers(1, 6))
+    det = draw(st.sampled_from(sorted(PRIME_FACTORS)))
+    diagonal = [1] * n
+    for p in PRIME_FACTORS[det]:
+        diagonal[draw(st.integers(0, n - 1))] *= p
+    entries = st.integers(-3, 3)
+    basis = [
+        [0] * i + [diagonal[i]] + draw(st.lists(entries, min_size=n - i - 1, max_size=n - i - 1))
+        for i in range(n)
+    ]
+    coeffs = draw(
+        st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=2 * n + 2)
+    )
+    return list(mat_mul(coeffs, basis)), n, det
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(vectors_in_a_lattice())
+def test_generation_test_agrees_with_the_hermite_form(case):
+    # The reference takes the Hermite form of all the vectors at once: they
+    # generate the lattice iff it has n rows whose pivots multiply to det.
+    vectors, n, det = case
+    h = hnf_nonzero_rows(vectors)
+    expected = len(h) == n and math.prod(h[i][i] for i in range(n)) == det
+    assert standardness._generates(vectors, n, det) is expected
