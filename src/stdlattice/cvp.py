@@ -27,6 +27,7 @@ from .exactlin import (
     LatticeBasis,
     Rational,
     _as_rational_row,
+    _check_basis,
     _coefficients,
     _nearest_rows,
     _pairwise_orthogonal,
@@ -70,6 +71,7 @@ def nearest_plane(basis: LatticeBasis, target: Sequence[Rational]) -> NearestPoi
     exceeds the bound, and the bound is met exactly only in the orthogonal
     half-integral configuration reported by :func:`equality_case_analyze`.
     """
+    _check_basis(basis)
     v = _as_rational_row(target, basis.dim)
     coeffs, point, dist_sq = _nearest_rows(basis.rows, v)
     max_row_sq = max(measure(row, NormKind.L2).value for row in basis.rows)
@@ -85,6 +87,7 @@ def nearest_plane(basis: LatticeBasis, target: Sequence[Rational]) -> NearestPoi
 
 def equality_case_analyze(basis: LatticeBasis, target: Sequence[Rational]) -> EqualityCaseReport:
     """Check each equality condition of the distance bound exactly."""
+    _check_basis(basis)
     v = _as_rational_row(target, basis.dim)
     rows = basis.rows
     orthogonal = _pairwise_orthogonal(rows)

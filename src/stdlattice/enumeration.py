@@ -40,6 +40,7 @@ from .exactlin import (
     LatticeBasis,
     RankTracker,
     _as_int_row,
+    _check_basis,
     _check_dim,
     _check_positive_int,
     _coefficients,
@@ -209,6 +210,7 @@ def enumerate_short(
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> ShortVectorList:
     """All nonzero lattice vectors with norm at most ``bound``, up to sign."""
+    _check_basis(basis)
     _require_bound(kind, bound)
     _check_dim(basis.dim, max_dim)
     _check_positive_int("max_candidates", max_candidates)
@@ -320,6 +322,7 @@ def successive_minima(
     smaller of that and the largest norm of the L2 witnesses, after a probe
     pass at the smallest of those norms when their shape allows it.
     """
+    _check_basis(basis)
     require_kind(kind)
     _check_dim(basis.dim, max_dim)
     return _minima_with_entries(basis.rows, kind, max_candidates=max_candidates)[0]
@@ -338,6 +341,7 @@ def minima_witness_check(
     against a fresh enumeration; returns ok=False with diagnostics instead of
     raising.  A malformed certificate is refused with InputError.
     """
+    _check_basis(basis)
     if not isinstance(sm, SuccessiveMinima):
         raise InputError(f"expected a SuccessiveMinima certificate, got {type(sm).__name__}")
     require_kind(sm.kind)

@@ -10,9 +10,10 @@ target's lam row gives each coefficient, from the last row to the first, as
 a quotient that must leave no remainder, so no linear system is solved and
 one Gram-Schmidt of a basis serves every vector tested against it.
 Rational results (the public ``gso``, squared distances) are
-``fractions.Fraction``.  Every echelon form, the Hermite form's and the
-generation test's in ``standardness``, comes from one row insertion,
-``_echelon_insert``.
+``fractions.Fraction``.  Every integer reduction, the Hermite form, the
+generation test in ``standardness`` and the rank and minor gcd of
+``RankTracker``, comes from one row insertion, ``_echelon_insert``, and so
+from one extended-gcd step.
 
 Conventions:
   * basis vectors are ROWS of the matrix,
@@ -85,6 +86,12 @@ def _check_dim(dim: int, max_dim: int) -> None:
     _check_positive_int("max_dim", max_dim)
     if dim > max_dim:
         raise ResourceLimitError(f"dimension {dim} exceeds the configured cap {max_dim}")
+
+
+def _check_basis(basis) -> None:
+    """Refuse anything but a :class:`LatticeBasis`; nothing is converted."""
+    if not isinstance(basis, LatticeBasis):
+        raise InputError(f"expected a LatticeBasis, got {type(basis).__name__}")
 
 
 class LatticeBasis:
@@ -239,6 +246,8 @@ def hnf_nonzero_rows(mat) -> tuple[IntVector, ...]:
 def same_lattice(b: LatticeBasis, c: LatticeBasis) -> bool:
     """True iff the two bases generate the same lattice (equal canonical
     Hermite forms)."""
+    _check_basis(b)
+    _check_basis(c)
     if b.dim != c.dim:
         raise DimensionMismatchError(f"dimensions differ: {b.dim} vs {c.dim}")
     return hermite_form(b.rows).h == hermite_form(c.rows).h
@@ -253,6 +262,7 @@ def _check_lengths(vectors: Sequence[IntVector], dim: int) -> None:
 def member(basis: LatticeBasis, vector: Sequence[int]) -> IntVector | None:
     """Integer coefficients of ``vector`` in ``basis``, or None if the vector
     is not a lattice point."""
+    _check_basis(basis)
     v = _as_int_row(vector)
     _check_lengths([v], basis.dim)
     return _coefficients(basis.rows, v)
@@ -262,6 +272,7 @@ def is_basis_of(vectors: Sequence[Sequence[int]], basis: LatticeBasis) -> bool:
     """True iff ``vectors`` is a basis of the lattice generated by ``basis``:
     every vector is a member and the covolumes agree.  Every length is
     checked before any membership test."""
+    _check_basis(basis)
     rows = _as_int_rows(vectors)
     if len(rows) != basis.dim:
         raise DimensionMismatchError(
@@ -275,7 +286,7 @@ def is_basis_of(vectors: Sequence[Sequence[int]], basis: LatticeBasis) -> bool:
 
 
 def _dot(a, b) -> Rational:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def _pairwise_orthogonal(rows: Sequence[Sequence[int]]) -> bool:
@@ -489,6 +500,7 @@ def _lll_rows(
 
 def gso(basis: LatticeBasis) -> GsoData:
     """Exact Gram-Schmidt orthogonalization of the basis rows."""
+    _check_basis(basis)
     mu, bstar, bstar_sq = _gso_rows(basis.rows)
     return GsoData(
         mu=tuple(tuple(r) for r in mu),
@@ -501,12 +513,15 @@ class RankTracker:
     """Incremental rank and minor gcd of a growing set of integer vectors.
 
     Keeps a unimodular column transform U with A U = [H | 0] for the k rows
-    A added so far, H lower triangular.  Unimodular column operations leave
-    the gcd of the k x k minors unchanged (Cauchy-Binet), so ``divisor``, that
-    gcd, is the product of the absolute diagonal entries of H.  A new row v
-    is independent iff z = v U[:, k:] is nonzero; folding z to (g, 0, ...) by
-    Euclidean column steps appends |g| to the diagonal.  ``pop`` removes the
-    vector added last, which is what backtracking searches need.
+    A added so far, H lower triangular with a positive diagonal.  Unimodular
+    column operations leave the gcd of the k x k minors unchanged
+    (Cauchy-Binet), so ``divisor``, that gcd, is the product of the diagonal
+    of H.  A new row v is independent iff z = v U[:, k:] is nonzero.  Each
+    column c with <v, c> != 0 is inserted as the row [<v, c>, *c] into one
+    echelon of width 1 (``_echelon_insert``): its row, headed by g = gcd(z),
+    becomes column k and appends g to the diagonal, and the remainders are
+    columns with <v, c> = 0.  ``pop`` removes the vector added last, which is
+    what backtracking searches need.
     """
 
     __slots__ = ("_cols", "_undo", "divisor")
@@ -527,23 +542,20 @@ class RankTracker:
             n = len(vec)
             cols[:] = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
         k = len(self._undo)
-        z = {j: _dot(vec, cols[j]) for j in range(k, len(cols))}
-        live = [j for j, x in z.items() if x]
-        if not live:
+        echelon: dict[int, Sequence[int]] = {}
+        rest = []
+        for col in cols[k:]:
+            z = _dot(vec, col)
+            if not z:
+                rest.append(col)
+            elif (left := _echelon_insert(echelon, [z, *col], 1)) is not None:
+                rest.append(left[1:])
+        if not echelon:
             return False
         self._undo.append((cols[k:], self.divisor))
-        while len(live) > 1:
-            p = min(live, key=lambda j: abs(z[j]))
-            zp, cp = z[p], cols[p]
-            for j in live:
-                if j != p:
-                    q = z[j] // zp
-                    cols[j] = [a - q * b for a, b in zip(cols[j], cp)]
-                    z[j] -= q * zp
-            live = [j for j in live if z[j]]
-        p = live[0]
-        cols[k], cols[p] = cols[p], cols[k]
-        self.divisor *= abs(z[p])
+        g, *col = echelon[0]
+        cols[k:] = [col, *rest]
+        self.divisor *= g
         return True
 
     def pop(self) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DimensionMismatchError, InternalConsistencyError, StructuralError
-from .exactlin import IntVector, LatticeBasis, _as_int_row
+from .exactlin import IntVector, LatticeBasis, _as_int_row, _check_basis
 from .norms import NormKind, NormValue, measure, require_kind
 
 
@@ -112,6 +112,7 @@ def reduce_2d(basis: LatticeBasis, kind: NormKind) -> Reduced2DBasis:
     pair is a basis of the input lattice.  Failure of either check is a loud
     internal error, not a silent downgrade.
     """
+    _check_basis(basis)
     require_kind(kind)
     if basis.dim != 2:
         raise StructuralError("reduce_2d requires dimension 2")

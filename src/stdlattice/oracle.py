@@ -3,8 +3,10 @@
 Everything here is a plain coefficient-box scan: no Gram-Schmidt pruning, no
 recursive rounding, no shared search code with the fast paths.  Coefficients
 are read through its own Fraction inverse (``invert_rational``), not through
-the library's exact-division membership test.  It exists to be compared
-against, so it is deliberately dumb and allowed to be slow.
+the library's exact-division membership test, and the greedy witness scan
+tests independence by its own elimination (``_independent_prefix``), not
+through the library's rank tracker.  It exists to be compared against, so
+it is deliberately dumb and allowed to be slow.
 """
 
 from __future__ import annotations
@@ -12,12 +14,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .enumeration import MeasuredVector, SuccessiveMinima, _canonical_sign, _greedy_minima
+from .enumeration import MeasuredVector, SuccessiveMinima, _canonical_sign
 from .errors import ResourceLimitError, StructuralError
 from .exactlin import (
     IntVector,
     LatticeBasis,
     _as_rational_row,
+    _check_basis,
     _check_positive_int,
     hnf_nonzero_rows,
 )
@@ -93,6 +96,7 @@ def coefficient_box(basis: LatticeBasis, kind: NormKind, bound: NormValue) -> Co
     If x . B = v then x_i is the dot product of v with column i of B^-1, so
     |x_i| <= ||v||_2 * ||column_i(B^-1)||_2 <= R * max column norm.
     """
+    _check_basis(basis)
     _require_bound(kind, bound)
     r2 = Fraction(enumeration_radius_in_l2(bound, basis.dim).value)
     colsq = max(_inverse_column_sq(basis))
@@ -158,6 +162,27 @@ def double_radius(bound: NormValue) -> NormValue:
     return NormValue(bound.kind, bound.value * factor)
 
 
+def _independent_prefix(entries: Sequence[MeasuredVector], want: int) -> list[MeasuredVector]:
+    """The entries, in order, that each lie outside the span of those kept
+    before them, stopping at ``want``.  Each vector is cross-multiplied
+    against the kept rows' pivots, which clears those columns; it is kept,
+    with its first nonzero column as pivot, when something is left."""
+    kept: list[tuple[int, list[int]]] = []
+    out = []
+    for entry in entries:
+        v = list(entry.vector)
+        for c, row in kept:
+            if v[c]:
+                v = [row[c] * a - v[c] * b for a, b in zip(v, row)]
+        pivot = next((c for c, a in enumerate(v) if a), None)
+        if pivot is not None:
+            kept.append((pivot, v))
+            out.append(entry)
+            if len(out) == want:
+                break
+    return out
+
+
 def brute_minima(
     basis: LatticeBasis, kind: NormKind, *, max_points: int = DEFAULT_MAX_POINTS
 ) -> SuccessiveMinima:
@@ -171,6 +196,7 @@ def brute_minima(
     at 1 (no nonzero integer vector is smaller) and doubles until the
     witnesses span everything.
     """
+    _check_basis(basis)
     require_kind(kind)
     _check_oracle_dim(basis)
     _check_positive_int("max_points", max_points)
@@ -179,9 +205,11 @@ def brute_minima(
     bound = NormValue(kind, 1)
     while True:
         entries = _scan_box(scan_basis, kind, bound, max_points)
-        minima, witnesses, _ = _greedy_minima(entries, n)
-        if len(witnesses) == n:
-            return SuccessiveMinima(kind, tuple(minima), tuple(witnesses))
+        found = _independent_prefix(entries, n)
+        if len(found) == n:
+            return SuccessiveMinima(
+                kind, tuple(e.norm for e in found), tuple(e.vector for e in found)
+            )
         bound = double_radius(bound)
 
 
@@ -204,6 +232,7 @@ def brute_cvp(
     coefficient vector over the canonical scan basis, a fixed deterministic
     rule.  The returned ``coeffs`` are relative to the caller's basis.
     """
+    _check_basis(basis)
     _check_oracle_dim(basis)
     _check_positive_int("max_points", max_points)
     n = basis.dim

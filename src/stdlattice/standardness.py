@@ -21,11 +21,12 @@ NonStandard by one of two routes:
 The search order is deterministic, so certificates are reproducible by
 replay.
 
-Both prunings come from one incremental column reduction of the chosen
-vectors (``RankTracker``).  Unimodular column operations preserve the gcd of
-the maximal minors (Cauchy-Binet), so the reduction yields that gcd as the
-product of its pivots, updated in one step per added vector; a partial tuple
-whose gcd does not divide |det| can never complete to a basis.
+Both prunings come from ``RankTracker``, which keeps a unimodular column
+transform of the chosen vectors and folds each new one into it by the same
+row insertion (``_echelon_insert``).  Unimodular column operations preserve the
+gcd of the maximal minors (Cauchy-Binet), so that gcd is the product of the
+pivots, one per added vector; a partial tuple whose gcd does not divide
+|det| can never complete to a basis.
 
 By the paper's theorem every lattice of dimension n <= 4 is standard under
 L2, so there the L2 certificate always carries a minima-achieving basis, and
@@ -50,6 +51,7 @@ from .exactlin import (
     LatticeBasis,
     RankTracker,
     _as_int_rows,
+    _check_basis,
     _check_dim,
     _check_lengths,
     _coefficients,
@@ -94,6 +96,7 @@ class StandardnessCertificate(NamedTuple):
 
 def is_orthogonal_basis(basis: LatticeBasis) -> bool:
     """True iff all pairwise dot products of the rows vanish."""
+    _check_basis(basis)
     return _pairwise_orthogonal(basis.rows)
 
 
@@ -131,6 +134,7 @@ def check_standard(
       nondecreasing candidate index inside equal-minima runs) was
       exhausted; re-running the deterministic search replays it.
     """
+    _check_basis(basis)
     require_kind(kind)
     _check_dim(basis.dim, max_dim)
     sm, entries, witness_det = _minima_with_entries(
@@ -234,13 +238,14 @@ def section_lattice(
 ) -> tuple[IntVector, ...]:
     """Basis (n-1 vectors, canonical Hermite rows) of H intersected with the
     lattice, where H is the hyperplane spanned by the given n-1 lattice
-    members."""
+    members.  In dimension 1, H = {0} and the basis is empty."""
+    _check_basis(basis)
     n = basis.dim
     span = _as_int_rows(spanning)
     if len(span) != n - 1:
         raise StructuralError(f"expected {n - 1} spanning vectors, got {len(span)}")
     _check_lengths(span, n)
-    return _section_rows(basis.rows, span)
+    return _section_rows(basis.rows, span) if span else ()
 
 
 def standardize_low_dim(
@@ -257,6 +262,7 @@ def standardize_low_dim(
     the backtrack's first basis is those witnesses.  Rows come back sorted
     by norm; in dimension 1 the input row is returned as it is.
     """
+    _check_basis(basis)
     if basis.dim > 4:
         raise StructuralError("constructive standardization is limited to dimension <= 4")
     cert = check_standard(basis, NormKind.L2, max_candidates=max_candidates)

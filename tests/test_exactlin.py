@@ -332,25 +332,31 @@ class TestRankTracker:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_divisor_is_gcd_of_maximal_minors(self, data):
-        n = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(1, 7))
         tracker = RankTracker()
         chosen = []
         for _ in range(data.draw(st.integers(1, 14))):
-            op = data.draw(st.sampled_from(["add", "combination", "pop"]))
+            op = data.draw(st.sampled_from(["add", "combination", "combination then pop", "pop"]))
             if op == "pop":
                 if chosen:
                     tracker.pop()
                     chosen.pop()
             else:
-                if op == "combination" and chosen:
+                if op != "add" and chosen:
                     cs = data.draw(st.lists(st.integers(-2, 2), min_size=len(chosen), max_size=len(chosen)))
                     vec = tuple(sum(c * r[j] for c, r in zip(cs, chosen)) for j in range(n))
                 else:
-                    vec = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)))
+                    # Large entries make each add take several gcd steps.
+                    bound = 10**30 if data.draw(st.integers(1, 20)) == 20 else 10**6
+                    vec = tuple(data.draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n)))
                 independent = maximal_minor_gcd(chosen + [vec], n) != 0
                 assert tracker.add(vec) is independent
                 if independent:
                     chosen.append(vec)
+                elif op == "combination then pop" and chosen:
+                    # Right after a refused add, pop undoes the last accepted vector.
+                    tracker.pop()
+                    chosen.pop()
             assert tracker.rank == len(chosen)
             assert tracker.divisor == maximal_minor_gcd(chosen, n)
 

@@ -87,22 +87,26 @@ SLOTS = {
         "kind": lambda x: enumeration_radius_in_l2(NormValue(x, 1), 2),
     },
     "successive_minima": {
+        "basis": lambda x: successive_minima(x, L2),
         "entry": lambda x: successive_minima(basis_with(x), L1),
         "kind": lambda x: successive_minima(B2, x),
         "max_candidates": lambda x: successive_minima(B2, L2, max_candidates=x),
         "max_dim": lambda x: successive_minima(B2, L2, max_dim=x),
     },
     "check_standard": {
+        "basis": lambda x: check_standard(x, L2),
         "entry": lambda x: check_standard(basis_with(x), LINF),
         "kind": lambda x: check_standard(B2, x),
         "max_candidates": lambda x: check_standard(B2, L2, max_candidates=x),
         "max_dim": lambda x: check_standard(B2, L2, max_dim=x),
     },
     "standardize_low_dim": {
+        "basis": standardize_low_dim,
         "entry": lambda x: standardize_low_dim(basis_with(x)),
         "max_candidates": lambda x: standardize_low_dim(B2, max_candidates=x),
     },
     "enumerate_short": {
+        "basis": lambda x: enumerate_short(x, L2, NormValue(L2, 4)),
         "bound": lambda x: enumerate_short(B2, L2, x),
         "value": lambda x: enumerate_short(B2, L2, NormValue(L2, x)),
         "kind": lambda x: enumerate_short(B2, x, NormValue(L2, 4)),
@@ -110,6 +114,7 @@ SLOTS = {
         "max_dim": lambda x: enumerate_short(B2, L2, NormValue(L2, 4), max_dim=x),
     },
     "minima_witness_check": {
+        "basis": lambda x: minima_witness_check(x, P3_MINIMA),
         "witness entry": lambda x: minima_witness_check(
             P3, minima_with(witnesses=((x, 0, 0),) + P3_MINIMA.witnesses[1:])
         ),
@@ -137,6 +142,7 @@ SLOTS = {
     },
     "parity_lattice": {"dimension": parity_lattice},
     "reduce_2d": {
+        "basis": lambda x: reduce_2d(x, L2),
         "entry": lambda x: reduce_2d(basis_with(x), L1),
         "kind": lambda x: reduce_2d(B2, x),
     },
@@ -147,36 +153,54 @@ SLOTS = {
         "kind": lambda x: min_translate((0, 3), (2, 1), x),
     },
     "nearest_plane": {
+        "basis": lambda x: nearest_plane(x, [1, Fraction(1, 2)]),
         "coordinate": lambda x: nearest_plane(B2, [x, Fraction(1, 2)]),
         "target": lambda x: nearest_plane(B2, x),
     },
     "equality_case_analyze": {
+        "basis": lambda x: equality_case_analyze(x, [1, 1]),
         "coordinate": lambda x: equality_case_analyze(B2, [1, x]),
         "target": lambda x: equality_case_analyze(B2, x),
     },
-    "gso": {"entry": lambda x: gso(basis_with(x))},
+    "gso": {"entry": lambda x: gso(basis_with(x)), "basis": gso},
     "hermite_form": {"entry": lambda x: hermite_form([[x, 2, 1]]), "matrix": hermite_form},
     "hnf_nonzero_rows": {"entry": lambda x: hnf_nonzero_rows([[1, 2], [x, 4]])},
     "is_basis_of": {
+        "basis": lambda x: is_basis_of([(2, 1), (0, 3)], x),
         "entry": lambda x: is_basis_of([(x, 0), (1, 3)], B2),
         "vectors": lambda x: is_basis_of(x, B2),
     },
-    "member": {"entry": lambda x: member(B2, (x, 3)), "vector": lambda x: member(B2, x)},
-    "same_lattice": {"entry": lambda x: same_lattice(B2, basis_with(x))},
-    "is_orthogonal_basis": {"entry": lambda x: is_orthogonal_basis(basis_with(x))},
+    "member": {
+        "entry": lambda x: member(B2, (x, 3)),
+        "vector": lambda x: member(B2, x),
+        "basis": lambda x: member(x, (2, 1)),
+    },
+    "same_lattice": {
+        "entry": lambda x: same_lattice(B2, basis_with(x)),
+        "first basis": lambda x: same_lattice(x, B2),
+        "second basis": lambda x: same_lattice(B2, x),
+    },
+    "is_orthogonal_basis": {
+        "entry": lambda x: is_orthogonal_basis(basis_with(x)),
+        "basis": is_orthogonal_basis,
+    },
     "section_lattice": {
+        "basis": lambda x: section_lattice(x, [(2, 0, 0), (0, 2, 0)]),
         "entry": lambda x: section_lattice(P3, [(2, 0, 0), (x, 1, 1)]),
         "spanning": lambda x: section_lattice(P3, x),
     },
     "brute_minima": {
+        "basis": lambda x: brute_minima(x, L2),
         "kind": lambda x: brute_minima(B2, x),
         "max_points": lambda x: brute_minima(B2, L2, max_points=x),
     },
     "brute_cvp": {
+        "basis": lambda x: brute_cvp(x, [1, 1]),
         "coordinate": lambda x: brute_cvp(B2, [x, 1]),
         "max_points": lambda x: brute_cvp(B2, [1, 1], max_points=x),
     },
     "coefficient_box": {
+        "basis": lambda x: coefficient_box(x, L2, NormValue(L2, 4)),
         "bound": lambda x: coefficient_box(B2, L2, x),
         "value": lambda x: coefficient_box(B2, L1, NormValue(L1, x)),
         "kind": lambda x: coefficient_box(B2, x, NormValue(L2, 4)),
@@ -272,6 +296,12 @@ REFUSALS = {
     "basis that is no matrix": (lambda: LatticeBasis(5), StructuralError),
     "vectors that are no matrix": (lambda: is_basis_of(5, B2), StructuralError),
     "Hermite form of no matrix": (lambda: hermite_form(5), StructuralError),
+    # A basis given as its plain rows used to raise a bare AttributeError
+    # in every call that takes a basis.
+    "basis given as plain rows": (
+        lambda: successive_minima([[2, 1], [0, 3]], L2),
+        InputError,
+    ),
     # NormValue(None, 1) used to be built, and its comparisons raised a
     # bare ValueError across kinds and a TypeError against a number.
     "None norm kind": (lambda: NormValue(None, 1), InputError),

@@ -175,3 +175,27 @@ def test_library_paths_never_use_the_oracle_inverse(monkeypatch):
     # The patch is live: the oracle itself still reaches it.
     with pytest.raises(AssertionError, match="outside the oracle"):
         brute_cvp(parity_lattice(4), half)
+
+
+def test_oracle_minima_never_use_the_library_rank_scan(monkeypatch):
+    """The oracle's greedy scan is its own: it answers with the library's
+    rank tracker and greedy witness scan patched to raise."""
+    from stdlattice import enumeration, exactlin
+
+    skewed = LatticeBasis([[2, 1, 0, 0], [0, 3, 1, 0], [1, 0, 4, 1], [0, 1, 0, 5]])
+    cases = [(b, kind) for b in (parity_lattice(4), skewed) for kind in NormKind]
+    expected = [successive_minima(b, kind) for b, kind in cases]
+
+    def refuse(*args):
+        raise AssertionError("library rank scan called from the oracle")
+
+    for module, name in [
+        (exactlin, "RankTracker"),
+        (enumeration, "RankTracker"),
+        (enumeration, "_greedy_minima"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    assert [brute_minima(b, kind) for b, kind in cases] == expected
+    # The patch is live: the fast path still reaches it.
+    with pytest.raises(AssertionError, match="library rank scan"):
+        successive_minima(skewed, NormKind.L2)

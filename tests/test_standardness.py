@@ -263,6 +263,11 @@ class TestSectionLattice:
                     in_section = all(x % 2 == 0 for x in (a, c, d))
                     assert in_lattice == in_section
 
+    def test_dimension_1_section_is_empty(self):
+        # The hyperplane spanned by no vectors is {0}; this used to raise
+        # "empty matrix" about a matrix built inside the call.
+        assert section_lattice(LatticeBasis([[3]]), []) == ()
+
     def test_skew_2d_section(self):
         sec = section_lattice(LatticeBasis([[2, 0], [1, 1]]), [(2, 0)])
         assert sec == ((2, 0),)
