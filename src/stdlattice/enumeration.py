@@ -18,14 +18,22 @@ Every search runs on an LLL-reduced basis of the input lattice.  The output
 is a set of ambient vectors, so it does not depend on the basis it was found
 from, while the reduced basis has short, nearly orthogonal rows and a far
 smaller search tree.  The minima are read off a pass whose bound already
-covers lambda_n: the norms N_1 <= .. <= N_n of n independent lattice vectors,
-the reduced rows or under L1/Linf the L2 minima witnesses when their largest
-norm is smaller, bound lambda_n by N_n.  When the norms have the parity
-shape (N_1 < N_n-1 = N_n) and the L2 radius of N_1 reaches the last
-Gram-Schmidt length, one probe pass at N_1 runs first; if it finds n
-independent vectors it covers lambda_n and the minima are read off it, and
-otherwise the pass at N_n runs.  The probe's radius is below N_n, so its
-search tree is a subset of that pass's.
+covers lambda_n: the norms N_1 <= .. <= N_n of n independent lattice vectors
+bound lambda_n by N_n.  One exact floor p/q <= lambda_n decides which
+further passes can pay off.  Among n independent lattice vectors one has a
+nonzero coefficient on the last reduced row, so by Hoelder's inequality on
+that row's Gram-Schmidt vector b* its norm is at least ||b*||^2 over the dual
+norm of b* (||b*||^2 = d_n / d_n-1 itself under L2).  The bounding vectors
+are the reduced rows; under L1/Linf an L2 minima search runs first only when
+the floor leaves room below the rows' N_n (N_n - 1 >= p/q, norms being
+integers there), and its witnesses replace the rows when their largest norm
+is smaller.  Where the floor leaves no room the witnesses could not be
+shorter, so skipping that search changes nothing.  When the norms have the
+parity shape (N_1 < N_n-1 = N_n) and N_1 reaches the floor, one probe pass at
+N_1 runs first; if it finds n independent vectors it covers lambda_n and the
+minima are read off it, and otherwise the pass at N_n runs.  A probe below
+the floor could not succeed, and its radius is below N_n, so its search tree
+is a subset of that pass's.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from .exactlin import (
     _coefficients,
     _integral_gso,
     _lll_rows,
+    _star_rows,
     rank_of_rows,
 )
 from .norms import (
@@ -241,8 +250,27 @@ def _sorted_norms(vectors: Sequence[IntVector], kind: NormKind) -> list:
     return sorted(measure(v, kind).value for v in vectors)
 
 
+def _lambda_n_floor(reduced, kind: NormKind) -> tuple[int, int]:
+    """(p, q) with p / q <= lambda_n under ``kind`` (squared under L2) for
+    the lattice of ``reduced`` = (rows, d, lam) as returned by LLL.
+
+    Of n independent lattice vectors one, v, has a nonzero coefficient x on
+    the last row.  With b* that row's Gram-Schmidt vector, <v, b*> =
+    x ||b*||^2, so by Hoelder ||v|| >= ||b*||^2 / ||b*||_dual, the dual norm
+    being Linf for L1 and L1 for Linf.  The star row g = d_n-1 b* is an
+    integer vector and ||b*||^2 = d_n / d_n-1, so the floor is
+    d_n / ||g||_dual; under L2 it is d_n / d_n-1.
+    """
+    rows, d, lam = reduced
+    m = len(rows)
+    if kind is NormKind.L2:
+        return d[m], d[m - 1]
+    g = map(abs, _star_rows(rows, d, lam)[-1])
+    return d[m], max(g) if kind is NormKind.L1 else sum(g)
+
+
 def _bounded_minima(
-    reduced, kind: NormKind, norms: Sequence, max_candidates: int
+    reduced, kind: NormKind, norms: Sequence, floor: tuple[int, int], max_candidates: int
 ) -> tuple[SuccessiveMinima, list[MeasuredVector], int]:
     """Minima from ``reduced`` = (rows, d, lam) as returned by LLL and the
     sorted ``kind`` norms N_1 <= .. <= N_n of n independent lattice vectors,
@@ -255,18 +283,16 @@ def _bounded_minima(
     exists, as in the parity lattices, one probe pass at N_1 runs first.
     Every vector of norm <= N_1 is in it, so if it holds n independent
     vectors then lambda_n <= N_1 and its greedy scan is exact; otherwise the
-    pass at N_n runs.  The probe is skipped when its squared L2 radius is
-    below the last squared Gram-Schmidt length (R^2 < d_n / d_n-1): then no
-    vector with a nonzero last coefficient fits, so its rank stays below n.
+    pass at N_n runs.  The probe is skipped when N_1 lies below ``floor`` =
+    (p, q), a lower bound p / q on lambda_n (:func:`_lambda_n_floor`): then
+    it could not find n independent vectors.
     """
     m = len(norms)
     low, top = norms[0], norms[-1]
+    p, q = floor
     bounds = [top]
-    if low < top == norms[-2]:
-        d = reduced[1]
-        radius = enumeration_radius_in_l2(NormValue(kind, low), len(reduced[0][0]))
-        if radius.value * d[m - 1] >= d[m]:
-            bounds.insert(0, low)
+    if low < top == norms[-2] and low * q >= p:
+        bounds.insert(0, low)
     for value in bounds:
         entries = _enumerate_rows(*reduced, kind, NormValue(kind, value), max_candidates)
         minima, witnesses, witness_det = _greedy_minima(entries, m)
@@ -289,21 +315,31 @@ def _minima_with_entries(
 
     The bound comes from n independent vectors (see :func:`_bounded_minima`):
     the reduced rows, or under L1/Linf the L2 minima witnesses when their
-    largest ``kind`` norm is smaller, found by an L2 search of its own.
+    largest ``kind`` norm is smaller.  L1 and Linf norms of integer vectors
+    are integers, so the L2 search, which the witnesses cost, runs only when
+    the floor p / q <= lambda_n of :func:`_lambda_n_floor` allows
+    lambda_n <= N_n - 1; otherwise no n independent vectors are shorter than
+    the rows.  The same floor gates the probe.
     """
     _check_positive_int("max_candidates", max_candidates)
     reduced = _lll_rows(rows)
     norms = _sorted_norms(reduced[0], kind)
-    if kind is not NormKind.L2:
+    floor = _lambda_n_floor(reduced, kind)
+    p, q = floor
+    if kind is not NormKind.L2 and (norms[-1] - 1) * q >= p:
         # The L2 search is cheap on the reduced rows, and its witnesses are
         # n independent vectors that are often much shorter in ``kind``.
         l2 = _bounded_minima(
-            reduced, NormKind.L2, _sorted_norms(reduced[0], NormKind.L2), max_candidates
+            reduced,
+            NormKind.L2,
+            _sorted_norms(reduced[0], NormKind.L2),
+            _lambda_n_floor(reduced, NormKind.L2),
+            max_candidates,
         )[0]
         witness_norms = _sorted_norms(l2.witnesses, kind)
         if witness_norms[-1] < norms[-1]:
             norms = witness_norms
-    return _bounded_minima(reduced, kind, norms, max_candidates)
+    return _bounded_minima(reduced, kind, norms, floor, max_candidates)
 
 
 def successive_minima(
@@ -319,8 +355,12 @@ def successive_minima(
     it increases the rank of the kept set, so the i-th kept norm is the i-th
     minimum.  The enumeration runs on an LLL-reduced basis to a radius that
     bounds lambda_n: the largest reduced row norm, and under L1/Linf the
-    smaller of that and the largest norm of the L2 witnesses, after a probe
-    pass at the smallest of those norms when their shape allows it.
+    smaller of that and the largest norm of the L2 witnesses.  An exact floor
+    on lambda_n from the last Gram-Schmidt vector decides whether the L2
+    search runs at all (only when lambda_n may lie below the rows' bound)
+    and whether a probe pass at the smallest of those norms runs first (only
+    when their shape allows it and it reaches the floor); neither decision
+    changes an answer.
     """
     _check_basis(basis)
     require_kind(kind)

@@ -4,11 +4,13 @@ All arithmetic is arbitrary precision and nothing here ever touches a
 float, so every equality test downstream is decidable.  Matrices are Python
 ints.  Gram-Schmidt data is integral too: the Gram determinants d_i and
 lam_kj = mu_kj * d_j+1 (``_integral_gso``), which LLL keeps through its
-reduction and hands to enumeration and nearest plane.  Membership
-(``_coefficients``) reads the same data by exact division: the scaled
-target's lam row gives each coefficient, from the last row to the first, as
-a quotient that must leave no remainder, so no linear system is solved and
-one Gram-Schmidt of a basis serves every vector tested against it.
+reduction and hands to enumeration and nearest plane, and the integer star
+rows d_k b*_k (``_star_rows``), which the public ``gso`` and enumeration's
+floor on lambda_n read.  Membership (``_coefficients``) reads the same data
+by exact division: the scaled target's lam row gives each coefficient, from
+the last row to the first, as a quotient that must leave no remainder, so
+no linear system is solved and one Gram-Schmidt of a basis serves every
+vector tested against it.
 Rational results (the public ``gso``, squared distances) are
 ``fractions.Fraction``.  Every integer reduction, the Hermite form, the
 generation test in ``standardness`` and the rank and minor gcd of
@@ -414,30 +416,37 @@ def _coefficients(
     return tuple(coeffs)
 
 
+def _star_rows(
+    rows: Sequence[Sequence[int]], d: Sequence[int], lam: Sequence[Sequence[int]]
+) -> list[list[int]]:
+    """The integer vectors d_k b*_k of independent ``rows`` with integral
+    data (d, lam), each reached from b_k by the vector form of the
+    recurrence in :func:`_gso_row`; every ``//`` divides exactly."""
+    scaled: list[list[int]] = []
+    for k, row in enumerate(rows):
+        u = list(row)
+        for j in range(k):
+            u = [(d[j + 1] * a - lam[k][j] * b) // d[j] for a, b in zip(u, scaled[j])]
+        scaled.append(u)
+    return scaled
+
+
 def _gso_rows(rows: Sequence[Sequence[int]]):
     """Exact Gram-Schmidt of independent integer rows.
 
     Returns (mu, bstar, bstar_sq) as nested lists of Fractions, read off the
-    integral data: d_k b*_k is an integer vector, reached from b_k by the
-    vector form of the recurrence in :func:`_gso_row`.  Raises
+    integral data and the integer star rows of :func:`_star_rows`.  Raises
     StructuralError when the rows are dependent.
     """
     d, lam = _integral_gso(rows)
     m = len(rows)
-    mu: list[list[Fraction]] = []
-    bstar: list[list[Fraction]] = []
-    scaled: list[list[int]] = []
-    for k in range(m):
-        u = list(rows[k])
-        for j in range(k):
-            u = [(d[j + 1] * a - lam[k][j] * b) // d[j] for a, b in zip(u, scaled[j])]
-        scaled.append(u)
-        bstar.append([Fraction(a, d[k]) for a in u])
-        mu.append(
-            [Fraction(lam[k][j], d[j + 1]) for j in range(k)]
-            + [Fraction(1)]
-            + [Fraction(0)] * (m - k - 1)
-        )
+    bstar = [[Fraction(a, d[k]) for a in u] for k, u in enumerate(_star_rows(rows, d, lam))]
+    mu = [
+        [Fraction(lam[k][j], d[j + 1]) for j in range(k)]
+        + [Fraction(1)]
+        + [Fraction(0)] * (m - k - 1)
+        for k in range(m)
+    ]
     bstar_sq = [Fraction(d[k + 1], d[k]) for k in range(m)]
     return mu, bstar, bstar_sq
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import InputError
@@ -125,7 +126,8 @@ def measure(coords: Sequence[Rational], kind: NormKind) -> NormValue:
         elif kind is NormKind.LINF:
             value = max(map(abs, coords), default=0)
         elif kind is NormKind.L2:
-            value = sum(x * x for x in coords)
+            coords = tuple(coords)  # read twice; a tuple is not copied
+            value = sum(map(mul, coords, coords))
         else:
             raise _unknown_kind(kind)
     except TypeError as exc:

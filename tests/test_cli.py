@@ -380,13 +380,25 @@ class TestErrorClasses:
         assert "resource" in err
 
     def test_resource_ceiling_names_the_pass(self, tmp_path, capsys):
+        # The floor on lambda_n of Z^3 under L1 meets the rows' bound, so
+        # the L1 pass is the only one.
         path = write_json_basis(tmp_path, "i3.json", [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         code, out, err = run_cli(
             ["minima", path, "--norm", "l1", "--max-candidates", "1"], capsys
         )
         assert code == 4
         assert out == ""
-        assert "candidate evaluations (l2 pass, bound 1)" in err
+        assert "1 candidate evaluations (l1 pass, bound 1)" in err
+
+    def test_resource_ceiling_names_the_l2_pass(self, tmp_path, capsys):
+        # A Linf search on the parity lattice still runs its L2 search first.
+        path = write_json_basis(tmp_path, "l4.json", parity_rows(4))
+        code, out, err = run_cli(
+            ["minima", path, "--norm", "linf", "--max-candidates", "55"], capsys
+        )
+        assert code == 4
+        assert out == ""
+        assert "55 candidate evaluations (l2 pass, bound 4)" in err
 
     def test_max_dim_flag(self, tmp_path, capsys):
         path = write_json_basis(tmp_path, "l5.json", parity_rows(5))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +9,7 @@ from stdlattice import (
     NormKind,
     NormValue,
     ResourceLimitError,
+    brute_minima,
     check_standard,
     enumerate_short,
     enumeration,
@@ -24,6 +26,7 @@ from util import (
     identity_basis,
     random_basis,
     random_unimodular,
+    reference_gso_rows,
     single_pass_bounds,
 )
 
@@ -131,7 +134,9 @@ class TestSuccessiveMinima:
         # not be doubled up to (1, 9) or answered short.
         reduced = _lll_rows(((1, 0), (0, 3)))
         with pytest.raises(InternalConsistencyError, match="bound 1 lies below lambda_2"):
-            enumeration._bounded_minima(reduced, NormKind.L2, [1, 1], DEFAULT_MAX_CANDIDATES)
+            enumeration._bounded_minima(
+                reduced, NormKind.L2, [1, 1], (0, 1), DEFAULT_MAX_CANDIDATES
+            )
 
     def test_scaling_law(self):
         rng = random.Random(13)
@@ -180,10 +185,15 @@ class TestSuccessiveMinima:
             successive_minima(b, NormKind.L1, max_candidates=927)
 
     def test_ceiling_in_the_l2_pass_of_an_l1_search(self):
-        # L1/Linf minima first run the L2 minima for their start bound; the
-        # error says which of the two passes ran out.
-        with pytest.raises(ResourceLimitError, match=r"\(l2 pass, bound 1\)$"):
+        # L1/Linf minima run the L2 minima for their start bound when the
+        # floor on lambda_n leaves room below the rows' bound; the error says
+        # which of the two passes ran out.  On Z^3 under L1 the floor is
+        # 1 = N_n, so only the L1 pass runs; parity_lattice(4) under Linf
+        # still makes its L2 pass first.
+        with pytest.raises(ResourceLimitError, match=r"\(l1 pass, bound 1\)$"):
             successive_minima(identity_basis(3), NormKind.L1, max_candidates=1)
+        with pytest.raises(ResourceLimitError, match=r"exceeded 55 .*\(l2 pass, bound 4\)$"):
+            successive_minima(parity_lattice(4), NormKind.LINF, max_candidates=55)
 
     def test_lambda1_is_enumeration_minimum(self):
         rng = random.Random(17)
@@ -340,6 +350,26 @@ class TestExactWork:
         successive_minima(LatticeBasis(rows), L2)
         assert passes == expected
 
+    @pytest.mark.parametrize(
+        "rows, kind, expected",
+        [
+            # The floor 1 meets N_n = 1: no L2 search.
+            (identity_basis(3).rows, L1, [(L1, 1)]),
+            # The floor 1 leaves room below N_n = 2: the L2 search runs, and
+            # its witnesses lower the bound to 1.
+            (parity_lattice(4).rows, LINF, [(L2, 4), (LINF, 1)]),
+            # Norms 3, 4, 4 and the floor 196/56 = 3.5: neither the L2 search
+            # nor the probe at 3 can lower the bound, though the probe's L2
+            # radius reaches the last Gram-Schmidt length.
+            (((-2, -2, -1), (0, 2, -1), (-1, -3, -3)), L1, [(L1, 4)]),
+            # Norms 2, 3, 3 and the floor 729/351 > 2.
+            (((-3, 3, 3), (-1, 3, 0), (-1, -2, -2)), LINF, [(LINF, 3)]),
+        ],
+    )
+    def test_floor_gates(self, passes, rows, kind, expected):
+        successive_minima(LatticeBasis(rows), kind)
+        assert passes == expected
+
     # What the benchmark tracer reports as enumeration.leaves: every call of
     # enumeration.measure, the start-bound row norms included.
     @pytest.fixture
@@ -380,3 +410,34 @@ class TestExactWork:
 
         assert "measure" in global_names(enumeration._enumerate_rows.__code__)
         assert enumeration._enumerate_rows.__globals__ is vars(enumeration)
+
+
+class TestLambdaNFloor:
+    @staticmethod
+    def reference_floor(rows, kind):
+        # ||b*||^2 / ||b*||_dual for the last Fraction Gram-Schmidt vector,
+        # and ||b*||^2 itself under L2.
+        _, bstar, bstar_sq = reference_gso_rows(rows)
+        last = [abs(x) for x in bstar[-1]]
+        dual = {L1: max(last), LINF: sum(last), L2: 1}[kind]
+        return bstar_sq[-1] / dual
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_floor_is_below_lambda_n(self, n, kind):
+        rng = random.Random(100 * n + list(NormKind).index(kind))
+        span = 3 if n < 5 else 1  # the oracle's box grows with |det|
+        for _ in range(4):
+            basis = apply_unimodular(random_unimodular(rng, n), random_basis(rng, n, -span, span))
+            reduced = _lll_rows(basis.rows)
+            p, q = enumeration._lambda_n_floor(reduced, kind)
+            assert Fraction(p, q) == self.reference_floor(reduced[0], kind)
+            if kind is L2:
+                d = reduced[1]
+                assert (p, q) == (d[n], d[n - 1])
+            assert Fraction(p, q) <= brute_minima(basis, kind).minima[-1].value
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_floor_meets_lambda_n_on_the_integer_lattice(self, kind):
+        reduced = _lll_rows(identity_basis(4).rows)
+        assert enumeration._lambda_n_floor(reduced, kind) == (1, 1)

@@ -142,7 +142,9 @@ class TestVerifyFamily:
                 passes.clear()
                 verify_family(n, kind)
                 assert passes == alone, (n, kind)
-                assert len(alone) == (1 if kind is NormKind.L2 else 2), (n, kind)
+                # Under L1/Linf the L2 pass runs only for n >= 3: for n <= 2
+                # the floor on lambda_n meets the reduced rows' bound.
+                assert len(alone) == (1 if kind is NormKind.L2 or n <= 2 else 2), (n, kind)
 
     @pytest.mark.parametrize("norm, even", [("l1", 2), ("l2", 4)])
     def test_cli_family_12(self, norm, even, capsys):

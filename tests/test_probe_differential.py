@@ -1,4 +1,5 @@
-"""Differential test: the probe pass of a minima search changes no answer.
+"""Differential tests: the probe pass and the floor's gates of a minima
+search change no answer.
 
 A minima search may first enumerate at the smallest norm of its n bounding
 vectors and stop there when that pass holds n independent vectors.  Its
@@ -6,7 +7,15 @@ minima, witnesses and standardness certificates must equal those read off
 one forced pass at the largest of those norms, the bound a one-pass search
 starts from.  For dimensions <= 5 the brute-force
 oracle pins the minima independently.
+
+Under L1/Linf the L2 bounding search runs, and the probe runs, only when the
+floor on lambda_n says they can lower the bound.  The whole result (minima,
+witnesses, the entries of the pass and |det| of the witnesses) must equal
+that of a forced path that always runs the L2 search and every probe the
+norms' shape allows.
 """
+
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,15 +30,20 @@ from stdlattice import (
     standardness,
     successive_minima,
 )
-from stdlattice.enumeration import DEFAULT_MAX_CANDIDATES, _bounded_minima
+from stdlattice.enumeration import (
+    DEFAULT_MAX_CANDIDATES,
+    _bounded_minima,
+    _minima_with_entries,
+    _sorted_norms,
+)
 from stdlattice.exactlin import _lll_rows, rank_of_rows
-from util import single_pass_bounds
+from util import apply_unimodular, random_basis, random_unimodular, single_pass_bounds
 
 
 def forced_single_pass(rows, kind, max_candidates=DEFAULT_MAX_CANDIDATES):
     # n equal bounding norms leave no room for a probe.
     norms = [single_pass_bounds(rows, kind)[kind]] * len(rows)
-    return _bounded_minima(_lll_rows(rows), kind, norms, max_candidates)
+    return _bounded_minima(_lll_rows(rows), kind, norms, (0, 1), max_candidates)
 
 
 def assert_probe_changes_nothing(basis, kind):
@@ -77,3 +91,49 @@ def skewed_bases(draw):
 @given(skewed_bases(), st.sampled_from(list(NormKind)))
 def test_skewed_probe_agrees_with_one_pass(basis, kind):
     assert_probe_changes_nothing(basis, kind)
+
+
+def always_l2_search(rows, kind):
+    # The trivial floor (0, 1) gates nothing: the L2 search always runs and
+    # every probe the shape allows is made.
+    reduced = _lll_rows(rows)
+    norms = _sorted_norms(reduced[0], kind)
+    l2 = _bounded_minima(
+        reduced, NormKind.L2, _sorted_norms(reduced[0], NormKind.L2), (0, 1),
+        DEFAULT_MAX_CANDIDATES,
+    )[0]
+    witness_norms = _sorted_norms(l2.witnesses, kind)
+    if witness_norms[-1] < norms[-1]:
+        norms = witness_norms
+    return _bounded_minima(reduced, kind, norms, (0, 1), DEFAULT_MAX_CANDIDATES)
+
+
+def assert_floor_changes_nothing(basis, kind):
+    assert _minima_with_entries(basis.rows, kind) == always_l2_search(basis.rows, kind)
+
+
+@pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_parity_floor_agrees_with_the_always_run_path(n, kind):
+    assert_floor_changes_nothing(parity_lattice(n), kind)
+
+
+@pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
+def test_seeded_floor_agrees_with_the_always_run_path(kind, passes):
+    # Both gates are exercised: some bases skip the L2 search, some run it.
+    rng = random.Random(20 + (kind is NormKind.LINF))
+    ran = set()
+    for n in range(1, 7):
+        for _ in range(6):
+            basis = apply_unimodular(random_unimodular(rng, n), random_basis(rng, n, -3, 3))
+            passes.clear()
+            got = _minima_with_entries(basis.rows, kind)
+            ran.add(passes[0][0] is NormKind.L2)
+            assert got == always_l2_search(basis.rows, kind)
+    assert ran == {False, True}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(skewed_bases(), st.sampled_from([NormKind.L1, NormKind.LINF]))
+def test_skewed_floor_agrees_with_the_always_run_path(basis, kind):
+    assert_floor_changes_nothing(basis, kind)

@@ -166,7 +166,7 @@ def single_pass_bounds(rows, kind: NormKind) -> dict:
     if kind is not NormKind.L2:
         # n equal norms: no probe, one pass at the largest reduced row norm.
         norms = [bounds[NormKind.L2]] * len(reduced[0])
-        l2 = _bounded_minima(reduced, NormKind.L2, norms, DEFAULT_MAX_CANDIDATES)[0]
+        l2 = _bounded_minima(reduced, NormKind.L2, norms, (0, 1), DEFAULT_MAX_CANDIDATES)[0]
         bounds[kind] = min(largest(reduced[0], kind), largest(l2.witnesses, kind))
     return bounds
 
