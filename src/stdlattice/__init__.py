@@ -7,124 +7,81 @@ under any built-in norm, and generates the parity-lattice counterexample
 family.  Everything runs on arbitrary-precision integers and rationals; no
 floating point anywhere.
 
-The brute-force oracle (``brute_minima``, ``brute_cvp``, ``coefficient_box``
-and their records) loads on first access, so importing the package or
-running the CLI does not build it.
+Every public name, and every submodule that holds one, loads on first
+access and is then cached in the package namespace (PEP 562).  So
+``import stdlattice`` loads no submodule, the brute-force oracle
+(``brute_minima``, ``brute_cvp``, ``coefficient_box`` and their records)
+loads only when it is used, and each CLI command loads only the modules it
+runs.
 """
 
-from .cvp import EqualityCaseReport, NearestPointResult, equality_case_analyze, nearest_plane
-from .enumeration import (
-    DEFAULT_MAX_CANDIDATES,
-    DEFAULT_MAX_DIM,
-    CheckResult,
-    MeasuredVector,
-    ShortVectorList,
-    SuccessiveMinima,
-    enumerate_short,
-    minima_witness_check,
-    successive_minima,
-)
-from .errors import (
-    DimensionMismatchError,
-    InputError,
-    InternalConsistencyError,
-    LatticeError,
-    ResourceLimitError,
-    StructuralError,
-)
-from .exactlin import (
-    GsoData,
-    HermiteForm,
-    LatticeBasis,
-    gso,
-    hermite_form,
-    hnf_nonzero_rows,
-    is_basis_of,
-    member,
-    same_lattice,
-)
-from .families import FamilyReport, ParityArgument, parity_lattice, verify_family
-from .norm2d import Reduced2DBasis, min_translate, reduce_2d
-from .norms import NormKind, NormValue, enumeration_radius_in_l2, measure
-from .standardness import (
-    SearchStats,
-    StandardnessCertificate,
-    Verdict,
-    check_standard,
-    is_orthogonal_basis,
-    section_lattice,
-    standardize_low_dim,
-)
+from importlib import import_module as _import_module
+
+# Each public name under its home module.
+_EXPORTS = {
+    "cvp": ("EqualityCaseReport", "NearestPointResult", "equality_case_analyze", "nearest_plane"),
+    "enumeration": (
+        "CheckResult",
+        "MeasuredVector",
+        "ShortVectorList",
+        "SuccessiveMinima",
+        "enumerate_short",
+        "minima_witness_check",
+        "successive_minima",
+    ),
+    "errors": (
+        "DimensionMismatchError",
+        "InputError",
+        "InternalConsistencyError",
+        "LatticeError",
+        "ResourceLimitError",
+        "StructuralError",
+    ),
+    "exactlin": (
+        "DEFAULT_MAX_CANDIDATES",
+        "DEFAULT_MAX_DIM",
+        "GsoData",
+        "HermiteForm",
+        "LatticeBasis",
+        "gso",
+        "hermite_form",
+        "hnf_nonzero_rows",
+        "is_basis_of",
+        "member",
+        "same_lattice",
+    ),
+    "families": ("FamilyReport", "ParityArgument", "parity_lattice", "verify_family"),
+    "norm2d": ("Reduced2DBasis", "min_translate", "reduce_2d"),
+    "norms": ("NormKind", "NormValue", "enumeration_radius_in_l2", "measure"),
+    "oracle": ("BruteCvpResult", "CoefficientBox", "brute_cvp", "brute_minima", "coefficient_box"),
+    "standardness": (
+        "SearchStats",
+        "StandardnessCertificate",
+        "Verdict",
+        "check_standard",
+        "is_orthogonal_basis",
+        "section_lattice",
+        "standardize_low_dim",
+    ),
+}
+
+# Name -> home module, for the public names and the submodules that hold them;
+# a submodule is its own home.
+_HOMES = {name: home for home, names in _EXPORTS.items() for name in (home, *names)}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BruteCvpResult",
-    "CheckResult",
-    "CoefficientBox",
-    "DEFAULT_MAX_CANDIDATES",
-    "DEFAULT_MAX_DIM",
-    "DimensionMismatchError",
-    "EqualityCaseReport",
-    "FamilyReport",
-    "GsoData",
-    "HermiteForm",
-    "InputError",
-    "InternalConsistencyError",
-    "LatticeBasis",
-    "LatticeError",
-    "MeasuredVector",
-    "NearestPointResult",
-    "NormKind",
-    "NormValue",
-    "ParityArgument",
-    "Reduced2DBasis",
-    "ResourceLimitError",
-    "SearchStats",
-    "ShortVectorList",
-    "StandardnessCertificate",
-    "StructuralError",
-    "SuccessiveMinima",
-    "Verdict",
-    "brute_cvp",
-    "brute_minima",
-    "check_standard",
-    "coefficient_box",
-    "enumerate_short",
-    "enumeration_radius_in_l2",
-    "equality_case_analyze",
-    "gso",
-    "hermite_form",
-    "hnf_nonzero_rows",
-    "is_basis_of",
-    "is_orthogonal_basis",
-    "measure",
-    "member",
-    "min_translate",
-    "minima_witness_check",
-    "nearest_plane",
-    "parity_lattice",
-    "reduce_2d",
-    "same_lattice",
-    "section_lattice",
-    "standardize_low_dim",
-    "successive_minima",
-    "verify_family",
-]
-
-# The oracle is for tests and cross-checks; load it on first access so that
-# importing the package, and so every CLI call, skips it.
-_ORACLE_NAMES = ("BruteCvpResult", "CoefficientBox", "brute_cvp", "brute_minima", "coefficient_box")
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
 
 
 def __getattr__(name: str):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-
-        value = globals()[name] = getattr(oracle, name)
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _import_module(f"{__name__}.{home}")
+    value = globals()[name] = module if name == home else getattr(module, name)
+    return value
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_ORACLE_NAMES))
+    return sorted(set(globals()) | set(_HOMES))

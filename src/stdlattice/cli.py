@@ -22,27 +22,45 @@ import os
 import re
 import sys
 from fractions import Fraction
+from importlib import import_module
 from math import lcm
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .cvp import equality_case_analyze, nearest_plane
-from .enumeration import (
+from .errors import InputError, InternalConsistencyError, LatticeError, ResourceLimitError
+from .exactlin import (
     DEFAULT_MAX_CANDIDATES,
     DEFAULT_MAX_DIM,
-    SuccessiveMinima,
-    successive_minima,
+    LatticeBasis,
+    _check_dim,
+    _check_positive_int,
 )
-from .errors import InputError, InternalConsistencyError, LatticeError, ResourceLimitError
-from .exactlin import LatticeBasis, _check_dim, _check_positive_int
-from .families import verify_family
-from .norm2d import reduce_2d
 from .norms import NormKind, measure
-from .standardness import (
-    StandardnessCertificate,
-    Verdict,
-    check_standard,
-    standardize_low_dim,
-)
+
+if TYPE_CHECKING:
+    from .enumeration import SuccessiveMinima
+    from .standardness import StandardnessCertificate
+
+
+def _forward(home: str, name: str):
+    """Stand-in for ``home.name`` that imports ``home`` on its first call,
+    so each command loads only the modules it runs.  The stand-ins are
+    module-level names, so a caller can still replace them here."""
+
+    def call(*args, **kwargs):
+        return getattr(import_module(f"{__package__}.{home}"), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+check_standard = _forward("standardness", "check_standard")
+equality_case_analyze = _forward("cvp", "equality_case_analyze")
+nearest_plane = _forward("cvp", "nearest_plane")
+reduce_2d = _forward("norm2d", "reduce_2d")
+standardize_low_dim = _forward("standardness", "standardize_low_dim")
+successive_minima = _forward("enumeration", "successive_minima")
+verify_family = _forward("families", "verify_family")
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -248,7 +266,7 @@ def cmd_check(args) -> int:
         ]
 
     _emit(args, payload, text)
-    return EXIT_OK if cert.verdict is Verdict.STANDARD else EXIT_NON_STANDARD
+    return EXIT_OK if cert.standard else EXIT_NON_STANDARD
 
 
 def cmd_standardize(args) -> int:
@@ -336,7 +354,7 @@ def cmd_family(args) -> int:
         ]
 
     _emit(args, payload, text)
-    return EXIT_OK if report.verdict is Verdict.STANDARD else EXIT_NON_STANDARD
+    return EXIT_OK if report.certificate.standard else EXIT_NON_STANDARD
 
 
 def _parse_rational(token: str) -> Fraction:

@@ -44,6 +44,8 @@ from typing import NamedTuple, Sequence
 
 from .errors import InputError, InternalConsistencyError, ResourceLimitError
 from .exactlin import (
+    DEFAULT_MAX_CANDIDATES,
+    DEFAULT_MAX_DIM,
     IntVector,
     LatticeBasis,
     RankTracker,
@@ -65,10 +67,6 @@ from .norms import (
     measure,
     require_kind,
 )
-
-DEFAULT_MAX_CANDIDATES = 10_000_000
-DEFAULT_MAX_DIM = 12
-
 
 class MeasuredVector(NamedTuple):
     vector: IntVector

@@ -76,6 +76,13 @@ def _as_rational_row(target, width: int) -> tuple[Rational, ...]:
     return entries
 
 
+# Default ceilings: candidate evaluations per enumeration pass (and nodes of
+# the standardness search), and the dimension of an input.  They live beside
+# the checks that apply them, so the CLI's option defaults load no search code.
+DEFAULT_MAX_CANDIDATES = 10_000_000
+DEFAULT_MAX_DIM = 12
+
+
 def _check_positive_int(name: str, value) -> None:
     """Refuse a ceiling or dimension that is not a positive ``int`` (a
     ``bool`` is not one) before any work is spent under it."""

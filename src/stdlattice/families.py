@@ -16,8 +16,14 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .enumeration import DEFAULT_MAX_CANDIDATES, DEFAULT_MAX_DIM, SuccessiveMinima
-from .exactlin import LatticeBasis, _check_dim, _check_positive_int
+from .enumeration import SuccessiveMinima
+from .exactlin import (
+    DEFAULT_MAX_CANDIDATES,
+    DEFAULT_MAX_DIM,
+    LatticeBasis,
+    _check_dim,
+    _check_positive_int,
+)
 from .norms import NormKind, NormValue, measure, require_kind
 from .standardness import StandardnessCertificate, Verdict, check_standard
 

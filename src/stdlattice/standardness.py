@@ -39,14 +39,11 @@ import enum
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .enumeration import (
+from .enumeration import SuccessiveMinima, _minima_with_entries
+from .errors import InternalConsistencyError, ResourceLimitError, StructuralError
+from .exactlin import (
     DEFAULT_MAX_CANDIDATES,
     DEFAULT_MAX_DIM,
-    SuccessiveMinima,
-    _minima_with_entries,
-)
-from .errors import InternalConsistencyError, StructuralError
-from .exactlin import (
     IntVector,
     LatticeBasis,
     RankTracker,
@@ -133,6 +130,9 @@ def check_standard(
     * the search space (all sign-canonical tuples with ||b_i|| = lambda_i,
       nondecreasing candidate index inside equal-minima runs) was
       exhausted; re-running the deterministic search replays it.
+
+    ``max_candidates`` bounds the enumeration's candidate evaluations and,
+    separately, the backtrack's nodes; past either, ``ResourceLimitError``.
     """
     _check_basis(basis)
     require_kind(kind)
@@ -167,6 +167,11 @@ def check_standard(
         for idx in range(start, len(cands)):
             vec = cands[idx]
             nodes += 1
+            if nodes > max_candidates:
+                raise ResourceLimitError(
+                    f"standardness search exceeded {max_candidates} nodes "
+                    f"({kind.value}, {len(chosen)} of {n} basis vectors chosen)"
+                )
             if not tracker.add(vec):
                 continue
             chosen.append(vec)

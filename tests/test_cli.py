@@ -10,6 +10,7 @@ import pytest
 
 from stdlattice import InputError, LatticeBasis, NormKind, cli, exactlin, successive_minima
 from stdlattice.cli import main
+from util import deep_backtrack_l1_rows
 
 
 def write_json_basis(tmp_path, name, rows, norm=None):
@@ -399,6 +400,18 @@ class TestErrorClasses:
         assert code == 4
         assert out == ""
         assert "55 candidate evaluations (l2 pass, bound 4)" in err
+
+    def test_resource_ceiling_bounds_the_standardness_search(self, tmp_path, capsys):
+        path = write_json_basis(tmp_path, "deep.json", deep_backtrack_l1_rows())
+        code, out, err = run_cli(
+            ["check", path, "--max-candidates", "10000", "--norm", "l1"], capsys
+        )
+        assert code == 4
+        assert out == ""
+        assert err == (
+            "resource limit: standardness search exceeded 10000 nodes "
+            "(l1, 6 of 9 basis vectors chosen)\n"
+        )
 
     def test_max_dim_flag(self, tmp_path, capsys):
         path = write_json_basis(tmp_path, "l5.json", parity_rows(5))

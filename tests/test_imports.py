@@ -1,12 +1,16 @@
-"""What importing the package costs, and the lazily loaded oracle names.
+"""What importing the package costs, and the lazily loaded names.
 
-`import stdlattice.cli` runs on every CLI call, so it must not pull in
-`dataclasses` (with `inspect`, `ast`, `dis` and `tokenize` behind it) or the
-brute-force oracle.  The oracle's public names still reach every caller: as
-attributes, by name import, by star import and in `dir()`.
+Every CLI call imports `stdlattice.cli`, so it must not pull in `dataclasses`
+(with `inspect`, `ast`, `dis` and `tokenize` behind it) or any library
+module that its command does not run.  The package's public names, the
+brute-force oracle's among them, load on first access, and still reach every
+caller: as attributes, by name import, by star import and in `dir()`.  The
+library calls the CLI makes stay module-level names of `stdlattice.cli`, so
+they can be replaced there before their modules load.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -37,13 +41,128 @@ def modules_after(statement: str) -> set[str]:
     return set(run_python(f"import sys\n{statement}\nprint('\\n'.join(sys.modules))").split())
 
 
+# The modules that `import stdlattice.cli` loads, and what each command adds.
+CLI_BASE = {
+    "stdlattice",
+    "stdlattice.cli",
+    "stdlattice.errors",
+    "stdlattice.exactlin",
+    "stdlattice.norms",
+}
+COMMAND_MODULES = {
+    "reduce2d": {"norm2d"},
+    "nearest": {"cvp"},
+    "minima": {"enumeration"},
+    "check": {"enumeration", "standardness"},
+    "standardize": {"enumeration", "standardness"},
+    "family": {"enumeration", "families", "standardness"},
+}
+
+
+def package_modules(modules: set[str]) -> set[str]:
+    return {m for m in modules if m == "stdlattice" or m.startswith("stdlattice.")}
+
+
+def command_argv(command: str, tmp_path) -> list[str]:
+    if command == "family":
+        return ["family", "4"]
+    if command in ("reduce2d", "nearest"):
+        rows = [[3, 1], [1, 4]]
+    else:
+        rows = [[3, 1, 0], [1, 4, 1], [0, 1, 5]]
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps({"dim": len(rows), "basis": rows}))
+    return [command, str(path), *(["1/2", "1"] if command == "nearest" else [])]
+
+
 def test_cli_import_loads_neither_dataclasses_nor_the_oracle():
     # Compared with a bare interpreter, so modules that site-packages .pth
     # files preload do not count.
     added = modules_after("import stdlattice.cli") - modules_after("pass")
-    assert "stdlattice.cli" in added
     assert "dataclasses" not in added
-    assert "stdlattice.oracle" not in added
+    assert package_modules(added) == CLI_BASE
+
+
+def test_package_import_loads_no_submodule():
+    assert package_modules(modules_after("import stdlattice")) == {"stdlattice"}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_each_command_loads_only_the_modules_it_runs(command, tmp_path):
+    argv = command_argv(command, tmp_path)
+    loaded = modules_after(
+        "import contextlib, io\n"
+        "from stdlattice import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) in (0, 3)"
+    )
+    expected = CLI_BASE | {f"stdlattice.{m}" for m in COMMAND_MODULES[command]}
+    assert package_modules(loaded) == expected
+
+
+# Each library call of the CLI, its home module, and a command that makes it.
+CLI_CALLS = [
+    ("successive_minima", "enumeration", "minima"),
+    ("check_standard", "standardness", "check"),
+    ("standardize_low_dim", "standardness", "standardize"),
+    ("reduce_2d", "norm2d", "reduce2d"),
+    ("verify_family", "families", "family"),
+    ("nearest_plane", "cvp", "nearest"),
+    ("equality_case_analyze", "cvp", "nearest"),
+]
+
+
+@pytest.mark.parametrize("name, home, command", CLI_CALLS, ids=[c[0] for c in CLI_CALLS])
+def test_cli_calls_are_patchable_before_their_modules_load(name, home, command, tmp_path):
+    # Tests and the benchmark's tracer replace these names on the cli module;
+    # the replacement must be what the command calls.
+    argv = command_argv(command, tmp_path)
+    out = run_python(
+        "import sys\n"
+        "from stdlattice import cli\n"
+        f"assert 'stdlattice.{home}' not in sys.modules\n"
+        f"assert callable(cli.{name}) and cli.{name}.__name__ == {name!r}\n"
+        "class Intercepted(Exception):\n"
+        "    pass\n"
+        "def replacement(*args, **kwargs):\n"
+        "    raise Intercepted\n"
+        f"cli.{name} = replacement\n"
+        "try:\n"
+        f"    cli.main({argv!r})\n"
+        "except Intercepted:\n"
+        "    print('intercepted')\n"
+    )
+    assert out.split() == ["intercepted"]
+
+
+def test_every_public_name_is_its_home_modules_object():
+    out = run_python(
+        "import importlib\n"
+        "import stdlattice\n"
+        "for name in stdlattice.__all__:\n"
+        "    home = importlib.import_module('stdlattice.' + stdlattice._HOMES[name])\n"
+        "    assert getattr(stdlattice, name) is getattr(home, name), name\n"
+        "from stdlattice import enumeration, exactlin\n"
+        "assert enumeration.DEFAULT_MAX_CANDIDATES is exactlin.DEFAULT_MAX_CANDIDATES\n"
+        "assert enumeration.DEFAULT_MAX_DIM is exactlin.DEFAULT_MAX_DIM\n"
+        "print(len(stdlattice.__all__))"
+    )
+    assert int(out) == len(stdlattice.__all__)
+
+
+def test_submodules_resolve_as_attributes_and_by_import():
+    out = run_python(
+        "import sys\n"
+        "import stdlattice\n"
+        "norms = stdlattice.norms\n"
+        "assert norms is sys.modules['stdlattice.norms']\n"
+        "assert 'stdlattice.cvp' not in sys.modules\n"
+        "from stdlattice import cli, exactlin\n"
+        "assert cli is sys.modules['stdlattice.cli']\n"
+        "assert exactlin is stdlattice.exactlin is sys.modules['stdlattice.exactlin']\n"
+        "print('ok')"
+    )
+    assert out.split() == ["ok"]
 
 
 @pytest.mark.parametrize(
@@ -74,7 +193,7 @@ def test_dir_lists_oracle_names_without_loading_them():
         "import sys\n"
         "import stdlattice\n"
         "names = dir(stdlattice)\n"
-        "assert 'stdlattice.oracle' not in sys.modules\n"
+        "assert not [m for m in sys.modules if m.startswith('stdlattice.')]\n"
         "assert set(stdlattice.__all__) <= set(names)\n"
         "assert names == sorted(names)\n"
         "print(' '.join(n for n in names if not n.startswith('_')))"
@@ -89,6 +208,20 @@ def test_unknown_name_still_raises_attribute_error():
     assert not hasattr(stdlattice, "ceil_sqrt")
     with pytest.raises(ImportError):
         from stdlattice import no_such_name  # noqa: F401
+
+
+def test_unknown_name_raises_attribute_error_before_anything_loads():
+    out = run_python(
+        "import sys\n"
+        "import stdlattice\n"
+        "try:\n"
+        "    stdlattice.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+        "assert not hasattr(stdlattice, '__main__')\n"
+        "assert not [m for m in sys.modules if m.startswith('stdlattice.')]\n"
+    )
+    assert out == "module 'stdlattice' has no attribute 'no_such_name'\n"
 
 
 def test_ceil_sqrt_lives_in_norms_and_stays_importable_from_the_oracle():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -7,6 +8,7 @@ from stdlattice import (
     InternalConsistencyError,
     LatticeBasis,
     NormKind,
+    ResourceLimitError,
     StructuralError,
     Verdict,
     brute_minima,
@@ -27,6 +29,7 @@ from util import (
     D4_QUATERNIONS,
     apply_unimodular,
     d4_type_bases,
+    deep_backtrack_l1_rows,
     identity_basis,
     random_basis,
     random_orthogonal_rows_basis,
@@ -227,6 +230,21 @@ class TestSearchWork:
         assert cert.verdict is Verdict.STANDARD
         assert [nv.value for nv in cert.minima.minima] == [1] * 10
         assert passes == [(NormKind.L2, 4), (NormKind.LINF, 1)]
+
+    def test_backtrack_stops_at_the_ceiling(self):
+        # Each enumeration pass fits under 10,000 candidate evaluations, but
+        # the backtrack that would prove this lattice NonStandard tries
+        # 498,332 nodes (3.5 s); the same ceiling bounds its nodes.  A
+        # backtrack pruned by the sublattices it has built would still need
+        # about 13,000 nodes here, so the ceiling stays below that.
+        basis = LatticeBasis(deep_backtrack_l1_rows())
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as info:
+            check_standard(basis, NormKind.L1, max_candidates=10_000)
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == (
+            "standardness search exceeded 10000 nodes (l1, 6 of 9 basis vectors chosen)"
+        )
 
 
 class TestIsOrthogonalBasis:

@@ -37,6 +37,7 @@ from stdlattice.exactlin import rank_of_rows
 from stdlattice.oracle import _scan_box
 from util import (
     D4_QUATERNIONS,
+    NON_STANDARD_L1_4D_FULL_POOL,
     apply_unimodular,
     cofactor_det,
     d4_type_bases,
@@ -79,13 +80,6 @@ def brute_standard(basis, kind):
 NON_STANDARD_L1_3D = [
     ((0, -4, -4), (-1, -4, 1), (-3, -2, -2)),
     ((-2, 4, 3), (2, 3, -4), (2, -3, 4)),
-]
-# The levels of these two generate the whole lattice, so check_standard
-# cannot decide them at the root and must exhaust the backtrack; pinned
-# with the number of nodes it tries.
-NON_STANDARD_L1_4D_FULL_POOL = [
-    (((0, 1, -2, 2), (-1, -3, -1, 1), (2, 3, -3, 2), (1, 3, -3, -1)), (4, 4, 4, 5), 13),
-    (((-2, -1, -3, -3), (-1, -2, 2, 1), (3, 2, -2, -3), (-2, 3, -3, -3)), (4, 4, 4, 7), 7),
 ]
 
 

@@ -61,6 +61,27 @@ def apply_unimodular(u, basis: LatticeBasis) -> LatticeBasis:
 D4_QUATERNIONS = [(2, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 1), (2, 1, 1, 0), (3, 1, 2, 2)]
 
 
+# The levels of these two generate the whole lattice, so check_standard
+# cannot decide them at the root and must exhaust the backtrack; pinned
+# with the number of nodes it tries.
+NON_STANDARD_L1_4D_FULL_POOL = [
+    (((0, 1, -2, 2), (-1, -3, -1, 1), (2, 3, -3, 2), (1, 3, -3, -1)), (4, 4, 4, 5), 13),
+    (((-2, -1, -3, -3), (-1, -2, 2, 1), (3, 2, -2, -3), (-2, 3, -3, -3)), (4, 4, 4, 7), 7),
+]
+
+
+def deep_backtrack_l1_rows() -> list[list[int]]:
+    """Rows of A + 2*D5 in dimension 9, A the first lattice above and 2*D5
+    the lattice of 4e_1 and 2(e_i - e_(i-1)).  Its levels generate it, so
+    under L1 check_standard answers NonStandard only by exhausting a
+    backtrack of 498,332 nodes, while no enumeration pass needs more than
+    7,456 candidate evaluations."""
+    a = NON_STANDARD_L1_4D_FULL_POOL[0][0]
+    d5 = [[4, 0, 0, 0, 0]]
+    d5 += [[2 * (j == i) - 2 * (j == i - 1) for j in range(5)] for i in range(1, 5)]
+    return [list(r) + [0] * 5 for r in a] + [[0] * 4 + r for r in d5]
+
+
 def d4_type_bases(q, count: int = 8) -> list[LatticeBasis]:
     """Disguised bases of the D4-type lattice K + Z (sum f) / 2, where the
     rows of the left-multiplication matrix of the quaternion q are an
