@@ -12,9 +12,8 @@ scaled by its common denominator and each coefficient is an exact quotient
 of integers built from the integral Gram-Schmidt data of the rows
 (``exactlin._integral_gso``), so no Gram-Schmidt vector or Fraction is formed
 until the final distance.  Membership, which the equality-case analysis
-reads, uses the same quotients without rounding (``exactlin._coefficients``):
-a point is in the lattice iff it lies in the span and every quotient is
-exact.
+reads, is one walk with it (``exactlin._round_off``): a point is in the
+lattice iff it lies in the span and the walk rounds no quotient.
 """
 
 from __future__ import annotations

@@ -6,11 +6,11 @@ ints.  Gram-Schmidt data is integral too: the Gram determinants d_i and
 lam_kj = mu_kj * d_j+1 (``_integral_gso``), which LLL keeps through its
 reduction and hands to enumeration and nearest plane, and the integer star
 rows d_k b*_k (``_star_rows``), which the public ``gso`` and enumeration's
-floor on lambda_n read.  Membership (``_coefficients``) reads the same data
-by exact division: the scaled target's lam row gives each coefficient, from
-the last row to the first, as a quotient that must leave no remainder, so
-no linear system is solved and one Gram-Schmidt of a basis serves every
-vector tested against it.
+floor on lambda_n read.  Nearest plane and membership are one walk over
+that data (``_round_off``): the scaled target's lam row gives each
+coefficient, from the last row to the first, as a rounded quotient that a
+lattice point leaves exact, so no linear system is solved and one
+Gram-Schmidt of a basis serves every vector tested against it.
 Rational results (the public ``gso``, squared distances) are
 ``fractions.Fraction``.  Every integer reduction, the Hermite form, the
 generation test in ``standardness`` and the rank and minor gcd of
@@ -361,33 +361,45 @@ def _scaled(target: Sequence[Rational]) -> tuple[int, list[int]]:
     return q, [t.numerator * (q // t.denominator) for t in target]
 
 
+def _round_off(
+    rows: Sequence[IntVector], q: int, big_w: Sequence[int], gso
+) -> tuple[list[int], bool]:
+    """Nearest-plane rounding of W = q w onto the lattice of independent
+    ``rows`` with integral data ``gso`` = (d, lam): (coeffs, exact), exact
+    when W has Gram value zero (w in the span) and no quotient a remainder.
+
+    From the last row to the first, s_j = <W, d_j b*_j> less the terms of
+    the rows after j is x_j q d_j+1 for w's rational coefficient x_j, so
+    a_j is s_j / (q d_j+1) rounded, ties to even.  Subtracting a_j b_j
+    lowers s_i by a_j q lam_ji for i < j.  A lattice point stays put.
+    """
+    d, lam = gso
+    s, gram = _gso_row(big_w, rows, d, lam)
+    exact = gram == 0
+    coeffs = [0] * len(rows)
+    for j in reversed(range(len(rows))):
+        den = q * d[j + 1]
+        a, r = divmod(s[j], den)
+        if r:
+            exact = False
+            if 2 * r > den or (2 * r == den and a % 2):
+                a += 1
+        coeffs[j] = a
+        if a:
+            for i in range(j):
+                s[i] -= a * q * lam[j][i]
+    return coeffs, exact
+
+
 def _nearest_rows(rows: Sequence[IntVector], target: Sequence[Rational]):
     """Round ``target`` onto the lattice of ``rows``; returns (coeffs, point,
     dist_sq).  Equivalent to recursing on orthogonal projections: rounding
-    runs over the Gram-Schmidt directions from last row to first.
-
-    All in integers: with q the common denominator of the target, W = q w
-    and the integral data (d, lam) of the rows, the coefficient rounded at
-    row j is c_j = <W, d_j b*_j> / (q d_j+1), and the numerators s_j form the
-    lam row of W.  Subtracting a_j b_j from w lowers s_i by a_j q lam_ji for
-    every i < j and leaves s_i for i > j alone.
-    """
-    m = len(rows)
-    d, lam = _integral_gso(rows)
+    runs over the Gram-Schmidt directions from last row to first, in
+    integers (:func:`_round_off`)."""
     q, big_w = _scaled(target)
-    s, _ = _gso_row(big_w, rows, d, lam)
-    coeffs = [0] * m
-    for j in reversed(range(m)):
-        den = q * d[j + 1]
-        a, r = divmod(s[j], den)
-        if 2 * r > den or (2 * r == den and a % 2):  # ties go to the even integer
-            a += 1
-        coeffs[j] = a
-        if a != 0:
-            for i in range(j):
-                s[i] -= a * q * lam[j][i]
+    coeffs, _ = _round_off(rows, q, big_w, _integral_gso(rows))
     point = tuple(
-        sum(coeffs[i] * rows[i][j] for i in range(m)) for j in range(len(target))
+        sum(coeffs[i] * rows[i][j] for i in range(len(rows))) for j in range(len(target))
     )
     residual = [x - q * p for x, p in zip(big_w, point)]
     return coeffs, point, Fraction(_dot(residual, residual), q * q)
@@ -398,29 +410,12 @@ def _coefficients(
 ) -> IntVector | None:
     """Integer coefficients of ``target`` in independent ``rows``, or None
     when it is not in their lattice.  ``gso`` is the integral data (d, lam)
-    of ``rows`` when the caller already has it.
-
-    Exact division, in the notation of :func:`_nearest_rows`: a nonzero Gram
-    value of W puts the target off the span.  In the span, once the terms of
-    the rows after j are subtracted, s_j = x_j q d_j+1 for the rational
-    coefficient x_j, so from the last row to the first each s_j must be
-    divisible by q d_j+1, and the quotients are the coefficients.
-    """
-    d, lam = _integral_gso(rows) if gso is None else gso
+    of ``rows`` when the caller already has it.  The rounding walk of
+    :func:`_round_off` answers it: it leaves a lattice point where it is and
+    reports any other target as inexact, so no point is built."""
     q, big_w = _scaled(target)
-    s, gram = _gso_row(big_w, rows, d, lam)
-    if gram:
-        return None
-    coeffs = [0] * len(rows)
-    for j in reversed(range(len(rows))):
-        a, r = divmod(s[j], q * d[j + 1])
-        if r:
-            return None
-        coeffs[j] = a
-        if a:
-            for i in range(j):
-                s[i] -= a * q * lam[j][i]
-    return tuple(coeffs)
+    coeffs, exact = _round_off(rows, q, big_w, _integral_gso(rows) if gso is None else gso)
+    return tuple(coeffs) if exact else None
 
 
 def _star_rows(

@@ -79,18 +79,15 @@ def _gauss_loop(
     b1: IntVector, b2: IntVector, kind: NormKind
 ) -> tuple[IntVector, IntVector, NormValue, NormValue]:
     """Translate the longer vector by its best multiple of the shorter one and
-    swap until the longer norm stops improving; returns (shorter, longer) and
-    their norms.  Each step measures only its new translate."""
+    swap until the best multiple is 0; returns (shorter, longer) and their
+    norms.  The tie rule of ``min_translate`` makes a nonzero q strictly
+    shorten b2, so each step measures only its new translate."""
     n1, n2 = measure(b1, kind), measure(b2, kind)
     if n1.value > n2.value:
         b1, b2, n1, n2 = b2, b1, n2, n1
-    while True:
-        q = min_translate(b2, b1, kind)
-        cand = tuple(v + q * u for v, u in zip(b2, b1))
-        nc = measure(cand, kind)
-        if nc.value >= n2.value:
-            break
-        b2, n2 = cand, nc
+    while q := min_translate(b2, b1, kind):
+        b2 = tuple(v + q * u for v, u in zip(b2, b1))
+        n2 = measure(b2, kind)
         if n2.value < n1.value:
             b1, b2, n1, n2 = b2, b1, n2, n1
     return b1, b2, n1, n2

@@ -3,7 +3,7 @@
 Everything here is a plain coefficient-box scan: no Gram-Schmidt pruning, no
 recursive rounding, no shared search code with the fast paths.  Coefficients
 are read through its own Fraction inverse (``invert_rational``), not through
-the library's exact-division membership test, and the greedy witness scan
+the library's one rounding walk for membership, and the greedy witness scan
 tests independence by its own elimination (``_independent_prefix``), not
 through the library's rank tracker.  It exists to be compared against, so
 it is deliberately dumb and allowed to be slow.

@@ -175,10 +175,10 @@ def check_standard(
             if not tracker.add(vec):
                 continue
             chosen.append(vec)
-            if level == n - 1:
-                if tracker.divisor == target_det:
+            # At full rank the divisor is a lattice |det|, a multiple of target_det.
+            if target_det % tracker.divisor == 0:
+                if level == n - 1:
                     return tuple(chosen)
-            elif target_det % tracker.divisor == 0:
                 nxt = (
                     idx + 1
                     if sm.minima[level + 1].value == sm.minima[level].value

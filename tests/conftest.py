@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from stdlattice import enumeration
+
+# Every property test draws the same examples on every run, so two runs of
+# one commit test the same inputs; each test keeps its own max_examples and
+# deadline.
+settings.register_profile("reproducible", derandomize=True)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture

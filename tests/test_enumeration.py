@@ -232,6 +232,33 @@ class TestWitnessCheck:
         res = minima_witness_check(identity_basis(3), bad)
         assert not res
 
+    def test_rejects_a_minimum_of_the_wrong_kind(self):
+        sm = successive_minima(identity_basis(3), NormKind.L2)
+        minima = (sm.minima[0], NormValue(NormKind.L1, 1), sm.minima[2])
+        res = minima_witness_check(identity_basis(3), sm._replace(minima=minima))
+        assert res.problems == ("minimum 2 has kind l1, expected l2",)
+
+    def test_rejects_minima_out_of_order(self):
+        b = LatticeBasis([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+        sm = successive_minima(b, NormKind.L2)
+        swapped = sm._replace(
+            minima=(sm.minima[1], sm.minima[0], sm.minima[2]),
+            witnesses=(sm.witnesses[1], sm.witnesses[0], sm.witnesses[2]),
+        )
+        res = minima_witness_check(b, swapped)
+        assert res.problems == ("minima are not nondecreasing at position 2",)
+
+    def test_rejects_minima_a_fresh_search_does_not_find(self):
+        # Lattice points, claimed at their own norms, independent and in
+        # order: only the fresh search sees that lambda_3 of Z^3 is 1.
+        sm = successive_minima(identity_basis(3), NormKind.L2)
+        claimed = sm._replace(
+            minima=tuple(NormValue(NormKind.L2, v) for v in (1, 1, 3)),
+            witnesses=((1, 0, 0), (0, 1, 0), (1, 1, 1)),
+        )
+        res = minima_witness_check(identity_basis(3), claimed)
+        assert res.problems == ("minimum 3 should be 1, certificate says 3",)
+
     def test_parity_witnesses_valid_but_not_a_basis(self):
         b = parity_lattice(5)
         sm = successive_minima(b, NormKind.L2)

@@ -250,7 +250,7 @@ def with_hostile_examples(test):
 
 
 @pytest.mark.parametrize("call, slot", SLOT_IDS, ids=[f"{c}-{s}" for c, s in SLOT_IDS])
-@settings(max_examples=15, deadline=None, derandomize=True)
+@settings(max_examples=15, deadline=None)
 @with_hostile_examples
 @given(value=SCALARS)
 def test_hostile_scalar_gets_an_answer_or_a_lattice_error(call, slot, value):

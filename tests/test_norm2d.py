@@ -223,8 +223,9 @@ class TestReduce2D:
 
     def test_measures_each_norm_once(self, monkeypatch):
         # A Fibonacci pair takes six translates under L2, where min_translate
-        # measures nothing.  The two inputs, one new translate per step and
-        # the criterion's b2 + b1 and b2 - b1 are all that is measured.
+        # measures nothing; the sixth is 0 and ends the loop unmeasured.  The
+        # two inputs, the five nonzero translates and the criterion's b2 + b1
+        # and b2 - b1 are all that is measured.
         measured, translates = [], []
         real_measure, real_translate = norm2d.measure, norm2d.min_translate
 
@@ -241,7 +242,7 @@ class TestReduce2D:
         red = reduce_2d(LatticeBasis([[34, 21], [55, 34]]), NormKind.L2)
         assert (red.b1, red.b2) == ((1, 0), (0, 1))
         assert len(translates) == 6
-        assert len(measured) == 2 + 6 + 2
+        assert len(measured) == 2 + 5 + 2
 
 
 class TestGaussCriterion:

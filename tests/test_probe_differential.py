@@ -87,7 +87,7 @@ def skewed_bases(draw):
     return LatticeBasis(rows)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80, deadline=None)
 @given(skewed_bases(), st.sampled_from(list(NormKind)))
 def test_skewed_probe_agrees_with_one_pass(basis, kind):
     assert_probe_changes_nothing(basis, kind)
@@ -133,7 +133,7 @@ def test_seeded_floor_agrees_with_the_always_run_path(kind, passes):
     assert ran == {False, True}
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None)
 @given(skewed_bases(), st.sampled_from([NormKind.L1, NormKind.LINF]))
 def test_skewed_floor_agrees_with_the_always_run_path(basis, kind):
     assert_floor_changes_nothing(basis, kind)

@@ -13,6 +13,7 @@ from stdlattice import (
     LatticeBasis,
     NormKind,
     NormValue,
+    StructuralError,
     brute_cvp,
     check_standard,
     coefficient_box,
@@ -216,6 +217,26 @@ def test_norm_value_ordering_across_kinds_raises():
     with pytest.raises(InputError, match="cannot compare NormValue with int"):
         a < 1
     assert a != b
+
+
+def test_norm_value_ordering_within_one_kind():
+    one, two = NormValue(L1, 1), NormValue(L1, Fraction(3, 2))
+    assert one < two and not two < one and not one < one
+    assert two > one and not one > two and not one > one
+    assert two >= one and one >= one and not one >= two
+
+
+def test_lattice_basis_equality_hash_and_repr():
+    a, b = LatticeBasis([[2, 0], [1, 3]]), LatticeBasis(((2, 0), (1, 3)))
+    assert a == b and hash(a) == hash(b)
+    assert a != LatticeBasis([[1, 3], [2, 0]])
+    assert a != [[2, 0], [1, 3]]
+    assert repr(a) == "LatticeBasis([[2, 0], [1, 3]])"
+
+
+def test_lattice_basis_needs_a_row():
+    with pytest.raises(StructuralError, match="at least one row"):
+        LatticeBasis([])
 
 
 def test_norm_value_properties_and_str():

@@ -33,7 +33,7 @@ def presentations(draw):
     return base, LatticeBasis(rows), LatticeBasis(_lll_rows(base.rows)[0])
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None)
 @given(presentations(), st.sampled_from(list(NormKind)))
 def test_skewed_and_reduced_presentations_agree(pres, kind):
     base, skewed, reduced = pres

@@ -59,6 +59,20 @@ class TestCheckStandard:
     def test_parity_3_l1_non_standard(self):
         assert check_standard(parity_lattice(3), NormKind.L1).verdict is Verdict.NON_STANDARD
 
+    def test_a_non_basis_from_the_search_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(standardness, "is_basis_of", lambda vectors, basis: False)
+        with pytest.raises(InternalConsistencyError, match="search returned a non-basis"):
+            check_standard(identity_basis(3), NormKind.L2)
+
+    def test_a_basis_off_the_minima_is_an_internal_error(self, monkeypatch):
+        def off_by_one(vec, kind):
+            nv = measure(vec, kind)
+            return nv._replace(value=nv.value + 1)
+
+        monkeypatch.setattr(standardness, "measure", off_by_one)
+        with pytest.raises(InternalConsistencyError, match="basis missing the minima"):
+            check_standard(identity_basis(3), NormKind.L1)
+
     def test_parity_4_l2_standard(self):
         cert = check_standard(parity_lattice(4), NormKind.L2)
         assert cert.verdict is Verdict.STANDARD

@@ -1,19 +1,22 @@
-"""Shared helpers for the test suite: seeded random instances and tiny
-independent oracles (cofactor determinants, raw coefficient-box scans, a
+"""Shared helpers for the test suite: seeded random instances, every
+Hermite form of a given index, and tiny independent oracles (an exhaustive
+standardness decision, cofactor determinants, raw coefficient-box scans, a
 Fraction Gram-Schmidt and the nearest-plane rounding built on it, a
 Fraction Gauss-Jordan solve, and the start bounds of a one-pass minima
 search)."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
-from stdlattice import LatticeBasis, NormKind, coefficient_box, measure
+from stdlattice import LatticeBasis, NormKind, Verdict, brute_minima, coefficient_box, measure
 from stdlattice.enumeration import DEFAULT_MAX_CANDIDATES, _bounded_minima
 from stdlattice.errors import DimensionMismatchError, StructuralError
 from stdlattice.exactlin import _lll_rows
+from stdlattice.oracle import _scan_box
 
 
 def random_basis(rng: random.Random, n: int, lo: int, hi: int) -> LatticeBasis:
@@ -99,6 +102,60 @@ def d4_type_bases(q, count: int = 8) -> list[LatticeBasis]:
         rows = [[s * r[p] for p, s in zip(perm, signs)] for r in frame[:3] + [half]]
         out.append(apply_unimodular(random_unimodular(rng, 4), LatticeBasis(rows)))
     return out
+
+
+def _diagonals(n: int, index: int):
+    """Every n-tuple of positive integers whose product is ``index``."""
+    if n == 1:
+        yield (index,)
+        return
+    for p in range(1, index + 1):
+        if index % p == 0:
+            for rest in _diagonals(n - 1, index // p):
+                yield (p, *rest)
+
+
+def hermite_forms(n: int, index: int):
+    """Every row-style Hermite form of an n x n matrix with diagonal product
+    ``index``, in exactlin's convention: upper triangular, positive
+    diagonal, each entry above a pivot in [0, pivot).  Each sublattice of
+    Z^n of that index is the row span of exactly one of them."""
+    cells = [(i, j) for j in range(n) for i in range(j)]
+    for diag in _diagonals(n, index):
+        for above in itertools.product(*(range(diag[j]) for _, j in cells)):
+            rows = [[0] * i + [diag[i]] + [0] * (n - i - 1) for i in range(n)]
+            for (i, j), x in zip(cells, above):
+                rows[i][j] = x
+            yield tuple(map(tuple, rows))
+
+
+def brute_standard(basis: LatticeBasis, kind: NormKind) -> Verdict:
+    """Exhaustive standardness decision: every index-monotone tuple of
+    vectors of norm lambda_i, from the oracle's minima and box scan, tried
+    for |det| by cofactor expansion, with no pruning."""
+    sm = brute_minima(basis, kind)
+    n = basis.dim
+    entries = _scan_box(basis, kind, sm.minima[-1], max_points=10**8)
+    levels = []
+    for nv in sm.minima:
+        levels.append([vec for vec, got in entries if got.value == nv.value])
+    target = abs(basis.det)
+
+    def tuples(level, start, chosen):
+        if level == n:
+            yield tuple(chosen)
+            return
+        same_as_prev = level > 0 and sm.minima[level].value == sm.minima[level - 1].value
+        begin = start if same_as_prev else 0
+        for idx in range(begin, len(levels[level])):
+            chosen.append(levels[level][idx])
+            yield from tuples(level + 1, idx + 1, chosen)
+            chosen.pop()
+
+    for cand in tuples(0, 0, []):
+        if abs(cofactor_det(cand)) == target:
+            return Verdict.STANDARD
+    return Verdict.NON_STANDARD
 
 
 def cofactor_det(mat) -> int:
