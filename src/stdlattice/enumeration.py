@@ -1,18 +1,22 @@
 """Exhaustive short-vector enumeration and successive minima with witnesses.
 
-The enumerator is one iterative depth-first loop over levels (Schnorr-Euchner
+The enumerator is one iterative depth-first loop over levels (Fincke-Pohst
 style) driven by the integral Gram-Schmidt data (d, lam) that LLL leaves
 behind, so it builds no Gram-Schmidt vector and no Fraction: partial
 squared-L2 sums prune against the L2 radius that dominates the requested
 norm, and survivors are filtered by the exact target norm.  Each level keeps
 its scaled center, partial sum, zero-prefix flag and ambient partial vector,
-so a leaf costs O(n), one row added to its parent's vector.  Each level
-sweeps upward from the integer nearest its center to the first failure, then
-downward from one below it (only upward from 0 while every coefficient above
-is zero), which fixes the visited set and hence the candidate count that the
-ceiling limits.  Output lists are sign-canonical (first nonzero ambient
-coordinate positive) and sorted by (norm, lexicographic coordinates), which
-makes every downstream certificate deterministic.
+so a leaf costs O(n), one row added to its parent's vector.  On entry a
+level's admissible coefficients are one exact integer interval around its
+center, from an integer square root of the radius the levels above leave
+(starting at 0 while every coefficient above is zero: the negative branch
+mirrors it).  Under L1/Linf, Hoelder's inequality on the level's star row
+g = d_l b*_l clamps it to a box: ||v|| <= N keeps the coefficient within
+N ||g||_dual / d_l+1 of the center.  The intervals fix the visited set,
+and each coefficient in one is a candidate against the ceiling.  Output
+lists are sign-canonical (first nonzero ambient coordinate positive) and
+sorted by (norm, lexicographic coordinates), which makes every downstream
+certificate deterministic.
 
 Every search runs on an LLL-reduced basis of the input lattice.  The output
 is a set of ambient vectors, so it does not depend on the basis it was found
@@ -23,11 +27,12 @@ bound lambda_n by N_n.  One exact floor p/q <= lambda_n decides which
 further passes can pay off.  Among n independent lattice vectors one has a
 nonzero coefficient on the last reduced row, so by Hoelder's inequality on
 that row's Gram-Schmidt vector b* its norm is at least ||b*||^2 over the dual
-norm of b* (||b*||^2 = d_n / d_n-1 itself under L2).  The bounding vectors
-are the reduced rows; under L1/Linf an L2 minima search runs first only when
-the floor leaves room below the rows' N_n (N_n - 1 >= p/q, norms being
-integers there), and its witnesses replace the rows when their largest norm
-is smaller.  Where the floor leaves no room the witnesses could not be
+norm of b* (||b*||^2 = d_n / d_n-1 itself under L2): the top level of the
+per-level box, whose star rows one minima search builds once.  The bounding
+vectors are the reduced rows; under L1/Linf an L2 minima search runs first
+only when the floor leaves room below the rows' N_n (N_n - 1 >= p/q, norms
+being integers there), and its witnesses replace the rows when their largest
+norm is smaller.  Where the floor leaves no room the witnesses could not be
 shorter, so skipping that search changes nothing.  When the norms have the
 parity shape (N_1 < N_n-1 = N_n) and N_1 reaches the floor, one probe pass at
 N_1 runs first; if it finds n independent vectors it covers lambda_n and the
@@ -38,7 +43,7 @@ is a subset of that pass's.
 
 from __future__ import annotations
 
-from math import lcm
+from math import isqrt, lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -121,9 +126,12 @@ def _enumerate_rows(
     kind: NormKind,
     bound: NormValue,
     max_candidates: int,
+    duals: Sequence[int] | None,
 ) -> list[MeasuredVector]:
     """Every nonzero vector of norm at most ``bound`` in the lattice of
-    ``rows``, given their integral Gram-Schmidt data (d, lam) from LLL."""
+    ``rows``, given their integral Gram-Schmidt data (d, lam) from LLL and,
+    under L1/Linf, the dual norms of their star rows (:func:`_dual_norms`;
+    None under L2, where they bound nothing the radius does not)."""
     m = len(rows)
     n = len(rows[0])
     r2 = enumeration_radius_in_l2(bound, n).value  # an int or a Fraction
@@ -142,67 +150,81 @@ def _enumerate_rows(
     # S_scaled <= R^2 * D^2 * E  <=>  S_scaled * rd <= rn * D^2 * E.
     cap = r2.numerator * den * den * sq_den
     rd = r2.denominator
+    # At level l, x_l is admissible iff t = x_l D - C_l, an integer, has
+    # (partial + t^2 bsq_scaled_l) rd <= cap, that is t^2 <= rem // bsq_rd[l]
+    # with rem = cap - partial rd >= 0 (the levels above passed the same
+    # test): |t| <= s = isqrt(rem // bsq_rd[l]), an exact integer interval
+    # of x_l around the center C_l / D.
+    bsq_rd = [b * rd for b in bsq_scaled]
+    # Under L1/Linf, Hoelder on the star row g_l = d_l b*_l clamps s: every
+    # v = sum x_i b_i has <v, g_l> = t d_l+1 / D, so ||v|| <= N gives
+    # |t| <= N ||g_l||_dual D / d_l+1.
+    boxes = None if duals is None else [
+        limit.numerator * g * den // (limit.denominator * d[l + 1]) for l, g in enumerate(duals)
+    ]
 
-    # One loop over levels, top (m-1) to leaf (0).  Per level: the current
-    # coefficient, its sweep direction (+1 up, -1 down) and start, the scaled
-    # center, the partial squared sum of the levels above, and whether every
-    # coefficient above is zero (then only the upward sweep from 0 runs: the
-    # negative branch mirrors it).  vecs[l] is the ambient vector
-    # sum_{i>=l} x_i rows_i, so a leaf adds one row to vecs[1].
+    # One loop, top level (m-1) to leaf (0).  Per level: the current
+    # coefficient and the top of its interval, the scaled center, the partial
+    # squared sum of the levels above, and whether every coefficient above
+    # is zero (then the interval starts at 0 at the lowest, as the negative
+    # branch mirrors it).  vecs[l] is the ambient vector sum_{i>=l} x_i
+    # rows_i, so a leaf adds one row to vecs[1].  xs[m] is a sentinel.
     found: list[MeasuredVector] = []
-    xs = [0] * m
-    steps = [1] * m
-    starts = [0] * m
+    xs = [0] * (m + 1)
+    his = [0] * m
     centers = [0] * m
     partials = [0] * m
     zeros = [True] * m
     vecs = [None] * m + [(0,) * n]
     row0 = rows[0]
-    level = m - 1
+    level, center, total, zero = m - 1, 0, 0, True
     work = 0
     while True:
-        xi = xs[level]
-        work += 1
-        if work > max_candidates:
-            raise ResourceLimitError(
-                f"enumeration exceeded {max_candidates} candidate evaluations "
-                f"({kind.value} pass, bound {limit})"
-            )
-        t = xi * den - centers[level]
-        total = partials[level] + t * t * bsq_scaled[level]
-        if total * rd <= cap:
-            zero = zeros[level] and xi == 0
-            if level:
-                vecs[level] = [p + xi * r for p, r in zip(vecs[level + 1], rows[level])]
-                level -= 1
-                center = -sum(map(mul, xs[level + 1 :], mu_cols[level]))
-                centers[level] = center
-                partials[level] = total
-                zeros[level] = zero
-                steps[level] = 1
-                if zero:
-                    xs[level] = 0
-                else:
-                    # Nearest integer to center/den; a tie can fall either
-                    # way, both tied values lie inside the interval whenever
-                    # any integer does.
-                    starts[level] = xs[level] = (2 * center + den) // (2 * den)
-                continue
-            if not zero:
-                vec = tuple([p + xi * r for p, r in zip(vecs[1], row0)])
+        # Enter ``level`` below a prefix with this center, partial sum and
+        # zero flag: every coefficient of its interval is one candidate.
+        s = isqrt((cap - total * rd) // bsq_rd[level])
+        if boxes and boxes[level] < s:
+            s = boxes[level]
+        lo = (center - s + den - 1) // den
+        hi = (center + s) // den
+        if zero and lo < 0:
+            lo = 0
+        if lo <= hi:
+            work += hi - lo + 1
+            if work > max_candidates:
+                raise ResourceLimitError(
+                    f"enumeration exceeded {max_candidates} candidate evaluations "
+                    f"({kind.value} pass, bound {limit})"
+                )
+        if level:
+            xs[level] = lo
+            his[level] = hi
+            centers[level] = center
+            partials[level] = total
+            zeros[level] = zero
+        else:
+            base = vecs[1]
+            for xi in range(lo + (zero and lo == 0), hi + 1):
+                vec = tuple([p + xi * r for p, r in zip(base, row0)])
                 nv = measure(vec, kind)
-                if 0 < nv.value <= limit:
+                if nv.value <= limit:
                     found.append(MeasuredVector(_canonical_sign(vec), nv))
-            xs[0] = xi + steps[0]
-            continue
-        if steps[level] == 1 and not zeros[level]:
-            steps[level] = -1
-            xs[level] = starts[level] - 1
-            continue
-        level += 1
+            level = 1
+            xs[1] += 1
+        # Climb past every spent interval, then descend from the next
+        # coefficient.
+        while level < m and xs[level] > his[level]:
+            level += 1
+            xs[level] += 1
         if level == m:
             break
-        xs[level] += steps[level]
+        xi = xs[level]
+        t = xi * den - centers[level]
+        total = partials[level] + t * t * bsq_scaled[level]
+        zero = zeros[level] and xi == 0
+        vecs[level] = [p + xi * r for p, r in zip(vecs[level + 1], rows[level])]
+        level -= 1
+        center = -sum(map(mul, xs[level + 1 :], mu_cols[level]))
 
     found.sort(key=lambda e: (e.norm.value, e.vector))
     return found
@@ -221,7 +243,8 @@ def enumerate_short(
     _require_bound(kind, bound)
     _check_dim(basis.dim, max_dim)
     _check_positive_int("max_candidates", max_candidates)
-    entries = _enumerate_rows(*_lll_rows(basis.rows), kind, bound, max_candidates)
+    reduced = _lll_rows(basis.rows)
+    entries = _enumerate_rows(*reduced, kind, bound, max_candidates, _dual_norms(reduced, kind))
     return ShortVectorList(kind=kind, bound=bound, entries=tuple(entries))
 
 
@@ -248,27 +271,40 @@ def _sorted_norms(vectors: Sequence[IntVector], kind: NormKind) -> list:
     return sorted(measure(v, kind).value for v in vectors)
 
 
-def _lambda_n_floor(reduced, kind: NormKind) -> tuple[int, int]:
-    """(p, q) with p / q <= lambda_n under ``kind`` (squared under L2) for
-    the lattice of ``reduced`` = (rows, d, lam) as returned by LLL.
+def _dual_norms(reduced, kind: NormKind) -> list[int] | None:
+    """||g_k||_dual for each star row g_k = d_k b*_k of ``reduced`` =
+    (rows, d, lam) as returned by LLL: the Linf norm under L1 and the L1 norm
+    under Linf.  None under L2, whose passes and floor do not use them."""
+    if kind is NormKind.L2:
+        return None
+    dual = max if kind is NormKind.L1 else sum
+    return [dual(map(abs, g)) for g in _star_rows(*reduced)]
+
+
+def _lambda_n_floor(d: Sequence[int], duals: Sequence[int] | None) -> tuple[int, int]:
+    """(p, q) with p / q <= lambda_n (squared under L2) for the lattice of
+    LLL rows with integral data ``d`` and star-row dual norms ``duals``
+    (:func:`_dual_norms`, None under L2).
 
     Of n independent lattice vectors one, v, has a nonzero coefficient x on
     the last row.  With b* that row's Gram-Schmidt vector, <v, b*> =
     x ||b*||^2, so by Hoelder ||v|| >= ||b*||^2 / ||b*||_dual, the dual norm
     being Linf for L1 and L1 for Linf.  The star row g = d_n-1 b* is an
     integer vector and ||b*||^2 = d_n / d_n-1, so the floor is
-    d_n / ||g||_dual; under L2 it is d_n / d_n-1.
+    d_n / ||g||_dual; under L2 it is d_n / d_n-1.  It is the top level of
+    the Hoelder box that :func:`_enumerate_rows` applies at every level.
     """
-    rows, d, lam = reduced
-    m = len(rows)
-    if kind is NormKind.L2:
-        return d[m], d[m - 1]
-    g = map(abs, _star_rows(rows, d, lam)[-1])
-    return d[m], max(g) if kind is NormKind.L1 else sum(g)
+    m = len(d) - 1
+    return d[m], d[m - 1] if duals is None else duals[-1]
 
 
 def _bounded_minima(
-    reduced, kind: NormKind, norms: Sequence, floor: tuple[int, int], max_candidates: int
+    reduced,
+    kind: NormKind,
+    norms: Sequence,
+    floor: tuple[int, int],
+    max_candidates: int,
+    duals: Sequence[int] | None,
 ) -> tuple[SuccessiveMinima, list[MeasuredVector], int]:
     """Minima from ``reduced`` = (rows, d, lam) as returned by LLL and the
     sorted ``kind`` norms N_1 <= .. <= N_n of n independent lattice vectors,
@@ -283,7 +319,8 @@ def _bounded_minima(
     vectors then lambda_n <= N_1 and its greedy scan is exact; otherwise the
     pass at N_n runs.  The probe is skipped when N_1 lies below ``floor`` =
     (p, q), a lower bound p / q on lambda_n (:func:`_lambda_n_floor`): then
-    it could not find n independent vectors.
+    it could not find n independent vectors.  ``duals`` are the star rows'
+    dual norms that every ``kind`` pass prunes with (:func:`_dual_norms`).
     """
     m = len(norms)
     low, top = norms[0], norms[-1]
@@ -292,7 +329,9 @@ def _bounded_minima(
     if low < top == norms[-2] and low * q >= p:
         bounds.insert(0, low)
     for value in bounds:
-        entries = _enumerate_rows(*reduced, kind, NormValue(kind, value), max_candidates)
+        entries = _enumerate_rows(
+            *reduced, kind, NormValue(kind, value), max_candidates, duals
+        )
         minima, witnesses, witness_det = _greedy_minima(entries, m)
         if len(witnesses) == m:
             return SuccessiveMinima(kind, tuple(minima), tuple(witnesses)), entries, witness_det
@@ -322,7 +361,8 @@ def _minima_with_entries(
     _check_positive_int("max_candidates", max_candidates)
     reduced = _lll_rows(rows)
     norms = _sorted_norms(reduced[0], kind)
-    floor = _lambda_n_floor(reduced, kind)
+    duals = _dual_norms(reduced, kind)
+    floor = _lambda_n_floor(reduced[1], duals)
     p, q = floor
     if kind is not NormKind.L2 and (norms[-1] - 1) * q >= p:
         # The L2 search is cheap on the reduced rows, and its witnesses are
@@ -331,13 +371,14 @@ def _minima_with_entries(
             reduced,
             NormKind.L2,
             _sorted_norms(reduced[0], NormKind.L2),
-            _lambda_n_floor(reduced, NormKind.L2),
+            _lambda_n_floor(reduced[1], None),
             max_candidates,
+            None,
         )[0]
         witness_norms = _sorted_norms(l2.witnesses, kind)
         if witness_norms[-1] < norms[-1]:
             norms = witness_norms
-    return _bounded_minima(reduced, kind, norms, floor, max_candidates)
+    return _bounded_minima(reduced, kind, norms, floor, max_candidates, duals)
 
 
 def successive_minima(

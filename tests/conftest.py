@@ -17,9 +17,9 @@ def passes(monkeypatch):
     recorded = []
     inner = enumeration._enumerate_rows
 
-    def recording(rows, d, lam, kind, bound, max_candidates):
+    def recording(rows, d, lam, kind, bound, max_candidates, duals):
         recorded.append((kind, bound.value))
-        return inner(rows, d, lam, kind, bound, max_candidates)
+        return inner(rows, d, lam, kind, bound, max_candidates, duals)
 
     monkeypatch.setattr(enumeration, "_enumerate_rows", recording)
     return recorded

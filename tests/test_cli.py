@@ -395,11 +395,11 @@ class TestErrorClasses:
         # A Linf search on the parity lattice still runs its L2 search first.
         path = write_json_basis(tmp_path, "l4.json", parity_rows(4))
         code, out, err = run_cli(
-            ["minima", path, "--norm", "linf", "--max-candidates", "55"], capsys
+            ["minima", path, "--norm", "linf", "--max-candidates", "27"], capsys
         )
         assert code == 4
         assert out == ""
-        assert "55 candidate evaluations (l2 pass, bound 4)" in err
+        assert "27 candidate evaluations (l2 pass, bound 4)" in err
 
     def test_resource_ceiling_bounds_the_standardness_search(self, tmp_path, capsys):
         path = write_json_basis(tmp_path, "deep.json", deep_backtrack_l1_rows())

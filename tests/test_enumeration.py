@@ -67,6 +67,22 @@ class TestEnumerateShort:
                 slow = [(v, nv.value) for v, nv in box_short_vectors(b, kind, bound)]
                 assert fast == slow
 
+    def test_fraction_bounds_match_box_scan(self):
+        # A Fraction bound gives the L2 radius a denominator above 1 and,
+        # under L1/Linf, the Hoelder box a Fraction N: each level's isqrt
+        # interval and the box's floor division must stay exact.
+        rng = random.Random(31)
+        for kind in NormKind:
+            top = 10 if kind is NormKind.L2 else 4
+            for _ in range(24):
+                n = rng.randint(1, 4)
+                b = apply_unimodular(random_unimodular(rng, n, 4), random_basis(rng, n, -2, 2))
+                q = rng.randint(2, 6)
+                bound = NormValue(kind, Fraction(rng.randint(q, top * q), q))
+                fast = [(e.vector, e.norm.value) for e in enumerate_short(b, kind, bound).entries]
+                slow = [(v, nv.value) for v, nv in box_short_vectors(b, kind, bound)]
+                assert fast == slow, (b.rows, bound)
+
     def test_sign_canonical_and_sorted(self):
         out = enumerate_short(identity_basis(3), NormKind.L2, NormValue(NormKind.L2, 4))
         for vec, _ in out.entries:
@@ -135,7 +151,7 @@ class TestSuccessiveMinima:
         reduced = _lll_rows(((1, 0), (0, 3)))
         with pytest.raises(InternalConsistencyError, match="bound 1 lies below lambda_2"):
             enumeration._bounded_minima(
-                reduced, NormKind.L2, [1, 1], (0, 1), DEFAULT_MAX_CANDIDATES
+                reduced, NormKind.L2, [1, 1], (0, 1), DEFAULT_MAX_CANDIDATES, None
             )
 
     def test_scaling_law(self):
@@ -161,7 +177,7 @@ class TestSuccessiveMinima:
 
     def test_smallest_sufficient_ceiling_is_pinned(self):
         # A skewed basis whose reduced Gram-Schmidt data is fractional: the
-        # L1 minima need exactly 928 candidate evaluations in their largest
+        # L1 minima need exactly 423 candidate evaluations in their largest
         # pass, so any moved pruning decision or search order shows here.
         b = LatticeBasis(
             [
@@ -172,7 +188,7 @@ class TestSuccessiveMinima:
                 [7, -10, -4, 16, -9],
             ]
         )
-        sm = successive_minima(b, NormKind.L1, max_candidates=928)
+        sm = successive_minima(b, NormKind.L1, max_candidates=423)
         assert [nv.value for nv in sm.minima] == [6, 7, 8, 8, 8]
         assert sm.witnesses == (
             (3, 1, -2, 0, 0),
@@ -181,8 +197,8 @@ class TestSuccessiveMinima:
             (1, 1, 0, 1, -5),
             (1, 4, 1, -2, 0),
         )
-        with pytest.raises(ResourceLimitError, match=r"exceeded 927 .*\(l1 pass, bound 11\)$"):
-            successive_minima(b, NormKind.L1, max_candidates=927)
+        with pytest.raises(ResourceLimitError, match=r"exceeded 422 .*\(l1 pass, bound 11\)$"):
+            successive_minima(b, NormKind.L1, max_candidates=422)
 
     def test_ceiling_in_the_l2_pass_of_an_l1_search(self):
         # L1/Linf minima run the L2 minima for their start bound when the
@@ -192,8 +208,16 @@ class TestSuccessiveMinima:
         # still makes its L2 pass first.
         with pytest.raises(ResourceLimitError, match=r"\(l1 pass, bound 1\)$"):
             successive_minima(identity_basis(3), NormKind.L1, max_candidates=1)
-        with pytest.raises(ResourceLimitError, match=r"exceeded 55 .*\(l2 pass, bound 4\)$"):
-            successive_minima(parity_lattice(4), NormKind.LINF, max_candidates=55)
+        with pytest.raises(ResourceLimitError, match=r"exceeded 27 .*\(l2 pass, bound 4\)$"):
+            successive_minima(parity_lattice(4), NormKind.LINF, max_candidates=27)
+
+    def test_z9_linf_within_a_small_ceiling(self):
+        # The Linf pass at bound 1 on Z^9 keeps each level's coefficients in
+        # the Hoelder box |x| <= 1 and needs 14,766 candidates; pruned by the
+        # circumscribing L2 ball (radius 3) alone, with two failing
+        # evaluations per level, it needed 120,889.
+        sm = successive_minima(identity_basis(9), NormKind.LINF, max_candidates=20_000)
+        assert [nv.value for nv in sm.minima] == [1] * 9
 
     def test_lambda1_is_enumeration_minimum(self):
         rng = random.Random(17)
@@ -268,7 +292,7 @@ class TestWitnessCheck:
 
 L1, L2, LINF = NormKind.L1, NormKind.L2, NormKind.LINF
 
-# The skewed basis of the 928/927 pin above.
+# The skewed basis of the 423/422 pin above.
 SKEWED_5 = (
     (0, 1, 4, -4, 3),
     (-1, -4, -1, 2, 0),
@@ -283,43 +307,43 @@ SKEWED_5 = (
 # the search's exact work, so any change to the visited set or to the order of
 # the passes shows here.
 WORK_TABLE = [
-    (((-3, 1), (-1, 1)), L1, None, 11, "10 candidate evaluations (l1 pass, bound 2)"),
-    (((-1, -3), (2, 1)), LINF, 9, 69, "68 candidate evaluations (linf pass, bound 9)"),
-    (((2, 0, -4), (4, 5, -19), (1, -2, 2)), L2, None, 27, "26 candidate evaluations (l2 pass, bound 8)"),
-    (((-4, 1, 5), (-4, -3, 4), (-2, 4, 1)), L1, 12, 140, "139 candidate evaluations (l1 pass, bound 12)"),
+    (((-3, 1), (-1, 1)), L1, None, 7, "6 candidate evaluations (l1 pass, bound 2)"),
+    (((-1, -3), (2, 1)), LINF, 9, 57, "56 candidate evaluations (linf pass, bound 9)"),
+    (((2, 0, -4), (4, 5, -19), (1, -2, 2)), L2, None, 16, "15 candidate evaluations (l2 pass, bound 8)"),
+    (((-4, 1, 5), (-4, -3, 4), (-2, 4, 1)), L1, 12, 111, "110 candidate evaluations (l1 pass, bound 12)"),
     (
         ((10, 3, -11, 2), (-3, 1, -4, -1), (-3, -4, -3, -4), (7, 6, -1, 3)),
-        LINF, None, 95, "94 candidate evaluations (linf pass, bound 5)",
+        LINF, None, 51, "50 candidate evaluations (linf pass, bound 5)",
     ),
     (
         ((1, 2, -2, 4), (0, -1, -3, 1), (4, 0, 5, -5), (-3, -4, 2, -4)),
-        L2, 60, 280, "279 candidate evaluations (l2 pass, bound 60)",
+        L2, 60, 174, "173 candidate evaluations (l2 pass, bound 60)",
     ),
     (
         ((6, 3, -1, -5, 3), (3, -3, -3, 2, 4), (2, -1, 0, 2, 4), (-2, 1, 0, 4, -2), (1, -3, -4, 4, 0)),
-        L1, None, 1297, "1296 candidate evaluations (l1 pass, bound 9)",
+        L1, None, 666, "665 candidate evaluations (l1 pass, bound 9)",
     ),
     (
         ((4, 1, -1, 3, -1), (3, 0, 2, -2, 3), (-4, -3, -4, 4, -10), (0, 5, 6, -1, 2), (1, 1, 2, 0, 2)),
-        L2, None, 71, "70 candidate evaluations (l2 pass, bound 27)",
+        L2, None, 34, "33 candidate evaluations (l2 pass, bound 27)",
     ),
     (
         (
             (0, 3, 0, -6, -4, -5), (1, 0, 3, 3, 4, -4), (0, -2, 2, 3, 1, 4),
             (-4, -2, -3, 2, -4, 0), (3, 1, -2, -3, 4, 4), (4, -3, 2, 0, -1, -3),
         ),
-        LINF, None, 889, "888 candidate evaluations (linf pass, bound 4)",
+        LINF, None, 580, "579 candidate evaluations (linf pass, bound 4)",
     ),
     (
         (
             (4, 3, -1, 0, 1, 0), (-1, -1, 1, 2, 0, -3), (1, -4, -2, 4, 4, 0),
             (1, 1, -2, -4, 1, -4), (4, -4, -2, -3, 3, 0), (-2, 4, -2, 1, 2, 2),
         ),
-        L1, None, 1861, "1860 candidate evaluations (l1 pass, bound 10)",
+        L1, None, 707, "706 candidate evaluations (l1 pass, bound 10)",
     ),
-    (parity_lattice(5).rows, L2, None, 87, "86 candidate evaluations (l2 pass, bound 4)"),
-    (parity_lattice(6).rows, L1, 6, 9040, "9039 candidate evaluations (l1 pass, bound 6)"),
-    (parity_lattice(4).rows, LINF, None, 56, "55 candidate evaluations (l2 pass, bound 4)"),
+    (parity_lattice(5).rows, L2, None, 34, "33 candidate evaluations (l2 pass, bound 4)"),
+    (parity_lattice(6).rows, L1, 6, 5359, "5358 candidate evaluations (l1 pass, bound 6)"),
+    (parity_lattice(4).rows, LINF, None, 28, "27 candidate evaluations (l2 pass, bound 4)"),
 ]
 
 
@@ -418,7 +442,7 @@ class TestExactWork:
 
     @pytest.mark.parametrize(
         "rows, kind, expected",
-        [(SKEWED_5, L1, 408), (WORK_TABLE[7][0], L2, 18), (WORK_TABLE[8][0], LINF, 518)],
+        [(SKEWED_5, L1, 317), (WORK_TABLE[7][0], L2, 18), (WORK_TABLE[8][0], LINF, 494)],
     )
     def test_leaf_count_skewed_minima(self, leaves, rows, kind, expected):
         successive_minima(LatticeBasis(rows), kind)
@@ -457,7 +481,7 @@ class TestLambdaNFloor:
         for _ in range(4):
             basis = apply_unimodular(random_unimodular(rng, n), random_basis(rng, n, -span, span))
             reduced = _lll_rows(basis.rows)
-            p, q = enumeration._lambda_n_floor(reduced, kind)
+            p, q = enumeration._lambda_n_floor(reduced[1], enumeration._dual_norms(reduced, kind))
             assert Fraction(p, q) == self.reference_floor(reduced[0], kind)
             if kind is L2:
                 d = reduced[1]
@@ -467,4 +491,5 @@ class TestLambdaNFloor:
     @pytest.mark.parametrize("kind", list(NormKind))
     def test_floor_meets_lambda_n_on_the_integer_lattice(self, kind):
         reduced = _lll_rows(identity_basis(4).rows)
-        assert enumeration._lambda_n_floor(reduced, kind) == (1, 1)
+        duals = enumeration._dual_norms(reduced, kind)
+        assert enumeration._lambda_n_floor(reduced[1], duals) == (1, 1)

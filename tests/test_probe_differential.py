@@ -41,9 +41,10 @@ from util import apply_unimodular, random_basis, random_unimodular, single_pass_
 
 
 def forced_single_pass(rows, kind, max_candidates=DEFAULT_MAX_CANDIDATES):
-    # n equal bounding norms leave no room for a probe.
+    # n equal bounding norms leave no room for a probe, and the pass runs
+    # without the Hoelder box, so the box is checked here too.
     norms = [single_pass_bounds(rows, kind)[kind]] * len(rows)
-    return _bounded_minima(_lll_rows(rows), kind, norms, (0, 1), max_candidates)
+    return _bounded_minima(_lll_rows(rows), kind, norms, (0, 1), max_candidates, None)
 
 
 def assert_probe_changes_nothing(basis, kind):
@@ -95,17 +96,17 @@ def test_skewed_probe_agrees_with_one_pass(basis, kind):
 
 def always_l2_search(rows, kind):
     # The trivial floor (0, 1) gates nothing: the L2 search always runs and
-    # every probe the shape allows is made.
+    # every probe the shape allows is made, each pass without the Hoelder box.
     reduced = _lll_rows(rows)
     norms = _sorted_norms(reduced[0], kind)
     l2 = _bounded_minima(
         reduced, NormKind.L2, _sorted_norms(reduced[0], NormKind.L2), (0, 1),
-        DEFAULT_MAX_CANDIDATES,
+        DEFAULT_MAX_CANDIDATES, None,
     )[0]
     witness_norms = _sorted_norms(l2.witnesses, kind)
     if witness_norms[-1] < norms[-1]:
         norms = witness_norms
-    return _bounded_minima(reduced, kind, norms, (0, 1), DEFAULT_MAX_CANDIDATES)
+    return _bounded_minima(reduced, kind, norms, (0, 1), DEFAULT_MAX_CANDIDATES, None)
 
 
 def assert_floor_changes_nothing(basis, kind):

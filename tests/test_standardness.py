@@ -239,7 +239,7 @@ class TestSearchWork:
     def test_linf_parity_10_within_a_small_ceiling(self, passes):
         # The reduced rows have Linf norm 2, except the two odd rows with 1;
         # the probe at 1 holds the 2^9 odd vectors, of full rank, so the pass
-        # to bound 2 (797,882 candidate evaluations) is never made.
+        # to bound 2 (64,224 candidate evaluations) is never made.
         cert = check_standard(parity_lattice(10), NormKind.LINF, max_candidates=10_000)
         assert cert.verdict is Verdict.STANDARD
         assert [nv.value for nv in cert.minima.minima] == [1] * 10

@@ -78,7 +78,7 @@ def deep_backtrack_l1_rows() -> list[list[int]]:
     the lattice of 4e_1 and 2(e_i - e_(i-1)).  Its levels generate it, so
     under L1 check_standard answers NonStandard only by exhausting a
     backtrack of 498,332 nodes, while no enumeration pass needs more than
-    7,456 candidate evaluations."""
+    3,318 candidate evaluations."""
     a = NON_STANDARD_L1_4D_FULL_POOL[0][0]
     d5 = [[4, 0, 0, 0, 0]]
     d5 += [[2 * (j == i) - 2 * (j == i - 1) for j in range(5)] for i in range(1, 5)]
@@ -244,7 +244,7 @@ def single_pass_bounds(rows, kind: NormKind) -> dict:
     if kind is not NormKind.L2:
         # n equal norms: no probe, one pass at the largest reduced row norm.
         norms = [bounds[NormKind.L2]] * len(reduced[0])
-        l2 = _bounded_minima(reduced, NormKind.L2, norms, (0, 1), DEFAULT_MAX_CANDIDATES)[0]
+        l2 = _bounded_minima(reduced, NormKind.L2, norms, (0, 1), DEFAULT_MAX_CANDIDATES, None)[0]
         bounds[kind] = min(largest(reduced[0], kind), largest(l2.witnesses, kind))
     return bounds
 
