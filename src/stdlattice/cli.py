@@ -126,7 +126,9 @@ def load_basis_file(path: str, max_dim: int) -> tuple[LatticeBasis, NormKind | N
     The dimension is checked against ``max_dim`` before any arithmetic is
     spent on the entries."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # A leading byte-order mark is dropped after decoding, so the offsets
+        # of the not-UTF-8 error below still count every byte of the file.
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -21,8 +21,10 @@ certificate deterministic.
 Every search runs on an LLL-reduced basis of the input lattice.  The output
 is a set of ambient vectors, so it does not depend on the basis it was found
 from, while the reduced basis has short, nearly orthogonal rows and a far
-smaller search tree.  The minima are read off a pass whose bound already
-covers lambda_n: the norms N_1 <= .. <= N_n of n independent lattice vectors
+smaller search tree.  ``_reduced_minima`` is the one place where the
+passes of a minima search are decided, from the reduced rows and the norm
+kind alone.  The minima are read off a pass whose bound already covers
+lambda_n: the norms N_1 <= .. <= N_n of n independent lattice vectors
 bound lambda_n by N_n.  One exact floor p/q <= lambda_n decides which
 further passes can pay off.  Among n independent lattice vectors one has a
 nonzero coefficient on the last reduced row, so by Hoelder's inequality on
@@ -146,16 +148,16 @@ def _enumerate_rows(
     sq_den = lcm(*d[:m])
     # mu_cols[l] holds the scaled mu_il for i > l: the weights of l's center.
     mu_cols = [[lam[i][j] * (den // d[j + 1]) for i in range(j + 1, m)] for j in range(m)]
-    bsq_scaled = [d[j + 1] * (sq_den // d[j]) for j in range(m)]
-    # S_scaled <= R^2 * D^2 * E  <=>  S_scaled * rd <= rn * D^2 * E.
+    # S_scaled <= R^2 * D^2 * E  <=>  S_scaled * rd <= rn * D^2 * E = cap.
     cap = r2.numerator * den * den * sq_den
     rd = r2.denominator
-    # At level l, x_l is admissible iff t = x_l D - C_l, an integer, has
-    # (partial + t^2 bsq_scaled_l) rd <= cap, that is t^2 <= rem // bsq_rd[l]
-    # with rem = cap - partial rd >= 0 (the levels above passed the same
-    # test): |t| <= s = isqrt(rem // bsq_rd[l]), an exact integer interval
-    # of x_l around the center C_l / D.
-    bsq_rd = [b * rd for b in bsq_scaled]
+    # bsq_rd[l] = ||b*_l||^2 D^2 E rd.  At level l, x_l is admissible iff
+    # t = x_l D - C_l, an integer, has t^2 bsq_rd[l] <= rem, where
+    # rem = cap - (scaled partial sum of the levels above) rd >= 0 is the
+    # radius they leave (they passed the same test): |t| <= s =
+    # isqrt(rem // bsq_rd[l]), an exact integer interval of x_l around the
+    # center C_l / D.  A child's rem is its parent's minus t^2 bsq_rd[l].
+    bsq_rd = [d[j + 1] * (sq_den // d[j]) * rd for j in range(m)]
     # Under L1/Linf, Hoelder on the star row g_l = d_l b*_l clamps s: every
     # v = sum x_i b_i has <v, g_l> = t d_l+1 / D, so ||v|| <= N gives
     # |t| <= N ||g_l||_dual D / d_l+1.
@@ -164,8 +166,8 @@ def _enumerate_rows(
     ]
 
     # One loop, top level (m-1) to leaf (0).  Per level: the current
-    # coefficient and the top of its interval, the scaled center, the partial
-    # squared sum of the levels above, and whether every coefficient above
+    # coefficient and the top of its interval, the scaled center, the radius
+    # rem that the levels above leave, and whether every coefficient above
     # is zero (then the interval starts at 0 at the lowest, as the negative
     # branch mirrors it).  vecs[l] is the ambient vector sum_{i>=l} x_i
     # rows_i, so a leaf adds one row to vecs[1].  xs[m] is a sentinel.
@@ -173,16 +175,16 @@ def _enumerate_rows(
     xs = [0] * (m + 1)
     his = [0] * m
     centers = [0] * m
-    partials = [0] * m
+    rems = [0] * m
     zeros = [True] * m
     vecs = [None] * m + [(0,) * n]
     row0 = rows[0]
-    level, center, total, zero = m - 1, 0, 0, True
+    level, center, rem, zero = m - 1, 0, cap, True
     work = 0
     while True:
-        # Enter ``level`` below a prefix with this center, partial sum and
-        # zero flag: every coefficient of its interval is one candidate.
-        s = isqrt((cap - total * rd) // bsq_rd[level])
+        # Enter ``level`` below a prefix with this center, remaining radius
+        # and zero flag: every coefficient of its interval is one candidate.
+        s = isqrt(rem // bsq_rd[level])
         if boxes and boxes[level] < s:
             s = boxes[level]
         lo = (center - s + den - 1) // den
@@ -200,7 +202,7 @@ def _enumerate_rows(
             xs[level] = lo
             his[level] = hi
             centers[level] = center
-            partials[level] = total
+            rems[level] = rem
             zeros[level] = zero
         else:
             base = vecs[1]
@@ -220,7 +222,7 @@ def _enumerate_rows(
             break
         xi = xs[level]
         t = xi * den - centers[level]
-        total = partials[level] + t * t * bsq_scaled[level]
+        rem = rems[level] - t * t * bsq_rd[level]
         zero = zeros[level] and xi == 0
         vecs[level] = [p + xi * r for p, r in zip(vecs[level + 1], rows[level])]
         level -= 1
@@ -298,33 +300,44 @@ def _lambda_n_floor(d: Sequence[int], duals: Sequence[int] | None) -> tuple[int,
     return d[m], d[m - 1] if duals is None else duals[-1]
 
 
-def _bounded_minima(
-    reduced,
-    kind: NormKind,
-    norms: Sequence,
-    floor: tuple[int, int],
-    max_candidates: int,
-    duals: Sequence[int] | None,
+def _reduced_minima(
+    reduced, kind: NormKind, max_candidates: int
 ) -> tuple[SuccessiveMinima, list[MeasuredVector], int]:
-    """Minima from ``reduced`` = (rows, d, lam) as returned by LLL and the
-    sorted ``kind`` norms N_1 <= .. <= N_n of n independent lattice vectors,
-    together with the enumeration pass they were read from and |det| of the
-    witnesses, which the greedy scan's rank tracker holds.  N_n covers
-    lambda_n, so the pass at N_n finds n independent vectors; one that finds
-    fewer is a bug, never a short answer.
+    """Minima from ``reduced`` = (rows, d, lam) as returned by LLL, together
+    with the enumeration pass they were read from and |det| of the
+    witnesses, which the greedy scan's rank tracker holds.  This is the one
+    place where the passes of a minima search are decided.
+
+    The pass bound comes from the sorted ``kind`` norms N_1 <= .. <= N_n of
+    n independent lattice vectors: the reduced rows, or under L1/Linf the L2
+    minima witnesses when their largest ``kind`` norm is smaller.  N_n
+    covers lambda_n, so the pass at N_n finds n independent vectors; one
+    that finds fewer is a bug, never a short answer.  L1 and Linf norms of
+    integer vectors are integers, so the L2 search, which the witnesses
+    cost, runs only when the floor p / q <= lambda_n of
+    :func:`_lambda_n_floor` allows lambda_n <= N_n - 1; otherwise no n
+    independent vectors are shorter than the rows.
 
     When at least two of the vectors share the top norm and a shorter one
     exists, as in the parity lattices, one probe pass at N_1 runs first.
     Every vector of norm <= N_1 is in it, so if it holds n independent
     vectors then lambda_n <= N_1 and its greedy scan is exact; otherwise the
-    pass at N_n runs.  The probe is skipped when N_1 lies below ``floor`` =
-    (p, q), a lower bound p / q on lambda_n (:func:`_lambda_n_floor`): then
-    it could not find n independent vectors.  ``duals`` are the star rows'
-    dual norms that every ``kind`` pass prunes with (:func:`_dual_norms`).
+    pass at N_n runs.  The probe is skipped when N_1 lies below the floor:
+    then it could not find n independent vectors.  Every ``kind`` pass
+    prunes with the star rows' dual norms (:func:`_dual_norms`).
     """
+    duals = _dual_norms(reduced, kind)
+    p, q = _lambda_n_floor(reduced[1], duals)
+    norms = _sorted_norms(reduced[0], kind)
+    if kind is not NormKind.L2 and (norms[-1] - 1) * q >= p:
+        # The L2 search is cheap on the reduced rows, and its witnesses are
+        # n independent vectors that are often much shorter in ``kind``.
+        l2 = _reduced_minima(reduced, NormKind.L2, max_candidates)[0]
+        witness_norms = _sorted_norms(l2.witnesses, kind)
+        if witness_norms[-1] < norms[-1]:
+            norms = witness_norms
     m = len(norms)
     low, top = norms[0], norms[-1]
-    p, q = floor
     bounds = [top]
     if low < top == norms[-2] and low * q >= p:
         bounds.insert(0, low)
@@ -348,37 +361,9 @@ def _minima_with_entries(
 ) -> tuple[SuccessiveMinima, list[MeasuredVector], int]:
     """The minima together with the enumeration pass they were read from:
     every vector of norm at most that pass's bound, which is >= lambda_n,
-    and |det| of the witnesses.
-
-    The bound comes from n independent vectors (see :func:`_bounded_minima`):
-    the reduced rows, or under L1/Linf the L2 minima witnesses when their
-    largest ``kind`` norm is smaller.  L1 and Linf norms of integer vectors
-    are integers, so the L2 search, which the witnesses cost, runs only when
-    the floor p / q <= lambda_n of :func:`_lambda_n_floor` allows
-    lambda_n <= N_n - 1; otherwise no n independent vectors are shorter than
-    the rows.  The same floor gates the probe.
-    """
+    and |det| of the witnesses (see :func:`_reduced_minima`)."""
     _check_positive_int("max_candidates", max_candidates)
-    reduced = _lll_rows(rows)
-    norms = _sorted_norms(reduced[0], kind)
-    duals = _dual_norms(reduced, kind)
-    floor = _lambda_n_floor(reduced[1], duals)
-    p, q = floor
-    if kind is not NormKind.L2 and (norms[-1] - 1) * q >= p:
-        # The L2 search is cheap on the reduced rows, and its witnesses are
-        # n independent vectors that are often much shorter in ``kind``.
-        l2 = _bounded_minima(
-            reduced,
-            NormKind.L2,
-            _sorted_norms(reduced[0], NormKind.L2),
-            _lambda_n_floor(reduced[1], None),
-            max_candidates,
-            None,
-        )[0]
-        witness_norms = _sorted_norms(l2.witnesses, kind)
-        if witness_norms[-1] < norms[-1]:
-            norms = witness_norms
-    return _bounded_minima(reduced, kind, norms, floor, max_candidates, duals)
+    return _reduced_minima(_lll_rows(rows), kind, max_candidates)
 
 
 def successive_minima(

@@ -533,6 +533,11 @@ class RankTracker:
     becomes column k and appends g to the diagonal, and the remainders are
     columns with <v, c> = 0.  ``pop`` removes the vector added last, which is
     what backtracking searches need.
+
+    The columns of U after the first ``rank`` are a Z-basis of the integer
+    kernel {x : A x = 0}: x = U y solves A x = 0 iff H y_1..k = 0, that is
+    iff y vanishes on the first k places, and U is unimodular.  ``kernel``
+    gives them, once at least one vector has been added.
     """
 
     __slots__ = ("_cols", "_undo", "divisor")
@@ -545,6 +550,11 @@ class RankTracker:
     @property
     def rank(self) -> int:
         return len(self._undo)
+
+    @property
+    def kernel(self) -> tuple[IntVector, ...]:
+        """A Z-basis of the integer vectors orthogonal to every vector added."""
+        return tuple(map(tuple, self._cols[len(self._undo):]))
 
     def add(self, vec: Sequence[int]) -> bool:
         """Add ``vec`` if it increases the rank; report whether it did."""

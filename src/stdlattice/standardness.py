@@ -26,7 +26,9 @@ transform of the chosen vectors and folds each new one into it by the same
 row insertion (``_echelon_insert``).  Unimodular column operations preserve the
 gcd of the maximal minors (Cauchy-Binet), so that gcd is the product of the
 pivots, one per added vector; a partial tuple whose gcd does not divide
-|det| can never complete to a basis.
+|det| can never complete to a basis.  The transform's columns past the
+rank are a Z-basis of the integer kernel of the vectors added, and two such
+kernels give ``section_lattice``.
 
 By the paper's theorem every lattice of dimension n <= 4 is standard under
 L2, so there the L2 certificate always carries a minima-achieving basis, and
@@ -52,10 +54,10 @@ from .exactlin import (
     _check_dim,
     _check_lengths,
     _coefficients,
+    _dot,
     _echelon_insert,
     _integral_gso,
     _pairwise_orthogonal,
-    hermite_form,
     hnf_nonzero_rows,
     is_basis_of,
 )
@@ -206,36 +208,28 @@ def check_standard(
 def _section_rows(
     rows: Sequence[IntVector], spanning: Sequence[IntVector]
 ) -> tuple[IntVector, ...]:
-    """Basis of span(spanning) intersected with the lattice of ``rows``.
+    """Basis of span(spanning) intersected with the lattice of ``rows``, for
+    k independent lattice members ``spanning`` (1 <= k < len(rows)).
 
-    Works in coefficient space: the hyperplane condition becomes a single
-    integer linear form on the coefficients, whose full integer kernel is cut
-    out by the unimodular transform of a Hermite reduction.  The result is
-    therefore the whole section, not a finite-index sublattice of it.
+    Works in coefficient space, with two rank trackers: the integer kernel
+    of the spanning coefficient rows is the lattice of normals, and its own
+    integer kernel is the saturation of their span, every integer
+    coefficient vector in it.  The result is therefore the whole section,
+    not a finite-index sublattice of it.
     """
-    m = len(rows)
     gso = _integral_gso(rows)
-    coeff_rows = []
+    spans = RankTracker()
     for s in spanning:
         x = _coefficients(rows, s, gso)
         if x is None:
             raise StructuralError(f"spanning vector {s} is not in the lattice")
-        coeff_rows.append(x)
-    # The Hermite form of the transpose of the coefficient rows has their
-    # rank as its number of nonzero rows.  At rank m - 1 it ends in one zero
-    # row, and the matching row of U spans the integer kernel: the primitive
-    # normal g of the hyperplane, up to a sign that the canonical Hermite
-    # rows of the section do not see.
-    hf = hermite_form(list(zip(*coeff_rows)))
-    if sum(map(any, hf.h)) != m - 1:
+        spans.add(x)
+    if spans.rank != len(spanning):
         raise StructuralError("spanning set is linearly dependent")
-    g = hf.u[-1]
-    kernel = hermite_form([[gi] for gi in g]).u[1:]
-    n = len(rows[0])
-    section = [
-        tuple(sum(k[i] * rows[i][j] for i in range(m)) for j in range(n)) for k in kernel
-    ]
-    return hnf_nonzero_rows(section)
+    normals = RankTracker()
+    for g in spans.kernel:
+        normals.add(g)
+    return hnf_nonzero_rows([[_dot(k, col) for col in zip(*rows)] for k in normals.kernel])
 
 
 def section_lattice(

@@ -223,6 +223,21 @@ class TestErrorClasses:
         assert (code, out) == (2, "")
         assert err == f"error: cannot read {path}: not UTF-8 text (byte 0xff at offset 8)\n"
 
+    @pytest.mark.parametrize(
+        "content",
+        ['{"dim": 2, "basis": [[2, 0], [1, 2]], "norm": "l1"}', "2\n2 0\n1 2\n"],
+        ids=["json", "text"],
+    )
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path, capsys, content):
+        # Some editors save UTF-8 with a byte-order mark; it used to reach the
+        # parsers and fail as a plain-text token.
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_bytes(content.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + content.encode())
+        want = run_cli(["minima", str(plain), "--json"], capsys)
+        assert want[0] == 0
+        assert run_cli(["minima", str(marked), "--json"], capsys) == want
+
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_entry_past_the_digit_limit_names_the_file_and_the_limit(self, tmp_path, capsys, fmt):
         limit = sys.get_int_max_str_digits()

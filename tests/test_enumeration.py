@@ -144,15 +144,15 @@ class TestSuccessiveMinima:
             c = successive_minima(apply_unimodular(u, b), kind)
             assert [x.value for x in a.minima] == [x.value for x in c.minima]
 
-    def test_bound_below_lambda_n_is_an_internal_error(self):
+    def test_bound_below_lambda_n_is_an_internal_error(self, monkeypatch):
         # The bounding norms always come from n independent lattice vectors,
-        # so the top one covers lambda_n; norms below it must fail loudly,
-        # not be doubled up to (1, 9) or answered short.
-        reduced = _lll_rows(((1, 0), (0, 3)))
-        with pytest.raises(InternalConsistencyError, match="bound 1 lies below lambda_2"):
-            enumeration._bounded_minima(
-                reduced, NormKind.L2, [1, 1], (0, 1), DEFAULT_MAX_CANDIDATES, None
-            )
+        # so the pass at the top one covers lambda_n.  A pass that comes back
+        # short of n independent vectors (here truncated to its first vector)
+        # must fail loudly, not be doubled up or answered short.
+        inner = enumeration._enumerate_rows
+        monkeypatch.setattr(enumeration, "_enumerate_rows", lambda *args: inner(*args)[:1])
+        with pytest.raises(InternalConsistencyError, match="bound 9 lies below lambda_2"):
+            successive_minima(LatticeBasis([[1, 0], [0, 3]]), NormKind.L2)
 
     def test_scaling_law(self):
         rng = random.Random(13)

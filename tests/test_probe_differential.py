@@ -30,21 +30,21 @@ from stdlattice import (
     standardness,
     successive_minima,
 )
-from stdlattice.enumeration import (
-    DEFAULT_MAX_CANDIDATES,
-    _bounded_minima,
-    _minima_with_entries,
-    _sorted_norms,
-)
+from stdlattice.enumeration import DEFAULT_MAX_CANDIDATES, _minima_with_entries, _sorted_norms
 from stdlattice.exactlin import _lll_rows, rank_of_rows
-from util import apply_unimodular, random_basis, random_unimodular, single_pass_bounds
+from util import (
+    apply_unimodular,
+    one_pass,
+    random_basis,
+    random_unimodular,
+    single_pass_bounds,
+)
 
 
 def forced_single_pass(rows, kind, max_candidates=DEFAULT_MAX_CANDIDATES):
-    # n equal bounding norms leave no room for a probe, and the pass runs
-    # without the Hoelder box, so the box is checked here too.
-    norms = [single_pass_bounds(rows, kind)[kind]] * len(rows)
-    return _bounded_minima(_lll_rows(rows), kind, norms, (0, 1), max_candidates, None)
+    # One pass at the one-pass bound, without the Hoelder box, so the box is
+    # checked here too.
+    return one_pass(_lll_rows(rows), kind, single_pass_bounds(rows, kind)[kind], max_candidates)
 
 
 def assert_probe_changes_nothing(basis, kind):
@@ -94,19 +94,25 @@ def test_skewed_probe_agrees_with_one_pass(basis, kind):
     assert_probe_changes_nothing(basis, kind)
 
 
+def ungated_minima(reduced, kind, norms):
+    # A probe at N_1 whenever the norms' shape allows, then the pass at N_n.
+    probe = [norms[0]] if norms[0] < norms[-1] == norms[-2] else []
+    for value in probe + [norms[-1]]:
+        result = one_pass(reduced, kind, value)
+        if len(result[0].minima) == len(norms):
+            return result
+
+
 def always_l2_search(rows, kind):
-    # The trivial floor (0, 1) gates nothing: the L2 search always runs and
-    # every probe the shape allows is made, each pass without the Hoelder box.
+    # No floor gates anything: the L2 search always runs and every probe the
+    # shape allows is made, each pass without the Hoelder box.
     reduced = _lll_rows(rows)
     norms = _sorted_norms(reduced[0], kind)
-    l2 = _bounded_minima(
-        reduced, NormKind.L2, _sorted_norms(reduced[0], NormKind.L2), (0, 1),
-        DEFAULT_MAX_CANDIDATES, None,
-    )[0]
+    l2 = ungated_minima(reduced, NormKind.L2, _sorted_norms(reduced[0], NormKind.L2))[0]
     witness_norms = _sorted_norms(l2.witnesses, kind)
     if witness_norms[-1] < norms[-1]:
         norms = witness_norms
-    return _bounded_minima(reduced, kind, norms, (0, 1), DEFAULT_MAX_CANDIDATES, None)
+    return ungated_minima(reduced, kind, norms)
 
 
 def assert_floor_changes_nothing(basis, kind):

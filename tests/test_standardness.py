@@ -33,7 +33,9 @@ from util import (
     identity_basis,
     random_basis,
     random_orthogonal_rows_basis,
+    random_section_case,
     random_unimodular,
+    reference_section,
     reference_solve,
 )
 
@@ -159,12 +161,11 @@ class TestSearchWork:
             raise AssertionError("the generation test took a Hermite form")
 
         monkeypatch.setattr(standardness, "_echelon_insert", counted)
-        for module, name in (
-            (exactlin, "hermite_form"),
-            (standardness, "hermite_form"),
-            (standardness, "hnf_nonzero_rows"),
-        ):
+        for module, name in ((exactlin, "hermite_form"), (standardness, "hnf_nonzero_rows")):
             monkeypatch.setattr(module, name, no_hermite_form)
+        # standardness no longer imports hermite_form; any binding of it that
+        # comes back is covered too.
+        monkeypatch.setattr(standardness, "hermite_form", no_hermite_form, raising=False)
         assert standardness._generates(level, 8, 1)
         assert max(sizes) == 8
         assert len(sizes) < len(level)
@@ -345,6 +346,24 @@ class TestSectionLattice:
     def test_rejects_dependent_spanning(self):
         with pytest.raises(StructuralError):
             section_lattice(identity_basis(3), [(1, 0, 0), (2, 0, 0)])
+
+    def test_seeded_sections_match_the_two_hermite_form_reference(self):
+        # Both StructuralErrors included: a non-member and a dependent set.
+        rng = random.Random(24)
+        outcomes = set()
+        for _ in range(2000):
+            basis, spanning = random_section_case(rng)
+            try:
+                want = reference_section(basis.rows, [tuple(s) for s in spanning])
+            except StructuralError as exc:
+                with pytest.raises(StructuralError) as got:
+                    section_lattice(basis, spanning)
+                assert str(got.value) == str(exc)
+                outcomes.add(str(exc).split()[-1])
+            else:
+                assert section_lattice(basis, spanning) == want
+                outcomes.add("section")
+        assert outcomes == {"section", "lattice", "dependent"}
 
     def test_section_members_lie_on_hyperplane(self):
         rng = random.Random(71)

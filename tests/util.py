@@ -2,8 +2,8 @@
 Hermite form of a given index, and tiny independent oracles (an exhaustive
 standardness decision, cofactor determinants, raw coefficient-box scans, a
 Fraction Gram-Schmidt and the nearest-plane rounding built on it, a
-Fraction Gauss-Jordan solve, and the start bounds of a one-pass minima
-search)."""
+Fraction Gauss-Jordan solve, one forced minima pass and the start bounds
+of a one-pass minima search, and the two-Hermite-form section)."""
 
 from __future__ import annotations
 
@@ -12,10 +12,25 @@ import math
 import random
 from fractions import Fraction
 
-from stdlattice import LatticeBasis, NormKind, Verdict, brute_minima, coefficient_box, measure
-from stdlattice.enumeration import DEFAULT_MAX_CANDIDATES, _bounded_minima
+from stdlattice import (
+    LatticeBasis,
+    NormKind,
+    NormValue,
+    SuccessiveMinima,
+    Verdict,
+    brute_minima,
+    coefficient_box,
+    measure,
+)
+from stdlattice.enumeration import DEFAULT_MAX_CANDIDATES, _enumerate_rows, _greedy_minima
 from stdlattice.errors import DimensionMismatchError, StructuralError
-from stdlattice.exactlin import _lll_rows
+from stdlattice.exactlin import (
+    _coefficients,
+    _integral_gso,
+    _lll_rows,
+    hermite_form,
+    hnf_nonzero_rows,
+)
 from stdlattice.oracle import _scan_box
 
 
@@ -230,6 +245,16 @@ def random_rational_vector(rng: random.Random, n: int, span: int = 6, max_den: i
     ]
 
 
+def one_pass(reduced, kind: NormKind, value, max_candidates: int = DEFAULT_MAX_CANDIDATES):
+    """One enumeration pass at bound ``value`` over ``reduced`` = (rows, d,
+    lam) from LLL, without the Hoelder box, and its greedy scan: (minima,
+    pass entries, |det| of the witnesses) as a minima search returns them,
+    with fewer than n minima when ``value`` lies below lambda_n."""
+    entries = _enumerate_rows(*reduced, kind, NormValue(kind, value), max_candidates, None)
+    minima, witnesses, witness_det = _greedy_minima(entries, len(reduced[0]))
+    return SuccessiveMinima(kind, tuple(minima), tuple(witnesses)), entries, witness_det
+
+
 def single_pass_bounds(rows, kind: NormKind) -> dict:
     """The bounds a minima search reads its minima off in one pass, per
     pass kind: the largest L2 norm of the LLL-reduced rows for the L2 pass,
@@ -242,9 +267,7 @@ def single_pass_bounds(rows, kind: NormKind) -> dict:
 
     bounds = {NormKind.L2: largest(reduced[0], NormKind.L2)}
     if kind is not NormKind.L2:
-        # n equal norms: no probe, one pass at the largest reduced row norm.
-        norms = [bounds[NormKind.L2]] * len(reduced[0])
-        l2 = _bounded_minima(reduced, NormKind.L2, norms, (0, 1), DEFAULT_MAX_CANDIDATES, None)[0]
+        l2 = one_pass(reduced, NormKind.L2, bounds[NormKind.L2])[0]
         bounds[kind] = min(largest(reduced[0], kind), largest(l2.witnesses, kind))
     return bounds
 
@@ -347,3 +370,42 @@ def reference_solve(rows, target):
         if not used[j] and aug[j][m] != 0:
             return None
     return [aug[pivot_row_of[col]][m] for col in range(m)]
+
+
+def reference_section(rows, spanning):
+    """The section of ``section_lattice`` by two Hermite forms: the
+    transposed coefficient rows of the n - 1 spanning vectors end their
+    Hermite form in one zero row, whose row of U is the primitive normal g,
+    and the Hermite form of g as a column has the kernel of g as the rest of
+    its U.  Raises the same StructuralError messages as the library."""
+    m = len(rows)
+    gso = _integral_gso(rows)
+    coeff_rows = []
+    for s in spanning:
+        x = _coefficients(rows, s, gso)
+        if x is None:
+            raise StructuralError(f"spanning vector {s} is not in the lattice")
+        coeff_rows.append(x)
+    hf = hermite_form(list(zip(*coeff_rows)))
+    if sum(map(any, hf.h)) != m - 1:
+        raise StructuralError("spanning set is linearly dependent")
+    kernel = hermite_form([[gi] for gi in hf.u[-1]]).u[1:]
+    n = len(rows[0])
+    return hnf_nonzero_rows(
+        [tuple(sum(k[i] * rows[i][j] for i in range(m)) for j in range(n)) for k in kernel]
+    )
+
+
+def random_section_case(rng: random.Random):
+    """A basis and n - 1 spanning vectors for ``section_lattice``: integer
+    combinations of its rows, one in six times with a dependent last vector
+    and one in six with an entry moved off the lattice."""
+    n = rng.randint(2, 5)
+    basis = random_basis(rng, n, -4, 4)
+    combos = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n - 1)]
+    if n > 2 and rng.randrange(6) == 0:
+        combos[-1] = [rng.randint(-2, 2) * x + y for x, y in zip(combos[0], combos[1])]
+    spanning = [list(row) for row in mat_mul(combos, basis.rows)]
+    if rng.randrange(6) == 0:
+        spanning[rng.randrange(n - 1)][rng.randrange(n)] += 1
+    return basis, spanning
