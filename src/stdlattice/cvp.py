@@ -11,9 +11,11 @@ The rounding runs on integers (``exactlin._nearest_rows``): the target is
 scaled by its common denominator and each coefficient is an exact quotient
 of integers built from the integral Gram-Schmidt data of the rows
 (``exactlin._integral_gso``), so no Gram-Schmidt vector or Fraction is formed
-until the final distance.  Membership, which the equality-case analysis
-reads, is one walk with it (``exactlin._round_off``): a point is in the
-lattice iff it lies in the span and the walk rounds no quotient.
+until the final distance.  The equality-case analysis reads membership off
+the same walk (``exactlin._round_off``): a point is in the lattice iff it
+lies in the span and the walk rounds no quotient.  Its half-odd test walks
+the scaled target doubled, (q, 2W) for v = W / q, so no Fraction is built
+per coordinate, and row norms and the bound are integer dot products.
 """
 
 from __future__ import annotations
@@ -27,11 +29,13 @@ from .exactlin import (
     Rational,
     _as_rational_row,
     _check_basis,
-    _coefficients,
+    _dot,
+    _integral_gso,
     _nearest_rows,
     _pairwise_orthogonal,
+    _round_off,
+    _scaled,
 )
-from .norms import NormKind, measure
 
 
 class NearestPointResult(NamedTuple):
@@ -73,8 +77,8 @@ def nearest_plane(basis: LatticeBasis, target: Sequence[Rational]) -> NearestPoi
     _check_basis(basis)
     v = _as_rational_row(target, basis.dim)
     coeffs, point, dist_sq = _nearest_rows(basis.rows, v)
-    max_row_sq = max(measure(row, NormKind.L2).value for row in basis.rows)
-    bound_sq = Fraction(basis.dim, 4) * max_row_sq
+    max_row_sq = max(_dot(row, row) for row in basis.rows)
+    bound_sq = Fraction(basis.dim * max_row_sq, 4)
     return NearestPointResult(
         point=point,
         coeffs=tuple(coeffs),
@@ -90,14 +94,20 @@ def equality_case_analyze(basis: LatticeBasis, target: Sequence[Rational]) -> Eq
     v = _as_rational_row(target, basis.dim)
     rows = basis.rows
     orthogonal = _pairwise_orthogonal(rows)
-    norms = [measure(row, NormKind.L2).value for row in rows]
-    equal_norms = len(set(norms)) == 1
-    # Every coefficient of v is half-odd iff 2v is a lattice point whose
-    # coefficients are all odd.
-    doubled = _coefficients(rows, [2 * t for t in v])
-    half_odd = doubled is not None and all(c % 2 for c in doubled)
+    equal_norms = len({_dot(row, row) for row in rows}) == 1
     return EqualityCaseReport(
         orthogonal=orthogonal,
         equal_norms=equal_norms,
-        half_integer_coefficients=half_odd,
+        half_integer_coefficients=_half_odd_coefficients(rows, v),
     )
+
+
+def _half_odd_coefficients(rows: Sequence[IntVector], target: Sequence[Rational]) -> bool:
+    """True iff ``target`` lies in the span of the independent ``rows`` with
+    every coefficient a half-odd integer, that is iff 2 * target is a
+    lattice point whose coefficients are all odd.  With target = W / q
+    scaled to integers, 2 * target is 2W / q, which the rounding walk takes
+    as it is."""
+    q, big_w = _scaled(target)
+    doubled, exact = _round_off(rows, q, [2 * w for w in big_w], _integral_gso(rows))
+    return exact and all(c % 2 for c in doubled)

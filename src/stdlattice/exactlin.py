@@ -10,7 +10,9 @@ floor on lambda_n read.  Nearest plane and membership are one walk over
 that data (``_round_off``): the scaled target's lam row gives each
 coefficient, from the last row to the first, as a rounded quotient that a
 lattice point leaves exact, so no linear system is solved and one
-Gram-Schmidt of a basis serves every vector tested against it.
+Gram-Schmidt of a basis serves every vector tested against it.  The walk
+takes any integer pair (q, W) with target W / q, so the half-odd test in
+``cvp`` walks the doubled target as (q, 2W) and builds no Fraction.
 Rational results (the public ``gso``, squared distances) are
 ``fractions.Fraction``.  Every integer reduction, the Hermite form, the
 generation test in ``standardness`` and the rank and minor gcd of
@@ -309,38 +311,39 @@ def _gso_row(
     d: Sequence[int],
     lam: Sequence[Sequence[int]],
 ) -> tuple[list[int], int]:
-    """Integral Gram-Schmidt data of ``v`` set after independent ``rows``.
+    """Integral Gram-Schmidt data of ``v`` set after independent rows.
 
-    ``d`` and ``lam`` are the integral data of ``rows``: d[i] is the Gram
-    determinant of the first i rows (B_0 ... B_i-1 in squared star lengths)
-    and lam[k][j] = mu_kj * d[j + 1] for j < k.  Returns the row
-    [<v, d_j b*_j>]_j, which is v's lam row, and the Gram determinant of the
-    rows with v appended, zero iff v lies in their span.  Every ``//`` in
-    the recurrence (Erlingsson-Kaltofen-Musser) divides exactly.
+    ``d`` and ``lam`` are the integral data of the first len(lam) ``rows``
+    (the rows after them are not read): d[i] is the Gram determinant of the
+    first i rows (B_0 ... B_i-1 in squared star lengths) and lam[k][j] =
+    mu_kj * d[j + 1] for j < k.  Returns the row [<v, d_j b*_j>]_j, which is
+    v's lam row, and the Gram determinant of those rows with v appended,
+    zero iff v lies in their span.  Every ``//`` in the recurrence
+    (Erlingsson-Kaltofen-Musser) divides exactly.
     """
     lam_v: list[int] = []
-    for j, row in enumerate(rows):
-        u = _dot(v, row)
-        for i in range(j):
-            u = (d[i + 1] * u - lam_v[i] * lam[j][i]) // d[i]
+    for row, lam_j in zip(rows, lam):
+        u = sum(map(operator.mul, v, row))
+        for i, x in enumerate(lam_v):
+            u = (d[i + 1] * u - x * lam_j[i]) // d[i]
         lam_v.append(u)
-    gram = _dot(v, v)
+    gram = sum(map(operator.mul, v, v))
     for i, x in enumerate(lam_v):
         gram = (d[i + 1] * gram - x * x) // d[i]
     return lam_v, gram
 
 
-def _append_gso_row(
-    rows: Sequence[Sequence[int]], d: list[int], lam: list[list[int]]
+def _extend_gso(
+    rows: Sequence[Sequence[int]], d: list[int], lam: list[list[int]], stop: int
 ) -> None:
-    """Extend the integral data (d, lam) of rows[:k], k = len(lam), by row k.
-    Raises StructuralError when row k lies in the span of the rows before it."""
-    k = len(lam)
-    lam_k, gram = _gso_row(rows[k], rows[:k], d, lam)
-    if gram == 0:
-        raise StructuralError("rows are linearly dependent")
-    lam.append(lam_k)
-    d.append(gram)
+    """Extend the integral data (d, lam) of rows[:len(lam)] to rows[:stop].
+    Raises StructuralError when a row lies in the span of the rows before it."""
+    for k in range(len(lam), stop):
+        lam_k, gram = _gso_row(rows[k], rows, d, lam)
+        if gram == 0:
+            raise StructuralError("rows are linearly dependent")
+        lam.append(lam_k)
+        d.append(gram)
 
 
 def _integral_gso(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
@@ -350,23 +353,25 @@ def _integral_gso(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[i
     dependent."""
     d = [1]
     lam: list[list[int]] = []
-    for _ in rows:
-        _append_gso_row(rows, d, lam)
+    _extend_gso(rows, d, lam, len(rows))
     return d, lam
 
 
 def _scaled(target: Sequence[Rational]) -> tuple[int, list[int]]:
     """(q, q * target) for q the common denominator of a rational vector."""
-    q = lcm(*(t.denominator for t in target))
+    q = lcm(*[t.denominator for t in target])
+    if q == 1:
+        return 1, list(map(int, target))
     return q, [t.numerator * (q // t.denominator) for t in target]
 
 
 def _round_off(
     rows: Sequence[IntVector], q: int, big_w: Sequence[int], gso
 ) -> tuple[list[int], bool]:
-    """Nearest-plane rounding of W = q w onto the lattice of independent
+    """Nearest-plane rounding of w = W / q onto the lattice of independent
     ``rows`` with integral data ``gso`` = (d, lam): (coeffs, exact), exact
     when W has Gram value zero (w in the span) and no quotient a remainder.
+    Any q > 0 with W = q w integral gives the same answer.
 
     From the last row to the first, s_j = <W, d_j b*_j> less the terms of
     the rows after j is x_j q d_j+1 for w's rational coefficient x_j, so
@@ -398,11 +403,12 @@ def _nearest_rows(rows: Sequence[IntVector], target: Sequence[Rational]):
     integers (:func:`_round_off`)."""
     q, big_w = _scaled(target)
     coeffs, _ = _round_off(rows, q, big_w, _integral_gso(rows))
-    point = tuple(
-        sum(coeffs[i] * rows[i][j] for i in range(len(rows))) for j in range(len(target))
-    )
+    point = [0] * len(big_w)
+    for a, row in zip(coeffs, rows):
+        if a:
+            point = [p + a * b for p, b in zip(point, row)]
     residual = [x - q * p for x, p in zip(big_w, point)]
-    return coeffs, point, Fraction(_dot(residual, residual), q * q)
+    return coeffs, tuple(point), Fraction(_dot(residual, residual), q * q)
 
 
 def _coefficients(
@@ -481,12 +487,12 @@ def _lll_rows(
         for i in range(j):
             lam[k][i] -= q * lam[j][i]
 
-    _append_gso_row(b, d, lam)
+    _extend_gso(b, d, lam, 1)
     k = 1
     while k < m:
         if k == len(lam):
             # Rows are met in order; row k is still an input row here.
-            _append_gso_row(b, d, lam)
+            _extend_gso(b, d, lam, k + 1)
         reduce(k, k - 1)
         lk = lam[k][k - 1]
         if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lk * lk:

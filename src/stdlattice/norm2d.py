@@ -36,8 +36,8 @@ def min_translate(b2: IntVector, b1: IntVector, kind: NormKind) -> int:
     that value's floor or the integer above it, compared exactly.  Under L1
     and Linf, f is convex: q = 0 wins when neither neighbour is shorter than
     f(0), and otherwise one bisection on the shorter neighbour's side finds
-    the minimizer nearest 0.  Ties resolve to the smallest |q|, then the
-    nonnegative one.
+    the minimizer nearest 0; each translate is measured at most once.  Ties
+    resolve to the smallest |q|, then the nonnegative one.
     """
     require_kind(kind)
     b1 = _as_int_row(b1)
@@ -55,8 +55,14 @@ def min_translate(b2: IntVector, b1: IntVector, kind: NormKind) -> int:
         step = 2 * dot + (2 * q + 1) * sq
         return q + 1 if step < 0 or (step == 0 and q < 0) else q
 
+    values = {}
+
     def f(q: int):
-        return measure(tuple(v + q * u for v, u in zip(b2, b1)), kind).value
+        # The bisection reads again translates that f(+-1) or its own earlier
+        # steps have read; each is measured once per call.
+        if q not in values:
+            values[q] = measure(tuple(v + q * u for v, u in zip(b2, b1)), kind).value
+        return values[q]
 
     f0, up, down = f(0), f(1), f(-1)
     if up >= f0 <= down:

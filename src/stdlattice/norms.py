@@ -132,6 +132,10 @@ def measure(coords: Sequence[Rational], kind: NormKind) -> NormValue:
             raise _unknown_kind(kind)
     except TypeError as exc:
         raise InputError(f"coordinates must be numbers: {coords!r}") from exc
+    if type(value) is int and value >= 0:
+        # A branch above matched, so kind is a NormKind member, and value
+        # passes NormValue's checks: build it without running them again.
+        return tuple.__new__(NormValue, (kind, value))
     return NormValue(kind, value)
 
 

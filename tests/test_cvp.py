@@ -1,15 +1,19 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 from stdlattice import (
     LatticeBasis,
     NormKind,
+    StructuralError,
     brute_cvp,
     equality_case_analyze,
     measure,
     member,
     nearest_plane,
 )
+from stdlattice.cvp import _half_odd_coefficients
 from stdlattice.exactlin import _nearest_rows
 from util import (
     identity_basis,
@@ -133,6 +137,22 @@ class TestIntegralRounding:
             assert (coeffs, point, dist_sq) == reference_nearest_rows(b.rows, v)
             assert all(a % 2 == 0 for a in coeffs)
 
+    def test_coefficient_vectors_with_zeros(self):
+        # The point sums a * row over the nonzero coefficients only: targets
+        # near lattice points with zero coefficients, the origin included.
+        rng = random.Random(67)
+        with_zeros = 0
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            b = random_basis(rng, n, -4, 4)
+            cs = [rng.choice([0, 0, rng.randint(-3, 3)]) for _ in range(n)]
+            v = [sum(c * row[k] for c, row in zip(cs, b.rows)) + Fraction(rng.randint(-1, 1), 5) for k in range(n)]
+            coeffs, point, dist_sq = _nearest_rows(b.rows, v)
+            assert (coeffs, point, dist_sq) == reference_nearest_rows(b.rows, v)
+            with_zeros += 0 in coeffs
+        assert with_zeros >= 100
+        assert _nearest_rows(((2, 0), (1, 3)), [Fraction(1, 3), 0]) == ([0, 0], (0, 0), Fraction(1, 9))
+
     def test_skewed_rows_with_a_large_common_denominator(self):
         rows = ((3, 1, 4), (1, 5, 9), (2, 6, 5))
         v = [Fraction(7, 11), Fraction(-13, 17), Fraction(5, 3)]
@@ -186,6 +206,39 @@ class TestEqualityCaseAnalyze:
             else:
                 seen["integer"] += 1
         assert all(count >= 20 for count in seen.values()), seen
+
+    def test_half_odd_walk_matches_the_fraction_solve(self):
+        # The walk takes the doubled scaled target (q, 2W) as it is.  Cases:
+        # odd and even common denominators q, non-members, targets off the
+        # span of fewer rows than coordinates, and dimension 1.
+        rng = random.Random(61)
+        seen = Counter()
+        for i in range(600):
+            n = 1 + i % 5
+            m = rng.randint(1, n)
+            while True:
+                rows = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(m)]
+                try:
+                    reference_solve(rows, rows[0])
+                    break
+                except StructuralError:
+                    pass
+            offsets = [Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(1, 3), Fraction(3, 4)]
+            cs = [rng.randint(-3, 3) + rng.choice(offsets) for _ in range(m)]
+            v = [sum(c * row[k] for c, row in zip(cs, rows)) for k in range(n)]
+            if m < n and rng.random() < 0.3:
+                v[rng.randrange(n)] += Fraction(1, rng.randint(1, 2))
+            x = reference_solve(rows, v)
+            expected = x is not None and all((2 * c).denominator == 1 and (2 * c).numerator % 2 for c in x)
+            assert _half_odd_coefficients(rows, v) == expected
+            q = lcm(*(Fraction(t).denominator for t in v))
+            seen["off the span" if x is None else ("half-odd" if expected else "not half-odd", q % 2)] += 1
+            if n == 1:
+                seen["dimension 1", expected] += 1
+        assert len(seen) == 7 and min(seen.values()) >= 10, seen
+        full_rank = LatticeBasis([[2, 0], [1, 3]])
+        assert equality_case_analyze(full_rank, [Fraction(3, 2), Fraction(3, 2)]).half_integer_coefficients
+        assert not equality_case_analyze(full_rank, [Fraction(1, 2), Fraction(3, 2)]).half_integer_coefficients
 
     def test_characterization_implies_exact_equality(self):
         rng = random.Random(47)

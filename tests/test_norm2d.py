@@ -89,6 +89,27 @@ class TestMinTranslate:
         assert measured.count(b1) == 1
 
     @pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
+    def test_measures_no_translate_twice(self, monkeypatch, kind):
+        # The bisection reads f(st) at neighbouring t and f(+-1) again; each
+        # translate is measured once per call all the same.
+        measured = []
+        real_measure = norm2d.measure
+        monkeypatch.setattr(norm2d, "measure", lambda v, k: measured.append(v) or real_measure(v, k))
+        rng = random.Random(79)
+        bisected = 0
+        for _ in range(200):
+            n = rng.randint(2, 4)
+            b1 = tuple(rng.randint(-5, 5) for _ in range(n))
+            b2 = tuple(rng.randint(-300, 300) for _ in range(n))
+            if not any(b1) or not any(b1[i] * b2[j] - b1[j] * b2[i] for i in range(n) for j in range(n)):
+                continue
+            measured.clear()
+            assert min_translate(b2, b1, kind) == brute_translate(b2, b1, kind, window=700)
+            assert len(measured) == len(set(measured)), measured
+            bisected += len(measured) > 4
+        assert bisected >= 100
+
+    @pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
     def test_measures_three_translates_when_zero_is_optimal(self, monkeypatch, kind):
         measured = []
         real_measure = norm2d.measure
@@ -243,6 +264,19 @@ class TestReduce2D:
         assert (red.b1, red.b2) == ((1, 0), (0, 1))
         assert len(translates) == 6
         assert len(measured) == 2 + 5 + 2
+
+    def test_measure_count_on_a_seeded_corpus(self, monkeypatch):
+        # A deterministic work count in place of a timing: the norm2d.measure
+        # calls of reduce_2d over a fixed corpus, pinned so that a repeated
+        # measure shows.
+        measured = []
+        real_measure = norm2d.measure
+        monkeypatch.setattr(norm2d, "measure", lambda v, k: measured.append(v) or real_measure(v, k))
+        rng = random.Random(73)
+        for basis in [random_basis(rng, 2, -40, 40) for _ in range(60)]:
+            for kind in NormKind:
+                reduce_2d(basis, kind)
+        assert len(measured) == 2073
 
 
 class TestGaussCriterion:

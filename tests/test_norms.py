@@ -1,4 +1,6 @@
+import enum
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -102,7 +104,8 @@ def test_enumeration_radius_soundness(kind):
 
 
 SKEW_2D = LatticeBasis([[2, 1], [0, 3]])
-NOT_A_KIND = ["l1", "L2", None, 1]
+# The last is a member named L1 of an enum other than NormKind.
+NOT_A_KIND = ["l1", "L2", None, 1, enum.Enum("Other", "L1").L1]
 
 # Each public entry point that takes a kind, called with ``kind`` in its place.
 ENTRY_POINTS = {
@@ -134,3 +137,21 @@ def test_unknown_kind_is_rejected_before_any_arithmetic(name, kind, monkeypatch)
 
 def test_l1_minima_of_the_regression_basis():
     assert [nv.value for nv in successive_minima(SKEW_2D, NormKind.L1).minima] == [3, 3]
+
+
+@pytest.mark.parametrize("kind", list(NormKind))
+def test_measure_builds_the_validated_norm_value(kind):
+    # measure builds an int value's NormValue without the constructor's
+    # checks; it must equal, in value and type, what the constructor builds.
+    value_of = {
+        NormKind.L1: lambda v: sum(map(abs, v)),
+        NormKind.L2: lambda v: sum(x * x for x in v),
+        NormKind.LINF: lambda v: max(map(abs, v), default=0),
+    }[kind]
+    for v in [(), (0,), (3, -4), (-(10**40), 7, 0), (Fraction(-3, 2), 1)]:
+        got, want = measure(v, kind), NormValue(kind, value_of(v))
+        assert type(got) is NormValue and got == want
+        assert type(got.kind) is NormKind and type(got.value) is type(want.value)
+    for coords in [(0.5, 0), (1.0,), (2, -2.5), (1j, 0), (0, 2 + 0j), ("a", 1), ("",)]:
+        with pytest.raises(InputError):
+            measure(coords, kind)
