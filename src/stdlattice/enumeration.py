@@ -21,26 +21,30 @@ certificate deterministic.
 Every search runs on an LLL-reduced basis of the input lattice.  The output
 is a set of ambient vectors, so it does not depend on the basis it was found
 from, while the reduced basis has short, nearly orthogonal rows and a far
-smaller search tree.  ``_reduced_minima`` is the one place where the
-passes of a minima search are decided, from the reduced rows and the norm
-kind alone.  The minima are read off a pass whose bound already covers
+smaller search tree.  One record, ``_ReducedSearch``, holds that basis and
+everything its passes read that does not depend on a pass's bound, built
+once per search.  ``_reduced_minima`` is the one place where the passes of
+a minima search are decided, from that record and the norm kind alone, by
+the plan below.  The minima are read off a pass whose bound already covers
 lambda_n: the norms N_1 <= .. <= N_n of n independent lattice vectors
 bound lambda_n by N_n.  One exact floor p/q <= lambda_n decides which
-further passes can pay off.  Among n independent lattice vectors one has a
-nonzero coefficient on the last reduced row, so by Hoelder's inequality on
-that row's Gram-Schmidt vector b* its norm is at least ||b*||^2 over the dual
-norm of b* (||b*||^2 = d_n / d_n-1 itself under L2): the top level of the
-per-level box, whose star rows one minima search builds once.  The bounding
-vectors are the reduced rows; under L1/Linf an L2 minima search runs first
-only when the floor leaves room below the rows' N_n (N_n - 1 >= p/q, norms
-being integers there), and its witnesses replace the rows when their largest
-norm is smaller.  Where the floor leaves no room the witnesses could not be
+further passes can pay off.  Among n independent lattice vectors one, v,
+has a nonzero integer coefficient x on the last reduced row.  With b* that
+row's Gram-Schmidt vector, <v, b*> = x ||b*||^2, so by Hoelder's inequality
+||v|| >= ||b*||^2 / ||b*||_dual, the dual norm being Linf for L1 and L1 for
+Linf (||b*||^2 = d_n / d_n-1 itself under L2).  With the integer star row
+g = d_n-1 b* that is d_n / ||g||_dual: the top level of the per-level box,
+whose star rows the record builds once.  The bounding vectors are the
+reduced rows; under L1/Linf an L2 minima search runs first only when the
+floor leaves room below the rows' N_n (N_n - 1 >= p/q, norms being
+integers there), and its witnesses replace the rows when their largest norm
+is smaller.  Where the floor leaves no room the witnesses could not be
 shorter, so skipping that search changes nothing.  When the norms have the
-parity shape (N_1 < N_n-1 = N_n) and N_1 reaches the floor, one probe pass at
-N_1 runs first; if it finds n independent vectors it covers lambda_n and the
-minima are read off it, and otherwise the pass at N_n runs.  A probe below
-the floor could not succeed, and its radius is below N_n, so its search tree
-is a subset of that pass's.
+parity shape (N_1 < N_n-1 = N_n) and N_1 reaches the floor, one probe pass
+at N_1 runs first; if it finds n independent vectors it covers lambda_n and
+the minima are read off it, and otherwise the pass at N_n runs.  A probe
+below the floor could not succeed, and its radius is below N_n, so its
+search tree is a subset of that pass's.
 """
 
 from __future__ import annotations
@@ -121,35 +125,63 @@ def _canonical_sign(vec: tuple[int, ...]) -> tuple[int, ...]:
     return vec
 
 
+class _ReducedSearch:
+    """One search's LLL-reduced basis and everything its enumeration passes
+    read that does not depend on a pass's bound; built once per minima
+    search or :func:`enumerate_short` call.
+
+    ``rows``, ``d`` and ``lam`` are the reduced rows and their integral
+    Gram-Schmidt data from :func:`_lll_rows`.  The passes prune with
+    sum_l (x_l - c_l)^2 ||b*_l||^2 <= R^2 in scaled integers: mu_ij =
+    lam_ij / d_j+1 and ||b*_j||^2 = d_j+1 / d_j, so D = lcm(d_1 .. d_m-1)
+    (``den``) clears every mu and E = lcm(d_0 .. d_m-1) every squared star
+    length.  ``mu_cols[l]`` holds D mu_il for i > l, the weights of level
+    l's center, ``bsq[l]`` is ||b*_l||^2 D^2 E and ``scale`` is D^2 E; any
+    common multiples D and E give the same exact comparison.
+
+    Under ``kind`` = L1/Linf, ``duals[k]`` is ||g_k||_dual for the star row
+    g_k = d_k b*_k (:func:`_star_rows`), the dual norm being Linf for L1
+    and L1 for Linf; only passes under ``kind`` clamp their levels by them,
+    and under L2 they are None.  :meth:`floor` is the floor p / q <=
+    lambda_n from the last row, d_n / ||g_n-1||_dual, or d_n / d_n-1 for
+    the squared L2 norm (derived in the module docstring).
+    """
+
+    __slots__ = ("rows", "d", "lam", "kind", "den", "mu_cols", "bsq", "scale", "duals")
+
+    def __init__(self, rows: Sequence[IntVector], kind: NormKind) -> None:
+        self.rows, self.d, self.lam = rows, d, lam = _lll_rows(rows)
+        m = len(rows)
+        self.kind = kind
+        self.den = den = lcm(*d[1:m])
+        sq_den = lcm(*d[:m])
+        self.mu_cols = [[lam[i][j] * (den // d[j + 1]) for i in range(j + 1, m)] for j in range(m)]
+        self.bsq = [d[j + 1] * (sq_den // d[j]) for j in range(m)]
+        self.scale = den * den * sq_den
+        self.duals = None
+        if kind is not NormKind.L2:
+            dual = max if kind is NormKind.L1 else sum
+            self.duals = [dual(map(abs, g)) for g in _star_rows(rows, d, lam)]
+
+    def floor(self, kind: NormKind) -> tuple[int, int]:
+        return self.d[-1], self.d[-2] if kind is NormKind.L2 else self.duals[-1]
+
+
 def _enumerate_rows(
-    rows: Sequence[IntVector],
-    d: Sequence[int],
-    lam: Sequence[Sequence[int]],
-    kind: NormKind,
-    bound: NormValue,
-    max_candidates: int,
-    duals: Sequence[int] | None,
+    search: _ReducedSearch, bound: NormValue, max_candidates: int
 ) -> list[MeasuredVector]:
-    """Every nonzero vector of norm at most ``bound`` in the lattice of
-    ``rows``, given their integral Gram-Schmidt data (d, lam) from LLL and,
-    under L1/Linf, the dual norms of their star rows (:func:`_dual_norms`;
-    None under L2, where they bound nothing the radius does not)."""
+    """Every nonzero vector of norm at most ``bound`` in the lattice of the
+    reduced rows of ``search``.  Only a pass under the record's own kind is
+    clamped by its dual norms, which bound that norm alone."""
+    rows, d, den, mu_cols = search.rows, search.d, search.den, search.mu_cols
+    kind = bound.kind
     m = len(rows)
     n = len(rows[0])
     r2 = enumeration_radius_in_l2(bound, n).value  # an int or a Fraction
     limit = bound.value
 
-    # The pruning condition sum_l (x_l - c_l)^2 ||b*_l||^2 <= R^2 is evaluated
-    # in scaled integers.  mu_ij = lam_ij / d_j+1 and ||b*_j||^2 = d_j+1 / d_j,
-    # so D = lcm(d_1 .. d_m-1) clears every mu and E = lcm(d_0 .. d_m-1) every
-    # squared star length: each term times D^2 E is an integer, and the
-    # comparison is the same exact one for any common multiples D and E.
-    den = lcm(*d[1:m])
-    sq_den = lcm(*d[:m])
-    # mu_cols[l] holds the scaled mu_il for i > l: the weights of l's center.
-    mu_cols = [[lam[i][j] * (den // d[j + 1]) for i in range(j + 1, m)] for j in range(m)]
     # S_scaled <= R^2 * D^2 * E  <=>  S_scaled * rd <= rn * D^2 * E = cap.
-    cap = r2.numerator * den * den * sq_den
+    cap = r2.numerator * search.scale
     rd = r2.denominator
     # bsq_rd[l] = ||b*_l||^2 D^2 E rd.  At level l, x_l is admissible iff
     # t = x_l D - C_l, an integer, has t^2 bsq_rd[l] <= rem, where
@@ -157,10 +189,11 @@ def _enumerate_rows(
     # radius they leave (they passed the same test): |t| <= s =
     # isqrt(rem // bsq_rd[l]), an exact integer interval of x_l around the
     # center C_l / D.  A child's rem is its parent's minus t^2 bsq_rd[l].
-    bsq_rd = [d[j + 1] * (sq_den // d[j]) * rd for j in range(m)]
+    bsq_rd = search.bsq if rd == 1 else [b * rd for b in search.bsq]
     # Under L1/Linf, Hoelder on the star row g_l = d_l b*_l clamps s: every
     # v = sum x_i b_i has <v, g_l> = t d_l+1 / D, so ||v|| <= N gives
     # |t| <= N ||g_l||_dual D / d_l+1.
+    duals = search.duals if kind is search.kind else None
     boxes = None if duals is None else [
         limit.numerator * g * den // (limit.denominator * d[l + 1]) for l, g in enumerate(duals)
     ]
@@ -245,8 +278,7 @@ def enumerate_short(
     _require_bound(kind, bound)
     _check_dim(basis.dim, max_dim)
     _check_positive_int("max_candidates", max_candidates)
-    reduced = _lll_rows(basis.rows)
-    entries = _enumerate_rows(*reduced, kind, bound, max_candidates, _dual_norms(reduced, kind))
+    entries = _enumerate_rows(_ReducedSearch(basis.rows, kind), bound, max_candidates)
     return ShortVectorList(kind=kind, bound=bound, entries=tuple(entries))
 
 
@@ -273,66 +305,22 @@ def _sorted_norms(vectors: Sequence[IntVector], kind: NormKind) -> list:
     return sorted(measure(v, kind).value for v in vectors)
 
 
-def _dual_norms(reduced, kind: NormKind) -> list[int] | None:
-    """||g_k||_dual for each star row g_k = d_k b*_k of ``reduced`` =
-    (rows, d, lam) as returned by LLL: the Linf norm under L1 and the L1 norm
-    under Linf.  None under L2, whose passes and floor do not use them."""
-    if kind is NormKind.L2:
-        return None
-    dual = max if kind is NormKind.L1 else sum
-    return [dual(map(abs, g)) for g in _star_rows(*reduced)]
-
-
-def _lambda_n_floor(d: Sequence[int], duals: Sequence[int] | None) -> tuple[int, int]:
-    """(p, q) with p / q <= lambda_n (squared under L2) for the lattice of
-    LLL rows with integral data ``d`` and star-row dual norms ``duals``
-    (:func:`_dual_norms`, None under L2).
-
-    Of n independent lattice vectors one, v, has a nonzero coefficient x on
-    the last row.  With b* that row's Gram-Schmidt vector, <v, b*> =
-    x ||b*||^2, so by Hoelder ||v|| >= ||b*||^2 / ||b*||_dual, the dual norm
-    being Linf for L1 and L1 for Linf.  The star row g = d_n-1 b* is an
-    integer vector and ||b*||^2 = d_n / d_n-1, so the floor is
-    d_n / ||g||_dual; under L2 it is d_n / d_n-1.  It is the top level of
-    the Hoelder box that :func:`_enumerate_rows` applies at every level.
-    """
-    m = len(d) - 1
-    return d[m], d[m - 1] if duals is None else duals[-1]
-
-
 def _reduced_minima(
-    reduced, kind: NormKind, max_candidates: int
+    search: _ReducedSearch, kind: NormKind, max_candidates: int
 ) -> tuple[SuccessiveMinima, list[MeasuredVector], int]:
-    """Minima from ``reduced`` = (rows, d, lam) as returned by LLL, together
-    with the enumeration pass they were read from and |det| of the
-    witnesses, which the greedy scan's rank tracker holds.  This is the one
-    place where the passes of a minima search are decided.
-
-    The pass bound comes from the sorted ``kind`` norms N_1 <= .. <= N_n of
-    n independent lattice vectors: the reduced rows, or under L1/Linf the L2
-    minima witnesses when their largest ``kind`` norm is smaller.  N_n
-    covers lambda_n, so the pass at N_n finds n independent vectors; one
-    that finds fewer is a bug, never a short answer.  L1 and Linf norms of
-    integer vectors are integers, so the L2 search, which the witnesses
-    cost, runs only when the floor p / q <= lambda_n of
-    :func:`_lambda_n_floor` allows lambda_n <= N_n - 1; otherwise no n
-    independent vectors are shorter than the rows.
-
-    When at least two of the vectors share the top norm and a shorter one
-    exists, as in the parity lattices, one probe pass at N_1 runs first.
-    Every vector of norm <= N_1 is in it, so if it holds n independent
-    vectors then lambda_n <= N_1 and its greedy scan is exact; otherwise the
-    pass at N_n runs.  The probe is skipped when N_1 lies below the floor:
-    then it could not find n independent vectors.  Every ``kind`` pass
-    prunes with the star rows' dual norms (:func:`_dual_norms`).
+    """Minima read off the passes over ``search``, together with the pass
+    they were read from and |det| of the witnesses, which the greedy scan's
+    rank tracker holds.  This is the one place where the passes of a minima
+    search are decided: the floor on lambda_n, the L2 bounding search and
+    the probe, as the module docstring derives them.  A pass at N_n that
+    finds fewer than n independent vectors is a bug, never a short answer.
     """
-    duals = _dual_norms(reduced, kind)
-    p, q = _lambda_n_floor(reduced[1], duals)
-    norms = _sorted_norms(reduced[0], kind)
+    p, q = search.floor(kind)
+    norms = _sorted_norms(search.rows, kind)
     if kind is not NormKind.L2 and (norms[-1] - 1) * q >= p:
         # The L2 search is cheap on the reduced rows, and its witnesses are
         # n independent vectors that are often much shorter in ``kind``.
-        l2 = _reduced_minima(reduced, NormKind.L2, max_candidates)[0]
+        l2 = _reduced_minima(search, NormKind.L2, max_candidates)[0]
         witness_norms = _sorted_norms(l2.witnesses, kind)
         if witness_norms[-1] < norms[-1]:
             norms = witness_norms
@@ -342,9 +330,7 @@ def _reduced_minima(
     if low < top == norms[-2] and low * q >= p:
         bounds.insert(0, low)
     for value in bounds:
-        entries = _enumerate_rows(
-            *reduced, kind, NormValue(kind, value), max_candidates, duals
-        )
+        entries = _enumerate_rows(search, NormValue(kind, value), max_candidates)
         minima, witnesses, witness_det = _greedy_minima(entries, m)
         if len(witnesses) == m:
             return SuccessiveMinima(kind, tuple(minima), tuple(witnesses)), entries, witness_det
@@ -363,7 +349,7 @@ def _minima_with_entries(
     every vector of norm at most that pass's bound, which is >= lambda_n,
     and |det| of the witnesses (see :func:`_reduced_minima`)."""
     _check_positive_int("max_candidates", max_candidates)
-    return _reduced_minima(_lll_rows(rows), kind, max_candidates)
+    return _reduced_minima(_ReducedSearch(rows, kind), kind, max_candidates)
 
 
 def successive_minima(
@@ -378,13 +364,8 @@ def successive_minima(
     The witnesses are read off the sorted enumeration: a vector is kept iff
     it increases the rank of the kept set, so the i-th kept norm is the i-th
     minimum.  The enumeration runs on an LLL-reduced basis to a radius that
-    bounds lambda_n: the largest reduced row norm, and under L1/Linf the
-    smaller of that and the largest norm of the L2 witnesses.  An exact floor
-    on lambda_n from the last Gram-Schmidt vector decides whether the L2
-    search runs at all (only when lambda_n may lie below the rows' bound)
-    and whether a probe pass at the smallest of those norms runs first (only
-    when their shape allows it and it reaches the floor); neither decision
-    changes an answer.
+    covers lambda_n; the module docstring sets out how its passes are
+    planned, and no part of the plan changes an answer.
     """
     _check_basis(basis)
     require_kind(kind)

@@ -5,19 +5,20 @@ float, so every equality test downstream is decidable.  Matrices are Python
 ints.  Gram-Schmidt data is integral too: the Gram determinants d_i and
 lam_kj = mu_kj * d_j+1 (``_integral_gso``), which LLL keeps through its
 reduction and hands to enumeration and nearest plane, and the integer star
-rows d_k b*_k (``_star_rows``), which the public ``gso`` and enumeration's
-floor on lambda_n read.  Nearest plane and membership are one walk over
-that data (``_round_off``): the scaled target's lam row gives each
-coefficient, from the last row to the first, as a rounded quotient that a
-lattice point leaves exact, so no linear system is solved and one
-Gram-Schmidt of a basis serves every vector tested against it.  The walk
-takes any integer pair (q, W) with target W / q, so the half-odd test in
-``cvp`` walks the doubled target as (q, 2W) and builds no Fraction.
-Rational results (the public ``gso``, squared distances) are
-``fractions.Fraction``.  Every integer reduction, the Hermite form, the
-generation test in ``standardness`` and the rank and minor gcd of
-``RankTracker``, comes from one row insertion, ``_echelon_insert``, and so
-from one extended-gcd step.
+rows d_k b*_k (``_star_rows``), which the public ``gso`` reads and from
+which enumeration's reduced-search record (``_ReducedSearch``) takes the
+dual norms behind its Hoelder box and its floor on lambda_n.  Nearest plane
+and membership are one walk over that data (``_round_off``): the scaled
+target's lam row gives each coefficient, from the last row to the first,
+as a rounded quotient that a lattice point leaves exact, so no linear
+system is solved and one Gram-Schmidt of a basis serves every vector
+tested against it.  The walk takes any integer pair (q, W) with target
+W / q, so the half-odd test in ``cvp`` walks the doubled target as (q, 2W)
+and builds no Fraction.  Rational results (the public ``gso``, squared
+distances) are ``fractions.Fraction``.  Every integer reduction, the
+Hermite form, the generation test in ``standardness`` and the rank and
+minor gcd of ``RankTracker``, comes from one row insertion,
+``_echelon_insert``, and so from one extended-gcd step.
 
 Conventions:
   * basis vectors are ROWS of the matrix,

@@ -119,12 +119,18 @@ def measure(coords: Sequence[Rational], kind: NormKind) -> NormValue:
     """Exact norm of a vector: sum of |coords| for L1, max |coord| for Linf,
     sum of squares (the squared Euclidean norm) for L2.  Coordinates that
     are not numbers are refused with InputError, and so, through NormValue,
-    is a norm that is not an int or a Fraction (a float coordinate)."""
+    is a norm that is not an int or a Fraction (a float coordinate; under
+    Linf also one that is not the largest)."""
     try:
         if kind is NormKind.L1:
             value = sum(map(abs, coords))
         elif kind is NormKind.LINF:
-            value = max(map(abs, coords), default=0)
+            coords = tuple(coords)  # read twice; a tuple is not copied
+            value = max(map(abs, coords)) if coords else 0
+            if type(sum(coords)) is not int:
+                # A float that is not the largest coordinate never reaches
+                # the max: refuse what L1 refuses, through NormValue.
+                NormValue(kind, sum(map(abs, coords)))
         elif kind is NormKind.L2:
             coords = tuple(coords)  # read twice; a tuple is not copied
             value = sum(map(mul, coords, coords))

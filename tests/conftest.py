@@ -17,9 +17,9 @@ def passes(monkeypatch):
     recorded = []
     inner = enumeration._enumerate_rows
 
-    def recording(rows, d, lam, kind, bound, max_candidates, duals):
-        recorded.append((kind, bound.value))
-        return inner(rows, d, lam, kind, bound, max_candidates, duals)
+    def recording(search, bound, max_candidates):
+        recorded.append((bound.kind, bound.value))
+        return inner(search, bound, max_candidates)
 
     monkeypatch.setattr(enumeration, "_enumerate_rows", recording)
     return recorded

@@ -19,7 +19,6 @@ from stdlattice import (
     successive_minima,
 )
 from stdlattice.enumeration import DEFAULT_MAX_CANDIDATES
-from stdlattice.exactlin import _lll_rows
 from util import (
     apply_unimodular,
     box_short_vectors,
@@ -480,16 +479,48 @@ class TestLambdaNFloor:
         span = 3 if n < 5 else 1  # the oracle's box grows with |det|
         for _ in range(4):
             basis = apply_unimodular(random_unimodular(rng, n), random_basis(rng, n, -span, span))
-            reduced = _lll_rows(basis.rows)
-            p, q = enumeration._lambda_n_floor(reduced[1], enumeration._dual_norms(reduced, kind))
-            assert Fraction(p, q) == self.reference_floor(reduced[0], kind)
+            search = enumeration._ReducedSearch(basis.rows, kind)
+            p, q = search.floor(kind)
+            assert Fraction(p, q) == self.reference_floor(search.rows, kind)
             if kind is L2:
-                d = reduced[1]
-                assert (p, q) == (d[n], d[n - 1])
+                assert (p, q) == (search.d[n], search.d[n - 1])
             assert Fraction(p, q) <= brute_minima(basis, kind).minima[-1].value
 
     @pytest.mark.parametrize("kind", list(NormKind))
     def test_floor_meets_lambda_n_on_the_integer_lattice(self, kind):
-        reduced = _lll_rows(identity_basis(4).rows)
-        duals = enumeration._dual_norms(reduced, kind)
-        assert enumeration._lambda_n_floor(reduced[1], duals) == (1, 1)
+        search = enumeration._ReducedSearch(identity_basis(4).rows, kind)
+        assert search.floor(kind) == (1, 1)
+
+
+class TestOneReductionPerSearch:
+    # A search reduces its basis once and builds its star rows at most once,
+    # whatever passes it makes: an L1/Linf search's L2 bounding search reuses
+    # both, and an L2 search builds no star row at all.
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"_lll_rows": 0, "_star_rows": 0}
+        for name in counts:
+
+            def counted(*args, name=name, inner=getattr(enumeration, name)):
+                counts[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(enumeration, name, counted)
+        return counts
+
+    @pytest.mark.parametrize(
+        "call, made, star_rows",
+        [
+            (lambda: successive_minima(parity_lattice(4), LINF), [(L2, 4), (LINF, 1)], 1),
+            (lambda: check_standard(parity_lattice(6), L1), [(L2, 4), (L1, 2)], 1),
+            (
+                lambda: check_standard(LatticeBasis(((-2, -2, 3), (1, -2, -3), (2, -3, 2))), L2),
+                [(L2, 14), (L2, 17)],
+                0,
+            ),
+        ],
+    )
+    def test_passes_share_one_reduction(self, calls, passes, call, made, star_rows):
+        call()
+        assert passes == made
+        assert calls == {"_lll_rows": 1, "_star_rows": star_rows}

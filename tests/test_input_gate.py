@@ -8,6 +8,7 @@ new public callable join the table or state why it is exempt.
 
 import enum
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -289,6 +290,10 @@ REFUSALS = {
     "float norm bound": (lambda: enumerate_short(B2, L2, NormValue(L2, 2.5)), InputError),
     "float coordinates measured": (lambda: measure((0.5, 1), L2), InputError),
     "None coordinate measured": (lambda: measure((None, 1), L1), InputError),
+    # Under Linf a float below the largest coordinate used to be measured:
+    # the max was the int 1.
+    "float Linf coordinate measured": (lambda: measure((0.5, 1), LINF), InputError),
+    "Decimal Linf coordinate measured": (lambda: measure((Decimal("0.5"), 1), LINF), InputError),
     "None dimension of a radius": (
         lambda: enumeration_radius_in_l2(NormValue(LINF, 1), None),
         InputError,

@@ -31,20 +31,21 @@ from stdlattice import (
     successive_minima,
 )
 from stdlattice.enumeration import DEFAULT_MAX_CANDIDATES, _minima_with_entries, _sorted_norms
-from stdlattice.exactlin import _lll_rows, rank_of_rows
+from stdlattice.exactlin import rank_of_rows
 from util import (
     apply_unimodular,
     one_pass,
     random_basis,
     random_unimodular,
     single_pass_bounds,
+    unboxed_search,
 )
 
 
 def forced_single_pass(rows, kind, max_candidates=DEFAULT_MAX_CANDIDATES):
     # One pass at the one-pass bound, without the Hoelder box, so the box is
     # checked here too.
-    return one_pass(_lll_rows(rows), kind, single_pass_bounds(rows, kind)[kind], max_candidates)
+    return one_pass(unboxed_search(rows), kind, single_pass_bounds(rows, kind)[kind], max_candidates)
 
 
 def assert_probe_changes_nothing(basis, kind):
@@ -94,11 +95,11 @@ def test_skewed_probe_agrees_with_one_pass(basis, kind):
     assert_probe_changes_nothing(basis, kind)
 
 
-def ungated_minima(reduced, kind, norms):
+def ungated_minima(search, kind, norms):
     # A probe at N_1 whenever the norms' shape allows, then the pass at N_n.
     probe = [norms[0]] if norms[0] < norms[-1] == norms[-2] else []
     for value in probe + [norms[-1]]:
-        result = one_pass(reduced, kind, value)
+        result = one_pass(search, kind, value)
         if len(result[0].minima) == len(norms):
             return result
 
@@ -106,13 +107,13 @@ def ungated_minima(reduced, kind, norms):
 def always_l2_search(rows, kind):
     # No floor gates anything: the L2 search always runs and every probe the
     # shape allows is made, each pass without the Hoelder box.
-    reduced = _lll_rows(rows)
-    norms = _sorted_norms(reduced[0], kind)
-    l2 = ungated_minima(reduced, NormKind.L2, _sorted_norms(reduced[0], NormKind.L2))[0]
+    search = unboxed_search(rows)
+    norms = _sorted_norms(search.rows, kind)
+    l2 = ungated_minima(search, NormKind.L2, _sorted_norms(search.rows, NormKind.L2))[0]
     witness_norms = _sorted_norms(l2.witnesses, kind)
     if witness_norms[-1] < norms[-1]:
         norms = witness_norms
-    return ungated_minima(reduced, kind, norms)
+    return ungated_minima(search, kind, norms)
 
 
 def assert_floor_changes_nothing(basis, kind):

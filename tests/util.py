@@ -22,12 +22,16 @@ from stdlattice import (
     coefficient_box,
     measure,
 )
-from stdlattice.enumeration import DEFAULT_MAX_CANDIDATES, _enumerate_rows, _greedy_minima
+from stdlattice.enumeration import (
+    DEFAULT_MAX_CANDIDATES,
+    _enumerate_rows,
+    _greedy_minima,
+    _ReducedSearch,
+)
 from stdlattice.errors import DimensionMismatchError, StructuralError
 from stdlattice.exactlin import (
     _coefficients,
     _integral_gso,
-    _lll_rows,
     hermite_form,
     hnf_nonzero_rows,
 )
@@ -245,13 +249,22 @@ def random_rational_vector(rng: random.Random, n: int, span: int = 6, max_den: i
     ]
 
 
-def one_pass(reduced, kind: NormKind, value, max_candidates: int = DEFAULT_MAX_CANDIDATES):
-    """One enumeration pass at bound ``value`` over ``reduced`` = (rows, d,
-    lam) from LLL, without the Hoelder box, and its greedy scan: (minima,
-    pass entries, |det| of the witnesses) as a minima search returns them,
-    with fewer than n minima when ``value`` lies below lambda_n."""
-    entries = _enumerate_rows(*reduced, kind, NormValue(kind, value), max_candidates, None)
-    minima, witnesses, witness_det = _greedy_minima(entries, len(reduced[0]))
+def unboxed_search(rows) -> _ReducedSearch:
+    """The reduced-search record of ``rows`` built as for an L2 search: it
+    holds no star-row dual norms, so no pass over it is clamped by the
+    Hoelder box, whatever its norm."""
+    return _ReducedSearch(rows, NormKind.L2)
+
+
+def one_pass(search, kind: NormKind, value, max_candidates: int = DEFAULT_MAX_CANDIDATES):
+    """One enumeration pass at bound ``value`` over ``search``, a record from
+    :func:`unboxed_search`, so without the Hoelder box, and its greedy scan:
+    (minima, pass entries, |det| of the witnesses) as a minima search
+    returns them, with fewer than n minima when ``value`` lies below
+    lambda_n."""
+    assert search.duals is None
+    entries = _enumerate_rows(search, NormValue(kind, value), max_candidates)
+    minima, witnesses, witness_det = _greedy_minima(entries, len(search.rows))
     return SuccessiveMinima(kind, tuple(minima), tuple(witnesses)), entries, witness_det
 
 
@@ -260,15 +273,15 @@ def single_pass_bounds(rows, kind: NormKind) -> dict:
     pass kind: the largest L2 norm of the LLL-reduced rows for the L2 pass,
     and under L1/Linf the smaller of the largest ``kind`` norm of those rows
     and of the L2 minima witnesses (found by one L2 pass) for the last."""
-    reduced = _lll_rows(rows)
+    search = unboxed_search(rows)
 
     def largest(vectors, k):
         return max(measure(v, k).value for v in vectors)
 
-    bounds = {NormKind.L2: largest(reduced[0], NormKind.L2)}
+    bounds = {NormKind.L2: largest(search.rows, NormKind.L2)}
     if kind is not NormKind.L2:
-        l2 = one_pass(reduced, NormKind.L2, bounds[NormKind.L2])[0]
-        bounds[kind] = min(largest(reduced[0], kind), largest(l2.witnesses, kind))
+        l2 = one_pass(search, NormKind.L2, bounds[NormKind.L2])[0]
+        bounds[kind] = min(largest(search.rows, kind), largest(l2.witnesses, kind))
     return bounds
 
 
