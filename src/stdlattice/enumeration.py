@@ -384,7 +384,9 @@ def minima_witness_check(
 
     Re-checks membership, norms, independence, ordering, and minimality
     against a fresh enumeration; returns ok=False with diagnostics instead of
-    raising.  A malformed certificate is refused with InputError.
+    raising.  A malformed certificate is refused with InputError, and a
+    witness entry that is not an int (``1.5``, ``True``, ``"a"``) with
+    StructuralError, as every integer-row entry in the library is.
     """
     _check_basis(basis)
     if not isinstance(sm, SuccessiveMinima):

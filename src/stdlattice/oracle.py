@@ -1,21 +1,27 @@
 """Brute-force ground truth for minima and closest points on small instances.
 
-Everything here is a plain coefficient-box scan: no Gram-Schmidt pruning, no
-recursive rounding, no shared search code with the fast paths.  Coefficients
-are read through its own Fraction inverse (``invert_rational``), not through
-the library's one rounding walk for membership, and the greedy witness scan
-tests independence by its own elimination (``_independent_prefix``), not
-through the library's rank tracker.  It exists to be compared against, so
-it is deliberately dumb and allowed to be slow.
+Both scans are one exact walk over the coordinates of the lattice's
+canonical Hermite rows: no LLL, no Gram-Schmidt pruning, no rounding walk,
+no shared search code with the fast paths.  The rows are upper triangular
+with positive pivots, so coordinate j of a lattice vector depends on its
+first j + 1 coefficients alone; each level of the walk fixes one coordinate
+for good and takes exactly the coefficients that keep it within what the
+fixed coordinates leave of the bound.  The greedy witness scan tests
+independence by its own elimination (``_independent_prefix``), not through
+the library's rank tracker, and ``brute_cvp`` reads its caller-basis
+coefficients through its own Fraction inverse (``invert_rational``).  It
+exists to be compared against, so it is deliberately dumb and allowed to be
+slow.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .enumeration import MeasuredVector, SuccessiveMinima, _canonical_sign
-from .errors import ResourceLimitError, StructuralError
+from .enumeration import MeasuredVector, SuccessiveMinima
+from .errors import InternalConsistencyError, ResourceLimitError, StructuralError
 from .exactlin import (
     IntVector,
     LatticeBasis,
@@ -30,7 +36,6 @@ from .norms import (
     _require_bound,
     ceil_sqrt,
     enumeration_radius_in_l2,
-    measure,
     require_kind,
 )
 
@@ -76,14 +81,6 @@ def invert_rational(rows: Sequence[Sequence[int]]) -> list[list[Fraction]]:
     return [row[n:] for row in a]
 
 
-def _times_inverse(
-    vec: Sequence[int | Fraction], inv: Sequence[Sequence[Fraction]]
-) -> list[Fraction]:
-    """Coordinates x with x . B = vec, read as vec . B^-1 from ``inv`` = B^-1."""
-    n = len(inv)
-    return [sum(vec[j] * inv[j][i] for j in range(n)) for i in range(n)]
-
-
 def _inverse_column_sq(basis: LatticeBasis) -> list[Fraction]:
     inv = invert_rational(basis.rows)
     n = basis.dim
@@ -109,48 +106,87 @@ def _check_oracle_dim(basis: LatticeBasis) -> None:
         raise StructuralError(f"the brute-force oracle is capped at dimension {ORACLE_MAX_DIM}")
 
 
-def _scan_box(basis: LatticeBasis, kind: NormKind, bound: NormValue, max_points: int):
-    """All sign-canonical nonzero lattice vectors with norm <= bound, by full
-    coefficient-box scan (only x-vectors whose first nonzero entry is
-    positive are walked; the mirror image is redundant).
+def _hermite_rows(basis: LatticeBasis) -> tuple[IntVector, ...]:
+    """The canonical Hermite rows of ``basis``, checked to have the shape the
+    walk relies on: n rows, upper triangular, each with a positive pivot."""
+    rows = hnf_nonzero_rows(basis.rows)
+    if len(rows) != basis.dim or any(row[i] <= 0 or any(row[:i]) for i, row in enumerate(rows)):
+        raise InternalConsistencyError(f"Hermite rows {rows}: not triangular with positive pivots")
+    return rows
 
-    The scan uses the per-coordinate bounds |x_i| <= R * ||column_i(B^-1)||_2
-    from the same covering argument as :func:`coefficient_box`; each is at
-    most the published box constant, so this walks a subset of that box.
+
+def _walk(rows, kind: NormKind, limit: int, max_points: int, leaf: Callable, target=None) -> None:
+    """Call ``leaf(x, point, cost)`` for each integer x whose point x . rows
+    lies within ``limit`` of ``target`` (the origin when None); cost is the
+    ``kind`` norm of point - target (squared under L2), and ``leaf`` returns
+    the limit the walk goes on under.
+
+    The rows are upper triangular with positive pivots, so coordinate j of
+    the point depends on x_0..x_j alone, and level j fixes it for good: it
+    takes the x_j that keep it within r of t_j, r being what the fixed
+    coordinates leave of the limit (limit - cost under L1, isqrt(limit -
+    cost) under L2, limit under Linf).  With no target only x whose first
+    nonzero entry is positive are walked; that entry and the point's first
+    nonzero coordinate share a sign, so each vector comes once,
+    sign-canonical.  More than ``max_points`` coefficients tried raise
+    ResourceLimitError.
     """
-    n = basis.dim
-    r2 = Fraction(enumeration_radius_in_l2(bound, n).value)
-    colsq = _inverse_column_sq(basis)
-    ms = [ceil_sqrt(r2 * c) for c in colsq]
-    volume = 1
-    for m in ms:
-        volume *= 2 * m + 1
-    volume = (volume + 1) // 2
-    if volume > max_points:
-        raise ResourceLimitError(
-            f"coefficient box holds about {volume} points, over the {max_points} ceiling"
-        )
-    rows = basis.rows
-    limit = bound.value
+    n = len(rows)
+    t = target or (0,) * n
+    x = [0] * n
+    tried = 0
+
+    def rec(j: int, point: list[int], used: int, zero_prefix: bool) -> None:
+        nonlocal limit, tried
+        row = rows[j]
+        h = row[j]
+        a = point[j] - t[j]
+        if kind is NormKind.L1:
+            r = limit - used
+        elif kind is NormKind.L2:
+            r = math.isqrt(limit - used)
+        else:
+            r = limit
+        lo, hi = -((r + a) // h), (r - a) // h
+        if zero_prefix:
+            lo = 1 if j == n - 1 else 0
+        tried += max(hi - lo + 1, 0)
+        if tried > max_points:
+            raise ResourceLimitError(
+                f"oracle scan tried more than {max_points} coefficients (max_points ceiling)"
+            )
+        for xj in range(lo, hi + 1):
+            d = abs(a + xj * h)
+            if kind is NormKind.L1:
+                cost = used + d
+            elif kind is NormKind.L2:
+                cost = used + d * d
+            else:
+                cost = max(used, d)
+            if cost > limit:  # the limit fell since this level's interval was taken
+                continue
+            x[j] = xj
+            nxt = [p + xj * e for p, e in zip(point, row)]
+            if j == n - 1:
+                limit = leaf(tuple(x), nxt, cost)
+            else:
+                rec(j + 1, nxt, cost, zero_prefix and xj == 0)
+
+    rec(0, [0] * n, 0, target is None)
+
+
+def _scan_box(basis: LatticeBasis, kind: NormKind, bound: NormValue, max_points: int):
+    """All sign-canonical nonzero lattice vectors with norm <= bound, sorted
+    by (norm, vector), from one walk over the canonical Hermite rows of
+    ``basis`` (see :func:`_walk`)."""
+    limit = math.floor(bound.value)
     out = []
 
-    def rec(level: int, partial: tuple[int, ...], zero_prefix: bool) -> None:
-        row = rows[level]
-        m = ms[level]
-        rng = range(0, m + 1) if zero_prefix else range(-m, m + 1)
-        if level == n - 1:
-            for xi in rng:
-                if zero_prefix and xi == 0:
-                    continue
-                vec = tuple(p + xi * r for p, r in zip(partial, row))
-                nv = measure(vec, kind)
-                if 0 < nv.value <= limit:
-                    out.append(MeasuredVector(_canonical_sign(vec), nv))
-        else:
-            for xi in rng:
-                rec(level + 1, tuple(p + xi * r for p, r in zip(partial, row)), zero_prefix and xi == 0)
+    def leaf(x: tuple[int, ...], point: list[int], cost: int) -> int:
+        out.append(MeasuredVector(tuple(point), NormValue(kind, cost)))
+        return limit
 
-    rec(0, (0,) * n, True)
+    _walk(_hermite_rows(basis), kind, limit, max_points, leaf)
     out.sort(key=lambda e: (e.norm.value, e.vector))
     return out
 
@@ -186,26 +222,23 @@ def _independent_prefix(entries: Sequence[MeasuredVector], want: int) -> list[Me
 def brute_minima(
     basis: LatticeBasis, kind: NormKind, *, max_points: int = DEFAULT_MAX_POINTS
 ) -> SuccessiveMinima:
-    """Successive minima by exhaustive box scan with a doubling bound.
+    """Successive minima by exhaustive scan with a doubling bound.
 
-    The scan runs over the coefficients of the canonical Hermite basis of the
-    same lattice (its triangular, entry-reduced rows keep the coefficient box
-    small even when the input basis is skew); the enumerated vector set, and
-    hence the greedy witness extraction, does not depend on that choice, so
-    agreement with the fast path is expected bit for bit.  The bound starts
-    at 1 (no nonzero integer vector is smaller) and doubles until the
-    witnesses span everything.
+    Each scan walks the coordinates of the canonical Hermite rows of the same
+    lattice and lists every vector within the bound; that set, and hence the
+    greedy witness extraction, does not depend on the basis, so agreement
+    with the fast path is expected bit for bit.  The bound starts at 1 (no
+    nonzero integer vector is smaller) and doubles until the witnesses span
+    everything.  ``max_points`` caps the coefficients each scan tries.
     """
     _check_basis(basis)
     require_kind(kind)
     _check_oracle_dim(basis)
     _check_positive_int("max_points", max_points)
     n = basis.dim
-    scan_basis = LatticeBasis(hnf_nonzero_rows(basis.rows))
     bound = NormValue(kind, 1)
     while True:
-        entries = _scan_box(scan_basis, kind, bound, max_points)
-        found = _independent_prefix(entries, n)
+        found = _independent_prefix(_scan_box(basis, kind, bound, max_points), n)
         if len(found) == n:
             return SuccessiveMinima(
                 kind, tuple(e.norm for e in found), tuple(e.vector for e in found)
@@ -219,98 +252,45 @@ def brute_cvp(
     *,
     max_points: int = DEFAULT_MAX_POINTS,
 ) -> BruteCvpResult:
-    """Exact closest lattice point under L2 by exhaustive coefficient scan.
+    """Exact closest lattice point under L2 by exhaustive coordinate walk.
 
-    The scan runs over the box |x_i - c_i| <= r * ||column_i(B^-1)||_2 around
-    the rational coordinates c of the target, where r starts from the
-    distance of the nearest-plane point (recomputed here from the point
-    itself) and shrinks as better points are found.  The widest coordinate is
-    not scanned at all: with every other coefficient fixed, the distance is a
-    convex quadratic in it, so only the two integers around its real
-    minimizer can matter.  Every global minimizer is reached this way; ties
-    at the final distance resolve to the lexicographically smallest
-    coefficient vector over the canonical scan basis, a fixed deterministic
-    rule.  The returned ``coeffs`` are relative to the caller's basis.
+    The walk runs over the canonical Hermite rows, in integers scaled by the
+    target's common denominator q, under the squared distance to the target.
+    Its limit is the best distance found so far, starting from the
+    nearest-plane point: only the point is trusted, once mapped here to
+    integer Hermite coefficients, and its distance is recomputed.  Ties at
+    the final distance resolve to the lexicographically smallest coefficient
+    vector over the Hermite rows, a fixed deterministic rule.  The returned
+    ``coeffs`` are relative to the caller's basis.  ``max_points`` caps the
+    coefficients tried.
     """
     _check_basis(basis)
     _check_oracle_dim(basis)
     _check_positive_int("max_points", max_points)
     n = basis.dim
     t = _as_rational_row(target, n)
-    # Scan in the canonical Hermite basis of the same lattice: the point set
-    # is unchanged and the triangular reduced rows keep the box small.
-    scan_basis = LatticeBasis(hnf_nonzero_rows(basis.rows))
-    rows = scan_basis.rows
-    inv = invert_rational(rows)
-    center = _times_inverse(t, inv)
-    colsq = _inverse_column_sq(scan_basis)
-
-    def dist_sq_of(coeffs: Sequence[int]) -> Fraction:
-        diff = [
-            t[j] - sum(coeffs[i] * rows[i][j] for i in range(n)) for j in range(n)
-        ]
-        return Fraction(sum(d * d for d in diff))
-
-    # Seed with the nearest-plane point; only the point is trusted, its
-    # distance is recomputed locally so a wrong distance cannot mislead us.
+    rows = _hermite_rows(basis)
+    q = math.lcm(*(c.denominator for c in t))
+    scaled_t = [int(c * q) for c in t]
     from .cvp import nearest_plane
 
-    seed = nearest_plane(basis, t)
-    seed_coeffs = tuple(int(c) for c in _times_inverse(seed.point, inv))
-    best_sq = dist_sq_of(seed_coeffs)
-    best: list[tuple[int, ...]] = [seed_coeffs]
-    visited = 0
-    coeffs = [0] * n
-    # Scan narrow coordinates first and resolve the widest one analytically.
-    order = sorted(range(n), key=lambda i: colsq[i])
-    last = order[-1]
-    row_last = rows[last]
-    last_norm_sq = sum(x * x for x in row_last)
+    seed = nearest_plane(basis, t).point
+    seed_x: list[int] = []
+    for j, row in enumerate(rows):  # substitution down the triangular rows
+        xj, rest = divmod(seed[j] - sum(c * r[j] for c, r in zip(seed_x, rows)), row[j])
+        if rest:
+            raise InternalConsistencyError(f"nearest-plane point {seed} is not a lattice point")
+        seed_x.append(xj)
+    best = (sum((q * p - s) ** 2 for p, s in zip(seed, scaled_t)), tuple(seed_x))
 
-    def finish(residual: list[Fraction]) -> None:
-        nonlocal best_sq, visited
-        visited += 1
-        if visited > max_points:
-            raise ResourceLimitError(f"closest-point scan exceeded {max_points} points")
-        c = Fraction(sum(r * x for r, x in zip(residual, row_last))) / last_norm_sq
-        lo = c.numerator // c.denominator
-        for xi in {lo, lo + 1}:
-            coeffs[last] = xi
-            dsq = Fraction(sum((r - xi * x) ** 2 for r, x in zip(residual, row_last)))
-            if dsq < best_sq:
-                best_sq = dsq
-                best.clear()
-                best.append(tuple(coeffs))
-            elif dsq == best_sq:
-                best.append(tuple(coeffs))
+    def leaf(x: tuple[int, ...], point: list[int], cost: int) -> int:
+        nonlocal best
+        best = min(best, (cost, x))
+        return best[0]
 
-    def rec(pos: int, residual: list[Fraction]) -> None:
-        if pos == n - 1:
-            finish(residual)
-            return
-        level = order[pos]
-        c = center[level]
-        row = rows[level]
-        start = round(c)
-
-        def try_value(xi: int) -> bool:
-            d = xi - c
-            if d * d > best_sq * colsq[level]:
-                return False
-            coeffs[level] = xi
-            rec(pos + 1, [r - xi * x for r, x in zip(residual, row)])
-            return True
-
-        xi = start
-        while try_value(xi):
-            xi += 1
-        xi = start - 1
-        while try_value(xi):
-            xi -= 1
-
-    rec(0, t)
-    winner = min(best)
-    point = tuple(sum(winner[i] * rows[i][j] for i in range(n)) for j in range(n))
-    # Report coefficients with respect to the caller's basis.
-    out_coeffs = tuple(int(c) for c in _times_inverse(point, invert_rational(basis.rows)))
-    return BruteCvpResult(point=point, coeffs=out_coeffs, dist_sq=best_sq)
+    _walk([[q * e for e in row] for row in rows], NormKind.L2, best[0], max_points, leaf, scaled_t)
+    cost, winner = best
+    point = tuple(sum(c * row[j] for c, row in zip(winner, rows)) for j in range(n))
+    inv = invert_rational(basis.rows)
+    coeffs = tuple(int(sum(point[j] * inv[j][i] for j in range(n))) for i in range(n))
+    return BruteCvpResult(point=point, coeffs=coeffs, dist_sq=Fraction(cost, q * q))

@@ -175,7 +175,7 @@ def test_criterion_6_oracle_equivalence(capfd):
     """successive_minima agrees with the brute-force oracle bit for bit."""
     started = time.monotonic()
     rng = random.Random(1956)
-    plan = [(1, 30, 6), (2, 60, 5), (3, 60, 4), (4, 50, 4)]
+    plan = [(1, 30, 6), (2, 60, 5), (3, 60, 4), (4, 50, 4), (5, 40, 3)]
     total = 0
     for n, count, span in plan:
         for _ in range(count):

@@ -7,8 +7,8 @@ library accepts.  Under L2 every lattice of dimension n <= 4 is standard,
 and in dimension 2 so is every lattice under every norm; the first
 NonStandard lattices are L1 ones from dimension 3 on.  Each NonStandard
 verdict below is confirmed by the exhaustive ``brute_standard``, and the
-minima of a strided slice, with the norms of the basis that
-``standardize_low_dim`` returns, by ``brute_minima``.
+minima of every lattice of the small slices, with the norms of the basis
+that ``standardize_low_dim`` returns, by ``brute_minima``.
 """
 
 from collections import Counter
@@ -30,6 +30,8 @@ from util import brute_standard, hermite_forms
 
 # Dimension and index range of the census slices that every norm runs.
 SMALL = {3: range(1, 13), 4: range(1, 7)}
+# The indices of the dimension-5 slice.
+FIVE = range(1, 5)
 
 
 def census(n, indices):
@@ -90,10 +92,19 @@ def test_index_8_in_dimension_4_under_l1_reaches_the_exhaustion_route():
     assert Counter(nodes) == {1: 5, 13: 12}
 
 
+@pytest.mark.parametrize("kind, count", [(NormKind.L1, 65), (NormKind.L2, 0), (NormKind.LINF, 0)])
+def test_dimension_5_is_non_standard_only_under_l1_and_only_at_index_4(kind, count):
+    # Every such L1 verdict is decided at the root: the levels generate a
+    # proper sublattice.
+    assert len(census(5, FIVE)) == 804
+    nodes = {index: non_standard_nodes(census(5, [index]), kind) for index in FIVE}
+    assert nodes == {1: [], 2: [], 3: [], 4: [1] * count}
+
+
 @pytest.mark.parametrize("kind", list(NormKind))
 @pytest.mark.parametrize("n", sorted(SMALL))
 def test_minima_agree_with_the_oracle_on_a_slice(n, kind):
-    for b in census(n, SMALL[n])[::40]:
+    for b in census(n, SMALL[n]):
         minima = brute_minima(b, kind).minima
         assert successive_minima(b, kind).minima == minima, b
         if kind is NormKind.L2:

@@ -344,6 +344,13 @@ REFUSALS = {
         lambda: minima_witness_check(P3, minima_with(witnesses=(None,) + P3_MINIMA.witnesses[1:])),
         InputError,
     ),
+    # An entry of a witness row is an integer-row entry like any other.
+    "float witness entry": (
+        lambda: minima_witness_check(
+            P3, minima_with(witnesses=((1.5, 0, 0),) + P3_MINIMA.witnesses[1:])
+        ),
+        StructuralError,
+    ),
 }
 
 

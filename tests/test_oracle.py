@@ -6,9 +6,11 @@ import pytest
 
 from stdlattice import (
     InputError,
+    InternalConsistencyError,
     LatticeBasis,
     NormKind,
     NormValue,
+    ResourceLimitError,
     StructuralError,
     brute_cvp,
     brute_minima,
@@ -23,7 +25,15 @@ from stdlattice import (
     standardize_low_dim,
     successive_minima,
 )
-from util import identity_basis, random_basis, random_rational_vector
+from stdlattice import oracle
+from util import (
+    apply_unimodular,
+    box_short_vectors,
+    identity_basis,
+    random_basis,
+    random_rational_vector,
+    random_unimodular,
+)
 
 
 def scaled_identity(n, k):
@@ -79,6 +89,47 @@ class TestBruteMinima:
             fast = successive_minima(b, kind)
             slow = brute_minima(b, kind)
             assert fast == slow
+
+
+class TestScanBox:
+    """The Hermite coordinate walk lists what the raw product scan lists."""
+
+    def test_matches_the_raw_product_scan(self):
+        rng = random.Random(1131)
+        # Hermite pivots (1, 1, 23): the last level spans the widest range.
+        skewed = apply_unimodular(
+            random_unimodular(rng, 3), LatticeBasis([[1, 0, 5], [0, 1, 7], [0, 0, 23]])
+        )
+        assert oracle.hnf_nonzero_rows(skewed.rows)[-1][-1] == 23
+        bases = [skewed] + [random_basis(rng, rng.randint(1, 3), -3, 3) for _ in range(25)]
+        cases = 0
+        for i, b in enumerate(bases):
+            for kind in NormKind:
+                value = 9 if kind is NormKind.L2 else 3
+                bound = NormValue(kind, Fraction(4 * value + 1, 4) if i % 2 else value)
+                walk = [(e.vector, e.norm.value) for e in oracle._scan_box(b, kind, bound, 10**6)]
+                raw = [(v, nv.value) for v, nv in box_short_vectors(b, kind, bound)]
+                assert walk == raw, (b.rows, kind, bound)
+                cases += 1
+        assert cases == 78
+
+    def test_refuses_hermite_rows_that_are_not_triangular(self, monkeypatch):
+        # The walk fixes coordinate j from the first j + 1 coefficients; it
+        # checks that shape instead of trusting it.
+        monkeypatch.setattr(oracle, "hnf_nonzero_rows", lambda rows: ((2, 1), (1, 3)))
+        b = LatticeBasis([[2, 1], [1, 3]])
+        with pytest.raises(InternalConsistencyError, match="not triangular"):
+            brute_minima(b, NormKind.L2)
+        with pytest.raises(InternalConsistencyError, match="not triangular"):
+            brute_cvp(b, [Fraction(1, 2), 0])
+
+
+def test_a_small_ceiling_stops_both_scans():
+    # max_points counts the coefficients tried, not an up-front box volume.
+    with pytest.raises(ResourceLimitError, match=r"more than 10 coefficients \(max_points"):
+        brute_minima(parity_lattice(5), NormKind.L2, max_points=10)
+    with pytest.raises(ResourceLimitError, match=r"more than 5 coefficients \(max_points"):
+        brute_cvp(parity_lattice(5), [Fraction(1, 2)] * 5, max_points=5)
 
 
 def raw_cvp_scan(basis, target):
@@ -141,6 +192,14 @@ class TestBruteCvp:
         assert res.coeffs == (0, 0, 0, 0)
         assert res.point == (0, 0, 0, 0)
 
+    def test_a_tie_below_the_seed_wins(self):
+        # Nearest plane rounds -1/2 to 0; the least tied coefficients win.
+        assert nearest_plane(scaled_identity(3, 2), (-1, -1, -1)).point == (0, 0, 0)
+        res = brute_cvp(scaled_identity(3, 2), (-1, -1, -1))
+        assert res.dist_sq == 3
+        assert res.coeffs == (-1, -1, -1)
+        assert res.point == (-2, -2, -2)
+
     def test_dominated_by_nearest_plane(self):
         rng = random.Random(113)
         for _ in range(40):
@@ -156,8 +215,6 @@ class TestBruteCvp:
 
 def test_library_paths_never_use_the_oracle_inverse(monkeypatch):
     """The oracle's Fraction inverse is its own: no library path calls it."""
-    from stdlattice import oracle
-
     def refuse(rows):
         raise AssertionError("invert_rational called outside the oracle")
 
@@ -178,8 +235,9 @@ def test_library_paths_never_use_the_oracle_inverse(monkeypatch):
 
 
 def test_oracle_minima_never_use_the_library_rank_scan(monkeypatch):
-    """The oracle's greedy scan is its own: it answers with the library's
-    rank tracker and greedy witness scan patched to raise."""
+    """The oracle's greedy scan is its own and its minima walk reads no
+    Fraction inverse: it answers with the library's rank tracker and greedy
+    witness scan, and the oracle's own inverse, patched to raise."""
     from stdlattice import enumeration, exactlin
 
     skewed = LatticeBasis([[2, 1, 0, 0], [0, 3, 1, 0], [1, 0, 4, 1], [0, 1, 0, 5]])
@@ -187,15 +245,16 @@ def test_oracle_minima_never_use_the_library_rank_scan(monkeypatch):
     expected = [successive_minima(b, kind) for b, kind in cases]
 
     def refuse(*args):
-        raise AssertionError("library rank scan called from the oracle")
+        raise AssertionError("patched helper called from the oracle minima")
 
     for module, name in [
         (exactlin, "RankTracker"),
         (enumeration, "RankTracker"),
         (enumeration, "_greedy_minima"),
+        (oracle, "invert_rational"),
     ]:
         monkeypatch.setattr(module, name, refuse)
     assert [brute_minima(b, kind) for b, kind in cases] == expected
     # The patch is live: the fast path still reaches it.
-    with pytest.raises(AssertionError, match="library rank scan"):
+    with pytest.raises(AssertionError, match="patched helper"):
         successive_minima(skewed, NormKind.L2)

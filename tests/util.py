@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: seeded random instances, every
 Hermite form of a given index, and tiny independent oracles (an exhaustive
-standardness decision, cofactor determinants, raw coefficient-box scans, a
+standardness decision over the oracle's Hermite coordinate walk, cofactor
+determinants, a raw coefficient-box product scan that checks that walk, a
 Fraction Gram-Schmidt and the nearest-plane rounding built on it, a
 Fraction Gauss-Jordan solve, one forced minima pass and the start bounds
 of a one-pass minima search, and the two-Hermite-form section)."""
@@ -150,7 +151,7 @@ def hermite_forms(n: int, index: int):
 
 def brute_standard(basis: LatticeBasis, kind: NormKind) -> Verdict:
     """Exhaustive standardness decision: every index-monotone tuple of
-    vectors of norm lambda_i, from the oracle's minima and box scan, tried
+    vectors of norm lambda_i, from the oracle's minima and walk, tried
     for |det| by cofactor expansion, with no pruning."""
     sm = brute_minima(basis, kind)
     n = basis.dim
@@ -195,8 +196,8 @@ def cofactor_det(mat) -> int:
 def box_short_vectors(basis: LatticeBasis, kind: NormKind, bound):
     """Sign-canonical short vectors by raw coefficient-box product scan.
 
-    Independent of both the pruned enumerator and the oracle module's own
-    nested scan; exists purely to cross-check them.  Coefficient i ranges
+    Independent of both the pruned enumerator and the oracle's Hermite
+    coordinate walk; exists purely to cross-check them.  Coefficient i ranges
     over |x_i| <= ceil(R * ||column_i(B^-1)||_2) (at least 1), the cover
     whose largest entry is ``coefficient_box``; B^-1 comes from the Fraction
     reference solve, and points are built one row at a time.
