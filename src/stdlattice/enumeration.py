@@ -5,8 +5,11 @@ style) driven by the integral Gram-Schmidt data (d, lam) that LLL leaves
 behind, so it builds no Gram-Schmidt vector and no Fraction: partial
 squared-L2 sums prune against the L2 radius that dominates the requested
 norm, and survivors are filtered by the exact target norm.  Each level keeps
-its scaled center, partial sum, zero-prefix flag and ambient partial vector,
-so a leaf costs O(n), one row added to its parent's vector.  On entry a
+its scaled center, the radius left to it and a zero-prefix flag.  Only leaves
+read ambient vectors, so the partial vectors sum_{i>=l} x_i rows_i are built
+when a leaf with a nonempty interval needs them, from the lowest one still
+valid (a zero coefficient reuses its parent's); the leaf's first candidate
+adds lo rows_0 to them, and each next one adds rows_0 once.  On entry a
 level's admissible coefficients are one exact integer interval around its
 center, from an integer square root of the radius the levels above leave
 (starting at 0 while every coefficient above is zero: the negative branch
@@ -50,7 +53,7 @@ search tree is a subset of that pass's.
 from __future__ import annotations
 
 from math import isqrt, lcm
-from operator import mul
+from operator import add, mul, neg
 from typing import NamedTuple, Sequence
 
 from .errors import InputError, InternalConsistencyError, ResourceLimitError
@@ -117,12 +120,10 @@ class CheckResult(NamedTuple):
 
 
 def _canonical_sign(vec: tuple[int, ...]) -> tuple[int, ...]:
-    for x in vec:
-        if x > 0:
-            return vec
-        if x < 0:
-            return tuple(-y for y in vec)
-    return vec
+    # The first nonzero coordinate decides the lexicographic order of v and
+    # -v, so the larger of the two is the one where it is positive.
+    flipped = tuple(map(neg, vec))
+    return vec if vec >= flipped else flipped
 
 
 class _ReducedSearch:
@@ -202,8 +203,12 @@ def _enumerate_rows(
     # coefficient and the top of its interval, the scaled center, the radius
     # rem that the levels above leave, and whether every coefficient above
     # is zero (then the interval starts at 0 at the lowest, as the negative
-    # branch mirrors it).  vecs[l] is the ambient vector sum_{i>=l} x_i
-    # rows_i, so a leaf adds one row to vecs[1].  xs[m] is a sentinel.
+    # branch mirrors it).  Only a leaf reads the ambient vectors: vecs[l] is
+    # sum_{i>=l} x_i rows_i for every l >= built, a leaf with a nonempty
+    # interval first extends that down to vecs[1] (a zero x_l reuses
+    # vecs[l+1]), and changing x_l makes vecs[l] and those below it stale.
+    # The leaf's first candidate is vecs[1] + lo rows_0, and each next one
+    # adds rows_0 once.  xs[m] is a sentinel, and vecs[m] the zero vector.
     found: list[MeasuredVector] = []
     xs = [0] * (m + 1)
     his = [0] * m
@@ -211,6 +216,7 @@ def _enumerate_rows(
     rems = [0] * m
     zeros = [True] * m
     vecs = [None] * m + [(0,) * n]
+    built = m
     row0 = rows[0]
     level, center, rem, zero = m - 1, 0, cap, True
     work = 0
@@ -238,12 +244,28 @@ def _enumerate_rows(
             rems[level] = rem
             zeros[level] = zero
         else:
-            base = vecs[1]
-            for xi in range(lo + (zero and lo == 0), hi + 1):
-                vec = tuple([p + xi * r for p, r in zip(base, row0)])
-                nv = measure(vec, kind)
-                if nv.value <= limit:
-                    found.append(MeasuredVector(_canonical_sign(vec), nv))
+            if zero and lo == 0:
+                lo = 1
+            if lo <= hi:
+                if built > 1:
+                    vec = vecs[built]
+                    for l in range(built - 1, 0, -1):
+                        x = xs[l]
+                        if x:
+                            vec = [p + x * r for p, r in zip(vec, rows[l])]
+                        vecs[l] = vec
+                    built = 1
+                vec = tuple([p + lo * r for p, r in zip(vecs[1], row0)])
+                while True:
+                    nv = measure(vec, kind)
+                    if nv.value <= limit:
+                        # Both fields are known good: skip the NamedTuple
+                        # constructor, as norms.measure does for its values.
+                        found.append(tuple.__new__(MeasuredVector, (_canonical_sign(vec), nv)))
+                    if lo == hi:
+                        break
+                    lo += 1
+                    vec = tuple(map(add, vec, row0))
             level = 1
             xs[1] += 1
         # Climb past every spent interval, then descend from the next
@@ -253,11 +275,12 @@ def _enumerate_rows(
             xs[level] += 1
         if level == m:
             break
+        if built <= level:
+            built = level + 1
         xi = xs[level]
         t = xi * den - centers[level]
         rem = rems[level] - t * t * bsq_rd[level]
         zero = zeros[level] and xi == 0
-        vecs[level] = [p + xi * r for p, r in zip(vecs[level + 1], rows[level])]
         level -= 1
         center = -sum(map(mul, xs[level + 1 :], mu_cols[level]))
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,16 +10,24 @@ from stdlattice import (
     NormKind,
     NormValue,
     ResourceLimitError,
+    Verdict,
     brute_minima,
     check_standard,
     enumerate_short,
     enumeration,
     is_basis_of,
     minima_witness_check,
+    oracle,
     parity_lattice,
     successive_minima,
 )
-from stdlattice.enumeration import DEFAULT_MAX_CANDIDATES
+from stdlattice.enumeration import (
+    DEFAULT_MAX_CANDIDATES,
+    MeasuredVector,
+    _canonical_sign,
+    _enumerate_rows,
+    _ReducedSearch,
+)
 from util import (
     apply_unimodular,
     box_short_vectors,
@@ -27,6 +36,7 @@ from util import (
     random_unimodular,
     reference_gso_rows,
     single_pass_bounds,
+    unboxed_search,
 )
 
 
@@ -447,6 +457,20 @@ class TestExactWork:
         successive_minima(LatticeBasis(rows), kind)
         assert leaves[0] == expected
 
+    @pytest.mark.parametrize("n, k", [(5, 34), (6, 41), (7, 49), (8, 58), (9, 68), (10, 79)])
+    def test_parity_l2_check_counts(self, leaves, n, k):
+        # The parity-l2 benchmark inputs: n row norms and the n leaves 2e_i of
+        # the probe pass at 4 are every measure call, and k is the smallest
+        # sufficient ceiling, so the visited set and its measures are pinned.
+        cert = check_standard(parity_lattice(n), L2, max_candidates=k)
+        assert cert.verdict is Verdict.NON_STANDARD
+        assert leaves[0] == 2 * n
+        with pytest.raises(ResourceLimitError) as err:
+            check_standard(parity_lattice(n), L2, max_candidates=k - 1)
+        assert str(err.value) == (
+            f"enumeration exceeded {k - 1} candidate evaluations (l2 pass, bound 4)"
+        )
+
     def test_leaves_are_measured_through_module_globals(self):
         # The benchmark tracer counts leaves by wrapping enumeration.measure;
         # binding it any other way (a default argument, a renamed import)
@@ -460,6 +484,62 @@ class TestExactWork:
 
         assert "measure" in global_names(enumeration._enumerate_rows.__code__)
         assert enumeration._enumerate_rows.__globals__ is vars(enumeration)
+
+
+def _old_canonical_sign(vec):
+    # The loop _canonical_sign replaced: the first nonzero coordinate's sign.
+    for x in vec:
+        if x > 0:
+            return vec
+        if x < 0:
+            return tuple(-y for y in vec)
+    return vec
+
+
+class TestLazyVectors:
+    """The pass builds ambient vectors only where a leaf reads them; its
+    entries must still be exactly the oracle's walk over the Hermite rows."""
+
+    @staticmethod
+    def assert_matches_oracle(search, basis, bound):
+        got = _enumerate_rows(search, bound, DEFAULT_MAX_CANDIDATES)
+        assert all(type(e) is MeasuredVector for e in got)
+        assert got == oracle._scan_box(basis, bound.kind, bound, 10**7), (basis.rows, bound)
+
+    def test_seeded_bases_match_the_oracle(self):
+        rng = random.Random(2028)
+        cases = 0
+        for n in range(1, 7):
+            for _ in range(8):
+                b = apply_unimodular(random_unimodular(rng, n, 4), random_basis(rng, n, -2, 2))
+                for kind in NormKind:
+                    # The largest reduced row norm, whole or raised by a
+                    # fraction: no pass is empty, and some inner levels are.
+                    search = _ReducedSearch(b.rows, kind)
+                    value = max(enumeration.measure(r, kind).value for r in search.rows)
+                    q = rng.randint(2, 5)
+                    for v in (value, Fraction(value * q + rng.randint(1, q - 1), q)):
+                        bound = NormValue(kind, v)
+                        self.assert_matches_oracle(search, b, bound)
+                        self.assert_matches_oracle(unboxed_search(b.rows), b, bound)
+                        cases += 1
+        assert cases == 6 * 8 * 3 * 2
+
+    @pytest.mark.parametrize("n", range(6, 11))
+    def test_parity_l2_probe_pass_with_dead_end_nodes(self, n):
+        # The L2 check of parity_lattice(n), n = 6..10, enters 8 inner levels
+        # whose interval is empty: no leaf below them builds a vector.
+        b = parity_lattice(n)
+        self.assert_matches_oracle(_ReducedSearch(b.rows, L2), b, NormValue(L2, 4))
+
+    def test_canonical_sign_matches_the_first_nonzero_rule(self):
+        # Every vector of length <= 4 with entries in -2..2: zero vectors,
+        # leading zeros and negative leads included.
+        vectors = [()] + [
+            v for length in range(1, 5) for v in itertools.product(range(-2, 3), repeat=length)
+        ]
+        for v in vectors:
+            assert _canonical_sign(v) == _old_canonical_sign(v), v
 
 
 class TestLambdaNFloor:

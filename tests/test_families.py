@@ -17,7 +17,7 @@ from stdlattice import (
     verify_family,
 )
 from stdlattice.norms import NormValue
-from util import box_short_vectors
+from stdlattice.oracle import _scan_box
 
 
 class TestParityLattice:
@@ -127,7 +127,7 @@ class TestVerifyFamily:
                 assert arg.odd_coset_min.value == (1 if kind is NormKind.LINF else n)
                 assert arg.even_coset_min.value == (4 if kind is NormKind.L2 else 2)
                 bound = NormValue(kind, max(arg.odd_coset_min.value, arg.even_coset_min.value))
-                entries = box_short_vectors(parity_lattice(n), kind, bound)
+                entries = _scan_box(parity_lattice(n), kind, bound, 10**6)
                 odd = [nv.value for vec, nv in entries if all(x % 2 for x in vec)]
                 even = [nv.value for vec, nv in entries if not any(x % 2 for x in vec)]
                 assert min(odd) == arg.odd_coset_min.value, (n, kind)
