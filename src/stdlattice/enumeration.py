@@ -52,7 +52,7 @@ search tree is a subset of that pass's.
 
 from __future__ import annotations
 
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from operator import add, mul, neg
 from typing import NamedTuple, Sequence
 
@@ -62,12 +62,12 @@ from .exactlin import (
     DEFAULT_MAX_DIM,
     IntVector,
     LatticeBasis,
-    RankTracker,
     _as_int_row,
     _check_basis,
     _check_dim,
     _check_positive_int,
     _coefficients,
+    _echelon_insert,
     _integral_gso,
     _lll_rows,
     _star_rows,
@@ -309,19 +309,24 @@ def _greedy_minima(
     entries: Sequence[MeasuredVector], want: int
 ) -> tuple[list[NormValue], list[IntVector], int]:
     """Scan a sorted enumeration, keeping each vector that grows the rank.
-    Also returns the gcd of the maximal minors of the kept vectors, which is
-    |det| of the witnesses once ``want`` of them are kept in dimension
-    ``want``."""
-    tracker = RankTracker()
+    Each vector is folded into a copy of the kept vectors' echelon form
+    (``_echelon_insert``), and the copy is kept only when it opens a new
+    pivot: an insertion rewrites the rows even when the vector turns out
+    dependent, and the rows must span the witnesses alone.  Also returns the
+    product of the pivots, which is |det| of the witnesses once ``want`` of
+    them are kept in dimension ``want``."""
+    echelon: dict[int, Sequence[int]] = {}
     minima: list[NormValue] = []
     witnesses: list[IntVector] = []
     for vec, nv in entries:
-        if tracker.add(vec):
+        trial = dict(echelon)
+        if _echelon_insert(trial, vec, want) is None:
+            echelon = trial
             minima.append(nv)
             witnesses.append(vec)
             if len(witnesses) == want:
                 break
-    return minima, witnesses, tracker.divisor
+    return minima, witnesses, prod(row[c] for c, row in echelon.items())
 
 
 def _sorted_norms(vectors: Sequence[IntVector], kind: NormKind) -> list:
@@ -332,11 +337,12 @@ def _reduced_minima(
     search: _ReducedSearch, kind: NormKind, max_candidates: int
 ) -> tuple[SuccessiveMinima, list[MeasuredVector], int]:
     """Minima read off the passes over ``search``, together with the pass
-    they were read from and |det| of the witnesses, which the greedy scan's
-    rank tracker holds.  This is the one place where the passes of a minima
-    search are decided: the floor on lambda_n, the L2 bounding search and
-    the probe, as the module docstring derives them.  A pass at N_n that
-    finds fewer than n independent vectors is a bug, never a short answer.
+    they were read from and |det| of the witnesses, the product of the
+    pivots of the greedy scan's echelon form.  This is the one place where
+    the passes of a minima search are decided: the floor on lambda_n, the
+    L2 bounding search and the probe, as the module docstring derives them.
+    A pass at N_n that finds fewer than n independent vectors is a bug,
+    never a short answer.
     """
     p, q = search.floor(kind)
     norms = _sorted_norms(search.rows, kind)

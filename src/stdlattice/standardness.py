@@ -10,20 +10,26 @@ NonStandard by one of two routes:
 * generation: the union of the levels generates a proper sublattice, so
   no basis can be drawn from it: folded one vector at a time into a single
   echelon form (``_echelon_insert``), it never reaches n pivots whose
-  product is |det|.  This is the paper's argument for the parity lattices.
-  The test is skipped when the greedy minima witnesses, which lie in that
-  union, already have |det| equal to the lattice's: then they are a basis
-  and the union generates the lattice.  The rank tracker of the greedy scan
-  holds that determinant, so the skip costs nothing;
+  product is |det|.  This is the paper's argument for the parity lattices;
 * exhaustion: the levels generate the lattice, but a backtrack with rank
   and determinant-divisor pruning finds no basis among them.
 
 The search order is deterministic, so certificates are reproducible by
 replay.
 
-Both prunings come from ``RankTracker``, which keeps a unimodular column
-transform of the chosen vectors and folds each new one into it by the same
-row insertion (``_echelon_insert``).  Unimodular column operations preserve the
+Two rank walks serve a check.  The greedy minima scan folds its witnesses
+into an echelon form by the same row insertion and returns the product of
+the pivots, |det| of the witnesses.  When that is |det| of the lattice the
+witnesses are a basis drawn from the levels, so the union generates the
+lattice, and they are the backtrack's first basis too: every prefix of a
+basis has a minor gcd dividing |det|, and the scan passed over every
+earlier candidate of a level as dependent on the witnesses before it.  The
+certificate is then read off the witnesses, with the nodes the backtrack
+would count.  Otherwise the root test runs, and after it the backtrack.
+
+The backtrack's prunings come from ``RankTracker``, which keeps a
+unimodular column transform of the chosen vectors and folds each new one
+into it by ``_echelon_insert``.  Unimodular column operations preserve the
 gcd of the maximal minors (Cauchy-Binet), so that gcd is the product of the
 pivots, one per added vector; a partial tuple whose gcd does not divide
 |det| can never complete to a basis.  The transform's columns past the
@@ -72,10 +78,12 @@ class Verdict(enum.Enum):
 class SearchStats(NamedTuple):
     """Size of each candidate level and the number of search nodes tried.
 
-    A backtrack counts one node per candidate it tries.  A decision made at
-    the root, because the levels generate a proper sublattice, counts the
-    root alone: ``nodes_explored == 1``.  Every certificate therefore
-    reports at least one node.
+    A backtrack counts one node per candidate it tries.  A certificate read
+    off greedy witnesses that are a basis counts the nodes the backtrack
+    would try to reach them.  A decision made at the root, because the
+    levels generate a proper sublattice, counts the root alone:
+    ``nodes_explored == 1``.  Every certificate therefore reports at least
+    one node.
     """
 
     level_candidates: tuple[int, ...]
@@ -111,54 +119,24 @@ def _generates(vectors: Iterable[IntVector], n: int, det: int) -> bool:
     return False
 
 
-def check_standard(
-    basis: LatticeBasis,
-    kind: NormKind,
-    *,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
-    max_dim: int = DEFAULT_MAX_DIM,
-) -> StandardnessCertificate:
-    """Decide standardness and produce a re-checkable certificate.
-
-    Standard: the first minima-achieving basis in deterministic search order.
-    NonStandard, by one of two routes:
-
-    * the vectors of norm equal to some lambda_i generate a proper
-      sublattice, decided before any search by folding them one at a time
-      into an echelon form (``_generates``).  This root test runs only when
-      |det| of the greedy witnesses differs from |det| of the lattice:
-      witnesses of full covolume are a basis drawn from those vectors, so
-      they generate the lattice;
-    * the search space (all sign-canonical tuples with ||b_i|| = lambda_i,
-      nondecreasing candidate index inside equal-minima runs) was
-      exhausted; re-running the deterministic search replays it.
-
-    ``max_candidates`` bounds the enumeration's candidate evaluations and,
-    separately, the backtrack's nodes; past either, ``ResourceLimitError``.
-    """
-    _check_basis(basis)
-    require_kind(kind)
-    _check_dim(basis.dim, max_dim)
-    sm, entries, witness_det = _minima_with_entries(
-        basis.rows, kind, max_candidates=max_candidates
+def _node_limit(max_candidates: int, sm: SuccessiveMinima, chosen: int) -> ResourceLimitError:
+    n = len(sm.minima)
+    return ResourceLimitError(
+        f"standardness search exceeded {max_candidates} nodes "
+        f"({sm.kind.value}, {chosen} of {n} basis vectors chosen)"
     )
-    n = basis.dim
-    # Entries longer than lambda_n match no level, so none need filtering.
-    pool: dict[object, list[IntVector]] = {}
-    for vec, nv in entries:
-        pool.setdefault(nv.value, []).append(vec)
-    levels = [pool.get(nv.value, []) for nv in sm.minima]
-    level_candidates = tuple(len(c) for c in levels)
-    target_det = abs(basis.det)
-    # Root test: every level draws from this union, so if it generates a
-    # proper sublattice no basis can be drawn from it.  Witnesses of full
-    # covolume already generate the lattice from inside the union.
-    if witness_det != target_det:
-        union = (v for value in dict.fromkeys(nv.value for nv in sm.minima) for v in pool[value])
-        if not _generates(union, n, target_det):
-            return StandardnessCertificate(
-                Verdict.NON_STANDARD, None, sm, SearchStats(level_candidates, 1)
-            )
+
+
+def _backtrack(
+    levels: Sequence[Sequence[IntVector]],
+    sm: SuccessiveMinima,
+    target_det: int,
+    max_candidates: int,
+) -> tuple[tuple[IntVector, ...] | None, int]:
+    """The first basis in search order drawn from ``levels``, or None, and
+    the nodes tried.  One ``RankTracker`` prunes every candidate that adds
+    no rank or whose tuple's minor gcd does not divide ``target_det``."""
+    n = len(levels)
     tracker = RankTracker()
     chosen: list[IntVector] = []
     nodes = 0
@@ -170,10 +148,7 @@ def check_standard(
             vec = cands[idx]
             nodes += 1
             if nodes > max_candidates:
-                raise ResourceLimitError(
-                    f"standardness search exceeded {max_candidates} nodes "
-                    f"({kind.value}, {len(chosen)} of {n} basis vectors chosen)"
-                )
+                raise _node_limit(max_candidates, sm, len(chosen))
             if not tracker.add(vec):
                 continue
             chosen.append(vec)
@@ -193,7 +168,83 @@ def check_standard(
             tracker.pop()
         return None
 
-    found = search(0, 0)
+    return search(0, 0), nodes
+
+
+def _witness_nodes(
+    levels: Sequence[Sequence[IntVector]], sm: SuccessiveMinima, max_candidates: int
+) -> int:
+    """The nodes :func:`_backtrack` tries before it returns the greedy
+    witnesses, for witnesses that are a basis.  Every prefix of a basis has
+    a minor gcd dividing |det|, and every candidate before w_i+1 in its
+    level lies in span(w_1..w_i), as the greedy scan passed it over.  So
+    level i tries the candidates from its start up to w_i and takes w_i,
+    and the first basis is the witnesses."""
+    nodes = start = 0
+    for i, (cands, w) in enumerate(zip(levels, sm.witnesses)):
+        if i and sm.minima[i].value != sm.minima[i - 1].value:
+            start = 0
+        idx = cands.index(w, start)
+        nodes += idx - start + 1
+        if nodes > max_candidates:
+            raise _node_limit(max_candidates, sm, i)
+        start = idx + 1
+    return nodes
+
+
+def check_standard(
+    basis: LatticeBasis,
+    kind: NormKind,
+    *,
+    max_candidates: int = DEFAULT_MAX_CANDIDATES,
+    max_dim: int = DEFAULT_MAX_DIM,
+) -> StandardnessCertificate:
+    """Decide standardness and produce a re-checkable certificate.
+
+    Standard: the first minima-achieving basis in deterministic search order.
+    When |det| of the greedy witnesses is |det| of the lattice that basis
+    is the witnesses, read off them without a backtrack (see the module
+    docstring).  NonStandard, by one of two routes:
+
+    * the vectors of norm equal to some lambda_i generate a proper
+      sublattice, decided before any search by folding them one at a time
+      into an echelon form (``_generates``).  This root test runs only when
+      the witnesses are not a basis: a witness basis is drawn from those
+      vectors, so they generate the lattice;
+    * the search space (all sign-canonical tuples with ||b_i|| = lambda_i,
+      nondecreasing candidate index inside equal-minima runs) was
+      exhausted; re-running the deterministic search replays it.
+
+    ``max_candidates`` bounds the enumeration's candidate evaluations and,
+    separately, the backtrack's nodes, counted alike on a witness basis;
+    past either, ``ResourceLimitError``.
+    """
+    _check_basis(basis)
+    require_kind(kind)
+    _check_dim(basis.dim, max_dim)
+    sm, entries, witness_det = _minima_with_entries(
+        basis.rows, kind, max_candidates=max_candidates
+    )
+    n = basis.dim
+    # Entries longer than lambda_n match no level, so none need filtering.
+    pool: dict[object, list[IntVector]] = {}
+    for vec, nv in entries:
+        pool.setdefault(nv.value, []).append(vec)
+    levels = [pool.get(nv.value, []) for nv in sm.minima]
+    level_candidates = tuple(len(c) for c in levels)
+    target_det = abs(basis.det)
+    if witness_det == target_det:
+        found = sm.witnesses
+        nodes = _witness_nodes(levels, sm, max_candidates)
+    else:
+        # Root test: every level draws from this union, so if it generates
+        # a proper sublattice no basis can be drawn from it.
+        union = (v for value in dict.fromkeys(nv.value for nv in sm.minima) for v in pool[value])
+        if not _generates(union, n, target_det):
+            return StandardnessCertificate(
+                Verdict.NON_STANDARD, None, sm, SearchStats(level_candidates, 1)
+            )
+        found, nodes = _backtrack(levels, sm, target_det, max_candidates)
     stats = SearchStats(level_candidates, nodes)
     if found is None:
         return StandardnessCertificate(Verdict.NON_STANDARD, None, sm, stats)
@@ -257,9 +308,9 @@ def standardize_low_dim(
     This is the basis of the L2 certificate, ``check_standard(basis, L2)``,
     which the theorem guarantees for n <= 4; that call makes one minima
     search and verifies the basis before returning it.  When the greedy
-    minima witnesses form a basis, every prefix of them is primitive, so
-    the backtrack's first basis is those witnesses.  Rows come back sorted
-    by norm; in dimension 1 the input row is returned as it is.
+    minima witnesses form a basis they are that basis, read off without a
+    backtrack; otherwise the backtrack finds it.  Rows come back sorted by
+    norm; in dimension 1 the input row is returned as it is.
     """
     _check_basis(basis)
     if basis.dim > 4:

@@ -236,8 +236,11 @@ def test_library_paths_never_use_the_oracle_inverse(monkeypatch):
 
 def test_oracle_minima_never_use_the_library_rank_scan(monkeypatch):
     """The oracle's greedy scan is its own and its minima walk reads no
-    Fraction inverse: it answers with the library's rank tracker and greedy
-    witness scan, and the oracle's own inverse, patched to raise."""
+    Fraction inverse: it answers with the library's rank tracker, the
+    greedy witness scan and its echelon insertion, and the oracle's own
+    inverse, patched to raise.  The insertion is patched where the scan
+    reads it, not in ``exactlin``: the oracle's Hermite rows share that
+    algebra, which is not search code."""
     from stdlattice import enumeration, exactlin
 
     skewed = LatticeBasis([[2, 1, 0, 0], [0, 3, 1, 0], [1, 0, 4, 1], [0, 1, 0, 5]])
@@ -249,7 +252,7 @@ def test_oracle_minima_never_use_the_library_rank_scan(monkeypatch):
 
     for module, name in [
         (exactlin, "RankTracker"),
-        (enumeration, "RankTracker"),
+        (enumeration, "_echelon_insert"),
         (enumeration, "_greedy_minima"),
         (oracle, "invert_rational"),
     ]:

@@ -27,6 +27,7 @@ from stdlattice import (
 from stdlattice import cvp, standardness
 from util import (
     D4_QUATERNIONS,
+    NON_STANDARD_L1_4D_FULL_POOL,
     apply_unimodular,
     d4_type_bases,
     deep_backtrack_l1_rows,
@@ -193,6 +194,31 @@ class TestSearchWork:
             assert cert.verdict is Verdict.STANDARD
             assert cert.basis == successive_minima(b, kind).witnesses
         assert calls == []
+
+    def test_minima_and_witness_basis_checks_build_no_rank_tracker(self, monkeypatch):
+        # The greedy scan's echelon form is the one rank walk of a minima
+        # search, and of a check whose witnesses are a basis.  With every
+        # binding of RankTracker patched to raise, the criterion-3 bases
+        # (500 per dimension 1..4, entries in [-5, 5]) still get their
+        # minima and their minima-achieving bases.
+        class NoTracker:
+            def __init__(self):
+                raise AssertionError("a RankTracker was built")
+
+        monkeypatch.setattr(exactlin, "RankTracker", NoTracker)
+        monkeypatch.setattr(standardness, "RankTracker", NoTracker)
+        monkeypatch.setattr(enumeration, "RankTracker", NoTracker, raising=False)
+        rng = random.Random(20260808)
+        for n in (1, 2, 3, 4):
+            for _ in range(500):
+                b = random_basis(rng, n, -5, 5)
+                sm = successive_minima(b, NormKind.L2)
+                rows = standardize_low_dim(b)
+                got = [measure(r, NormKind.L2).value for r in rows]
+                assert got == [nv.value for nv in sm.minima]
+        # The patch is live: the exhaustion route still builds one.
+        with pytest.raises(AssertionError, match="RankTracker was built"):
+            check_standard(LatticeBasis(NON_STANDARD_L1_4D_FULL_POOL[0][0]), NormKind.L1)
 
     def test_one_enumeration_and_no_determinant_per_check(self, passes, monkeypatch):
         # The reduced rows have norms 4 and 6 (the two odd rows); the probe

@@ -8,7 +8,9 @@ verdicts must agree on every instance, and when both say Standard the
 certified basis must have exactly the minima norms.
 
 Against itself with the root generation test always run: skipping that
-test when the greedy witnesses are a basis must change no certificate.
+test when the greedy witnesses are a basis, and reading the certificate
+off them in place of the backtrack, must change no certificate and no
+ceiling message.
 
 The root generation test itself, on vectors drawn from a lattice of known
 covolume, against the Hermite form of all of them at once.
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 from stdlattice import (
     LatticeBasis,
     NormKind,
+    ResourceLimitError,
     Verdict,
     check_standard,
     enumeration,
@@ -39,6 +42,7 @@ from util import (
     apply_unimodular,
     brute_standard,
     d4_type_bases,
+    identity_basis,
     mat_mul,
     random_basis,
     random_unimodular,
@@ -111,23 +115,35 @@ def minima_without_witness_det(rows, kind, max_candidates=enumeration.DEFAULT_MA
 
 def assert_skip_changes_nothing(basis, kind):
     """The certificate with the root test skipped on a witness basis equals
-    the one with the root test forced, and the skip happens exactly when
-    the witnesses have the lattice's |det|."""
+    the one with the root test forced, nodes included, and the skip happens
+    exactly when the witnesses have the lattice's |det|.  A skipped check
+    reads its certificate off the witnesses and runs no backtrack; a check
+    that runs the root test runs the backtrack exactly when it passes."""
     roots = []
+    backtracks = []
     inner = standardness._generates
+    inner_backtrack = standardness._backtrack
 
     def counted(vectors, n, det):
-        roots.append(n)
-        return inner(vectors, n, det)
+        roots.append((n, inner(vectors, n, det)))
+        return roots[-1][1]
+
+    def counted_backtrack(*args):
+        backtracks.append(args)
+        return inner_backtrack(*args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(standardness, "_generates", counted)
+        mp.setattr(standardness, "_backtrack", counted_backtrack)
         cert = check_standard(basis, kind)
         skipped = not roots
+        assert len(backtracks) == sum(generated for _, generated in roots)
         roots.clear()
+        backtracks.clear()
         mp.setattr(standardness, "_minima_with_entries", minima_without_witness_det)
         forced = check_standard(basis, kind)
-        assert roots == [basis.dim]
+        assert [n for n, _ in roots] == [basis.dim]
+        assert len(backtracks) == roots[0][1]
     assert cert == forced
     witnesses = LatticeBasis(cert.minima.witnesses)
     assert skipped == (abs(witnesses.det) == abs(basis.det))
@@ -155,6 +171,52 @@ def test_skipping_the_root_test_changes_no_parity_certificate(n, kind):
 def test_skipping_the_root_test_changes_no_d4_type_certificate(q):
     for basis in d4_type_bases(q):
         assert_skip_changes_nothing(basis, NormKind.L2)
+
+
+def minima_at_the_default_ceiling(rows, kind, max_candidates):
+    # The enumeration keeps its default ceiling, so only the standardness
+    # nodes meet ``max_candidates``.
+    return enumeration._minima_with_entries(rows, kind)
+
+
+def forced_minima_at_the_default_ceiling(rows, kind, max_candidates):
+    return minima_without_witness_det(rows, kind)
+
+
+def witness_basis_cases():
+    """Z^3..Z^5 under Linf and the first eight random lattices whose greedy
+    witnesses are a basis that the backtrack reaches only after passing
+    over candidates, so more nodes than basis vectors."""
+    cases = [(identity_basis(n), NormKind.LINF) for n in (3, 4, 5)]
+    rng = random.Random(4242)
+    while len(cases) < 11:
+        n = rng.randint(2, 5)
+        kind = rng.choice(list(NormKind))
+        b = random_basis(rng, n, -3, 3)
+        cert = check_standard(b, kind)
+        if abs(LatticeBasis(cert.minima.witnesses).det) == abs(b.det):
+            if cert.stats.nodes_explored > n:
+                cases.append((b, kind))
+    return cases
+
+
+@pytest.mark.parametrize("basis, kind", witness_basis_cases())
+def test_witness_certificates_stop_where_the_backtrack_stops(basis, kind):
+    # Below the backtrack's node count both routes raise the same message,
+    # naming the same number of chosen basis vectors; at it both answer.
+    nodes = check_standard(basis, kind).stats.nodes_explored
+    assert nodes > basis.dim
+    for ceiling in range(1, nodes + 1):
+        outcomes = []
+        for minima in (minima_at_the_default_ceiling, forced_minima_at_the_default_ceiling):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(standardness, "_minima_with_entries", minima)
+                try:
+                    outcomes.append(check_standard(basis, kind, max_candidates=ceiling))
+                except ResourceLimitError as exc:
+                    outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], ceiling
+        assert isinstance(outcomes[0], str) == (ceiling < nodes)
 
 
 PRIME_FACTORS = {1: [], 2: [2], 3: [3], 4: [2, 2], 6: [2, 3], 8: [2, 2, 2]}

@@ -4,7 +4,8 @@ standardness decision over the oracle's Hermite coordinate walk, cofactor
 determinants, a raw coefficient-box product scan that checks that walk, a
 Fraction Gram-Schmidt and the nearest-plane rounding built on it, a
 Fraction Gauss-Jordan solve, one forced minima pass and the start bounds
-of a one-pass minima search, and the two-Hermite-form section)."""
+of a one-pass minima search, the greedy witness scan by rank tracker, and
+the two-Hermite-form section)."""
 
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from stdlattice.enumeration import (
 )
 from stdlattice.errors import DimensionMismatchError, StructuralError
 from stdlattice.exactlin import (
+    RankTracker,
     _coefficients,
     _integral_gso,
     hermite_form,
@@ -267,6 +269,24 @@ def one_pass(search, kind: NormKind, value, max_candidates: int = DEFAULT_MAX_CA
     entries = _enumerate_rows(search, NormValue(kind, value), max_candidates)
     minima, witnesses, witness_det = _greedy_minima(entries, len(search.rows))
     return SuccessiveMinima(kind, tuple(minima), tuple(witnesses)), entries, witness_det
+
+
+def reference_greedy_minima(entries, want: int):
+    """The greedy witness scan by ``RankTracker``: each vector of the sorted
+    ``entries`` that grows the rank is kept, up to ``want`` of them.  Returns
+    (minima, witnesses, gcd of the maximal minors of the witnesses), the
+    last being |det| of the witnesses once ``want`` are kept in dimension
+    ``want``."""
+    tracker = RankTracker()
+    minima = []
+    witnesses = []
+    for vec, nv in entries:
+        if tracker.add(vec):
+            minima.append(nv)
+            witnesses.append(vec)
+            if len(witnesses) == want:
+                break
+    return minima, witnesses, tracker.divisor
 
 
 def single_pass_bounds(rows, kind: NormKind) -> dict:
