@@ -66,12 +66,11 @@ from .exactlin import (
     _check_basis,
     _check_dim,
     _check_positive_int,
-    _coefficients,
     _echelon_insert,
-    _integral_gso,
+    _echelon_of,
+    _in_echelon,
     _lll_rows,
     _star_rows,
-    rank_of_rows,
 )
 from .norms import (
     NormKind,
@@ -413,9 +412,12 @@ def minima_witness_check(
 
     Re-checks membership, norms, independence, ordering, and minimality
     against a fresh enumeration; returns ok=False with diagnostics instead of
-    raising.  A malformed certificate is refused with InputError, and a
-    witness entry that is not an int (``1.5``, ``True``, ``"a"``) with
-    StructuralError, as every integer-row entry in the library is.
+    raising.  Membership divides each witness down one echelon form of the
+    basis rows, and independence counts the pivots of the witnesses' own
+    fold (``exactlin._echelon_of``, ``_in_echelon``).  A malformed
+    certificate is refused with InputError, and a witness entry that is not
+    an int (``1.5``, ``True``, ``"a"``) with StructuralError, as every
+    integer-row entry in the library is.
     """
     _check_basis(basis)
     if not isinstance(sm, SuccessiveMinima):
@@ -440,19 +442,21 @@ def minima_witness_check(
     for i in range(1, n):
         if minima[i].value < minima[i - 1].value:
             problems.append(f"minima are not nondecreasing at position {i + 1}")
-    gso = _integral_gso(basis.rows)
+    echelon = _echelon_of(basis.rows, n)
+    rows = []
     for i, w in enumerate(witnesses):
         if len(w) != n:
             problems.append(f"witness {i + 1} has wrong length")
             return CheckResult(False, tuple(problems))
-        if _coefficients(basis.rows, _as_int_row(w), gso) is None:
+        rows.append(_as_int_row(w))
+        if not _in_echelon(echelon, rows[-1]):
             problems.append(f"witness {i + 1} is not a lattice point")
         got = measure(w, sm.kind)
         if got.value != minima[i].value:
             problems.append(
                 f"witness {i + 1} has norm {got.value}, certificate says {minima[i].value}"
             )
-    if rank_of_rows(witnesses) != n:
+    if len(_echelon_of(rows, n)) != n:
         problems.append("witnesses are linearly dependent")
     if not problems:
         fresh = _minima_with_entries(basis.rows, sm.kind, max_candidates=max_candidates)[0]

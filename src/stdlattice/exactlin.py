@@ -8,17 +8,22 @@ reduction and hands to enumeration and nearest plane, and the integer star
 rows d_k b*_k (``_star_rows``), which the public ``gso`` reads and from
 which enumeration's reduced-search record (``_ReducedSearch``) takes the
 dual norms behind its Hoelder box and its floor on lambda_n.  Nearest plane
-and membership are one walk over that data (``_round_off``): the scaled
-target's lam row gives each coefficient, from the last row to the first,
-as a rounded quotient that a lattice point leaves exact, so no linear
-system is solved and one Gram-Schmidt of a basis serves every vector
-tested against it.  The walk takes any integer pair (q, W) with target
+and integer coefficients (``member``) are one walk over that data
+(``_round_off``): the scaled target's lam row gives each coefficient, from
+the last row to the first, as a rounded quotient that a lattice point
+leaves exact, so no linear system is solved and one Gram-Schmidt of a
+basis serves every vector tested against it.  The walk takes any integer pair (q, W) with target
 W / q, so the half-odd test in ``cvp`` walks the doubled target as (q, 2W)
 and builds no Fraction.  Rational results (the public ``gso``, squared
 distances) are ``fractions.Fraction``.  Every integer reduction, the
 Hermite form, the generation test in ``standardness`` and the rank and
 minor gcd of ``RankTracker``, comes from one row insertion,
-``_echelon_insert``, and so from one extended-gcd step.
+``_echelon_insert``, and so from one extended-gcd step.  The yes/no tests
+(``is_basis_of``, ``same_lattice``, ``rank_of_rows``, and the membership
+and independence checks of ``enumeration.minima_witness_check``) run on the
+same insertion and build no Gram-Schmidt data: rows are folded into one
+echelon form (``_echelon_of``), whose pivots give the rank and |det|, and a
+vector is divided down its triangle by exact division (``_in_echelon``).
 
 Conventions:
   * basis vectors are ROWS of the matrix,
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, InputError, ResourceLimitError, StructuralError
@@ -225,6 +230,37 @@ def _echelon_insert(
     return vec
 
 
+def _echelon_of(rows: Sequence[Sequence[int]], width: int) -> dict[int, Sequence[int]]:
+    """One echelon form of the integer span of ``rows``, each folded in by
+    :func:`_echelon_insert`: one row per pivot, so as many rows as the rank.
+    When ``width`` rows of length ``width`` all open a pivot, the product of
+    the pivots is |det| of those rows, since every step is unimodular."""
+    echelon: dict[int, Sequence[int]] = {}
+    for row in rows:
+        _echelon_insert(echelon, row, width)
+    return echelon
+
+
+def _in_echelon(echelon: dict[int, Sequence[int]], vec: Sequence[int]) -> bool:
+    """True iff the integer row ``vec`` lies in the integer span of
+    ``echelon`` (from :func:`_echelon_of`).  vec is divided down the
+    triangle column by column: a remainder, or a nonzero entry in a column
+    where no row has its pivot, means it does not.  A row is zero before its
+    pivot, so each step only updates the entries after it."""
+    vec = list(vec)
+    n = len(vec)
+    for c in range(n):
+        x = vec[c]
+        if x:
+            row = echelon.get(c)
+            if row is None or x % row[c]:
+                return False
+            a = x // row[c]
+            for j in range(c + 1, n):
+                vec[j] -= a * row[j]
+    return True
+
+
 def hermite_form(mat) -> HermiteForm:
     """Canonical row Hermite normal form ``H`` with unimodular ``U`` such that
     ``U * M = H``.  Accepts any integer matrix, square or not.  Each row is
@@ -256,13 +292,13 @@ def hnf_nonzero_rows(mat) -> tuple[IntVector, ...]:
 
 
 def same_lattice(b: LatticeBasis, c: LatticeBasis) -> bool:
-    """True iff the two bases generate the same lattice (equal canonical
-    Hermite forms)."""
+    """True iff the two bases generate the same lattice, that is iff the
+    rows of ``c`` are a basis of the lattice of ``b`` (:func:`is_basis_of`)."""
     _check_basis(b)
     _check_basis(c)
     if b.dim != c.dim:
         raise DimensionMismatchError(f"dimensions differ: {b.dim} vs {c.dim}")
-    return hermite_form(b.rows).h == hermite_form(c.rows).h
+    return is_basis_of(c.rows, b)
 
 
 def _check_lengths(vectors: Sequence[IntVector], dim: int) -> None:
@@ -281,20 +317,26 @@ def member(basis: LatticeBasis, vector: Sequence[int]) -> IntVector | None:
 
 
 def is_basis_of(vectors: Sequence[Sequence[int]], basis: LatticeBasis) -> bool:
-    """True iff ``vectors`` is a basis of the lattice generated by ``basis``:
-    every vector is a member and the covolumes agree.  Every length is
-    checked before any membership test."""
+    """True iff ``vectors`` is a basis of the lattice generated by ``basis``.
+    Every length is checked before any arithmetic.  The vectors F are
+    folded into one echelon form (:func:`_echelon_of`); they are a basis
+    iff they are independent, the product of the pivots, |det F|, equals
+    |det| of ``basis``, and every input row divides down the echelon
+    (:func:`_in_echelon`): the input lattice then lies in L(F) with the same
+    covolume, so the two are equal.  The answer is checked against the
+    input basis, and no Gram-Schmidt or determinant is computed."""
     _check_basis(basis)
     rows = _as_int_rows(vectors)
-    if len(rows) != basis.dim:
-        raise DimensionMismatchError(
-            f"expected {basis.dim} vectors, got {len(rows)}"
-        )
-    _check_lengths(rows, basis.dim)
-    gso = _integral_gso(basis.rows)
-    if any(_coefficients(basis.rows, v, gso) is None for v in rows):
-        return False
-    return abs(_bareiss_det(rows)) == abs(basis.det)
+    n = basis.dim
+    if len(rows) != n:
+        raise DimensionMismatchError(f"expected {n} vectors, got {len(rows)}")
+    _check_lengths(rows, n)
+    echelon = _echelon_of(rows, n)
+    return (
+        len(echelon) == n
+        and prod(row[c] for c, row in echelon.items()) == abs(basis.det)
+        and all(_in_echelon(echelon, row) for row in basis.rows)
+    )
 
 
 def _dot(a, b) -> Rational:
@@ -592,8 +634,6 @@ class RankTracker:
 
 
 def rank_of_rows(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals of a list of integer vectors."""
-    tracker = RankTracker()
-    for row in rows:
-        tracker.add(row)
-    return tracker.rank
+    """Rank over the rationals of a list of integer vectors of one length:
+    the number of pivots of one echelon fold (:func:`_echelon_of`)."""
+    return len(_echelon_of(rows, len(rows[0]) if rows else 0))

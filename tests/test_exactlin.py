@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from stdlattice import (
     DimensionMismatchError,
     LatticeBasis,
+    NormKind,
     StructuralError,
+    check_standard,
     gso,
     hermite_form,
     hnf_nonzero_rows,
@@ -273,10 +275,27 @@ class TestIsBasisOf:
             monkeypatch.setattr(module, "_integral_gso", counted)
         b = parity_lattice(4)
         assert is_basis_of(b.rows, b)
-        assert calls == [b.rows]
-        calls.clear()
+        assert calls == []
         assert len(section_lattice(b, b.rows[:3])) == 3
         assert calls == [b.rows]
+
+    def test_answers_on_the_echelon_core_alone(self, monkeypatch):
+        # No Gram-Schmidt, rounding walk or determinant: the bases are built
+        # before the patches, since LatticeBasis computes its determinant.
+        b = parity_lattice(4)
+        c = LatticeBasis([[3, 1, 0], [1, 4, 1], [0, 2, 5]])
+        cert = check_standard(c, NormKind.L2)
+        assert cert.standard
+
+        def refuse(*args):
+            raise AssertionError("the echelon core was left")
+
+        for name in ("_integral_gso", "_round_off", "_bareiss_det"):
+            monkeypatch.setattr(exactlin, name, refuse)
+        assert is_basis_of(b.rows, b)
+        assert not is_basis_of([(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)], b)
+        assert is_basis_of(cert.basis, c)
+        assert not is_basis_of(cert.basis[:2] + ((0, 0, 1),), c)
 
 
 class TestGso:

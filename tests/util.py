@@ -4,8 +4,9 @@ standardness decision over the oracle's Hermite coordinate walk, cofactor
 determinants, a raw coefficient-box product scan that checks that walk, a
 Fraction Gram-Schmidt and the nearest-plane rounding built on it, a
 Fraction Gauss-Jordan solve, one forced minima pass and the start bounds
-of a one-pass minima search, the greedy witness scan by rank tracker, and
-the two-Hermite-form section)."""
+of a one-pass minima search, the greedy witness scan by rank tracker, the
+two-Hermite-form section, and the basis test by rounding walk and
+determinant)."""
 
 from __future__ import annotations
 
@@ -33,6 +34,10 @@ from stdlattice.enumeration import (
 from stdlattice.errors import DimensionMismatchError, StructuralError
 from stdlattice.exactlin import (
     RankTracker,
+    _as_int_rows,
+    _bareiss_det,
+    _check_basis,
+    _check_lengths,
     _coefficients,
     _integral_gso,
     hermite_form,
@@ -287,6 +292,22 @@ def reference_greedy_minima(entries, want: int):
             if len(witnesses) == want:
                 break
     return minima, witnesses, tracker.divisor
+
+
+def reference_is_basis_of(vectors, basis: LatticeBasis) -> bool:
+    """``is_basis_of`` by one integral Gram-Schmidt of the input basis, one
+    rounding walk per vector and a Bareiss determinant: every vector is a
+    member and the covolumes agree.  Raises the same errors as the
+    library."""
+    _check_basis(basis)
+    rows = _as_int_rows(vectors)
+    if len(rows) != basis.dim:
+        raise DimensionMismatchError(f"expected {basis.dim} vectors, got {len(rows)}")
+    _check_lengths(rows, basis.dim)
+    gso = _integral_gso(basis.rows)
+    if any(_coefficients(basis.rows, v, gso) is None for v in rows):
+        return False
+    return abs(_bareiss_det(rows)) == abs(basis.det)
 
 
 def single_pass_bounds(rows, kind: NormKind) -> dict:
