@@ -16,14 +16,14 @@ basis serves every vector tested against it.  The walk takes any integer pair (q
 W / q, so the half-odd test in ``cvp`` walks the doubled target as (q, 2W)
 and builds no Fraction.  Rational results (the public ``gso``, squared
 distances) are ``fractions.Fraction``.  Every integer reduction, the
-Hermite form, the generation test in ``standardness`` and the rank and
-minor gcd of ``RankTracker``, comes from one row insertion,
+Hermite form, the generation test in ``standardness`` and the integer
+kernel and minor gcd of ``_kernel_step``, comes from one row insertion,
 ``_echelon_insert``, and so from one extended-gcd step.  The yes/no tests
-(``is_basis_of``, ``same_lattice``, ``rank_of_rows``, and the membership
-and independence checks of ``enumeration.minima_witness_check``) run on the
-same insertion and build no Gram-Schmidt data: rows are folded into one
-echelon form (``_echelon_of``), whose pivots give the rank and |det|, and a
-vector is divided down its triangle by exact division (``_in_echelon``).
+(``is_basis_of``, ``same_lattice``, and the membership and independence
+checks of ``enumeration.minima_witness_check``) run on the same insertion
+and build no Gram-Schmidt data: rows are folded into one echelon form
+(``_echelon_of``), whose pivots give the rank and |det|, and a vector is
+divided down its triangle by exact division (``_in_echelon``).
 
 Conventions:
   * basis vectors are ROWS of the matrix,
@@ -228,6 +228,40 @@ def _echelon_insert(
             echelon[c] = [s * a + t * b for a, b in zip(row, vec)]
         vec = [p * b - x * a for a, b in zip(row, vec)]
     return vec
+
+
+def _kernel_step(
+    kernel: Sequence[Sequence[int]], vec: Sequence[int]
+) -> tuple[int, list[Sequence[int]]] | None:
+    """One vector added to a set A of integer vectors, by its integer
+    kernel alone.  ``kernel`` is a Z-basis of {x : A x = 0} (the unit
+    columns when A is empty).  Returns None when ``vec`` is orthogonal to
+    every column, that is when it lies in the span of A; otherwise (g, rest)
+    with g > 0 the gcd of the products <vec, c> and ``rest`` a Z-basis of
+    the kernel of A with vec added.
+
+    Each column c with <vec, c> != 0 is inserted as the row [<vec, c>, *c]
+    into one echelon of width 1 (``_echelon_insert``).  The steps are
+    unimodular, so the echelon's one row, headed by g, and the remainders
+    span what those columns span; the remainders, like the columns with
+    <vec, c> = 0, are orthogonal to vec, and together they are the new
+    kernel.  A kernel is saturated, so its basis extends to a unimodular U
+    with A U = [H | 0], and unimodular column operations keep the gcd of the
+    maximal minors (Cauchy-Binet): adding vec multiplies that gcd by g, and
+    the product of the g's of a fold is the gcd of the maximal minors of
+    the vectors folded.  Neither ``kernel`` nor its columns are changed, so
+    one kernel serves every sibling of a search."""
+    echelon: dict[int, Sequence[int]] = {}
+    rest = []
+    for col in kernel:
+        z = _dot(vec, col)
+        if not z:
+            rest.append(col)
+        elif (left := _echelon_insert(echelon, [z, *col], 1)) is not None:
+            rest.append(left[1:])
+    if not echelon:
+        return None
+    return echelon[0][0], rest
 
 
 def _echelon_of(rows: Sequence[Sequence[int]], width: int) -> dict[int, Sequence[int]]:
@@ -567,73 +601,3 @@ def gso(basis: LatticeBasis) -> GsoData:
         bstar_sq=tuple(bstar_sq),
         bstar=tuple(tuple(r) for r in bstar),
     )
-
-
-class RankTracker:
-    """Incremental rank and minor gcd of a growing set of integer vectors.
-
-    Keeps a unimodular column transform U with A U = [H | 0] for the k rows
-    A added so far, H lower triangular with a positive diagonal.  Unimodular
-    column operations leave the gcd of the k x k minors unchanged
-    (Cauchy-Binet), so ``divisor``, that gcd, is the product of the diagonal
-    of H.  A new row v is independent iff z = v U[:, k:] is nonzero.  Each
-    column c with <v, c> != 0 is inserted as the row [<v, c>, *c] into one
-    echelon of width 1 (``_echelon_insert``): its row, headed by g = gcd(z),
-    becomes column k and appends g to the diagonal, and the remainders are
-    columns with <v, c> = 0.  ``pop`` removes the vector added last, which is
-    what backtracking searches need.
-
-    The columns of U after the first ``rank`` are a Z-basis of the integer
-    kernel {x : A x = 0}: x = U y solves A x = 0 iff H y_1..k = 0, that is
-    iff y vanishes on the first k places, and U is unimodular.  ``kernel``
-    gives them, once at least one vector has been added.
-    """
-
-    __slots__ = ("_cols", "_undo", "divisor")
-
-    def __init__(self):
-        self._cols: list[list[int]] = []
-        self._undo: list[tuple[list[list[int]], int]] = []
-        self.divisor = 1
-
-    @property
-    def rank(self) -> int:
-        return len(self._undo)
-
-    @property
-    def kernel(self) -> tuple[IntVector, ...]:
-        """A Z-basis of the integer vectors orthogonal to every vector added."""
-        return tuple(map(tuple, self._cols[len(self._undo):]))
-
-    def add(self, vec: Sequence[int]) -> bool:
-        """Add ``vec`` if it increases the rank; report whether it did."""
-        cols = self._cols
-        if not cols:
-            n = len(vec)
-            cols[:] = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-        k = len(self._undo)
-        echelon: dict[int, Sequence[int]] = {}
-        rest = []
-        for col in cols[k:]:
-            z = _dot(vec, col)
-            if not z:
-                rest.append(col)
-            elif (left := _echelon_insert(echelon, [z, *col], 1)) is not None:
-                rest.append(left[1:])
-        if not echelon:
-            return False
-        self._undo.append((cols[k:], self.divisor))
-        g, *col = echelon[0]
-        cols[k:] = [col, *rest]
-        self.divisor *= g
-        return True
-
-    def pop(self) -> None:
-        saved, self.divisor = self._undo.pop()
-        self._cols[len(self._undo):] = saved
-
-
-def rank_of_rows(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals of a list of integer vectors of one length:
-    the number of pivots of one echelon fold (:func:`_echelon_of`)."""
-    return len(_echelon_of(rows, len(rows[0]) if rows else 0))

@@ -27,14 +27,15 @@ earlier candidate of a level as dependent on the witnesses before it.  The
 certificate is then read off the witnesses, with the nodes the backtrack
 would count.  Otherwise the root test runs, and after it the backtrack.
 
-The backtrack's prunings come from ``RankTracker``, which keeps a
-unimodular column transform of the chosen vectors and folds each new one
-into it by ``_echelon_insert``.  Unimodular column operations preserve the
-gcd of the maximal minors (Cauchy-Binet), so that gcd is the product of the
-pivots, one per added vector; a partial tuple whose gcd does not divide
-|det| can never complete to a basis.  The transform's columns past the
-rank are a Z-basis of the integer kernel of the vectors added, and two such
-kernels give ``section_lattice``.
+The backtrack's prunings come from ``_kernel_step``, a pure step that
+takes a Z-basis of the integer kernel of the chosen vectors and a new
+vector, and returns None when the vector adds no rank, else the kernel
+with it added and the factor g by which it multiplies the gcd of the
+maximal minors.  That gcd is the product of the g's along the path; a
+partial tuple whose gcd does not divide |det| can never complete to a
+basis.  Each node passes its kernel and gcd down, so siblings share their
+parent's and nothing is undone.  Two folds of the same step give
+``section_lattice``.
 
 By the paper's theorem every lattice of dimension n <= 4 is standard under
 L2, so there the L2 certificate always carries a minima-achieving basis, and
@@ -54,7 +55,6 @@ from .exactlin import (
     DEFAULT_MAX_DIM,
     IntVector,
     LatticeBasis,
-    RankTracker,
     _as_int_rows,
     _check_basis,
     _check_dim,
@@ -63,6 +63,7 @@ from .exactlin import (
     _dot,
     _echelon_insert,
     _integral_gso,
+    _kernel_step,
     _pairwise_orthogonal,
     hnf_nonzero_rows,
     is_basis_of,
@@ -134,14 +135,17 @@ def _backtrack(
     max_candidates: int,
 ) -> tuple[tuple[IntVector, ...] | None, int]:
     """The first basis in search order drawn from ``levels``, or None, and
-    the nodes tried.  One ``RankTracker`` prunes every candidate that adds
-    no rank or whose tuple's minor gcd does not divide ``target_det``."""
+    the nodes tried.  Each level holds the kernel of the vectors chosen
+    before it and the gcd of their maximal minors, ``divisor``;
+    ``_kernel_step`` prunes every candidate that adds no rank or whose
+    tuple's minor gcd does not divide ``target_det``."""
     n = len(levels)
-    tracker = RankTracker()
     chosen: list[IntVector] = []
     nodes = 0
 
-    def search(level: int, start: int) -> tuple[IntVector, ...] | None:
+    def search(
+        level: int, start: int, kernel: Sequence[Sequence[int]], divisor: int
+    ) -> tuple[IntVector, ...] | None:
         nonlocal nodes
         cands = levels[level]
         for idx in range(start, len(cands)):
@@ -149,26 +153,24 @@ def _backtrack(
             nodes += 1
             if nodes > max_candidates:
                 raise _node_limit(max_candidates, sm, len(chosen))
-            if not tracker.add(vec):
+            step = _kernel_step(kernel, vec)
+            if step is None:
+                continue
+            g, rest = step
+            # At full rank divisor * g is a lattice |det|, a multiple of target_det.
+            if target_det % (divisor * g):
                 continue
             chosen.append(vec)
-            # At full rank the divisor is a lattice |det|, a multiple of target_det.
-            if target_det % tracker.divisor == 0:
-                if level == n - 1:
-                    return tuple(chosen)
-                nxt = (
-                    idx + 1
-                    if sm.minima[level + 1].value == sm.minima[level].value
-                    else 0
-                )
-                got = search(level + 1, nxt)
-                if got is not None:
-                    return got
+            if level == n - 1:
+                return tuple(chosen)
+            nxt = idx + 1 if sm.minima[level + 1].value == sm.minima[level].value else 0
+            got = search(level + 1, nxt, rest, divisor * g)
+            if got is not None:
+                return got
             chosen.pop()
-            tracker.pop()
         return None
 
-    return search(0, 0), nodes
+    return search(0, 0, [[int(i == j) for i in range(n)] for j in range(n)], 1), nodes
 
 
 def _witness_nodes(
@@ -262,25 +264,31 @@ def _section_rows(
     """Basis of span(spanning) intersected with the lattice of ``rows``, for
     k independent lattice members ``spanning`` (1 <= k < len(rows)).
 
-    Works in coefficient space, with two rank trackers: the integer kernel
-    of the spanning coefficient rows is the lattice of normals, and its own
-    integer kernel is the saturation of their span, every integer
-    coefficient vector in it.  The result is therefore the whole section,
-    not a finite-index sublattice of it.
+    Works in coefficient space, with two folds of ``_kernel_step`` from the
+    unit columns: folding the spanning coefficient rows gives the lattice of
+    normals, and folding the normals gives the saturation of their span,
+    every integer coefficient vector in it.  The result is therefore the
+    whole section, not a finite-index sublattice of it.
     """
     gso = _integral_gso(rows)
-    spans = RankTracker()
+    coefficient_rows = []
     for s in spanning:
         x = _coefficients(rows, s, gso)
         if x is None:
             raise StructuralError(f"spanning vector {s} is not in the lattice")
-        spans.add(x)
-    if spans.rank != len(spanning):
-        raise StructuralError("spanning set is linearly dependent")
-    normals = RankTracker()
-    for g in spans.kernel:
-        normals.add(g)
-    return hnf_nonzero_rows([[_dot(k, col) for col in zip(*rows)] for k in normals.kernel])
+        coefficient_rows.append(x)
+    unit = [[int(i == j) for i in range(len(rows))] for j in range(len(rows))]
+    normals = unit
+    for x in coefficient_rows:
+        step = _kernel_step(normals, x)
+        if step is None:
+            raise StructuralError("spanning set is linearly dependent")
+        normals = step[1]
+    saturation = unit
+    for g in normals:
+        # The normals are a Z-basis, so each one adds rank.
+        saturation = _kernel_step(saturation, g)[1]
+    return hnf_nonzero_rows([[_dot(k, col) for col in zip(*rows)] for k in saturation])
 
 
 def section_lattice(

@@ -4,10 +4,10 @@
 the product of its pivots with |det| of the input basis, and divides every
 input row down it.  The reference, ``util.reference_is_basis_of``, tests
 each vector by a rounding walk over one Gram-Schmidt of the input and
-compares a Bareiss determinant.  ``same_lattice``, ``rank_of_rows`` and the
-membership and independence checks of ``minima_witness_check`` run on the
-same fold; they are compared with equality of Hermite forms, the rank of a
-``RankTracker`` and ``member`` (a rounding walk).
+compares a Bareiss determinant.  ``same_lattice`` and the membership and
+independence checks of ``minima_witness_check`` run on the same fold; they
+are compared with equality of Hermite forms, the rank of a
+``util.RankTracker`` and ``member`` (a rounding walk).
 """
 
 import random
@@ -31,8 +31,14 @@ from stdlattice import (
     successive_minima,
 )
 from stdlattice.enumeration import CheckResult, SuccessiveMinima
-from stdlattice.exactlin import RankTracker, rank_of_rows
-from util import apply_unimodular, mat_mul, random_basis, random_unimodular, reference_is_basis_of
+from util import (
+    RankTracker,
+    apply_unimodular,
+    mat_mul,
+    random_basis,
+    random_unimodular,
+    reference_is_basis_of,
+)
 
 # (name, expected answer or None where only the reference decides)
 VARIANTS = [
@@ -144,25 +150,6 @@ def test_same_lattice_is_equality_of_hermite_forms(n, named, seed):
     expected = hermite_form(b.rows).h == hermite_form(c.rows).h
     assert same_lattice(b, c) is expected
     assert same_lattice(c, b) is expected
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_rank_of_rows_is_the_rank_tracker_rank(data):
-    # Integer combinations of at most n generators, so many rows are
-    # dependent on the rows before them.
-    n = data.draw(st.integers(1, 6))
-    entry = st.integers(-(10**6), 10**6) if data.draw(st.booleans()) else st.integers(-4, 4)
-    gens = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=n))
-    coeffs = st.lists(st.integers(-2, 2), min_size=len(gens), max_size=len(gens))
-    rows = [
-        [sum(c * g[j] for c, g in zip(cs, gens)) for j in range(n)]
-        for cs in data.draw(st.lists(coeffs, max_size=2 * n + 2))
-    ]
-    tracker = RankTracker()
-    for row in rows:
-        tracker.add(row)
-    assert rank_of_rows(rows) == tracker.rank
 
 
 P4 = parity_lattice(4)

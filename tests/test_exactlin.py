@@ -23,13 +23,13 @@ from stdlattice import (
 )
 from stdlattice import exactlin, section_lattice, standardness
 from stdlattice.exactlin import (
-    RankTracker,
     _coefficients,
+    _dot,
     _gso_rows,
     _integral_gso,
+    _kernel_step,
     _lll_rows,
     _nearest_rows,
-    rank_of_rows,
 )
 from util import (
     apply_unimodular,
@@ -38,6 +38,7 @@ from util import (
     mat_mul,
     random_basis,
     random_unimodular,
+    rank,
     reference_gso_rows,
     reference_integral_gso,
     reference_solve,
@@ -347,52 +348,68 @@ def maximal_minor_gcd(rows, n):
     return g
 
 
-class TestRankTracker:
+def unit_columns(n):
+    return [[int(i == j) for i in range(n)] for j in range(n)]
+
+
+def left_kernel(rows, n):
+    """Canonical Hermite rows of {x : rows x = 0}, read off the unimodular
+    matrix of the Hermite form of the transpose: its rows past the rank."""
+    hf = hermite_form([[r[j] for r in rows] for j in range(n)])
+    kernel = hf.u[sum(map(any, hf.h)):]
+    return hnf_nonzero_rows(kernel) if kernel else ()
+
+
+class TestKernelStep:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
-    def test_divisor_is_gcd_of_maximal_minors(self, data):
+    def test_fold_gives_the_minor_gcd_and_the_kernel(self, data):
         n = data.draw(st.integers(1, 7))
-        tracker = RankTracker()
+        kernel = unit_columns(n)
         chosen = []
-        for _ in range(data.draw(st.integers(1, 14))):
-            op = data.draw(st.sampled_from(["add", "combination", "combination then pop", "pop"]))
-            if op == "pop":
-                if chosen:
-                    tracker.pop()
-                    chosen.pop()
+        divisor = 1
+        for _ in range(data.draw(st.integers(1, 10))):
+            if chosen and data.draw(st.booleans()):
+                cs = data.draw(st.lists(st.integers(-2, 2), min_size=len(chosen), max_size=len(chosen)))
+                vec = tuple(sum(c * r[j] for c, r in zip(cs, chosen)) for j in range(n))
             else:
-                if op != "add" and chosen:
-                    cs = data.draw(st.lists(st.integers(-2, 2), min_size=len(chosen), max_size=len(chosen)))
-                    vec = tuple(sum(c * r[j] for c, r in zip(cs, chosen)) for j in range(n))
-                else:
-                    # Large entries make each add take several gcd steps.
-                    bound = 10**30 if data.draw(st.integers(1, 20)) == 20 else 10**6
-                    vec = tuple(data.draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n)))
-                independent = maximal_minor_gcd(chosen + [vec], n) != 0
-                assert tracker.add(vec) is independent
-                if independent:
-                    chosen.append(vec)
-                elif op == "combination then pop" and chosen:
-                    # Right after a refused add, pop undoes the last accepted vector.
-                    tracker.pop()
-                    chosen.pop()
-            assert tracker.rank == len(chosen)
-            assert tracker.divisor == maximal_minor_gcd(chosen, n)
+                # Large entries make each step take several gcd steps.
+                bound = 10**30 if data.draw(st.integers(1, 20)) == 20 else 10**6
+                vec = tuple(data.draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n)))
+            before = [list(col) for col in kernel]
+            step = _kernel_step(kernel, vec)
+            # The step is pure: a second call on the same kernel gives the
+            # same answer, and the kernel is left as it was.
+            assert _kernel_step(kernel, vec) == step
+            assert [list(col) for col in kernel] == before
+            assert (step is None) is (maximal_minor_gcd(chosen + [vec], n) == 0)
+            if step is None:
+                continue
+            g, kernel = step
+            chosen.append(vec)
+            divisor *= g
+            assert divisor == maximal_minor_gcd(chosen, n)
+            assert all(_dot(v, col) == 0 for v in chosen for col in kernel)
+            assert len(kernel) == n - len(chosen)
+            assert (hnf_nonzero_rows(kernel) if kernel else ()) == left_kernel(chosen, n)
 
-    def test_full_rank_divisor_is_the_covolume(self):
+    def test_full_rank_product_is_the_covolume(self):
         rng = random.Random(83)
         for _ in range(30):
             b = random_basis(rng, rng.randint(1, 6), -9, 9)
-            tracker = RankTracker()
-            assert all(tracker.add(r) for r in b.rows)
-            assert tracker.divisor == abs(b.det)
-            assert not tracker.add(b.rows[0])
+            kernel, divisor = unit_columns(b.dim), 1
+            for row in b.rows:
+                g, kernel = _kernel_step(kernel, row)
+                divisor *= g
+            assert divisor == abs(b.det)
+            assert kernel == []
+            assert _kernel_step(kernel, b.rows[0]) is None
 
 
 def independent_rows(data, m, n, lo=-9, hi=9):
     entries = st.lists(st.integers(lo, hi), min_size=n, max_size=n)
     rows = [list(r) for r in data.draw(st.lists(entries, min_size=m, max_size=m))]
-    assume(rank_of_rows(rows) == m)
+    assume(rank(rows, n) == m)
     return rows
 
 
@@ -489,7 +506,7 @@ class TestCoefficients:
         m = data.draw(st.integers(1, n - 1))
         rows = independent_rows(data, m, n, -6, 6)
         unit = [[int(i == k) for i in range(n)] for k in range(n)]
-        off = next(e for e in unit if rank_of_rows(rows + [e]) == m + 1)
+        off = next(e for e in unit if rank(rows + [e], n) == m + 1)
         cs = data.draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m))
         step = Fraction(data.draw(st.sampled_from([-3, -1, 1, 2])), data.draw(st.integers(1, 3)))
         target = [c + step * e for c, e in zip(combination(cs, rows), off)]

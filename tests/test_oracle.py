@@ -236,12 +236,12 @@ def test_library_paths_never_use_the_oracle_inverse(monkeypatch):
 
 def test_oracle_minima_never_use_the_library_rank_scan(monkeypatch):
     """The oracle's greedy scan is its own and its minima walk reads no
-    Fraction inverse: it answers with the library's rank tracker, the
+    Fraction inverse: it answers with the library's kernel step, the
     greedy witness scan and its echelon insertion, and the oracle's own
     inverse, patched to raise.  The insertion is patched where the scan
     reads it, not in ``exactlin``: the oracle's Hermite rows share that
     algebra, which is not search code."""
-    from stdlattice import enumeration, exactlin
+    from stdlattice import enumeration, exactlin, standardness
 
     skewed = LatticeBasis([[2, 1, 0, 0], [0, 3, 1, 0], [1, 0, 4, 1], [0, 1, 0, 5]])
     cases = [(b, kind) for b in (parity_lattice(4), skewed) for kind in NormKind]
@@ -251,13 +251,17 @@ def test_oracle_minima_never_use_the_library_rank_scan(monkeypatch):
         raise AssertionError("patched helper called from the oracle minima")
 
     for module, name in [
-        (exactlin, "RankTracker"),
+        (exactlin, "_kernel_step"),
+        (standardness, "_kernel_step"),
         (enumeration, "_echelon_insert"),
         (enumeration, "_greedy_minima"),
         (oracle, "invert_rational"),
     ]:
         monkeypatch.setattr(module, name, refuse)
     assert [brute_minima(b, kind) for b, kind in cases] == expected
-    # The patch is live: the fast path still reaches it.
+    # The patch is live: the fast path still reaches it, and a section
+    # still takes the kernel step.
     with pytest.raises(AssertionError, match="patched helper"):
         successive_minima(skewed, NormKind.L2)
+    with pytest.raises(AssertionError, match="patched helper"):
+        section_lattice(skewed, skewed.rows[:3])

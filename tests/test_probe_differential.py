@@ -31,12 +31,12 @@ from stdlattice import (
     successive_minima,
 )
 from stdlattice.enumeration import DEFAULT_MAX_CANDIDATES, _minima_with_entries, _sorted_norms
-from stdlattice.exactlin import rank_of_rows
 from util import (
     apply_unimodular,
     one_pass,
     random_basis,
     random_unimodular,
+    rank,
     single_pass_bounds,
     unboxed_search,
 )
@@ -74,7 +74,7 @@ def skewed_bases(draw):
     if draw(st.booleans()):
         entries = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
         rows = [list(r) for r in draw(st.lists(entries, min_size=n, max_size=n))]
-        assume(rank_of_rows(rows) == n)
+        assume(rank(rows, n) == n)
     else:
         q = draw(st.integers(2, 4))
         a = [1] + draw(st.lists(st.integers(0, q - 1), min_size=n - 1, max_size=n - 1))

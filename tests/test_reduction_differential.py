@@ -13,7 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stdlattice import LatticeBasis, NormKind, brute_minima, check_standard, successive_minima
-from stdlattice.exactlin import _lll_rows, rank_of_rows
+from stdlattice.exactlin import _lll_rows
+from util import rank
 
 
 @st.composite
@@ -22,7 +23,7 @@ def presentations(draw):
     n = draw(st.integers(2, 4))
     entries = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
     rows = [list(r) for r in draw(st.lists(entries, min_size=n, max_size=n))]
-    assume(rank_of_rows(rows) == n)
+    assume(rank(rows, n) == n)
     base = LatticeBasis(rows)
     for _ in range(draw(st.integers(4, 16))):
         i = draw(st.integers(0, n - 1))

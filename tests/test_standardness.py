@@ -126,16 +126,18 @@ class TestSearchWork:
         assert cert.stats.level_candidates == (n,) * n
 
     def test_parity_non_standardness_is_decided_without_the_backtrack(self, monkeypatch):
-        class NoBacktrack:
-            def __init__(self):
-                raise AssertionError("backtrack started on a parity lattice")
+        def no_backtrack(kernel, vec):
+            raise AssertionError("backtrack started on a parity lattice")
 
-        monkeypatch.setattr(standardness, "RankTracker", NoBacktrack)
+        monkeypatch.setattr(standardness, "_kernel_step", no_backtrack)
         cases = [(n, NormKind.L2) for n in range(5, 11)]
         cases += [(n, NormKind.L1) for n in range(3, 9)]
         for n, kind in cases:
             cert = check_standard(parity_lattice(n), kind)
             assert cert.verdict is Verdict.NON_STANDARD, (n, kind)
+        # The patch is live: the exhaustion route still takes a step.
+        with pytest.raises(AssertionError, match="backtrack started"):
+            check_standard(LatticeBasis(NON_STANDARD_L1_4D_FULL_POOL[0][0]), NormKind.L1)
 
     def test_generation_test_keeps_at_most_n_rows(self, monkeypatch):
         # Z^8 under Linf has one level of (3^8 - 1) / 2 = 3280 vectors; the
@@ -198,16 +200,15 @@ class TestSearchWork:
     def test_minima_and_witness_basis_checks_build_no_rank_tracker(self, monkeypatch):
         # The greedy scan's echelon form is the one rank walk of a minima
         # search, and of a check whose witnesses are a basis.  With every
-        # binding of RankTracker patched to raise, the criterion-3 bases
-        # (500 per dimension 1..4, entries in [-5, 5]) still get their
-        # minima and their minima-achieving bases.
-        class NoTracker:
-            def __init__(self):
-                raise AssertionError("a RankTracker was built")
+        # binding of the backtrack's kernel step patched to raise, the
+        # criterion-3 bases (500 per dimension 1..4, entries in [-5, 5])
+        # still get their minima and their minima-achieving bases.
+        def no_step(kernel, vec):
+            raise AssertionError("a kernel step was taken")
 
-        monkeypatch.setattr(exactlin, "RankTracker", NoTracker)
-        monkeypatch.setattr(standardness, "RankTracker", NoTracker)
-        monkeypatch.setattr(enumeration, "RankTracker", NoTracker, raising=False)
+        monkeypatch.setattr(exactlin, "_kernel_step", no_step)
+        monkeypatch.setattr(standardness, "_kernel_step", no_step)
+        monkeypatch.setattr(enumeration, "_kernel_step", no_step, raising=False)
         rng = random.Random(20260808)
         for n in (1, 2, 3, 4):
             for _ in range(500):
@@ -216,8 +217,8 @@ class TestSearchWork:
                 rows = standardize_low_dim(b)
                 got = [measure(r, NormKind.L2).value for r in rows]
                 assert got == [nv.value for nv in sm.minima]
-        # The patch is live: the exhaustion route still builds one.
-        with pytest.raises(AssertionError, match="RankTracker was built"):
+        # The patch is live: the exhaustion route still takes one.
+        with pytest.raises(AssertionError, match="kernel step was taken"):
             check_standard(LatticeBasis(NON_STANDARD_L1_4D_FULL_POOL[0][0]), NormKind.L1)
 
     def test_one_enumeration_and_no_determinant_per_check(self, passes, monkeypatch):
@@ -271,6 +272,17 @@ class TestSearchWork:
         assert cert.verdict is Verdict.STANDARD
         assert [nv.value for nv in cert.minima.minima] == [1] * 10
         assert passes == [(NormKind.L2, 4), (NormKind.LINF, 1)]
+
+    @pytest.mark.parametrize(
+        "k, level_candidates, nodes",
+        [(3, (12,) * 6 + (6,), 1331), (4, (19,) * 7 + (6,), 22188)],
+    )
+    def test_exhaustion_route_is_pinned(self, k, level_candidates, nodes):
+        # The levels of A + 2*D_k generate it, so only an exhausted
+        # backtrack answers NonStandard.
+        cert = check_standard(LatticeBasis(deep_backtrack_l1_rows(k)), NormKind.L1)
+        assert cert.verdict is Verdict.NON_STANDARD
+        assert cert.stats == standardness.SearchStats(level_candidates, nodes)
 
     def test_backtrack_stops_at_the_ceiling(self):
         # Each enumeration pass fits under 10,000 candidate evaluations, but

@@ -1,7 +1,7 @@
 """Differential tests of the standardness decision.
 
 Against a from-scratch tuple search over oracle-enumerated candidates:
-check_standard prunes with rank tracking and determinant divisors; this
+check_standard prunes with kernel steps and determinant divisors; this
 oracle does none of that, it just tries every index-monotone tuple of
 minimum-norm vectors and asks whether any has the right determinant.  The
 verdicts must agree on every instance, and when both say Standard the
@@ -14,13 +14,17 @@ ceiling message.
 
 The root generation test itself, on vectors drawn from a lattice of known
 covolume, against the Hermite form of all of them at once.
+
+The backtrack, forced on a lattice's own levels, against the reference
+backtrack on one ``util.RankTracker`` undone by ``pop``: the same first
+basis or None, the same nodes and the same ceiling message.
 """
 
 import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stdlattice import (
@@ -35,17 +39,19 @@ from stdlattice import (
     parity_lattice,
     standardness,
 )
-from stdlattice.exactlin import rank_of_rows
 from util import (
     D4_QUATERNIONS,
     NON_STANDARD_L1_4D_FULL_POOL,
     apply_unimodular,
     brute_standard,
     d4_type_bases,
+    deep_backtrack_l1_rows,
     identity_basis,
     mat_mul,
     random_basis,
     random_unimodular,
+    rank,
+    reference_backtrack,
 )
 
 
@@ -157,7 +163,7 @@ def test_skipping_the_root_test_changes_no_certificate(data, kind):
     n = data.draw(st.integers(2, 6))
     entries = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
     rows = data.draw(st.lists(entries, min_size=n, max_size=n))
-    assume(rank_of_rows(rows) == n)
+    assume(rank(rows, n) == n)
     assert_skip_changes_nothing(LatticeBasis(rows), kind)
 
 
@@ -252,3 +258,41 @@ def test_generation_test_agrees_with_the_hermite_form(case):
     h = hnf_nonzero_rows(vectors)
     expected = len(h) == n and math.prod(h[i][i] for i in range(n)) == det
     assert standardness._generates(vectors, n, det) is expected
+
+
+@st.composite
+def hermite_form_lattices(draw):
+    """A lattice given by its row Hermite form: dimension 2..5, diagonal
+    entries 1..6, each entry above a pivot in [0, pivot)."""
+    n = draw(st.integers(2, 5))
+    diag = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    rows = [[0] * i + [diag[i]] + [0] * (n - i - 1) for i in range(n)]
+    for j in range(1, n):
+        for i in range(j):
+            rows[i][j] = draw(st.integers(0, diag[j] - 1))
+    return LatticeBasis(rows)
+
+
+def backtrack_outcome(backtrack, *args):
+    try:
+        return backtrack(*args)
+    except ResourceLimitError as exc:
+        return str(exc)
+
+
+# Random Hermite forms are nearly always Standard; the examples exhaust it.
+@settings(max_examples=200, deadline=None)
+@given(hermite_form_lattices(), st.sampled_from(list(NormKind)))
+@example(LatticeBasis(NON_STANDARD_L1_4D_FULL_POOL[0][0]), NormKind.L1)
+@example(LatticeBasis(NON_STANDARD_L1_4D_FULL_POOL[1][0]), NormKind.L1)
+@example(LatticeBasis(deep_backtrack_l1_rows(3)), NormKind.L1)
+def test_backtrack_matches_the_rank_tracker_reference(basis, kind):
+    sm, entries, _ = enumeration._minima_with_entries(basis.rows, kind)
+    pool = {}
+    for vec, nv in entries:
+        pool.setdefault(nv.value, []).append(vec)
+    levels = [pool.get(nv.value, []) for nv in sm.minima]
+    for ceiling in (enumeration.DEFAULT_MAX_CANDIDATES, 3):
+        args = (levels, sm, abs(basis.det), ceiling)
+        got = backtrack_outcome(standardness._backtrack, *args)
+        assert got == backtrack_outcome(reference_backtrack, *args)

@@ -4,9 +4,9 @@ standardness decision over the oracle's Hermite coordinate walk, cofactor
 determinants, a raw coefficient-box product scan that checks that walk, a
 Fraction Gram-Schmidt and the nearest-plane rounding built on it, a
 Fraction Gauss-Jordan solve, one forced minima pass and the start bounds
-of a one-pass minima search, the greedy witness scan by rank tracker, the
-two-Hermite-form section, and the basis test by rounding walk and
-determinant)."""
+of a one-pass minima search, the greedy witness scan by rank tracker and
+the backtrack on it, the two-Hermite-form section, and the basis test by
+rounding walk and determinant)."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Sequence
 
 from stdlattice import (
     LatticeBasis,
@@ -33,17 +34,21 @@ from stdlattice.enumeration import (
 )
 from stdlattice.errors import DimensionMismatchError, StructuralError
 from stdlattice.exactlin import (
-    RankTracker,
+    IntVector,
     _as_int_rows,
     _bareiss_det,
     _check_basis,
     _check_lengths,
     _coefficients,
+    _dot,
+    _echelon_insert,
+    _echelon_of,
     _integral_gso,
     hermite_form,
     hnf_nonzero_rows,
 )
 from stdlattice.oracle import _scan_box
+from stdlattice.standardness import _node_limit
 
 
 def random_basis(rng: random.Random, n: int, lo: int, hi: int) -> LatticeBasis:
@@ -100,16 +105,17 @@ NON_STANDARD_L1_4D_FULL_POOL = [
 ]
 
 
-def deep_backtrack_l1_rows() -> list[list[int]]:
-    """Rows of A + 2*D5 in dimension 9, A the first lattice above and 2*D5
-    the lattice of 4e_1 and 2(e_i - e_(i-1)).  Its levels generate it, so
-    under L1 check_standard answers NonStandard only by exhausting a
-    backtrack of 498,332 nodes, while no enumeration pass needs more than
-    3,318 candidate evaluations."""
+def deep_backtrack_l1_rows(k: int = 5) -> list[list[int]]:
+    """Rows of A + 2*D_k in dimension 4 + k, A the first lattice above and
+    2*D_k the lattice of 4e_1 and 2(e_i - e_(i-1)).  Its levels generate
+    it, so under L1 check_standard answers NonStandard only by exhausting
+    a backtrack: 1,331 nodes for k = 3, 22,188 for k = 4 and 498,332 for
+    k = 5, while at k = 5 no enumeration pass needs more than 3,318
+    candidate evaluations."""
     a = NON_STANDARD_L1_4D_FULL_POOL[0][0]
-    d5 = [[4, 0, 0, 0, 0]]
-    d5 += [[2 * (j == i) - 2 * (j == i - 1) for j in range(5)] for i in range(1, 5)]
-    return [list(r) + [0] * 5 for r in a] + [[0] * 4 + r for r in d5]
+    dk = [[4] + [0] * (k - 1)]
+    dk += [[2 * (j == i) - 2 * (j == i - 1) for j in range(k)] for i in range(1, k)]
+    return [list(r) + [0] * k for r in a] + [[0] * 4 + r for r in dk]
 
 
 def d4_type_bases(q, count: int = 8) -> list[LatticeBasis]:
@@ -274,6 +280,118 @@ def one_pass(search, kind: NormKind, value, max_candidates: int = DEFAULT_MAX_CA
     entries = _enumerate_rows(search, NormValue(kind, value), max_candidates)
     minima, witnesses, witness_det = _greedy_minima(entries, len(search.rows))
     return SuccessiveMinima(kind, tuple(minima), tuple(witnesses)), entries, witness_det
+
+
+def rank(rows, n: int) -> int:
+    """Rank of integer rows of length ``n``: the pivots of one echelon fold."""
+    return len(_echelon_of(rows, n))
+
+
+class RankTracker:
+    """Incremental rank and minor gcd of a growing set of integer vectors.
+
+    Keeps a unimodular column transform U with A U = [H | 0] for the k rows
+    A added so far, H lower triangular with a positive diagonal.  Unimodular
+    column operations leave the gcd of the k x k minors unchanged
+    (Cauchy-Binet), so ``divisor``, that gcd, is the product of the diagonal
+    of H.  A new row v is independent iff z = v U[:, k:] is nonzero.  Each
+    column c with <v, c> != 0 is inserted as the row [<v, c>, *c] into one
+    echelon of width 1 (``_echelon_insert``): its row, headed by g = gcd(z),
+    becomes column k and appends g to the diagonal, and the remainders are
+    columns with <v, c> = 0.  ``pop`` removes the vector added last, which is
+    what backtracking searches need.
+
+    The columns of U after the first ``rank`` are a Z-basis of the integer
+    kernel {x : A x = 0}: x = U y solves A x = 0 iff H y_1..k = 0, that is
+    iff y vanishes on the first k places, and U is unimodular.  ``kernel``
+    gives them, once at least one vector has been added.
+
+    A test reference: ``exactlin._kernel_step`` is its ``add`` on the
+    kernel columns alone, and the backtrack and greedy scan built on it are
+    compared with ``reference_backtrack`` and ``reference_greedy_minima``.
+    """
+
+    __slots__ = ("_cols", "_undo", "divisor")
+
+    def __init__(self):
+        self._cols: list[list[int]] = []
+        self._undo: list[tuple[list[list[int]], int]] = []
+        self.divisor = 1
+
+    @property
+    def rank(self) -> int:
+        return len(self._undo)
+
+    @property
+    def kernel(self) -> tuple[IntVector, ...]:
+        """A Z-basis of the integer vectors orthogonal to every vector added."""
+        return tuple(map(tuple, self._cols[len(self._undo):]))
+
+    def add(self, vec: Sequence[int]) -> bool:
+        """Add ``vec`` if it increases the rank; report whether it did."""
+        cols = self._cols
+        if not cols:
+            n = len(vec)
+            cols[:] = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+        k = len(self._undo)
+        echelon: dict[int, Sequence[int]] = {}
+        rest = []
+        for col in cols[k:]:
+            z = _dot(vec, col)
+            if not z:
+                rest.append(col)
+            elif (left := _echelon_insert(echelon, [z, *col], 1)) is not None:
+                rest.append(left[1:])
+        if not echelon:
+            return False
+        self._undo.append((cols[k:], self.divisor))
+        g, *col = echelon[0]
+        cols[k:] = [col, *rest]
+        self.divisor *= g
+        return True
+
+    def pop(self) -> None:
+        saved, self.divisor = self._undo.pop()
+        self._cols[len(self._undo):] = saved
+
+
+def reference_backtrack(levels, sm: SuccessiveMinima, target_det: int, max_candidates: int):
+    """The standardness backtrack on one ``RankTracker``, undone by ``pop``:
+    the first basis in search order drawn from ``levels``, or None, and the
+    nodes tried, with the library's node-ceiling error."""
+    n = len(levels)
+    tracker = RankTracker()
+    chosen: list[IntVector] = []
+    nodes = 0
+
+    def search(level: int, start: int) -> tuple[IntVector, ...] | None:
+        nonlocal nodes
+        cands = levels[level]
+        for idx in range(start, len(cands)):
+            vec = cands[idx]
+            nodes += 1
+            if nodes > max_candidates:
+                raise _node_limit(max_candidates, sm, len(chosen))
+            if not tracker.add(vec):
+                continue
+            chosen.append(vec)
+            # At full rank the divisor is a lattice |det|, a multiple of target_det.
+            if target_det % tracker.divisor == 0:
+                if level == n - 1:
+                    return tuple(chosen)
+                nxt = (
+                    idx + 1
+                    if sm.minima[level + 1].value == sm.minima[level].value
+                    else 0
+                )
+                got = search(level + 1, nxt)
+                if got is not None:
+                    return got
+            chosen.pop()
+            tracker.pop()
+        return None
+
+    return search(0, 0), nodes
 
 
 def reference_greedy_minima(entries, want: int):
