@@ -10,9 +10,8 @@ floating point anywhere.
 Every public name, and every submodule that holds one, loads on first
 access and is then cached in the package namespace (PEP 562).  So
 ``import stdlattice`` loads no submodule, the brute-force oracle
-(``brute_minima``, ``brute_cvp``, ``coefficient_box`` and their records)
-loads only when it is used, and each CLI command loads only the modules it
-runs.
+(``brute_minima``, ``brute_cvp`` and its record) loads only when it is
+used, and each CLI command loads only the modules it runs.
 """
 
 from importlib import import_module as _import_module
@@ -53,7 +52,7 @@ _EXPORTS = {
     "families": ("FamilyReport", "ParityArgument", "parity_lattice", "verify_family"),
     "norm2d": ("Reduced2DBasis", "min_translate", "reduce_2d"),
     "norms": ("NormKind", "NormValue", "enumeration_radius_in_l2", "measure"),
-    "oracle": ("BruteCvpResult", "CoefficientBox", "brute_cvp", "brute_minima", "coefficient_box"),
+    "oracle": ("BruteCvpResult", "brute_cvp", "brute_minima"),
     "standardness": (
         "SearchStats",
         "StandardnessCertificate",

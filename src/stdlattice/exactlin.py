@@ -516,26 +516,6 @@ def _star_rows(
     return scaled
 
 
-def _gso_rows(rows: Sequence[Sequence[int]]):
-    """Exact Gram-Schmidt of independent integer rows.
-
-    Returns (mu, bstar, bstar_sq) as nested lists of Fractions, read off the
-    integral data and the integer star rows of :func:`_star_rows`.  Raises
-    StructuralError when the rows are dependent.
-    """
-    d, lam = _integral_gso(rows)
-    m = len(rows)
-    bstar = [[Fraction(a, d[k]) for a in u] for k, u in enumerate(_star_rows(rows, d, lam))]
-    mu = [
-        [Fraction(lam[k][j], d[j + 1]) for j in range(k)]
-        + [Fraction(1)]
-        + [Fraction(0)] * (m - k - 1)
-        for k in range(m)
-    ]
-    bstar_sq = [Fraction(d[k + 1], d[k]) for k in range(m)]
-    return mu, bstar, bstar_sq
-
-
 def _lll_rows(
     rows: Sequence[Sequence[int]],
 ) -> tuple[tuple[IntVector, ...], list[int], list[list[int]]]:
@@ -593,11 +573,21 @@ def _lll_rows(
 
 
 def gso(basis: LatticeBasis) -> GsoData:
-    """Exact Gram-Schmidt orthogonalization of the basis rows."""
+    """Exact Gram-Schmidt orthogonalization of the basis rows, read off the
+    integral data and the integer star rows of :func:`_star_rows`."""
     _check_basis(basis)
-    mu, bstar, bstar_sq = _gso_rows(basis.rows)
+    rows = basis.rows
+    d, lam = _integral_gso(rows)
+    m = len(rows)
     return GsoData(
-        mu=tuple(tuple(r) for r in mu),
-        bstar_sq=tuple(bstar_sq),
-        bstar=tuple(tuple(r) for r in bstar),
+        mu=tuple(
+            tuple(Fraction(lam[k][j], d[j + 1]) for j in range(k))
+            + (Fraction(1),)
+            + (Fraction(0),) * (m - k - 1)
+            for k in range(m)
+        ),
+        bstar_sq=tuple(Fraction(d[k + 1], d[k]) for k in range(m)),
+        bstar=tuple(
+            tuple(Fraction(a, d[k]) for a in u) for k, u in enumerate(_star_rows(rows, d, lam))
+        ),
     )

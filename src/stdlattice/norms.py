@@ -4,14 +4,12 @@ The Euclidean norm is represented exclusively by its SQUARE so that every
 value stays rational; squaring is monotone on nonnegative reals, so all
 comparisons, minima and argmins are preserved.  Human-facing output marks
 squared values explicitly (the CLI prints them under a "squared" label).
-``ceil_sqrt`` turns such a squared bound back into an integer radius.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import isqrt
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -85,17 +83,6 @@ class NormValue(_NormFields):
     @property
     def is_squared(self) -> bool:
         return self.kind is NormKind.L2
-
-
-def ceil_sqrt(x: Fraction | int) -> int:
-    """Smallest integer m >= 0 with m*m >= x (x >= 0)."""
-    f = Fraction(x)
-    if f < 0:
-        raise ValueError("negative radicand")
-    m = isqrt(f.numerator // f.denominator)
-    while m * m * f.denominator < f.numerator:
-        m += 1
-    return m
 
 
 def _unknown_kind(kind: object) -> InputError:

@@ -8,10 +8,11 @@ first j + 1 coefficients alone; each level of the walk fixes one coordinate
 for good and takes exactly the coefficients that keep it within what the
 fixed coordinates leave of the bound.  The greedy witness scan tests
 independence by its own elimination (``_independent_prefix``), not through
-the library's rank tracker, and ``brute_cvp`` reads its caller-basis
-coefficients through its own Fraction inverse (``invert_rational``).  It
-exists to be compared against, so it is deliberately dumb and allowed to be
-slow.
+the fast path's echelon insertion.  ``brute_cvp`` maps its coefficients x
+over the Hermite rows H to the caller's basis B as x . U, U being the
+unimodular transform of the same Hermite form (U . B = H), and checks that
+they rebuild the point through B.  It exists to be compared against, so it
+is deliberately dumb and allowed to be slow.
 """
 
 from __future__ import annotations
@@ -23,37 +24,18 @@ from typing import Callable, NamedTuple, Sequence
 from .enumeration import MeasuredVector, SuccessiveMinima
 from .errors import InternalConsistencyError, ResourceLimitError, StructuralError
 from .exactlin import (
+    HermiteForm,
     IntVector,
     LatticeBasis,
     _as_rational_row,
     _check_basis,
     _check_positive_int,
-    hnf_nonzero_rows,
+    hermite_form,
 )
-from .norms import (
-    NormKind,
-    NormValue,
-    _require_bound,
-    ceil_sqrt,
-    enumeration_radius_in_l2,
-    require_kind,
-)
+from .norms import NormKind, NormValue, require_kind
 
 ORACLE_MAX_DIM = 5
 DEFAULT_MAX_POINTS = 100_000_000
-
-
-class CoefficientBox(NamedTuple):
-    """Provably sufficient coefficient range for a box scan.
-
-    Every lattice vector with norm <= the target bound has coefficients
-    |x_i| <= per_coeff_bound; the derivation fields record the L2 radius and
-    inverse-matrix column norm that produced the bound.
-    """
-
-    per_coeff_bound: int
-    l2_radius_sq: Fraction
-    max_inverse_column_sq: Fraction
 
 
 class BruteCvpResult(NamedTuple):
@@ -62,57 +44,25 @@ class BruteCvpResult(NamedTuple):
     dist_sq: Fraction
 
 
-def invert_rational(rows: Sequence[Sequence[int]]) -> list[list[Fraction]]:
-    """Exact inverse of a nonsingular square integer matrix."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if j == i else 0) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        pr = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if pr is None:
-            raise StructuralError("matrix is singular")
-        a[col], a[pr] = a[pr], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [row[n:] for row in a]
-
-
-def _inverse_column_sq(basis: LatticeBasis) -> list[Fraction]:
-    inv = invert_rational(basis.rows)
-    n = basis.dim
-    return [sum(inv[j][i] * inv[j][i] for j in range(n)) for i in range(n)]
-
-
-def coefficient_box(basis: LatticeBasis, kind: NormKind, bound: NormValue) -> CoefficientBox:
-    """Coefficient range covering all lattice vectors within ``bound``.
-
-    If x . B = v then x_i is the dot product of v with column i of B^-1, so
-    |x_i| <= ||v||_2 * ||column_i(B^-1)||_2 <= R * max column norm.
-    """
-    _check_basis(basis)
-    _require_bound(kind, bound)
-    r2 = Fraction(enumeration_radius_in_l2(bound, basis.dim).value)
-    colsq = max(_inverse_column_sq(basis))
-    m = ceil_sqrt(r2 * colsq)
-    return CoefficientBox(per_coeff_bound=max(m, 1), l2_radius_sq=r2, max_inverse_column_sq=colsq)
-
-
 def _check_oracle_dim(basis: LatticeBasis) -> None:
     if basis.dim > ORACLE_MAX_DIM:
         raise StructuralError(f"the brute-force oracle is capped at dimension {ORACLE_MAX_DIM}")
 
 
-def _hermite_rows(basis: LatticeBasis) -> tuple[IntVector, ...]:
-    """The canonical Hermite rows of ``basis``, checked to have the shape the
-    walk relies on: n rows, upper triangular, each with a positive pivot."""
-    rows = hnf_nonzero_rows(basis.rows)
+def _hermite_rows(basis: LatticeBasis) -> HermiteForm:
+    """The canonical Hermite form H of ``basis`` with its transform U (U . B
+    = H), H checked to have the shape the walk relies on: n rows, upper
+    triangular, each with a positive pivot."""
+    form = hermite_form(basis.rows)
+    rows = form.h
     if len(rows) != basis.dim or any(row[i] <= 0 or any(row[:i]) for i, row in enumerate(rows)):
         raise InternalConsistencyError(f"Hermite rows {rows}: not triangular with positive pivots")
-    return rows
+    return form
+
+
+def _combine(x: Sequence[int], rows: Sequence[Sequence[int]]) -> IntVector:
+    """The integer combination x . rows."""
+    return tuple(sum(c * row[j] for c, row in zip(x, rows)) for j in range(len(rows[0])))
 
 
 def _walk(rows, kind: NormKind, limit: int, max_points: int, leaf: Callable, target=None) -> None:
@@ -186,16 +136,9 @@ def _scan_box(basis: LatticeBasis, kind: NormKind, bound: NormValue, max_points:
         out.append(MeasuredVector(tuple(point), NormValue(kind, cost)))
         return limit
 
-    _walk(_hermite_rows(basis), kind, limit, max_points, leaf)
+    _walk(_hermite_rows(basis).h, kind, limit, max_points, leaf)
     out.sort(key=lambda e: (e.norm.value, e.vector))
     return out
-
-
-def double_radius(bound: NormValue) -> NormValue:
-    """The bound whose underlying norm radius is doubled (factor 4 for the
-    squared L2 representation)."""
-    factor = 4 if bound.kind is NormKind.L2 else 2
-    return NormValue(bound.kind, bound.value * factor)
 
 
 def _independent_prefix(entries: Sequence[MeasuredVector], want: int) -> list[MeasuredVector]:
@@ -243,7 +186,8 @@ def brute_minima(
             return SuccessiveMinima(
                 kind, tuple(e.norm for e in found), tuple(e.vector for e in found)
             )
-        bound = double_radius(bound)
+        # Double the radius: its square under L2.
+        bound = NormValue(kind, bound.value * (4 if kind is NormKind.L2 else 2))
 
 
 def brute_cvp(
@@ -261,15 +205,16 @@ def brute_cvp(
     integer Hermite coefficients, and its distance is recomputed.  Ties at
     the final distance resolve to the lexicographically smallest coefficient
     vector over the Hermite rows, a fixed deterministic rule.  The returned
-    ``coeffs`` are relative to the caller's basis.  ``max_points`` caps the
-    coefficients tried.
+    ``coeffs`` are relative to the caller's basis: the winner's Hermite
+    coefficients times U, unique since the basis is nonsingular, and checked
+    to rebuild the point.  ``max_points`` caps the coefficients tried.
     """
     _check_basis(basis)
     _check_oracle_dim(basis)
     _check_positive_int("max_points", max_points)
     n = basis.dim
     t = _as_rational_row(target, n)
-    rows = _hermite_rows(basis)
+    rows, u = _hermite_rows(basis)
     q = math.lcm(*(c.denominator for c in t))
     scaled_t = [int(c * q) for c in t]
     from .cvp import nearest_plane
@@ -290,7 +235,8 @@ def brute_cvp(
 
     _walk([[q * e for e in row] for row in rows], NormKind.L2, best[0], max_points, leaf, scaled_t)
     cost, winner = best
-    point = tuple(sum(c * row[j] for c, row in zip(winner, rows)) for j in range(n))
-    inv = invert_rational(basis.rows)
-    coeffs = tuple(int(sum(point[j] * inv[j][i] for j in range(n))) for i in range(n))
+    point = _combine(winner, rows)
+    coeffs = _combine(winner, u)
+    if _combine(coeffs, basis.rows) != point:
+        raise InternalConsistencyError(f"coefficients {coeffs} do not rebuild the point {point}")
     return BruteCvpResult(point=point, coeffs=coeffs, dist_sq=Fraction(cost, q * q))

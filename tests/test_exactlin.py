@@ -25,7 +25,6 @@ from stdlattice import exactlin, section_lattice, standardness
 from stdlattice.exactlin import (
     _coefficients,
     _dot,
-    _gso_rows,
     _integral_gso,
     _kernel_step,
     _lll_rows,
@@ -444,11 +443,15 @@ class TestIntegralGso:
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
-    def test_gso_rows_match_the_fraction_reference(self, data):
+    def test_gso_matches_the_fraction_reference(self, data):
         n = data.draw(st.integers(1, 6))
-        m = data.draw(st.integers(1, n))
-        rows = independent_rows(data, m, n)
-        assert _gso_rows(rows) == reference_gso_rows(rows)
+        rows = independent_rows(data, n, n)
+        mu, bstar, bstar_sq = reference_gso_rows(rows)
+        assert gso(LatticeBasis(rows)) == (
+            tuple(map(tuple, mu)),
+            tuple(bstar_sq),
+            tuple(map(tuple, bstar)),
+        )
 
 
 def combination(cs, rows):

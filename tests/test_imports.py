@@ -14,15 +14,14 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import stdlattice
-from stdlattice import norm2d, norms
+from stdlattice import norm2d
 
-ORACLE_NAMES = ["BruteCvpResult", "CoefficientBox", "brute_cvp", "brute_minima", "coefficient_box"]
+ORACLE_NAMES = ["BruteCvpResult", "brute_cvp", "brute_minima"]
 
 
 def run_python(code: str) -> str:
@@ -169,8 +168,8 @@ def test_submodules_resolve_as_attributes_and_by_import():
     "access",
     [
         "value = stdlattice.brute_minima",
-        "from stdlattice import brute_cvp, CoefficientBox\nvalue = (brute_cvp, CoefficientBox)",
-        "from stdlattice import *\nvalue = (brute_minima, brute_cvp, coefficient_box, BruteCvpResult, CoefficientBox)",
+        "from stdlattice import brute_cvp, BruteCvpResult\nvalue = (brute_cvp, BruteCvpResult)",
+        "from stdlattice import *\nvalue = (brute_minima, brute_cvp, BruteCvpResult)",
     ],
     ids=["attribute", "from-import", "star-import"],
 )
@@ -224,15 +223,6 @@ def test_unknown_name_raises_attribute_error_before_anything_loads():
     assert out == "module 'stdlattice' has no attribute 'no_such_name'\n"
 
 
-def test_ceil_sqrt_lives_in_norms_and_stays_importable_from_the_oracle():
-    from stdlattice.oracle import ceil_sqrt
-
-    assert ceil_sqrt is norms.ceil_sqrt
-    assert [ceil_sqrt(x) for x in (0, 1, 2, 4, Fraction(9, 4), Fraction(10, 4))] == [0, 1, 2, 2, 2, 2]
-    with pytest.raises(ValueError, match="negative radicand"):
-        ceil_sqrt(-1)
-
-
 def test_norm2d_depends_only_on_errors_exactlin_and_norms():
     # The 2D reduction is certified by the Gauss criterion and a covolume
     # check, so it needs neither the enumeration nor the nearest-plane
@@ -246,3 +236,54 @@ def test_norm2d_depends_only_on_errors_exactlin_and_norms():
             assert not any(a.name.startswith("stdlattice") for a in node.names)
     assert set(imported) == {"errors", "exactlin", "norms"}
     assert "is_basis_of" not in imported["exactlin"]
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names that ``source`` imports and never reads.  A name read only in
+    an annotation counts as read, also when the annotation is a string."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            args = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            annotations += [arg.annotation for arg in args if arg and arg.annotation]
+            annotations += [node.returns] if node.returns else []
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    trees = [tree] + [
+        ast.parse(c.value, mode="eval")
+        for ann in annotations
+        for c in ast.walk(ann)
+        if isinstance(c, ast.Constant) and isinstance(c.value, str)
+    ]
+    used = {n.id for t in trees for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_unused_import_scan_sees_what_a_deletion_leaves_behind():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from math import isqrt, gcd as g\n"
+        "from typing import Sequence\n"
+        "from fractions import Fraction\n"
+        "def f(x: Sequence[int]) -> 'Fraction':\n"
+        "    return g(*x)\n"
+    )
+    assert unused_imports(source) == ["isqrt (line 3)", "os (line 2)"]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(Path(stdlattice.__file__).parent.glob("*.py")),
+    ids=lambda path: path.name,
+)
+def test_no_library_module_imports_a_name_it_never_uses(path):
+    assert unused_imports(path.read_text()) == []

@@ -29,7 +29,6 @@ from stdlattice import (
     brute_cvp,
     brute_minima,
     check_standard,
-    coefficient_box,
     enumerate_short,
     enumeration_radius_in_l2,
     equality_case_analyze,
@@ -200,12 +199,6 @@ SLOTS = {
         "coordinate": lambda x: brute_cvp(B2, [x, 1]),
         "max_points": lambda x: brute_cvp(B2, [1, 1], max_points=x),
     },
-    "coefficient_box": {
-        "basis": lambda x: coefficient_box(x, L2, NormValue(L2, 4)),
-        "bound": lambda x: coefficient_box(B2, L2, x),
-        "value": lambda x: coefficient_box(B2, L1, NormValue(L1, x)),
-        "kind": lambda x: coefficient_box(B2, x, NormValue(L2, 4)),
-    },
 }
 
 # Public names that take no input through the gate: records, enums and
@@ -213,7 +206,6 @@ SLOTS = {
 EXEMPT = {
     "BruteCvpResult": "record returned by brute_cvp",
     "CheckResult": "record returned by minima_witness_check",
-    "CoefficientBox": "record returned by coefficient_box",
     "EqualityCaseReport": "record returned by equality_case_analyze",
     "FamilyReport": "record returned by verify_family",
     "GsoData": "record returned by gso",
@@ -319,7 +311,6 @@ REFUSALS = {
     "bound of another kind": (lambda: enumerate_short(B2, L1, NormValue(L2, 4)), InputError),
     "zero bound": (lambda: enumerate_short(B2, L2, NormValue(L2, 0)), InputError),
     "parity lattice of dimension 0": (lambda: parity_lattice(0), InputError),
-    "zero box bound": (lambda: coefficient_box(B2, L2, NormValue(L2, 0)), InputError),
     # These used to raise a bare AttributeError or TypeError.
     "radius of a bound that is no NormValue": (lambda: enumeration_radius_in_l2(5, 2), InputError),
     "certificate that is a number": (lambda: minima_witness_check(P3, 5), InputError),

@@ -13,7 +13,6 @@ from stdlattice import (
     NormValue,
     brute_minima,
     check_standard,
-    coefficient_box,
     enumerate_short,
     enumeration,
     enumeration_radius_in_l2,
@@ -117,7 +116,6 @@ ENTRY_POINTS = {
     "verify_family": lambda kind: verify_family(3, kind),
     "brute_minima": lambda kind: brute_minima(SKEW_2D, kind),
     "min_translate": lambda kind: min_translate((0, 3), (2, 1), kind),
-    "coefficient_box": lambda kind: coefficient_box(SKEW_2D, kind, NormValue(kind, 5)),
     "enumeration_radius_in_l2": lambda kind: enumeration_radius_in_l2(NormValue(kind, 5), 2),
 }
 

@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from stdlattice import (
+    HermiteForm,
     InputError,
     InternalConsistencyError,
     LatticeBasis,
@@ -14,10 +16,8 @@ from stdlattice import (
     StructuralError,
     brute_cvp,
     brute_minima,
-    coefficient_box,
     equality_case_analyze,
     is_basis_of,
-    measure,
     member,
     nearest_plane,
     parity_lattice,
@@ -33,38 +33,12 @@ from util import (
     random_basis,
     random_rational_vector,
     random_unimodular,
+    reference_solve,
 )
 
 
 def scaled_identity(n, k):
     return LatticeBasis([[k if i == j else 0 for j in range(n)] for i in range(n)])
-
-
-class TestCoefficientBox:
-    def test_identity_unit_ball(self):
-        box = coefficient_box(identity_basis(2), NormKind.L2, NormValue(NormKind.L2, 1))
-        assert box.per_coeff_bound == 1
-
-    def test_scaled_identity(self):
-        box = coefficient_box(scaled_identity(3, 2), NormKind.L2, NormValue(NormKind.L2, 4))
-        assert box.per_coeff_bound == 1
-
-    def test_box_is_sound(self):
-        rng = random.Random(107)
-        for _ in range(25):
-            n = rng.randint(1, 3)
-            b = random_basis(rng, n, -3, 3)
-            kind = rng.choice(list(NormKind))
-            bound = NormValue(kind, 9 if kind is NormKind.L2 else 3)
-            m = coefficient_box(b, kind, bound).per_coeff_bound
-            # nothing outside the box (inflated by one) lands under the bound
-            for coeffs in itertools.product(range(-m - 1, m + 2), repeat=n):
-                if all(abs(c) <= m for c in coeffs):
-                    continue
-                vec = tuple(
-                    sum(coeffs[i] * b.rows[i][j] for i in range(n)) for j in range(n)
-                )
-                assert measure(vec, kind).value > bound.value
 
 
 class TestBruteMinima:
@@ -100,7 +74,7 @@ class TestScanBox:
         skewed = apply_unimodular(
             random_unimodular(rng, 3), LatticeBasis([[1, 0, 5], [0, 1, 7], [0, 0, 23]])
         )
-        assert oracle.hnf_nonzero_rows(skewed.rows)[-1][-1] == 23
+        assert oracle.hermite_form(skewed.rows).h[-1][-1] == 23
         bases = [skewed] + [random_basis(rng, rng.randint(1, 3), -3, 3) for _ in range(25)]
         cases = 0
         for i, b in enumerate(bases):
@@ -116,7 +90,9 @@ class TestScanBox:
     def test_refuses_hermite_rows_that_are_not_triangular(self, monkeypatch):
         # The walk fixes coordinate j from the first j + 1 coefficients; it
         # checks that shape instead of trusting it.
-        monkeypatch.setattr(oracle, "hnf_nonzero_rows", lambda rows: ((2, 1), (1, 3)))
+        monkeypatch.setattr(
+            oracle, "hermite_form", lambda rows: HermiteForm(((2, 1), (1, 3)), ((1, 0), (0, 1)))
+        )
         b = LatticeBasis([[2, 1], [1, 3]])
         with pytest.raises(InternalConsistencyError, match="not triangular"):
             brute_minima(b, NormKind.L2)
@@ -134,11 +110,10 @@ def test_a_small_ceiling_stops_both_scans():
 
 def raw_cvp_scan(basis, target):
     """Closest squared distance by the dumbest possible full product scan."""
-    from stdlattice.oracle import ceil_sqrt, invert_rational
-
     n = basis.dim
     t = [Fraction(v) for v in target]
-    inv = invert_rational(basis.rows)
+    # Row j of the inverse solves x . B = e_j.
+    inv = [reference_solve(basis.rows, [int(i == j) for i in range(n)]) for j in range(n)]
     centers = [sum(t[j] * inv[j][i] for j in range(n)) for i in range(n)]
     colsq = [sum(inv[j][i] ** 2 for j in range(n)) for i in range(n)]
 
@@ -149,7 +124,11 @@ def raw_cvp_scan(basis, target):
     best = dist([round(c) for c in centers])
     axes = []
     for i in range(n):
-        w = ceil_sqrt(best * colsq[i]) + 1
+        need = best * colsq[i]  # the least w with w * w >= need, plus one
+        w = math.isqrt(math.ceil(need))
+        if w * w < need:
+            w += 1
+        w += 1
         mid = round(centers[i])
         axes.append(range(mid - w, mid + w + 1))
     for x in itertools.product(*axes):
@@ -200,6 +179,38 @@ class TestBruteCvp:
         assert res.coeffs == (-1, -1, -1)
         assert res.point == (-2, -2, -2)
 
+    def test_coefficients_rebuild_the_point_over_the_callers_basis(self):
+        # The coefficients come from the Hermite transform, not a solve;
+        # they must be the unique rational solution of x . B = point.
+        rng = random.Random(3301)
+        bases = [scaled_identity(4, 2)] + [
+            random_basis(rng, n, -4, 4) for n in range(1, 6) for _ in range(12)
+        ]
+        for b in bases:
+            for _ in range(3):
+                den = rng.randint(1, 4)
+                v = [Fraction(rng.randint(-9, 9), den) for _ in range(b.dim)]
+                res = brute_cvp(b, v)
+                rebuilt = tuple(
+                    sum(c * row[j] for c, row in zip(res.coeffs, b.rows)) for j in range(b.dim)
+                )
+                assert rebuilt == res.point, (b.rows, v)
+                assert list(res.coeffs) == reference_solve(b.rows, res.point), (b.rows, v)
+        tie = brute_cvp(scaled_identity(4, 2), (1, 1, 1, 1))
+        assert list(tie.coeffs) == reference_solve(scaled_identity(4, 2).rows, tie.point)
+
+    def test_refuses_coefficients_that_do_not_rebuild_the_point(self, monkeypatch):
+        # A transform that does not map H back to B is caught, not returned.
+        inner = oracle.hermite_form
+
+        def swapped(rows):
+            form = inner(rows)
+            return HermiteForm(form.h, form.u[::-1])
+
+        monkeypatch.setattr(oracle, "hermite_form", swapped)
+        with pytest.raises(InternalConsistencyError, match="do not rebuild the point"):
+            brute_cvp(LatticeBasis([[2, 1], [0, 3]]), (5, 4))
+
     def test_dominated_by_nearest_plane(self):
         rng = random.Random(113)
         for _ in range(40):
@@ -213,12 +224,13 @@ class TestBruteCvp:
             assert sum(d * d for d in diff) == exact.dist_sq
 
 
-def test_library_paths_never_use_the_oracle_inverse(monkeypatch):
-    """The oracle's Fraction inverse is its own: no library path calls it."""
-    def refuse(rows):
-        raise AssertionError("invert_rational called outside the oracle")
+def test_library_paths_never_use_the_oracle_walk(monkeypatch):
+    """The oracle's walk is its one search, and its own: no library path
+    calls it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle walk called outside the oracle")
 
-    monkeypatch.setattr(oracle, "invert_rational", refuse)
+    monkeypatch.setattr(oracle, "_walk", refuse)
     half = [Fraction(1, 2), Fraction(-3, 2), Fraction(1, 2), Fraction(5, 2)]
     skewed = LatticeBasis([[2, 1, 0, 0], [0, 3, 1, 0], [1, 0, 4, 1], [0, 1, 0, 5]])
     for b in (parity_lattice(4), skewed):
@@ -235,12 +247,11 @@ def test_library_paths_never_use_the_oracle_inverse(monkeypatch):
 
 
 def test_oracle_minima_never_use_the_library_rank_scan(monkeypatch):
-    """The oracle's greedy scan is its own and its minima walk reads no
-    Fraction inverse: it answers with the library's kernel step, the
-    greedy witness scan and its echelon insertion, and the oracle's own
-    inverse, patched to raise.  The insertion is patched where the scan
-    reads it, not in ``exactlin``: the oracle's Hermite rows share that
-    algebra, which is not search code."""
+    """The oracle's greedy scan is its own: it answers with the library's
+    kernel step, the greedy witness scan and its echelon insertion patched
+    to raise.  The insertion is patched where the scan reads it, not in
+    ``exactlin``: the oracle's Hermite rows share that algebra, which is not
+    search code."""
     from stdlattice import enumeration, exactlin, standardness
 
     skewed = LatticeBasis([[2, 1, 0, 0], [0, 3, 1, 0], [1, 0, 4, 1], [0, 1, 0, 5]])
@@ -255,7 +266,6 @@ def test_oracle_minima_never_use_the_library_rank_scan(monkeypatch):
         (standardness, "_kernel_step"),
         (enumeration, "_echelon_insert"),
         (enumeration, "_greedy_minima"),
-        (oracle, "invert_rational"),
     ]:
         monkeypatch.setattr(module, name, refuse)
     assert [brute_minima(b, kind) for b, kind in cases] == expected

@@ -16,7 +16,6 @@ from stdlattice import (
     StructuralError,
     brute_cvp,
     check_standard,
-    coefficient_box,
     enumerate_short,
     equality_case_analyze,
     gso,
@@ -144,13 +143,6 @@ RECORDS = [
         f"minima=SuccessiveMinima(kind=<NormKind.L1: 'l1'>, minima=({nv('L1', 2)}, {nv('L1', 2)}), "
         "witnesses=((0, 2), (1, -1))), "
         "stats=SearchStats(level_candidates=(4, 4), nodes_explored=2)))",
-    ),
-    (
-        "CoefficientBox",
-        lambda: coefficient_box(B, L2, NormValue(L2, 4)),
-        ("per_coeff_bound", "l2_radius_sq", "max_inverse_column_sq"),
-        "CoefficientBox(per_coeff_bound=2, l2_radius_sq=Fraction(4, 1), "
-        "max_inverse_column_sq=Fraction(5, 18))",
     ),
     (
         "BruteCvpResult",

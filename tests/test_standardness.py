@@ -242,15 +242,15 @@ class TestSearchWork:
         # Enumeration prunes on the integral data LLL hands over, so neither
         # the minima nor a check build the Fraction Gram-Schmidt.
         calls = []
-        inner = exactlin._gso_rows
+        inner = exactlin.gso
 
-        def counted(rows):
-            calls.append(rows)
-            return inner(rows)
+        def counted(basis):
+            calls.append(basis)
+            return inner(basis)
 
         # Every module's binding, so that a re-import by name is caught too.
         for module in (exactlin, enumeration, cvp, standardness):
-            monkeypatch.setattr(module, "_gso_rows", counted, raising=False)
+            monkeypatch.setattr(module, "gso", counted, raising=False)
         for kind in NormKind:
             successive_minima(parity_lattice(5), kind)
             check_standard(parity_lattice(5), kind)

@@ -23,7 +23,7 @@ from stdlattice import (
     SuccessiveMinima,
     Verdict,
     brute_minima,
-    coefficient_box,
+    enumeration_radius_in_l2,
     measure,
 )
 from stdlattice.enumeration import (
@@ -211,12 +211,12 @@ def box_short_vectors(basis: LatticeBasis, kind: NormKind, bound):
 
     Independent of both the pruned enumerator and the oracle's Hermite
     coordinate walk; exists purely to cross-check them.  Coefficient i ranges
-    over |x_i| <= ceil(R * ||column_i(B^-1)||_2) (at least 1), the cover
-    whose largest entry is ``coefficient_box``; B^-1 comes from the Fraction
+    over |x_i| <= ceil(R * ||column_i(B^-1)||_2) (at least 1), R^2 being
+    the L2 radius that covers the bound; B^-1 comes from the Fraction
     reference solve, and points are built one row at a time.
     """
     n = basis.dim
-    r2 = coefficient_box(basis, kind, bound).l2_radius_sq
+    r2 = enumeration_radius_in_l2(bound, n).value
     inverse = [reference_solve(basis.rows, [int(i == j) for i in range(n)]) for j in range(n)]
     ranges = []
     for i in range(n):
