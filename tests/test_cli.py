@@ -1,10 +1,12 @@
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -508,6 +510,17 @@ class TestErrorClasses:
         code, out, err = run_cli(["minima", path], capsys)
         assert code == 2
         assert "Traceback" not in err and "Traceback" not in out
+
+
+def test_declared_python_floor_has_the_int_digit_limit():
+    # The CLI reads sys.get_int_max_str_digits(), which first shipped in
+    # Python 3.10.7; an older interpreter would end `nearest` in a traceback.
+    root = Path(cli.__file__).resolve().parents[2]
+    assert "sys.get_int_max_str_digits()" in Path(cli.__file__).read_text()
+    spec = re.search(r'^requires-python = ">=([0-9.]+)"$', (root / "pyproject.toml").read_text(), re.M)
+    assert spec, "pyproject.toml declares no requires-python floor"
+    floor = tuple(int(part) for part in spec.group(1).split("."))
+    assert floor + (0,) * (3 - len(floor)) >= (3, 10, 7)
 
 
 def test_help_exits_zero(capsys):

@@ -211,6 +211,17 @@ class TestBruteCvp:
         with pytest.raises(InternalConsistencyError, match="do not rebuild the point"):
             brute_cvp(LatticeBasis([[2, 1], [0, 3]]), (5, 4))
 
+    def test_refuses_a_nearest_plane_seed_off_the_lattice(self, monkeypatch):
+        # The seed's point is mapped down the Hermite rows, not trusted: a
+        # point with no integer coefficients is caught before the walk.
+        from stdlattice import cvp
+
+        b = LatticeBasis([[2, 1], [0, 3]])
+        seed = cvp.nearest_plane(b, (1, 0))
+        monkeypatch.setattr(cvp, "nearest_plane", lambda basis, t: seed._replace(point=(1, 0)))
+        with pytest.raises(InternalConsistencyError, match=r"\(1, 0\) is not a lattice point"):
+            brute_cvp(b, (1, 0))
+
     def test_dominated_by_nearest_plane(self):
         rng = random.Random(113)
         for _ in range(40):
