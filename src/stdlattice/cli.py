@@ -22,7 +22,6 @@ import os
 import re
 import sys
 from fractions import Fraction
-from importlib import import_module
 from math import lcm
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -42,25 +41,26 @@ if TYPE_CHECKING:
     from .standardness import StandardnessCertificate
 
 
-def _forward(home: str, name: str):
-    """Stand-in for ``home.name`` that imports ``home`` on its first call,
-    so each command loads only the modules it runs.  The stand-ins are
-    module-level names, so a caller can still replace them here."""
+def _forward(name: str):
+    """Stand-in for the public ``name``, resolved on the package at its
+    first call, whose lazy ``__getattr__`` imports the home module, so each
+    command loads only the modules it runs.  The stand-ins are module-level
+    names, so a caller can still replace them here."""
 
     def call(*args, **kwargs):
-        return getattr(import_module(f"{__package__}.{home}"), name)(*args, **kwargs)
+        return getattr(sys.modules[__package__], name)(*args, **kwargs)
 
     call.__name__ = call.__qualname__ = name
     return call
 
 
-check_standard = _forward("standardness", "check_standard")
-equality_case_analyze = _forward("cvp", "equality_case_analyze")
-nearest_plane = _forward("cvp", "nearest_plane")
-reduce_2d = _forward("norm2d", "reduce_2d")
-standardize_low_dim = _forward("standardness", "standardize_low_dim")
-successive_minima = _forward("enumeration", "successive_minima")
-verify_family = _forward("families", "verify_family")
+check_standard = _forward("check_standard")
+equality_case_analyze = _forward("equality_case_analyze")
+nearest_plane = _forward("nearest_plane")
+reduce_2d = _forward("reduce_2d")
+standardize_low_dim = _forward("standardize_low_dim")
+successive_minima = _forward("successive_minima")
+verify_family = _forward("verify_family")
 
 EXIT_OK = 0
 EXIT_INPUT = 2

@@ -11,19 +11,20 @@ dual norms behind its Hoelder box and its floor on lambda_n.  Nearest plane
 and integer coefficients (``member``) are one walk over that data
 (``_round_off``): the scaled target's lam row gives each coefficient, from
 the last row to the first, as a rounded quotient that a lattice point
-leaves exact, so no linear system is solved and one Gram-Schmidt of a
-basis serves every vector tested against it.  The walk takes any integer pair (q, W) with target
-W / q, so the half-odd test in ``cvp`` walks the doubled target as (q, 2W)
-and builds no Fraction.  Rational results (the public ``gso``, squared
+leaves exact, so no linear system is solved; the walk takes the
+Gram-Schmidt data as an argument, so one build can serve many vectors.  It
+takes any integer pair (q, W) with target W / q, so the half-odd test in
+``cvp`` walks the doubled target as (q, 2W) and builds no Fraction.  Rational results (the public ``gso``, squared
 distances) are ``fractions.Fraction``.  Every integer reduction, the
 Hermite form, the generation test in ``standardness`` and the integer
 kernel and minor gcd of ``_kernel_step``, comes from one row insertion,
 ``_echelon_insert``, and so from one extended-gcd step.  The yes/no tests
 (``is_basis_of``, ``same_lattice``, and the membership and independence
-checks of ``enumeration.minima_witness_check``) run on the same insertion
-and build no Gram-Schmidt data: rows are folded into one echelon form
-(``_echelon_of``), whose pivots give the rank and |det|, and a vector is
-divided down its triangle by exact division (``_in_echelon``).
+checks of ``enumeration.minima_witness_check``) and the section of
+``standardness.section_lattice`` run on the same insertion and build no
+Gram-Schmidt data: rows are folded into one echelon form (``_echelon_of``),
+whose pivots give the rank and |det|, and a vector is divided down its
+triangle by exact division (``_in_echelon``).
 
 Conventions:
   * basis vectors are ROWS of the matrix,
@@ -488,16 +489,13 @@ def _nearest_rows(rows: Sequence[IntVector], target: Sequence[Rational]):
     return coeffs, tuple(point), Fraction(_dot(residual, residual), q * q)
 
 
-def _coefficients(
-    rows: Sequence[IntVector], target: Sequence[Rational], gso=None
-) -> IntVector | None:
+def _coefficients(rows: Sequence[IntVector], target: Sequence[Rational]) -> IntVector | None:
     """Integer coefficients of ``target`` in independent ``rows``, or None
-    when it is not in their lattice.  ``gso`` is the integral data (d, lam)
-    of ``rows`` when the caller already has it.  The rounding walk of
-    :func:`_round_off` answers it: it leaves a lattice point where it is and
-    reports any other target as inexact, so no point is built."""
+    when it is not in their lattice.  The rounding walk of :func:`_round_off`
+    answers it: it leaves a lattice point where it is and reports any other
+    target as inexact, so no point is built."""
     q, big_w = _scaled(target)
-    coeffs, exact = _round_off(rows, q, big_w, _integral_gso(rows) if gso is None else gso)
+    coeffs, exact = _round_off(rows, q, big_w, _integral_gso(rows))
     return tuple(coeffs) if exact else None
 
 

@@ -35,7 +35,7 @@ maximal minors.  That gcd is the product of the g's along the path; a
 partial tuple whose gcd does not divide |det| can never complete to a
 basis.  Each node passes its kernel and gcd down, so siblings share their
 parent's and nothing is undone.  Two folds of the same step give
-``section_lattice``.
+``section_lattice``, with no Gram-Schmidt and no coefficients.
 
 By the paper's theorem every lattice of dimension n <= 4 is standard under
 L2, so there the L2 certificate always carries a minima-achieving basis, and
@@ -59,10 +59,10 @@ from .exactlin import (
     _check_basis,
     _check_dim,
     _check_lengths,
-    _coefficients,
     _dot,
     _echelon_insert,
-    _integral_gso,
+    _echelon_of,
+    _in_echelon,
     _kernel_step,
     _pairwise_orthogonal,
     hnf_nonzero_rows,
@@ -264,31 +264,30 @@ def _section_rows(
     """Basis of span(spanning) intersected with the lattice of ``rows``, for
     k independent lattice members ``spanning`` (1 <= k < len(rows)).
 
-    Works in coefficient space, with two folds of ``_kernel_step`` from the
-    unit columns: folding the spanning coefficient rows gives the lattice of
-    normals, and folding the normals gives the saturation of their span,
-    every integer coefficient vector in it.  The result is therefore the
-    whole section, not a finite-index sublattice of it.
+    Each spanning vector is divided down one echelon form of the rows, then
+    two folds of ``_kernel_step`` from the unit columns: the spanning vectors
+    fold to their integer normals g, and the images B g (entries <b_i, g>)
+    to every integer x with x B orthogonal to the normals, that is in the
+    span.  A kernel is saturated, so the result is the whole section, not a
+    finite-index sublattice of it.
     """
-    gso = _integral_gso(rows)
-    coefficient_rows = []
+    n = len(rows)
+    echelon = _echelon_of(rows, n)
     for s in spanning:
-        x = _coefficients(rows, s, gso)
-        if x is None:
+        if not _in_echelon(echelon, s):
             raise StructuralError(f"spanning vector {s} is not in the lattice")
-        coefficient_rows.append(x)
-    unit = [[int(i == j) for i in range(len(rows))] for j in range(len(rows))]
+    unit = [[int(i == j) for i in range(n)] for j in range(n)]
     normals = unit
-    for x in coefficient_rows:
-        step = _kernel_step(normals, x)
+    for s in spanning:
+        step = _kernel_step(normals, s)
         if step is None:
             raise StructuralError("spanning set is linearly dependent")
         normals = step[1]
-    saturation = unit
+    section = unit
     for g in normals:
-        # The normals are a Z-basis, so each one adds rank.
-        saturation = _kernel_step(saturation, g)[1]
-    return hnf_nonzero_rows([[_dot(k, col) for col in zip(*rows)] for k in saturation])
+        # B is nonsingular and the normals independent, so each image adds rank.
+        section = _kernel_step(section, [_dot(b, g) for b in rows])[1]
+    return hnf_nonzero_rows([[_dot(x, col) for col in zip(*rows)] for x in section])
 
 
 def section_lattice(

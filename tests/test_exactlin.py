@@ -36,10 +36,12 @@ from util import (
     identity_basis,
     mat_mul,
     random_basis,
+    random_section_case,
     random_unimodular,
     rank,
     reference_gso_rows,
     reference_integral_gso,
+    reference_section,
     reference_solve,
 )
 
@@ -263,7 +265,11 @@ class TestIsBasisOf:
             with pytest.raises(DimensionMismatchError, match="vector length 3 does not match"):
                 is_basis_of([first, (1, 0, 0)], b)
 
-    def test_one_gram_schmidt_per_call(self, monkeypatch):
+    def test_basis_and_section_build_no_gram_schmidt(self, monkeypatch):
+        # Patching exactlin alone reaches every caller, since no other module
+        # holds its own name for the Gram-Schmidt or the rounding walk.
+        for name in ("_integral_gso", "_round_off", "_coefficients"):
+            assert not hasattr(standardness, name)
         calls = []
         inner = exactlin._integral_gso
 
@@ -271,21 +277,29 @@ class TestIsBasisOf:
             calls.append(rows)
             return inner(rows)
 
-        for module in (exactlin, standardness):
-            monkeypatch.setattr(module, "_integral_gso", counted)
+        monkeypatch.setattr(exactlin, "_integral_gso", counted)
         b = parity_lattice(4)
         assert is_basis_of(b.rows, b)
-        assert calls == []
         assert len(section_lattice(b, b.rows[:3])) == 3
-        assert calls == [b.rows]
+        assert calls == []
 
     def test_answers_on_the_echelon_core_alone(self, monkeypatch):
         # No Gram-Schmidt, rounding walk or determinant: the bases are built
-        # before the patches, since LatticeBasis computes its determinant.
+        # before the patches, since LatticeBasis computes its determinant,
+        # and so are the reference sections, which walk coefficients.
         b = parity_lattice(4)
         c = LatticeBasis([[3, 1, 0], [1, 4, 1], [0, 2, 5]])
         cert = check_standard(c, NormKind.L2)
         assert cert.standard
+        rng = random.Random(34)
+        sections = []
+        for _ in range(300):
+            basis, spanning = random_section_case(rng)
+            try:
+                want = reference_section(basis.rows, [tuple(s) for s in spanning])
+            except StructuralError as exc:
+                want = str(exc)
+            sections.append((basis, spanning, want))
 
         def refuse(*args):
             raise AssertionError("the echelon core was left")
@@ -296,6 +310,17 @@ class TestIsBasisOf:
         assert not is_basis_of([(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)], b)
         assert is_basis_of(cert.basis, c)
         assert not is_basis_of(cert.basis[:2] + ((0, 0, 1),), c)
+        outcomes = set()
+        for basis, spanning, want in sections:
+            if isinstance(want, str):
+                with pytest.raises(StructuralError) as got:
+                    section_lattice(basis, spanning)
+                assert str(got.value) == want
+                outcomes.add(want.split()[-1])
+            else:
+                assert section_lattice(basis, spanning) == want
+                outcomes.add("section")
+        assert outcomes == {"section", "lattice", "dependent"}
 
 
 class TestGso:
@@ -497,7 +522,6 @@ class TestCoefficients:
         expected = fraction_coefficients(rows, target)
         assert rounding_coefficients(rows, target) == expected
         assert _coefficients(rows, target) == expected
-        assert _coefficients(rows, target, _integral_gso(rows)) == expected
         if all(t.denominator == 1 for t in target):
             ints = tuple(int(t) for t in target)
             assert _coefficients(rows, ints) == expected

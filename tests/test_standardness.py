@@ -369,7 +369,8 @@ class TestSectionLattice:
             section_lattice(LatticeBasis([[2, 0], [0, 2]]), [(1, 0)])
 
     def test_rejects_wrong_length_spanning(self):
-        # Nearest-plane rounding would zip a short vector down to a prefix.
+        # The echelon division and the kernel step's dot products run over the
+        # vector's own length, so a short vector would pass as if zero-padded.
         with pytest.raises(DimensionMismatchError, match="vector length 2 does not match dimension 3"):
             section_lattice(identity_basis(3), [(1, 0, 0), (0, 1)])
         with pytest.raises(DimensionMismatchError, match="vector length 4 does not match dimension 3"):

@@ -43,7 +43,6 @@ from stdlattice.exactlin import (
     _dot,
     _echelon_insert,
     _echelon_of,
-    _integral_gso,
     hermite_form,
     hnf_nonzero_rows,
 )
@@ -413,17 +412,15 @@ def reference_greedy_minima(entries, want: int):
 
 
 def reference_is_basis_of(vectors, basis: LatticeBasis) -> bool:
-    """``is_basis_of`` by one integral Gram-Schmidt of the input basis, one
-    rounding walk per vector and a Bareiss determinant: every vector is a
-    member and the covolumes agree.  Raises the same errors as the
-    library."""
+    """``is_basis_of`` by one rounding walk per vector over the input basis
+    and a Bareiss determinant: every vector is a member and the covolumes
+    agree.  Raises the same errors as the library."""
     _check_basis(basis)
     rows = _as_int_rows(vectors)
     if len(rows) != basis.dim:
         raise DimensionMismatchError(f"expected {basis.dim} vectors, got {len(rows)}")
     _check_lengths(rows, basis.dim)
-    gso = _integral_gso(basis.rows)
-    if any(_coefficients(basis.rows, v, gso) is None for v in rows):
+    if any(_coefficients(basis.rows, v) is None for v in rows):
         return False
     return abs(_bareiss_det(rows)) == abs(basis.det)
 
@@ -552,10 +549,9 @@ def reference_section(rows, spanning):
     and the Hermite form of g as a column has the kernel of g as the rest of
     its U.  Raises the same StructuralError messages as the library."""
     m = len(rows)
-    gso = _integral_gso(rows)
     coeff_rows = []
     for s in spanning:
-        x = _coefficients(rows, s, gso)
+        x = _coefficients(rows, s)
         if x is None:
             raise StructuralError(f"spanning vector {s} is not in the lattice")
         coeff_rows.append(x)
