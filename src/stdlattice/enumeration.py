@@ -75,6 +75,8 @@ from .exactlin import (
 from .norms import (
     NormKind,
     NormValue,
+    _L1,
+    _L2,
     _require_bound,
     enumeration_radius_in_l2,
     measure,
@@ -159,12 +161,12 @@ class _ReducedSearch:
         self.bsq = [d[j + 1] * (sq_den // d[j]) for j in range(m)]
         self.scale = den * den * sq_den
         self.duals = None
-        if kind is not NormKind.L2:
-            dual = max if kind is NormKind.L1 else sum
+        if kind is not _L2:
+            dual = max if kind is _L1 else sum
             self.duals = [dual(map(abs, g)) for g in _star_rows(rows, d, lam)]
 
     def floor(self, kind: NormKind) -> tuple[int, int]:
-        return self.d[-1], self.d[-2] if kind is NormKind.L2 else self.duals[-1]
+        return self.d[-1], self.d[-2] if kind is _L2 else self.duals[-1]
 
 
 def _enumerate_rows(
@@ -345,10 +347,10 @@ def _reduced_minima(
     """
     p, q = search.floor(kind)
     norms = _sorted_norms(search.rows, kind)
-    if kind is not NormKind.L2 and (norms[-1] - 1) * q >= p:
+    if kind is not _L2 and (norms[-1] - 1) * q >= p:
         # The L2 search is cheap on the reduced rows, and its witnesses are
         # n independent vectors that are often much shorter in ``kind``.
-        l2 = _reduced_minima(search, NormKind.L2, max_candidates)[0]
+        l2 = _reduced_minima(search, _L2, max_candidates)[0]
         witness_norms = _sorted_norms(l2.witnesses, kind)
         if witness_norms[-1] < norms[-1]:
             norms = witness_norms

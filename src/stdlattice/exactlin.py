@@ -14,17 +14,24 @@ the last row to the first, as a rounded quotient that a lattice point
 leaves exact, so no linear system is solved; the walk takes the
 Gram-Schmidt data as an argument, so one build can serve many vectors.  It
 takes any integer pair (q, W) with target W / q, so the half-odd test in
-``cvp`` walks the doubled target as (q, 2W) and builds no Fraction.  Rational results (the public ``gso``, squared
-distances) are ``fractions.Fraction``.  Every integer reduction, the
-Hermite form, the generation test in ``standardness`` and the integer
-kernel and minor gcd of ``_kernel_step``, comes from one row insertion,
-``_echelon_insert``, and so from one extended-gcd step.  The yes/no tests
-(``is_basis_of``, ``same_lattice``, and the membership and independence
-checks of ``enumeration.minima_witness_check``) and the section of
+``cvp`` walks the doubled target as (q, 2W) and builds no Fraction.
+Rational results (the public ``gso``, squared distances) are
+``fractions.Fraction``.  Every integer reduction, the Hermite form, the
+generation test in ``standardness`` and the integer kernel and minor gcd of
+``_kernel_step``, comes from one row insertion, ``_echelon_insert``, and so
+from one extended-gcd step, which is a plain row subtraction when the pivot
+divides the entry.  The yes/no tests (``is_basis_of``, ``same_lattice``,
+and the membership and independence checks of
+``enumeration.minima_witness_check``) and the section of
 ``standardness.section_lattice`` run on the same insertion and build no
 Gram-Schmidt data: rows are folded into one echelon form (``_echelon_of``),
 whose pivots give the rank and |det|, and a vector is divided down its
 triangle by exact division (``_in_echelon``).
+
+Entries and lengths are checked once, at the public call.  Internal paths
+take checked rows: ``_lll_rows`` those of a ``LatticeBasis``, and
+``_is_basis``, the core of ``is_basis_of``, those of ``same_lattice`` and
+of the self-check of ``standardness.check_standard``.
 
 Conventions:
   * basis vectors are ROWS of the matrix,
@@ -211,8 +218,10 @@ def _echelon_insert(
     column, pivots positive and within the first ``width`` entries), keeping
     the span.  Where vec meets a pivot p with entry x, one unimodular step
     [[s, t], [-x/g, p/g]] with g = gcd(p, x) makes g the pivot and clears x.
-    Returns None when vec opens a new pivot (the rank grew), else what is
-    left of it, zero in its first ``width`` entries."""
+    When p divides x that step is s = 1, t = 0: the row stays, and vec
+    loses (x // p) times it.  Returns None when vec opens a new pivot (the
+    rank grew), else what is left of it, zero in its first ``width``
+    entries."""
     for c in range(width):
         x = vec[c]
         if not x:
@@ -221,6 +230,10 @@ def _echelon_insert(
         if row is None:
             echelon[c] = vec if x > 0 else [-a for a in vec]
             return None
+        if not x % row[c]:
+            q = x // row[c]
+            vec = [b - q * a for a, b in zip(row, vec)]
+            continue
         g = gcd(row[c], x)
         p, x = row[c] // g, x // g
         s = pow(p, -1, abs(x)) or 1
@@ -333,7 +346,7 @@ def same_lattice(b: LatticeBasis, c: LatticeBasis) -> bool:
     _check_basis(c)
     if b.dim != c.dim:
         raise DimensionMismatchError(f"dimensions differ: {b.dim} vs {c.dim}")
-    return is_basis_of(c.rows, b)
+    return _is_basis(c.rows, b)
 
 
 def _check_lengths(vectors: Sequence[IntVector], dim: int) -> None:
@@ -353,19 +366,27 @@ def member(basis: LatticeBasis, vector: Sequence[int]) -> IntVector | None:
 
 def is_basis_of(vectors: Sequence[Sequence[int]], basis: LatticeBasis) -> bool:
     """True iff ``vectors`` is a basis of the lattice generated by ``basis``.
-    Every length is checked before any arithmetic.  The vectors F are
-    folded into one echelon form (:func:`_echelon_of`); they are a basis
-    iff they are independent, the product of the pivots, |det F|, equals
-    |det| of ``basis``, and every input row divides down the echelon
-    (:func:`_in_echelon`): the input lattice then lies in L(F) with the same
-    covolume, so the two are equal.  The answer is checked against the
-    input basis, and no Gram-Schmidt or determinant is computed."""
+    Every entry and length is checked before any arithmetic; the answer is
+    :func:`_is_basis`'s."""
     _check_basis(basis)
     rows = _as_int_rows(vectors)
     n = basis.dim
     if len(rows) != n:
         raise DimensionMismatchError(f"expected {n} vectors, got {len(rows)}")
     _check_lengths(rows, n)
+    return _is_basis(rows, basis)
+
+
+def _is_basis(rows: Sequence[IntVector], basis: LatticeBasis) -> bool:
+    """:func:`is_basis_of` for checked rows: ``basis.dim`` integer rows of
+    length ``basis.dim``.  The rows F are folded into one echelon form
+    (:func:`_echelon_of`); they are a basis iff they are independent, the
+    product of the pivots, |det F|, equals |det| of ``basis``, and every
+    input row divides down the echelon (:func:`_in_echelon`): the input
+    lattice then lies in L(F) with the same covolume, so the two are equal.
+    The answer is checked against the input basis, and no Gram-Schmidt or
+    determinant is computed."""
+    n = basis.dim
     echelon = _echelon_of(rows, n)
     return (
         len(echelon) == n
@@ -519,14 +540,16 @@ def _lll_rows(
 ) -> tuple[tuple[IntVector, ...], list[int], list[list[int]]]:
     """LLL-reduced basis (delta = 3/4) of the lattice of independent rows,
     with its integral Gram-Schmidt data: returns (rows, d, lam) as in
-    :func:`_integral_gso`.
+    :func:`_integral_gso`.  The rows are read as they are, so they must be
+    rows of ints already checked by the public gate, such as the rows of a
+    :class:`LatticeBasis`.
 
     All-integer LLL (Cohen, Alg. 2.6.7): d and lam stay integers under every
     size reduction and swap, so no Fraction is built.  The result has the
     same row span over the integers, |mu_kj| <= 1/2 and the Lovasz condition
     B_k >= (3/4 - mu_k,k-1^2) B_k-1.
     """
-    b = list(map(list, _as_int_rows(rows)))
+    b = list(map(list, rows))
     m = len(b)
     d = [1]
     lam: list[list[int]] = []

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .errors import DimensionMismatchError, InternalConsistencyError, StructuralError
 from .exactlin import IntVector, LatticeBasis, _as_int_row, _check_basis
-from .norms import NormKind, NormValue, measure, require_kind
+from .norms import NormKind, NormValue, _L2, measure, require_kind
 
 
 class Reduced2DBasis(NamedTuple):
@@ -47,7 +47,7 @@ def min_translate(b2: IntVector, b1: IntVector, kind: NormKind) -> int:
     if not any(b1):
         raise StructuralError("translation vector must be nonzero")
 
-    if kind is NormKind.L2:
+    if kind is _L2:
         dot = sum(v * u for v, u in zip(b2, b1))
         sq = sum(u * u for u in b1)
         q = -dot // sq

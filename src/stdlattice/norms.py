@@ -25,6 +25,12 @@ class NormKind(enum.Enum):
     LINF = "linf"
 
 
+# The members bound once.  Under CPython 3.11 reading one off the class goes
+# through the enum metaclass's __getattr__, about 15 times slower than a
+# module global, and the per-leaf and per-call paths compare against them.
+_L1, _L2, _LINF = NormKind.L1, NormKind.L2, NormKind.LINF
+
+
 class _NormFields(NamedTuple):
     kind: NormKind
     value: Rational
@@ -82,7 +88,7 @@ class NormValue(_NormFields):
 
     @property
     def is_squared(self) -> bool:
-        return self.kind is NormKind.L2
+        return self.kind is _L2
 
 
 def _unknown_kind(kind: object) -> InputError:
@@ -109,16 +115,16 @@ def measure(coords: Sequence[Rational], kind: NormKind) -> NormValue:
     is a norm that is not an int or a Fraction (a float coordinate; under
     Linf also one that is not the largest)."""
     try:
-        if kind is NormKind.L1:
+        if kind is _L1:
             value = sum(map(abs, coords))
-        elif kind is NormKind.LINF:
+        elif kind is _LINF:
             coords = tuple(coords)  # read twice; a tuple is not copied
             value = max(map(abs, coords)) if coords else 0
             if type(sum(coords)) is not int:
                 # A float that is not the largest coordinate never reaches
                 # the max: refuse what L1 refuses, through NormValue.
                 NormValue(kind, sum(map(abs, coords)))
-        elif kind is NormKind.L2:
+        elif kind is _L2:
             coords = tuple(coords)  # read twice; a tuple is not copied
             value = sum(map(mul, coords, coords))
         else:
@@ -142,8 +148,10 @@ def enumeration_radius_in_l2(bound: NormValue, dim: int) -> NormValue:
     if not isinstance(bound, NormValue):
         raise InputError(f"bound must be a NormValue, got {type(bound).__name__}")
     _check_positive_int("dimension", dim)
-    if bound.kind is NormKind.L1:
-        return NormValue(NormKind.L2, bound.value * bound.value)
-    if bound.kind is NormKind.LINF:
-        return NormValue(NormKind.L2, dim * bound.value * bound.value)
-    return NormValue(NormKind.L2, bound.value)
+    value = bound.value
+    if bound.kind is _L1:
+        value = value * value
+    elif bound.kind is _LINF:
+        value = dim * value * value
+    # A checked bound's value times a positive int is still a valid value.
+    return tuple.__new__(NormValue, (_L2, value))

@@ -63,17 +63,21 @@ from .exactlin import (
     _echelon_insert,
     _echelon_of,
     _in_echelon,
+    _is_basis,
     _kernel_step,
     _pairwise_orthogonal,
     hnf_nonzero_rows,
-    is_basis_of,
 )
-from .norms import NormKind, measure, require_kind
+from .norms import NormKind, _L2, measure, require_kind
 
 
 class Verdict(enum.Enum):
     STANDARD = "Standard"
     NON_STANDARD = "NonStandard"
+
+
+# Bound once, as in ``norms``: a module global reads faster than an enum member.
+_STANDARD, _NON_STANDARD = Verdict.STANDARD, Verdict.NON_STANDARD
 
 
 class SearchStats(NamedTuple):
@@ -99,7 +103,7 @@ class StandardnessCertificate(NamedTuple):
 
     @property
     def standard(self) -> bool:
-        return self.verdict is Verdict.STANDARD
+        return self.verdict is _STANDARD
 
 
 def is_orthogonal_basis(basis: LatticeBasis) -> bool:
@@ -244,18 +248,20 @@ def check_standard(
         union = (v for value in dict.fromkeys(nv.value for nv in sm.minima) for v in pool[value])
         if not _generates(union, n, target_det):
             return StandardnessCertificate(
-                Verdict.NON_STANDARD, None, sm, SearchStats(level_candidates, 1)
+                _NON_STANDARD, None, sm, SearchStats(level_candidates, 1)
             )
         found, nodes = _backtrack(levels, sm, target_det, max_candidates)
     stats = SearchStats(level_candidates, nodes)
     if found is None:
-        return StandardnessCertificate(Verdict.NON_STANDARD, None, sm, stats)
-    if not is_basis_of(found, basis):
+        return StandardnessCertificate(_NON_STANDARD, None, sm, stats)
+    # The self-check folds the answer itself (``_is_basis``), apart from
+    # the greedy scan's echelon; the answer's rows are checked already.
+    if not _is_basis(found, basis):
         raise InternalConsistencyError("search returned a non-basis; this is a bug")
     for vec, nv in zip(found, sm.minima):
         if measure(vec, kind).value != nv.value:
             raise InternalConsistencyError("search returned a basis missing the minima")
-    return StandardnessCertificate(Verdict.STANDARD, found, sm, stats)
+    return StandardnessCertificate(_STANDARD, found, sm, stats)
 
 
 def _section_rows(
@@ -322,7 +328,7 @@ def standardize_low_dim(
     _check_basis(basis)
     if basis.dim > 4:
         raise StructuralError("constructive standardization is limited to dimension <= 4")
-    cert = check_standard(basis, NormKind.L2, max_candidates=max_candidates)
+    cert = check_standard(basis, _L2, max_candidates=max_candidates)
     if not cert.standard:
         raise InternalConsistencyError(
             f"dimension {basis.dim} lattice is NonStandard under L2, contradicting the theorem"

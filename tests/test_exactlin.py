@@ -40,6 +40,7 @@ from util import (
     random_unimodular,
     rank,
     reference_gso_rows,
+    reference_echelon_insert,
     reference_integral_gso,
     reference_section,
     reference_solve,
@@ -186,6 +187,62 @@ class TestHermiteForm:
             # zero rows trail
             nonzero = [any(row) for row in h]
             assert nonzero == sorted(nonzero, reverse=True)
+
+
+class TestDivisiblePivot:
+    # A pivot that divides the entry is taken as a plain subtraction; it must
+    # leave the echelon and the remainder that the extended-gcd step gives
+    # (util.reference_echelon_insert).  The rows are drawn with integer
+    # combinations of the rows before them, whose entries the pivots often
+    # divide.
+    @staticmethod
+    def corpus():
+        rng = random.Random(35)
+        cases = []
+        for _ in range(500):
+            n = rng.randint(1, 8)
+            rows = []
+            for _ in range(rng.randint(1, n + 3)):
+                if rows and rng.randrange(2):
+                    ks = [rng.randint(-3, 3) for _ in rows]
+                    rows.append([sum(k * r[j] for k, r in zip(ks, rows)) for j in range(n)])
+                else:
+                    rows.append([rng.randint(-4, 4) for _ in range(n)])
+            cases.append(rows)
+        return cases
+
+    def test_same_echelon_and_remainder_as_the_gcd_step(self):
+        divisible = 0
+        for rows in self.corpus():
+            n = len(rows[0])
+            got: dict = {}
+            want: dict = {}
+            for row in rows:
+                lead = next((c for c, x in enumerate(row) if x), None)
+                if lead in want and row[lead] % want[lead][lead] == 0:
+                    divisible += 1
+                assert exactlin._echelon_insert(got, list(row), n) == reference_echelon_insert(
+                    want, list(row), n
+                )
+                assert got == want
+        # The first step alone meets a divisible pivot this often.
+        assert divisible > 1000
+
+    def test_hermite_form_and_is_basis_of_agree_with_the_gcd_step(self, monkeypatch):
+        rng = random.Random(35)
+        cases = []
+        for rows in self.corpus()[:200]:
+            n = len(rows[0])
+            basis = random_basis(rng, n, -4, 4)
+            vectors = [list(r) for r in apply_unimodular(random_unimodular(rng, n), basis).rows]
+            if rng.randrange(2):
+                vectors[rng.randrange(n)] = [2 * x for x in vectors[rng.randrange(n)]]
+            cases.append((rows, basis, vectors))
+        got = [(hermite_form(rows), is_basis_of(vectors, basis)) for rows, basis, vectors in cases]
+        monkeypatch.setattr(exactlin, "_echelon_insert", reference_echelon_insert)
+        want = [(hermite_form(rows), is_basis_of(vectors, basis)) for rows, basis, vectors in cases]
+        assert got == want
+        assert {answer for _, answer in got} == {True, False}
 
 
 class TestSameLattice:

@@ -32,6 +32,7 @@ from stdlattice import (
     enumerate_short,
     enumeration_radius_in_l2,
     equality_case_analyze,
+    exactlin,
     gso,
     hermite_form,
     hnf_nonzero_rows,
@@ -364,3 +365,46 @@ def test_minima_witness_check_honours_max_dim():
     assert minima_witness_check(p4, sm, max_dim=4)
     with pytest.raises(ResourceLimitError, match="dimension 4 exceeds the configured cap 2"):
         minima_witness_check(p4, sm, max_dim=2)
+
+
+def test_rows_are_read_once_at_the_public_gate(monkeypatch):
+    # LLL, the minima search and check_standard's self-check take the rows
+    # of a LatticeBasis as they are; only the public calls read rows.  The
+    # bases and the answers are built before the reader is patched.
+    bases = [B2, LatticeBasis([[1, 1, 0], [1, -1, 0], [0, 1, 2]]), parity_lattice(4)]
+
+    def answers():
+        return [
+            (
+                [check_standard(b, kind) for kind in NormKind],
+                standardize_low_dim(b),
+                successive_minima(b, L1),
+                same_lattice(b, b),
+            )
+            for b in bases
+        ]
+
+    want = answers()
+    # A bool entry and a ragged row, each given to is_basis_of and LatticeBasis.
+    hostile = [
+        (lambda: is_basis_of([(1, 0), (True, 1)], B2), StructuralError, "must be integers"),
+        (lambda: LatticeBasis([[True, 0], [0, 1]]), StructuralError, "must be integers"),
+        (lambda: is_basis_of([(1, 0), (0, 1, 0)], B2), DimensionMismatchError, "length 3"),
+        (lambda: LatticeBasis([[1, 0], [0]]), StructuralError, "must be square"),
+    ]
+
+    def reread(row):
+        raise AssertionError("a row was read again past the public gate")
+
+    monkeypatch.setattr(exactlin, "_as_int_row", reread)
+    assert answers() == want
+    # The public calls still go through the reader before anything else.
+    for call, _, _ in hostile:
+        with pytest.raises(AssertionError, match="read again"):
+            call()
+    monkeypatch.undo()
+    for call, error, message in hostile:
+        with pytest.raises(error, match=message):
+            call()
+    with pytest.raises(InputError, match="expected a LatticeBasis"):
+        same_lattice(B2, [[True, 0], [0, 1]])

@@ -63,7 +63,7 @@ class TestCheckStandard:
         assert check_standard(parity_lattice(3), NormKind.L1).verdict is Verdict.NON_STANDARD
 
     def test_a_non_basis_from_the_search_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(standardness, "is_basis_of", lambda vectors, basis: False)
+        monkeypatch.setattr(standardness, "_is_basis", lambda rows, basis: False)
         with pytest.raises(InternalConsistencyError, match="search returned a non-basis"):
             check_standard(identity_basis(3), NormKind.L2)
 

@@ -411,6 +411,29 @@ def reference_greedy_minima(entries, want: int):
     return minima, witnesses, tracker.divisor
 
 
+def reference_echelon_insert(echelon: dict, vec, width: int):
+    """``exactlin._echelon_insert`` with the extended-gcd step taken at every
+    pivot, a divisible one included: g = gcd(p, x), s = p'^-1 mod |x'| (or
+    1) and t = (1 - s p') / x' for p' = p / g and x' = x / g.  Same contract:
+    None when ``vec`` opens a pivot, else its remainder."""
+    for c in range(width):
+        x = vec[c]
+        if not x:
+            continue
+        row = echelon.get(c)
+        if row is None:
+            echelon[c] = vec if x > 0 else [-a for a in vec]
+            return None
+        g = math.gcd(row[c], x)
+        p, x = row[c] // g, x // g
+        s = pow(p, -1, abs(x)) or 1
+        t = (1 - s * p) // x
+        if t:
+            echelon[c] = [s * a + t * b for a, b in zip(row, vec)]
+        vec = [p * b - x * a for a, b in zip(row, vec)]
+    return vec
+
+
 def reference_is_basis_of(vectors, basis: LatticeBasis) -> bool:
     """``is_basis_of`` by one rounding walk per vector over the input basis
     and a Bareiss determinant: every vector is a member and the covolumes
@@ -568,12 +591,14 @@ def reference_section(rows, spanning):
 def random_section_case(rng: random.Random):
     """A basis and n - 1 spanning vectors for ``section_lattice``: integer
     combinations of its rows, one in six times with a dependent last vector
-    and one in six with an entry moved off the lattice."""
+    (an integer combination of the vectors before it, one multiplier per
+    vector) and one in six with an entry moved off the lattice."""
     n = rng.randint(2, 5)
     basis = random_basis(rng, n, -4, 4)
     combos = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n - 1)]
     if n > 2 and rng.randrange(6) == 0:
-        combos[-1] = [rng.randint(-2, 2) * x + y for x, y in zip(combos[0], combos[1])]
+        ks = [rng.randint(-2, 2) for _ in combos[:-1]]
+        combos[-1] = [sum(k * row[j] for k, row in zip(ks, combos)) for j in range(n)]
     spanning = [list(row) for row in mat_mul(combos, basis.rows)]
     if rng.randrange(6) == 0:
         spanning[rng.randrange(n - 1)][rng.randrange(n)] += 1
