@@ -7,9 +7,10 @@ JSON object ({"dim": n, "basis": [[...], ...], "norm": "l2"}) or plain text
 text, or full structured certificates with --json.
 
 Exit codes: 0 success/Standard, 2 input error or output that cannot be
-written, 3 NonStandard verdict, 4 resource ceiling, 5 internal consistency
-failure.  A stdout pipe that the reader closed exits 2 with no message; any
-other write error, such as a full disk, exits 2 with one ``error:`` line.
+written, 3 NonStandard verdict, 4 resource ceiling, or memory or recursion
+depth run out, 5 internal consistency failure.  A stdout pipe that the
+reader closed exits 2 with no message; any other write error, such as a full
+disk, exits 2 with one ``error:`` line.
 An interrupt (Ctrl-C, SIGINT) exits 130, 128 + SIGINT as shells report it,
 with one ``interrupted`` line on stderr.
 """
@@ -521,6 +522,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
+    except RecursionError:
+        print("resource limit: maximum recursion depth exceeded", file=sys.stderr)
         return EXIT_RESOURCE
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)

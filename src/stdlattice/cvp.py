@@ -11,11 +11,12 @@ The rounding runs on integers (``exactlin._nearest_rows``): the target is
 scaled by its common denominator and each coefficient is an exact quotient
 of integers built from the integral Gram-Schmidt data of the rows
 (``exactlin._integral_gso``), so no Gram-Schmidt vector or Fraction is formed
-until the final distance.  The equality-case analysis reads membership off
-the same walk (``exactlin._round_off``): a point is in the lattice iff it
-lies in the span and the walk rounds no quotient.  Its half-odd test walks
-the scaled target doubled, (q, 2W) for v = W / q, so no Fraction is built
-per coordinate, and row norms and the bound are integer dot products.
+until the final distance.  The equality-case analysis builds no Gram-Schmidt
+data: half-odd coefficients make 2v a lattice point, so a target v = W / q
+whose denominator q does not divide 2 fails at once, and any other passes
+iff 2v - (b_1 + ... + b_n) lies in 2L, which exact division down one
+echelon of the doubled rows decides (``exactlin._in_echelon``).  Row norms
+and the bound are integer dot products.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from .exactlin import (
     _as_rational_row,
     _check_basis,
     _dot,
-    _integral_gso,
+    _echelon_of,
+    _in_echelon,
     _nearest_rows,
     _pairwise_orthogonal,
-    _round_off,
     _scaled,
 )
 
@@ -103,11 +104,16 @@ def equality_case_analyze(basis: LatticeBasis, target: Sequence[Rational]) -> Eq
 
 
 def _half_odd_coefficients(rows: Sequence[IntVector], target: Sequence[Rational]) -> bool:
-    """True iff ``target`` lies in the span of the independent ``rows`` with
-    every coefficient a half-odd integer, that is iff 2 * target is a
-    lattice point whose coefficients are all odd.  With target = W / q
-    scaled to integers, 2 * target is 2W / q, which the rounding walk takes
-    as it is."""
+    """True iff ``target`` lies in the span of the independent ``rows`` B with
+    every coefficient a half-odd integer.  Such a target makes 2 * target a
+    lattice point, so with target = W / q scaled to integers, q must divide
+    2.  Then u = 2 * target - sum(rows) is integral; if target = c B it is
+    (2c - 1) B, and c is half-odd iff 2c - 1 is even, that is iff u lies in
+    the lattice of the doubled rows 2B.  Independent rows make this hold
+    whether B is square or not, and a target off the span leaves u off it
+    too.  Exact division down one echelon of 2B decides it."""
     q, big_w = _scaled(target)
-    doubled, exact = _round_off(rows, q, [2 * w for w in big_w], _integral_gso(rows))
-    return exact and all(c % 2 for c in doubled)
+    if 2 % q:
+        return False
+    u = [(2 // q) * w - sum(col) for w, col in zip(big_w, zip(*rows))]
+    return _in_echelon(_echelon_of([[2 * a for a in row] for row in rows], len(u)), u)

@@ -12,17 +12,18 @@ and integer coefficients (``member``) are one walk over that data
 (``_round_off``): the scaled target's lam row gives each coefficient, from
 the last row to the first, as a rounded quotient that a lattice point
 leaves exact, so no linear system is solved; the walk takes the
-Gram-Schmidt data as an argument, so one build can serve many vectors.  It
-takes any integer pair (q, W) with target W / q, so the half-odd test in
-``cvp`` walks the doubled target as (q, 2W) and builds no Fraction.
+Gram-Schmidt data as an argument, so one build can serve many vectors.
 Rational results (the public ``gso``, squared distances) are
 ``fractions.Fraction``.  Every integer reduction, the Hermite form, the
 generation test in ``standardness`` and the integer kernel and minor gcd of
 ``_kernel_step``, comes from one row insertion, ``_echelon_insert``, and so
 from one extended-gcd step, which is a plain row subtraction when the pivot
 divides the entry.  The yes/no tests (``is_basis_of``, ``same_lattice``,
-and the membership and independence checks of
-``enumeration.minima_witness_check``) and the section of
+the membership and independence checks of
+``enumeration.minima_witness_check``, and the half-odd test of
+``cvp.equality_case_analyze``, which refuses a target whose common
+denominator does not divide 2 and otherwise divides 2v - (b_1 + ... + b_n)
+down the echelon of the doubled rows) and the section of
 ``standardness.section_lattice`` run on the same insertion and build no
 Gram-Schmidt data: rows are folded into one echelon form (``_echelon_of``),
 whose pivots give the rank and |det|, and a vector is divided down its
@@ -470,7 +471,6 @@ def _round_off(
     """Nearest-plane rounding of w = W / q onto the lattice of independent
     ``rows`` with integral data ``gso`` = (d, lam): (coeffs, exact), exact
     when W has Gram value zero (w in the span) and no quotient a remainder.
-    Any q > 0 with W = q w integral gives the same answer.
 
     From the last row to the first, s_j = <W, d_j b*_j> less the terms of
     the rows after j is x_j q d_j+1 for w's rational coefficient x_j, so

@@ -57,9 +57,11 @@ class FamilyReport(NamedTuple):
     certificate: StandardnessCertificate
 
 
-def parity_lattice(n: int) -> LatticeBasis:
-    """Basis of the rank-n parity lattice: 2e_1, ..., 2e_(n-1), (1, ..., 1)."""
+def parity_lattice(n: int, *, max_dim: int = DEFAULT_MAX_DIM) -> LatticeBasis:
+    """Basis of the rank-n parity lattice: 2e_1, ..., 2e_(n-1), (1, ..., 1).
+    A dimension over ``max_dim`` is refused before any row is built."""
     _check_positive_int("dimension", n)
+    _check_dim(n, max_dim)
     rows = [[2 if j == i else 0 for j in range(n)] for i in range(n - 1)]
     rows.append([1] * n)
     return LatticeBasis(rows)
@@ -74,9 +76,7 @@ def verify_family(
 ) -> FamilyReport:
     """Full report on the dimension-n parity lattice under ``kind``."""
     require_kind(kind)
-    _check_positive_int("dimension", n)
-    _check_dim(n, max_dim)
-    basis = parity_lattice(n)
+    basis = parity_lattice(n, max_dim=max_dim)
     cert = check_standard(basis, kind, max_candidates=max_candidates, max_dim=max_dim)
     sm = cert.minima
 

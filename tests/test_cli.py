@@ -587,6 +587,25 @@ class TestOutputFailures:
         assert "No space left on device" in lines[0]
 
 
+class TestMemoryAndRecursion:
+    @pytest.mark.parametrize("error", [MemoryError, RecursionError])
+    @pytest.mark.parametrize(
+        "stand_in, args",
+        [("successive_minima", ["minima"]), ("equality_case_analyze", ["nearest", "1/2", "1/2"])],
+    )
+    def test_exhaustion_exits_4_with_one_line(self, tmp_path, capsys, monkeypatch, error, stand_in, args):
+        def exhaust(*args, **kwargs):
+            raise error()
+
+        monkeypatch.setattr(cli, stand_in, exhaust)
+        path = write_json_basis(tmp_path, "z2.json", [[1, 0], [0, 1]])
+        code, out, err = run_cli([args[0], path, *args[1:]], capsys)
+        assert code == cli.EXIT_RESOURCE == 4
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("resource limit: ")
+
+
 class TestInterrupt:
     @pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
     def test_interrupt_exits_130_without_a_traceback(self, tmp_path):

@@ -3,6 +3,9 @@ from collections import Counter
 from fractions import Fraction
 from math import lcm
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from stdlattice import (
     LatticeBasis,
     NormKind,
@@ -13,6 +16,7 @@ from stdlattice import (
     member,
     nearest_plane,
 )
+from stdlattice import cvp, exactlin
 from stdlattice.cvp import _half_odd_coefficients
 from stdlattice.exactlin import _nearest_rows
 from util import (
@@ -27,6 +31,15 @@ from util import (
 
 def scaled_identity(n, k):
     return LatticeBasis([[k if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def independent(rows):
+    """True iff the rows are linearly independent, by the Fraction solve."""
+    try:
+        reference_solve(rows, rows[0])
+    except StructuralError:
+        return False
+    return True
 
 
 HADAMARD_4 = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
@@ -208,9 +221,9 @@ class TestEqualityCaseAnalyze:
         assert all(count >= 20 for count in seen.values()), seen
 
     def test_half_odd_walk_matches_the_fraction_solve(self):
-        # The walk takes the doubled scaled target (q, 2W) as it is.  Cases:
-        # odd and even common denominators q, non-members, targets off the
-        # span of fewer rows than coordinates, and dimension 1.
+        # Only a common denominator q dividing 2 can pass; the rest is the
+        # division in 2L.  Cases: odd and even q, non-members, targets off
+        # the span of fewer rows than coordinates, and dimension 1.
         rng = random.Random(61)
         seen = Counter()
         for i in range(600):
@@ -239,6 +252,78 @@ class TestEqualityCaseAnalyze:
         full_rank = LatticeBasis([[2, 0], [1, 3]])
         assert equality_case_analyze(full_rank, [Fraction(3, 2), Fraction(3, 2)]).half_integer_coefficients
         assert not equality_case_analyze(full_rank, [Fraction(1, 2), Fraction(3, 2)]).half_integer_coefficients
+
+    def test_answers_without_gram_schmidt_or_rounding(self, monkeypatch):
+        # Every binding of the Gram-Schmidt build and the rounding walk is
+        # refused.  The bases (LatticeBasis computes a determinant) and the
+        # Fraction-solve answers are made before the patches.
+        rng = random.Random(67)
+        cases = []
+        for i in range(240):
+            n = rng.randint(1, 5)
+            b = orthogonal_equal_norm_basis(rng, n) if i % 2 else random_basis(rng, n, -4, 4)
+            offsets = [Fraction(1, 2)] * 4 + [Fraction(0)] * 2 + [Fraction(1, 3), Fraction(1, 4)]
+            if i % 3:
+                cs = [rng.randint(-3, 3) + Fraction(1, 2) for _ in range(n)]
+            else:
+                cs = [rng.randint(-3, 3) + rng.choice(offsets) for _ in range(n)]
+            v = [sum(c * row[j] for c, row in zip(cs, b.rows)) for j in range(n)]
+            if i % 5 == 0:
+                v[rng.randrange(n)] += Fraction(1, rng.choice([1, 2, 3]))
+            x = reference_solve(b.rows, v)
+            expected = all((2 * c).denominator == 1 and (2 * c).numerator % 2 for c in x)
+            cases.append((b, v, expected))
+
+        def refuse(*args):
+            raise AssertionError("Gram-Schmidt data or the rounding walk was used")
+
+        for module in (exactlin, cvp):
+            for name in ("_integral_gso", "_round_off"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        seen = Counter()
+        for b, v, expected in cases:
+            assert equality_case_analyze(b, v).half_integer_coefficients == expected
+            q = lcm(*(Fraction(t).denominator for t in v))
+            seen[min(q, 3), expected] += 1
+        assert set(seen) == {(1, True), (1, False), (2, True), (2, False), (3, False)}, seen
+        assert min(seen.values()) >= 10, seen
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_half_odd_differential_against_the_fraction_solve(self, data):
+        # Dimensions 1-6, square and non-square independent rows, targets
+        # that are half-odd combinations of them or mix in other offsets,
+        # each with or without a perturbation that may leave the span.
+        n = data.draw(st.integers(1, 6), label="n")
+        m = data.draw(st.integers(1, n), label="m")
+        rows = data.draw(
+            st.lists(
+                st.tuples(*[st.integers(-4, 4)] * n), min_size=m, max_size=m
+            ).filter(independent),
+            label="rows",
+        )
+        ks = data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m), label="ks")
+        if data.draw(st.booleans(), label="all half-odd"):
+            offsets = [Fraction(1, 2)] * m
+        else:
+            offsets = data.draw(
+                st.lists(
+                    st.sampled_from([Fraction(1, 2), Fraction(0), Fraction(1, 4), Fraction(1, 3)]),
+                    min_size=m,
+                    max_size=m,
+                ),
+                label="offsets",
+            )
+        cs = [k + off for k, off in zip(ks, offsets)]
+        v = [sum(c * row[j] for c, row in zip(cs, rows)) for j in range(n)]
+        if data.draw(st.booleans(), label="perturbed"):
+            j = data.draw(st.integers(0, n - 1), label="coordinate")
+            v[j] += data.draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(-1, 2)]))
+        x = reference_solve(rows, v)
+        expected = x is not None and all((2 * c).denominator == 1 and (2 * c).numerator % 2 for c in x)
+        assert _half_odd_coefficients(rows, v) == expected
+        if m == n:
+            assert equality_case_analyze(LatticeBasis(rows), v).half_integer_coefficients == expected
 
     def test_characterization_implies_exact_equality(self):
         rng = random.Random(47)

@@ -418,6 +418,13 @@ def test_hnf_nonzero_rows_drops_padding():
     assert hnf_nonzero_rows([(2, 0), (0, 2), (1, 1)]) == ((1, 1), (0, 2))
 
 
+@pytest.mark.parametrize("call", [hermite_form, hnf_nonzero_rows])
+@pytest.mark.parametrize("mat", [[[1, 2], [3]], [[1], [2, 3]], [(4, 0, 1), (2, 1), (0, 0, 1)]])
+def test_a_ragged_matrix_is_refused(call, mat):
+    with pytest.raises(StructuralError, match="ragged matrix"):
+        call(mat)
+
+
 def maximal_minor_gcd(rows, n):
     """gcd of every k x k minor of the k x n matrix ``rows`` by cofactor
     expansion; 1 for no rows, 0 exactly when the rows are dependent."""

@@ -38,6 +38,23 @@ class TestParityLattice:
         with pytest.raises(ValueError):
             parity_lattice(0)
 
+    def test_dimension_cap_checked_before_any_row_or_determinant(self, monkeypatch):
+        # n = 10**4 would build 10**8 entries before the determinant.
+        def refuse(mat):
+            raise AssertionError("a determinant was computed")
+
+        monkeypatch.setattr(exactlin, "_bareiss_det", refuse)
+        with pytest.raises(ResourceLimitError, match="dimension 10000 exceeds the configured cap 12"):
+            parity_lattice(10**4)
+        with pytest.raises(ResourceLimitError, match="dimension 13 exceeds the configured cap 12"):
+            parity_lattice(13)
+        with pytest.raises(ResourceLimitError, match="dimension 5 exceeds the configured cap 4"):
+            parity_lattice(5, max_dim=4)
+
+    def test_a_larger_cap_admits_a_larger_dimension(self):
+        assert parity_lattice(13, max_dim=13).rows[-1] == (1,) * 13
+        assert verify_family(13, NormKind.L2, max_dim=13).verdict is Verdict.NON_STANDARD
+
     @pytest.mark.parametrize("n", [True, False, 2.5, "3", None])
     def test_rejects_a_dimension_that_is_not_an_int(self, n, monkeypatch):
         # Refused before the dimension cap or any arithmetic sees it.

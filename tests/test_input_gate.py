@@ -141,7 +141,10 @@ SLOTS = {
         "max_candidates": lambda x: verify_family(3, L2, max_candidates=x),
         "max_dim": lambda x: verify_family(3, L2, max_dim=x),
     },
-    "parity_lattice": {"dimension": parity_lattice},
+    "parity_lattice": {
+        "dimension": parity_lattice,
+        "max_dim": lambda x: parity_lattice(3, max_dim=x),
+    },
     "reduce_2d": {
         "basis": lambda x: reduce_2d(x, L2),
         "entry": lambda x: reduce_2d(basis_with(x), L1),
