@@ -2,7 +2,7 @@ import inspect
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stdlattice import (
@@ -18,7 +18,7 @@ from stdlattice import (
     norm2d,
     reduce_2d,
 )
-from util import identity_basis, random_basis
+from util import identity_basis, random_basis, reference_min_translate
 
 ENTRIES = st.integers(-9, 9)
 VECTORS = st.tuples(ENTRIES, ENTRIES)
@@ -76,27 +76,33 @@ class TestMinTranslate:
         with pytest.raises(StructuralError):
             min_translate((1, 1), (0, 0), NormKind.L2)
 
-    @pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
-    def test_measures_each_input_at_most_once(self, monkeypatch, kind):
-        # ||b2|| is f(0), which the check at 0 measures, and the bisection
-        # starts at q = +-1, so b2 is measured once and b1 only for its bound.
+    @pytest.mark.parametrize(
+        "kind, expected, translates",
+        [(NormKind.L1, -3, [(-1, -7), (1, -6)]), (NormKind.LINF, -1, [(3, -5), (5, -4)])],
+    )
+    def test_measures_each_input_at_most_once(self, monkeypatch, kind, expected, translates):
+        # The only real minimizer is -7/2 under L1 and -4/3 under Linf, so
+        # only the two translates around it are measured, floor first, and
+        # neither b2 nor b1 is.  Under Linf q = -2 and q = -1 tie at 5, and
+        # the one nearer 0 wins.
         measured = []
         real_measure = norm2d.measure
         monkeypatch.setattr(norm2d, "measure", lambda v, k: measured.append(v) or real_measure(v, k))
         b2, b1 = (7, -3), (2, 1)
-        assert min_translate(b2, b1, kind) == brute_translate(b2, b1, kind)
-        assert measured.count(b2) == 1
-        assert measured.count(b1) == 1
+        assert min_translate(b2, b1, kind) == expected == brute_translate(b2, b1, kind)
+        assert b2 not in measured and b1 not in measured
+        assert measured == translates
 
-    @pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
-    def test_measures_no_translate_twice(self, monkeypatch, kind):
-        # The bisection reads f(st) at neighbouring t and f(+-1) again; each
-        # translate is measured once per call all the same.
+    @pytest.mark.parametrize("kind, inside, compared", [(NormKind.L1, 76, 124), (NormKind.LINF, 55, 145)])
+    def test_measures_no_translate_twice(self, monkeypatch, kind, inside, compared):
+        # Each call either finds an integer inside the interval of real
+        # minimizers and measures nothing, or compares the two integers
+        # around it with one measure each; both branches are pinned.
         measured = []
         real_measure = norm2d.measure
         monkeypatch.setattr(norm2d, "measure", lambda v, k: measured.append(v) or real_measure(v, k))
         rng = random.Random(79)
-        bisected = 0
+        branches = {0: 0, 2: 0}
         for _ in range(200):
             n = rng.randint(2, 4)
             b1 = tuple(rng.randint(-5, 5) for _ in range(n))
@@ -106,17 +112,33 @@ class TestMinTranslate:
             measured.clear()
             assert min_translate(b2, b1, kind) == brute_translate(b2, b1, kind, window=700)
             assert len(measured) == len(set(measured)), measured
-            bisected += len(measured) > 4
-        assert bisected >= 100
+            assert len(measured) in branches, measured
+            branches[len(measured)] += 1
+        assert branches == {0: inside, 2: compared}
 
     @pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
-    def test_measures_three_translates_when_zero_is_optimal(self, monkeypatch, kind):
+    def test_measures_nothing_when_zero_is_optimal(self, monkeypatch, kind):
+        # 0 lies in the interval of real minimizers: {0} under L1, [-5, 5]
+        # under Linf, so the answer needs no measure.
         measured = []
         real_measure = norm2d.measure
         monkeypatch.setattr(norm2d, "measure", lambda v, k: measured.append(v) or real_measure(v, k))
         b2, b1 = (0, 5, -2), (1, 0, 0)
         assert min_translate(b2, b1, kind) == 0
-        assert sorted(measured) == sorted([b2, (1, 5, -2), (-1, 5, -2)])
+        assert measured == []
+
+    @pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
+    def test_giant_entries_cost_at_most_two_measures(self, monkeypatch, kind):
+        # 3,000-digit entries: the closed form measures at most the two
+        # integers around the real minimizer, where a search over q would
+        # measure a number of translates that grows with the digits.
+        b2, b1 = (3 * 10**3000 + 1, -7 * 10**3000), (2, 1)
+        expected = reference_min_translate(b2, b1, kind)
+        measured = []
+        real_measure = norm2d.measure
+        monkeypatch.setattr(norm2d, "measure", lambda v, k: measured.append(v) or real_measure(v, k))
+        assert min_translate(b2, b1, kind) == expected
+        assert len(measured) <= 2
 
     @pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
     @pytest.mark.parametrize("side", ["left", "right", "across"])
@@ -138,6 +160,61 @@ class TestMinTranslate:
             expected = {"left": c + h, "right": c - h, "across": 0}[side]
             assert min_translate(b2, b1, kind) == expected
             assert brute_translate(b2, b1, kind) == expected
+
+    @pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
+    def test_differential_against_the_bisection(self, kind):
+        # 10,000 seeded cases a norm against the bisection the closed form
+        # replaced: dims 1-6, b1 with zero coordinates, entries up to 10^30,
+        # and the plateau shapes of test_differential_on_plateaus scaled up.
+        rng = random.Random(f"bisection-{kind.value}")
+        seen = {"one coordinate": 0, "zero in b1": 0, "plateau": 0, "giant": 0}
+        for _ in range(10_000):
+            big = 10 ** rng.randint(0, 30)
+            if rng.random() < 0.2:
+                n = rng.randint(2, 6)
+                h, c = rng.randint(1, big), rng.randint(-2 * big, 2 * big)
+                if kind is NormKind.LINF:
+                    b1 = (1,) + (0,) * (n - 1)
+                    b2 = (-c, h) + tuple(rng.randint(-h, h) for _ in range(n - 2))
+                else:
+                    b1 = (1, 1) + (0,) * (n - 2)
+                    b2 = (h - c, -h - c) + tuple(rng.randint(-big, big) for _ in range(n - 2))
+                seen["plateau"] += 1
+            else:
+                n = rng.randint(1, 6)
+                small = rng.choice([1, 3, 9, 100, big])
+                b1 = tuple(rng.choice([0, rng.randint(-small, small)]) for _ in range(n))
+                if not any(b1):
+                    b1 = b1[:-1] + (rng.choice([-1, 1]) * rng.randint(1, small),)
+                b2 = tuple(rng.randint(-big, big) for _ in range(n))
+            seen["one coordinate"] += n == 1
+            seen["zero in b1"] += 0 in b1
+            seen["giant"] += max(map(abs, b2)) >= 10**25
+            assert min_translate(b2, b1, kind) == reference_min_translate(b2, b1, kind), (b2, b1)
+        assert min(seen.values()) >= 1000, seen
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(
+                st.tuples(*[st.integers(-60, 60)] * n),
+                st.tuples(*[st.integers(-5, 5)] * n).filter(any),
+            )
+        ),
+        st.sampled_from([NormKind.L1, NormKind.LINF]),
+    )
+    @example(((7,), (2,)), NormKind.L1)
+    @example(((7,), (-2,)), NormKind.LINF)
+    @example(((3, -40, 9), (0, 3, 0)), NormKind.L1)
+    @example(((3, -40, 9), (0, 3, 0)), NormKind.LINF)
+    def test_differential_against_the_scan(self, vectors, kind):
+        # The answer lies within 1 of the hull of 0 and the breakpoints
+        # -b2_i / b1_i, all within 60 of 0, so the scan's window of 400
+        # covers it.
+        # The examples pin one coordinate and b1 with zero coordinates, whose
+        # constants set the least value under Linf.
+        b2, b1 = vectors
+        assert min_translate(b2, b1, kind) == brute_translate(b2, b1, kind)
 
     @pytest.mark.parametrize("kind", list(NormKind))
     def test_differential_in_two_to_four_coordinates(self, kind):
@@ -276,7 +353,20 @@ class TestReduce2D:
         for basis in [random_basis(rng, 2, -40, 40) for _ in range(60)]:
             for kind in NormKind:
                 reduce_2d(basis, kind)
-        assert len(measured) == 2073
+        assert len(measured) == 1359
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_giant_entries_cost_five_measures(self, monkeypatch, kind):
+        # b2 = (10^3000, 1) against b1 = e1: one translate by -10^3000 (L1,
+        # L2) or -10^3000 + 1 (Linf) reaches a vector of norm 1, and the step
+        # after it is 0.  The two inputs, that translate and the criterion's
+        # b2 + b1 and b2 - b1 are all that is measured.
+        measured = []
+        real_measure = norm2d.measure
+        monkeypatch.setattr(norm2d, "measure", lambda v, k: measured.append(v) or real_measure(v, k))
+        red = reduce_2d(LatticeBasis([[1, 0], [10**3000, 1]]), kind)
+        assert [nv.value for nv in red.norms] == [1, 1]
+        assert len(measured) == 5
 
 
 class TestGaussCriterion:

@@ -5,8 +5,9 @@ determinants, a raw coefficient-box product scan that checks that walk, a
 Fraction Gram-Schmidt and the nearest-plane rounding built on it, a
 Fraction Gauss-Jordan solve, one forced minima pass and the start bounds
 of a one-pass minima search, the greedy witness scan by rank tracker and
-the backtrack on it, the two-Hermite-form section, and the basis test by
-rounding walk and determinant)."""
+the backtrack on it, the two-Hermite-form section, the basis test by
+rounding walk and determinant, and the bisection that found
+``min_translate``'s best L1 and Linf translate)."""
 
 from __future__ import annotations
 
@@ -432,6 +433,36 @@ def reference_echelon_insert(echelon: dict, vec, width: int):
             echelon[c] = [s * a + t * b for a, b in zip(row, vec)]
         vec = [p * b - x * a for a, b in zip(row, vec)]
     return vec
+
+
+def reference_min_translate(b2, b1, kind: NormKind) -> int:
+    """``norm2d.min_translate`` under L1 or Linf by bisection on the measured
+    translates, as the library did before its closed form: q = 0 wins when
+    neither neighbour is shorter than f(0); otherwise, by convexity, every
+    minimizer lies on the shorter neighbour's side s, at |q| <= 2||b2|| /
+    ||b1||, and the bisection finds the least t >= 1 with f(s(t + 1)) >=
+    f(st).  Ties resolve to the smallest |q|, then the nonnegative one."""
+    if kind is NormKind.L2:
+        raise ValueError("the bisection reference covers L1 and Linf")
+    values = {}
+
+    def f(q: int):
+        if q not in values:
+            values[q] = measure(tuple(v + q * u for v, u in zip(b2, b1)), kind).value
+        return values[q]
+
+    f0, up, down = f(0), f(1), f(-1)
+    if up >= f0 <= down:
+        return 0
+    s = 1 if up < f0 else -1
+    lo, hi = 1, -((-2 * f0) // measure(b1, kind).value)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if f(s * (mid + 1)) >= f(s * mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return s * lo
 
 
 def reference_is_basis_of(vectors, basis: LatticeBasis) -> bool:
