@@ -38,16 +38,21 @@ row's Gram-Schmidt vector, <v, b*> = x ||b*||^2, so by Hoelder's inequality
 Linf (||b*||^2 = d_n / d_n-1 itself under L2).  With the integer star row
 g = d_n-1 b* that is d_n / ||g||_dual: the top level of the per-level box,
 whose star rows the record builds once.  The bounding vectors are the
-reduced rows; under L1/Linf an L2 minima search runs first only when the
-floor leaves room below the rows' N_n (N_n - 1 >= p/q, norms being
-integers there), and its witnesses replace the rows when their largest norm
-is smaller.  Where the floor leaves no room the witnesses could not be
-shorter, so skipping that search changes nothing.  When the norms have the
-parity shape (N_1 < N_n-1 = N_n) and N_1 reaches the floor, one probe pass
-at N_1 runs first; if it finds n independent vectors it covers lambda_n and
-the minima are read off it, and otherwise the pass at N_n runs.  A probe
-below the floor could not succeed, and its radius is below N_n, so its
-search tree is a subset of that pass's.
+reduced rows.  Under L1/Linf norms are integers, so lambda_n >= c, the
+least integer >= p/q, and the floor leaves room below the rows' N_n
+exactly when c < N_n.  Only then does anything run before the pass at N_n,
+and first a pass at c: if it finds n independent vectors, lambda_n = c and
+the minima are read off it, since the sorted entries up to lambda_n are the
+same in every pass whose bound covers lambda_n.  Otherwise lambda_n > c,
+and an L2 minima search runs, whose witnesses replace the rows when their
+largest norm is smaller.  Where the floor leaves no room neither pass could
+lower the bound, so skipping them changes nothing.  Then, when the norms
+have the parity shape (N_1 < N_n-1 = N_n) and N_1 reaches the floor (above
+c under L1/Linf, as the pass at c failed), one probe pass at N_1 runs; if
+it finds n independent vectors it covers lambda_n and the minima are read
+off it, and otherwise the pass at N_n runs.  A probe below the floor could
+not succeed.  The pass at c and the probe lie below N_n, so their search
+trees are subsets of that pass's.
 """
 
 from __future__ import annotations
@@ -334,6 +339,16 @@ def _sorted_norms(vectors: Sequence[IntVector], kind: NormKind) -> list:
     return sorted(measure(v, kind).value for v in vectors)
 
 
+def _read_pass(
+    search: _ReducedSearch, kind: NormKind, value, want: int, max_candidates: int
+) -> tuple[SuccessiveMinima, list[MeasuredVector], int]:
+    """One pass at ``value`` under ``kind`` and its greedy scan: fewer than
+    ``want`` witnesses mean the pass lies below lambda_want."""
+    entries = _enumerate_rows(search, NormValue(kind, value), max_candidates)
+    minima, witnesses, witness_det = _greedy_minima(entries, want)
+    return SuccessiveMinima(kind, tuple(minima), tuple(witnesses)), entries, witness_det
+
+
 def _reduced_minima(
     search: _ReducedSearch, kind: NormKind, max_candidates: int
 ) -> tuple[SuccessiveMinima, list[MeasuredVector], int]:
@@ -341,31 +356,38 @@ def _reduced_minima(
     they were read from and |det| of the witnesses, the product of the
     pivots of the greedy scan's echelon form.  This is the one place where
     the passes of a minima search are decided: the floor on lambda_n, the
-    L2 bounding search and the probe, as the module docstring derives them.
-    A pass at N_n that finds fewer than n independent vectors is a bug,
-    never a short answer.
+    pass at that floor, the L2 bounding search and the probe, as the module
+    docstring derives them.  A pass at N_n that finds fewer than n
+    independent vectors is a bug, never a short answer.
     """
     p, q = search.floor(kind)
     norms = _sorted_norms(search.rows, kind)
+    m = len(norms)
     if kind is not _L2 and (norms[-1] - 1) * q >= p:
+        # Norms are integers here, so lambda_n >= c = ceil(p / q) < N_n.  A
+        # pass at c that finds n independent vectors has lambda_n = c, and
+        # one that does not raises the floor to c + 1.
+        c = -(-p // q)
+        found = _read_pass(search, kind, c, m, max_candidates)
+        if len(found[0].witnesses) == m:
+            return found
+        p, q = c + 1, 1
         # The L2 search is cheap on the reduced rows, and its witnesses are
         # n independent vectors that are often much shorter in ``kind``.
         l2 = _reduced_minima(search, _L2, max_candidates)[0]
         witness_norms = _sorted_norms(l2.witnesses, kind)
         if witness_norms[-1] < norms[-1]:
             norms = witness_norms
-    m = len(norms)
     low, top = norms[0], norms[-1]
     bounds = [top]
     if low < top == norms[-2] and low * q >= p:
         bounds.insert(0, low)
     for value in bounds:
-        entries = _enumerate_rows(search, NormValue(kind, value), max_candidates)
-        minima, witnesses, witness_det = _greedy_minima(entries, m)
-        if len(witnesses) == m:
-            return SuccessiveMinima(kind, tuple(minima), tuple(witnesses)), entries, witness_det
+        found = _read_pass(search, kind, value, m, max_candidates)
+        if len(found[0].witnesses) == m:
+            return found
     raise InternalConsistencyError(
-        f"bound {top} lies below lambda_{m}: {len(witnesses)} independent vectors found"
+        f"bound {top} lies below lambda_{m}: {len(found[0].witnesses)} independent vectors found"
     )
 
 

@@ -21,7 +21,6 @@ two integers around them, and two norm evaluations decide which.
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import lcm
 from typing import NamedTuple
 
@@ -64,7 +63,12 @@ def min_translate(b2: IntVector, b1: IntVector, kind: NormKind) -> int:
       |b2_i b1_j - b2_j b1_i| / (|b1_i| + |b1_j|), where the two legs cross;
       a pair with one b1 entry zero gives that coordinate's constant, a pair
       with both zero adds nothing, and one coordinate alone gives t = 0.
-      The minimizers are the q with w_i |q - r_i| <= t for every i.
+      The minimizers are the q with w_i |q - r_i| <= t for every i.  The
+      largest pair bound is reached without visiting every pair: t starts
+      at the constants, and while that set is empty at t, the leg with the
+      highest low end and the one with the lowest high end cross above t,
+      so t rises to their pair bound (``_linf_ends``).  Each step raises t
+      strictly and never past the least value, so it stops there.
 
     Every integer in [ceil(lo), floor(hi)] is a minimizer, and 0 clamped into
     that range is the one nearest 0.  When the range is empty, lo and hi lie
@@ -104,25 +108,46 @@ def min_translate(b2: IntVector, b1: IntVector, kind: NormKind) -> int:
         p_hi, w_hi = legs[k + 1] if below == total else legs[k]
         a, b = -(-p // w), p_hi // w_hi
     else:
-        # t = num / den, the largest pair bound: the constants |b2_i| where
-        # b1_i = 0, then |p_i w_j - p_j w_i| = |b2_i b1_j - b2_j b1_i| over
-        # pairs of legs.
+        # t = num / den starts at the constants |b2_i| where b1_i = 0 and
+        # climbs pair bounds until the minimizers' interval is nonempty.
         num, den = 0, 1
         if len(legs) < len(b1):
             num = max([abs(v) for v, u in zip(b2, b1) if not u])
-        for (p, w), (p2, w2) in combinations(legs, 2):
-            c, d = abs(p * w2 - p2 * w), w + w2
-            if c * den > num * d:
-                num, den = c, d
-        # ceil and floor of r_i -+ t / w_i = (p_i den -+ num) / (w_i den).
-        a = max([-((num - p * den) // (w * den)) for p, w in legs])
-        b = min([(p * den + num) // (w * den) for p, w in legs])
+        while True:
+            (lo_p, lo_w), (hi_p, hi_w) = _linf_ends(legs, num, den)
+            # The interval's ends r_i -+ t / w_i = (p_i den -+ num) / (w_i den).
+            lo_x, hi_x = lo_p * den - num, hi_p * den + num
+            if lo_x * hi_w <= hi_x * lo_w:
+                break
+            num, den = lo_p * hi_w - hi_p * lo_w, lo_w + hi_w
+        a, b = -(-lo_x // (lo_w * den)), hi_x // (hi_w * den)
 
     if a <= b:
         return a if a > 0 else b if b < 0 else 0
     at_b = measure(tuple(v + b * u for v, u in zip(b2, b1)), kind).value
     at_a = measure(tuple(v + a * u for v, u in zip(b2, b1)), kind).value
     return b if at_b < at_a or (at_b == at_a and b >= 0) else a
+
+
+def _linf_ends(legs, num: int, den: int):
+    """The legs at the two ends of {q : w_i |q - r_i| <= t for every i} at
+    t = num / den: the one with the largest r_i - t / w_i = (p_i den - num)
+    / (w_i den) and the one with the smallest r_j + t / w_j, compared by
+    cross multiplication.  When the first end passes the second, the two
+    legs cross at their pair bound (p_i w_j - p_j w_i) / (w_i + w_j), which
+    exceeds t and is at most the least value of ||b2 + q b1||."""
+    lo = hi = legs[0]
+    lo_x = lo[0] * den - num
+    hi_x = lo_x + 2 * num
+    for leg in legs:
+        p, w = leg
+        x = p * den - num
+        if x * lo[1] > lo_x * w:
+            lo, lo_x = leg, x
+        x += 2 * num
+        if x * hi[1] < hi_x * w:
+            hi, hi_x = leg, x
+    return lo, hi
 
 
 def _gauss_loop(

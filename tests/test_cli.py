@@ -409,14 +409,15 @@ class TestErrorClasses:
         assert "1 candidate evaluations (l1 pass, bound 1)" in err
 
     def test_resource_ceiling_names_the_l2_pass(self, tmp_path, capsys):
-        # A Linf search on the parity lattice still runs its L2 search first.
-        path = write_json_basis(tmp_path, "l4.json", parity_rows(4))
+        # The Linf pass at the floor 2 (4 candidates) finds fewer than three
+        # independent vectors, so the L2 search runs next (10 candidates).
+        path = write_json_basis(tmp_path, "skew.json", [[3, -1, -2], [-3, 1, -4], [2, -3, 1]])
         code, out, err = run_cli(
-            ["minima", path, "--norm", "linf", "--max-candidates", "27"], capsys
+            ["minima", path, "--norm", "linf", "--max-candidates", "9"], capsys
         )
         assert code == 4
         assert out == ""
-        assert "27 candidate evaluations (l2 pass, bound 4)" in err
+        assert "9 candidate evaluations (l2 pass, bound 14)" in err
 
     def test_resource_ceiling_bounds_the_standardness_search(self, tmp_path, capsys):
         path = write_json_basis(tmp_path, "deep.json", deep_backtrack_l1_rows())

@@ -213,14 +213,15 @@ class TestSuccessiveMinima:
 
     def test_ceiling_in_the_l2_pass_of_an_l1_search(self):
         # L1/Linf minima run the L2 minima for their start bound when the
-        # floor on lambda_n leaves room below the rows' bound; the error says
-        # which of the two passes ran out.  On Z^3 under L1 the floor is
-        # 1 = N_n, so only the L1 pass runs; parity_lattice(4) under Linf
-        # still makes its L2 pass first.
+        # floor on lambda_n leaves room below the rows' bound and the pass at
+        # that floor finds fewer than n independent vectors; the error says
+        # which pass ran out.  On Z^3 under L1 the floor is 1 = N_n, so only
+        # the L1 pass runs.  WORK_TABLE[4] under Linf makes its floor pass
+        # at 3 (9 candidates) and then its L2 pass at 37 (14 candidates).
         with pytest.raises(ResourceLimitError, match=r"\(l1 pass, bound 1\)$"):
             successive_minima(identity_basis(3), NormKind.L1, max_candidates=1)
-        with pytest.raises(ResourceLimitError, match=r"exceeded 27 .*\(l2 pass, bound 4\)$"):
-            successive_minima(parity_lattice(4), NormKind.LINF, max_candidates=27)
+        with pytest.raises(ResourceLimitError, match=r"exceeded 13 .*\(l2 pass, bound 37\)$"):
+            successive_minima(LatticeBasis(WORK_TABLE[4][0]), NormKind.LINF, max_candidates=13)
 
     def test_z9_linf_within_a_small_ceiling(self):
         # The Linf pass at bound 1 on Z^9 keeps each level's coefficients in
@@ -354,7 +355,7 @@ WORK_TABLE = [
     ),
     (parity_lattice(5).rows, L2, None, 34, "33 candidate evaluations (l2 pass, bound 4)"),
     (parity_lattice(6).rows, L1, 6, 5359, "5358 candidate evaluations (l1 pass, bound 6)"),
-    (parity_lattice(4).rows, LINF, None, 28, "27 candidate evaluations (l2 pass, bound 4)"),
+    (parity_lattice(4).rows, LINF, None, 25, "24 candidate evaluations (linf pass, bound 1)"),
 ]
 
 
@@ -417,9 +418,12 @@ class TestExactWork:
         [
             # The floor 1 meets N_n = 1: no L2 search.
             (identity_basis(3).rows, L1, [(L1, 1)]),
-            # The floor 1 leaves room below N_n = 2: the L2 search runs, and
-            # its witnesses lower the bound to 1.
-            (parity_lattice(4).rows, LINF, [(L2, 4), (LINF, 1)]),
+            # The floor 1 leaves room below N_n = 2, and the pass at the
+            # floor holds n independent vectors: no L2 search.
+            (parity_lattice(4).rows, LINF, [(LINF, 1)]),
+            # The floor pass at 3 finds fewer than n independent vectors:
+            # the L2 search runs, and its witnesses lower the bound to 5.
+            (WORK_TABLE[4][0], LINF, [(LINF, 3), (L2, 37), (LINF, 5)]),
             # Norms 3, 4, 4 and the floor 196/56 = 3.5: neither the L2 search
             # nor the probe at 3 can lower the bound, though the probe's L2
             # radius reaches the last Gram-Schmidt length.
@@ -446,14 +450,14 @@ class TestExactWork:
         monkeypatch.setattr(enumeration, "measure", counted)
         return count
 
-    @pytest.mark.parametrize("n, expected", [(3, 23), (4, 36), (5, 25), (6, 30), (7, 35)])
+    @pytest.mark.parametrize("n, expected", [(3, 10), (4, 16), (5, 10), (6, 12), (7, 14)])
     def test_leaf_count_l1_parity_check(self, leaves, n, expected):
         check_standard(parity_lattice(n), L1)
         assert leaves[0] == expected
 
     @pytest.mark.parametrize(
         "rows, kind, expected",
-        [(SKEWED_5, L1, 317), (WORK_TABLE[7][0], L2, 18), (WORK_TABLE[8][0], LINF, 494)],
+        [(SKEWED_5, L1, 320), (WORK_TABLE[7][0], L2, 18), (WORK_TABLE[8][0], LINF, 572)],
     )
     def test_leaf_count_skewed_minima(self, leaves, rows, kind, expected):
         successive_minima(LatticeBasis(rows), kind)
@@ -576,8 +580,8 @@ class TestLambdaNFloor:
 
 class TestOneReductionPerSearch:
     # A search reduces its basis once and builds its star rows at most once,
-    # whatever passes it makes: an L1/Linf search's L2 bounding search reuses
-    # both, and an L2 search builds no star row at all.
+    # whatever passes it makes: an L1/Linf search's floor pass and L2
+    # bounding search reuse both, and an L2 search builds no star row at all.
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = {"_lll_rows": 0, "_star_rows": 0}
@@ -593,8 +597,18 @@ class TestOneReductionPerSearch:
     @pytest.mark.parametrize(
         "call, made, star_rows",
         [
-            (lambda: successive_minima(parity_lattice(4), LINF), [(L2, 4), (LINF, 1)], 1),
-            (lambda: check_standard(parity_lattice(6), L1), [(L2, 4), (L1, 2)], 1),
+            (lambda: successive_minima(parity_lattice(4), LINF), [(LINF, 1)], 1),
+            (lambda: check_standard(parity_lattice(6), L1), [(L1, 2)], 1),
+            (
+                lambda: successive_minima(LatticeBasis(WORK_TABLE[4][0]), LINF),
+                [(LINF, 3), (L2, 37), (LINF, 5)],
+                1,
+            ),
+            (
+                lambda: check_standard(LatticeBasis(WORK_TABLE[9][0]), L1),
+                [(L1, 5), (L2, 27), (L1, 7), (L1, 10)],
+                1,
+            ),
             (
                 lambda: check_standard(LatticeBasis(((-2, -2, 3), (1, -2, -3), (2, -3, 2))), L2),
                 [(L2, 14), (L2, 17)],

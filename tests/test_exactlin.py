@@ -425,6 +425,13 @@ def test_a_ragged_matrix_is_refused(call, mat):
         call(mat)
 
 
+@pytest.mark.parametrize("call", [hermite_form, hnf_nonzero_rows])
+@pytest.mark.parametrize("mat", [[], ()])
+def test_an_empty_matrix_is_refused(call, mat):
+    with pytest.raises(StructuralError, match="^empty matrix$"):
+        call(mat)
+
+
 def maximal_minor_gcd(rows, n):
     """gcd of every k x k minor of the k x n matrix ``rows`` by cofactor
     expansion; 1 for no rows, 0 exactly when the rows are dependent."""

@@ -159,9 +159,10 @@ class TestVerifyFamily:
                 passes.clear()
                 verify_family(n, kind)
                 assert passes == alone, (n, kind)
-                # Under L1/Linf the L2 pass runs only for n >= 3: for n <= 2
-                # the floor on lambda_n meets the reduced rows' bound.
-                assert len(alone) == (1 if kind is NormKind.L2 or n <= 2 else 2), (n, kind)
+                # One pass for every n and kind: under L1/Linf the floor on
+                # lambda_n meets the reduced rows' bound for n <= 2, and for
+                # n >= 3 the pass at the floor holds n independent vectors.
+                assert len(alone) == 1, (n, kind)
 
     @pytest.mark.parametrize("norm, even", [("l1", 2), ("l2", 4)])
     def test_cli_family_12(self, norm, even, capsys):

@@ -140,6 +140,21 @@ class TestMinTranslate:
         assert min_translate(b2, b1, kind) == expected
         assert len(measured) <= 2
 
+    @pytest.mark.parametrize("n, steps, expected", [(2, 2, 78_893), (3_000, 5, -32)])
+    def test_linf_climbs_a_few_pair_bounds(self, monkeypatch, n, steps, expected):
+        # Under Linf the least value is reached by raising t from 0 through
+        # pair bounds, each step one scan of the legs; on 3,000 coordinates
+        # a few steps replace the scan of all 4.5 million pairs.
+        rng = random.Random(3)
+        b1 = tuple(rng.randint(-9, 9) for _ in range(n))
+        b2 = tuple(rng.randint(-(10**6), 10**6) for _ in range(n))
+        made = []
+        real_ends = norm2d._linf_ends
+        monkeypatch.setattr(norm2d, "_linf_ends", lambda *args: made.append(1) or real_ends(*args))
+        assert min_translate(b2, b1, NormKind.LINF) == expected
+        assert reference_min_translate(b2, b1, NormKind.LINF) == expected
+        assert len(made) == steps
+
     @pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
     @pytest.mark.parametrize("side", ["left", "right", "across"])
     def test_differential_on_plateaus(self, kind, side):

@@ -8,14 +8,20 @@ one forced pass at the largest of those norms, the bound a one-pass search
 starts from.  For dimensions <= 5 the brute-force
 oracle pins the minima independently.
 
-Under L1/Linf the L2 bounding search runs, and the probe runs, only when the
-floor on lambda_n says they can lower the bound.  The whole result (minima,
-witnesses, the entries of the pass and |det| of the witnesses) must equal
-that of a forced path that always runs the L2 search and every probe the
-norms' shape allows.
+Under L1/Linf a pass at the least integer above the floor on lambda_n runs
+first when that floor leaves room below the reduced rows' bound, and answers
+when it holds n independent vectors; only otherwise do the L2 bounding
+search and the probe run.  The whole result (minima, witnesses, the entries
+of the pass and |det| of the witnesses) must equal that of a forced path
+that makes the floor pass ungated, then always runs the L2 search and every
+probe the norms' shape allows.  Against the same forced path without the
+floor pass, the minima, witnesses and |det| of the witnesses must be equal,
+and the entries must be the forced path's entries up to lambda_n.
 """
 
 import random
+from collections import Counter
+from math import ceil
 
 import pytest
 from hypothesis import assume, given, settings
@@ -26,17 +32,27 @@ from stdlattice import (
     NormKind,
     brute_minima,
     check_standard,
+    enumeration,
     parity_lattice,
     standardness,
     successive_minima,
 )
-from stdlattice.enumeration import DEFAULT_MAX_CANDIDATES, _minima_with_entries, _sorted_norms
+from stdlattice.enumeration import (
+    DEFAULT_MAX_CANDIDATES,
+    _minima_with_entries,
+    _reduced_minima,
+    _ReducedSearch,
+    _sorted_norms,
+)
 from util import (
     apply_unimodular,
+    minima_without_floor_pass,
     one_pass,
+    pass_leaves,
     random_basis,
     random_unimodular,
     rank,
+    reference_gso_rows,
     single_pass_bounds,
     unboxed_search,
 )
@@ -104,10 +120,25 @@ def ungated_minima(search, kind, norms):
             return result
 
 
-def always_l2_search(rows, kind):
+def reference_floor_value(rows, kind):
+    # The least integer >= ||b*||^2 / ||b*||_dual for the last Fraction
+    # Gram-Schmidt vector of ``rows``, the dual norm being Linf for L1 and
+    # L1 for Linf.
+    _, bstar, bstar_sq = reference_gso_rows(rows)
+    last = [abs(x) for x in bstar[-1]]
+    return ceil(bstar_sq[-1] / (max(last) if kind is NormKind.L1 else sum(last)))
+
+
+def always_l2_search(rows, kind, floor_pass=False):
     # No floor gates anything: the L2 search always runs and every probe the
-    # shape allows is made, each pass without the Hoelder box.
+    # shape allows is made, each pass without the Hoelder box.  With
+    # ``floor_pass`` a pass at the least integer above the floor on lambda_n
+    # comes first, and answers when it holds n independent vectors.
     search = unboxed_search(rows)
+    if floor_pass:
+        result = one_pass(search, kind, reference_floor_value(search.rows, kind))
+        if len(result[0].minima) == len(rows):
+            return result
     norms = _sorted_norms(search.rows, kind)
     l2 = ungated_minima(search, NormKind.L2, _sorted_norms(search.rows, NormKind.L2))[0]
     witness_norms = _sorted_norms(l2.witnesses, kind)
@@ -117,7 +148,15 @@ def always_l2_search(rows, kind):
 
 
 def assert_floor_changes_nothing(basis, kind):
-    assert _minima_with_entries(basis.rows, kind) == always_l2_search(basis.rows, kind)
+    got = _minima_with_entries(basis.rows, kind)
+    assert got == always_l2_search(basis.rows, kind, floor_pass=True)
+    # Against the path without the floor pass, what callers read is equal,
+    # and the entries are the reference's up to lambda_n.
+    sm, entries, witness_det = got
+    ref_sm, ref_entries, ref_det = always_l2_search(basis.rows, kind)
+    assert (sm, witness_det) == (ref_sm, ref_det)
+    assert entries == ref_entries[: len(entries)]
+    assert all(e.norm.value > sm.minima[-1].value for e in ref_entries[len(entries) :])
 
 
 @pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
@@ -126,22 +165,98 @@ def test_parity_floor_agrees_with_the_always_run_path(n, kind):
     assert_floor_changes_nothing(parity_lattice(n), kind)
 
 
-@pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
-def test_seeded_floor_agrees_with_the_always_run_path(kind, passes):
-    # Both gates are exercised: some bases skip the L2 search, some run it.
+@pytest.mark.parametrize("kind, least", [(NormKind.L1, 5), (NormKind.LINF, 8)])
+def test_seeded_floor_agrees_with_the_always_run_path(kind, least, passes):
+    # Every gate is exercised: some bases leave no room below N_n, and of
+    # the rest the floor pass answers for some and the L2 search runs for
+    # others.
     rng = random.Random(20 + (kind is NormKind.LINF))
-    ran = set()
+    seen = Counter()
     for n in range(1, 7):
         for _ in range(6):
             basis = apply_unimodular(random_unimodular(rng, n), random_basis(rng, n, -3, 3))
             passes.clear()
-            got = _minima_with_entries(basis.rows, kind)
-            ran.add(passes[0][0] is NormKind.L2)
-            assert got == always_l2_search(basis.rows, kind)
-    assert ran == {False, True}
+            _minima_with_entries(basis.rows, kind)
+            top = max(_sorted_norms(unboxed_search(basis.rows).rows, kind))
+            if passes[0][1] == top:
+                seen["no room"] += 1
+            else:
+                seen["floor pass answered" if len(passes) == 1 else "L2 search ran"] += 1
+            assert_floor_changes_nothing(basis, kind)
+    assert min(seen[k] for k in ("no room", "floor pass answered", "L2 search ran")) >= least
 
 
 @settings(max_examples=60, deadline=None)
 @given(skewed_bases(), st.sampled_from([NormKind.L1, NormKind.LINF]))
 def test_skewed_floor_agrees_with_the_always_run_path(basis, kind):
     assert_floor_changes_nothing(basis, kind)
+
+
+@st.composite
+def small_bases(draw):
+    n = draw(st.integers(1, 7))
+    entries = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    rows = draw(st.lists(entries, min_size=n, max_size=n))
+    assume(rank(rows, n) == n)
+    return LatticeBasis(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_bases(), st.sampled_from([NormKind.L1, NormKind.LINF]))
+def test_floor_pass_changes_no_answer(basis, kind):
+    # The search starts with the pass at the least integer above the floor,
+    # which is N_n itself when the floor leaves no room below it; the forced
+    # path without that pass gives the same minima and certificates.
+    made = []
+    inner = enumeration._enumerate_rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            enumeration,
+            "_enumerate_rows",
+            lambda search, bound, k: made.append((bound.kind, bound.value)) or inner(search, bound, k),
+        )
+        sm = successive_minima(basis, kind)
+    assert made[0] == (kind, reference_floor_value(unboxed_search(basis.rows).rows, kind))
+    cert = check_standard(basis, kind) if basis.dim <= 5 else None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "_reduced_minima", minima_without_floor_pass)
+        assert successive_minima(basis, kind) == sm
+        if cert is not None:
+            assert check_standard(basis, kind) == cert
+
+
+def floor_corpus():
+    # 1,500 seeded bases of dims 2-7, uniform entries and skewed ones in
+    # turn, the norm kind rotating.
+    rng = random.Random(11)
+    for i in range(1500):
+        n = 2 + i % 6
+        if i % 2:
+            basis = apply_unimodular(random_unimodular(rng, n), random_basis(rng, n, -2, 2))
+        else:
+            basis = random_basis(rng, n, -3, 3)
+        yield basis, list(NormKind)[i % 3]
+
+
+def test_floor_pass_never_enlarges_the_largest_pass():
+    # The floor pass lies below lambda_n, so its tree is a subset of the
+    # last pass the search made without it; the leaf totals are pinned.
+    totals = Counter()
+    for basis, kind in floor_corpus():
+        search = _ReducedSearch(basis.rows, kind)
+        got, leaves = pass_leaves(lambda: _reduced_minima(search, kind, DEFAULT_MAX_CANDIDATES))
+        ref, ref_leaves = pass_leaves(lambda: minima_without_floor_pass(search, kind))
+        assert (got[0], got[2]) == (ref[0], ref[2])
+        assert max(leaves) <= max(ref_leaves), (basis.rows, kind, leaves, ref_leaves)
+        totals["leaves"] += sum(leaves)
+        totals["passes"] += len(leaves)
+        totals["largest pass fell"] += max(leaves) < max(ref_leaves)
+        totals["reference leaves"] += sum(ref_leaves)
+        totals["reference passes"] += len(ref_leaves)
+    assert totals == {
+        "leaves": 408_991,
+        "passes": 2_152,
+        "largest pass fell": 118,
+        "reference leaves": 651_153,
+        "reference passes": 2_102,
+    }

@@ -256,22 +256,24 @@ class TestSearchWork:
             check_standard(parity_lattice(5), kind)
         assert calls == []
 
-    def test_l1_check_enumerates_in_l2_then_l1(self, passes):
-        # The L1 start bound comes from the L2 witnesses, so an L1 check makes
-        # exactly two enumerations: the L2 pass (the probe at 4) and the L1
-        # pass at the witnesses' L1 norm.
-        cert = check_standard(parity_lattice(6), NormKind.L1)
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_l1_parity_check_makes_one_pass_at_the_floor(self, passes, n):
+        # The floor on lambda_n is 2, below the reduced rows' L1 norm n, and
+        # the pass at 2 holds the n vectors 2e_i: the L1 check makes that one
+        # enumeration and no L2 search.
+        cert = check_standard(parity_lattice(n), NormKind.L1)
         assert cert.verdict is Verdict.NON_STANDARD
-        assert passes == [(NormKind.L2, 4), (NormKind.L1, 2)]
+        assert passes == [(NormKind.L1, 2)]
 
     def test_linf_parity_10_within_a_small_ceiling(self, passes):
         # The reduced rows have Linf norm 2, except the two odd rows with 1;
-        # the probe at 1 holds the 2^9 odd vectors, of full rank, so the pass
-        # to bound 2 (64,224 candidate evaluations) is never made.
+        # the pass at the floor 1 holds the 2^9 odd vectors, of full rank, so
+        # neither the L2 search nor the pass to bound 2 (64,224 candidate
+        # evaluations) is made.
         cert = check_standard(parity_lattice(10), NormKind.LINF, max_candidates=10_000)
         assert cert.verdict is Verdict.STANDARD
         assert [nv.value for nv in cert.minima.minima] == [1] * 10
-        assert passes == [(NormKind.L2, 4), (NormKind.LINF, 1)]
+        assert passes == [(NormKind.LINF, 1)]
 
     @pytest.mark.parametrize(
         "k, level_candidates, nodes",

@@ -27,11 +27,15 @@ from stdlattice import (
     enumeration_radius_in_l2,
     measure,
 )
+from stdlattice import enumeration
 from stdlattice.enumeration import (
     DEFAULT_MAX_CANDIDATES,
     _enumerate_rows,
     _greedy_minima,
+    _read_pass,
+    _reduced_minima,
     _ReducedSearch,
+    _sorted_norms,
 )
 from stdlattice.errors import DimensionMismatchError, StructuralError
 from stdlattice.exactlin import (
@@ -280,6 +284,53 @@ def one_pass(search, kind: NormKind, value, max_candidates: int = DEFAULT_MAX_CA
     entries = _enumerate_rows(search, NormValue(kind, value), max_candidates)
     minima, witnesses, witness_det = _greedy_minima(entries, len(search.rows))
     return SuccessiveMinima(kind, tuple(minima), tuple(witnesses)), entries, witness_det
+
+
+def minima_without_floor_pass(search, kind: NormKind, max_candidates: int = DEFAULT_MAX_CANDIDATES):
+    """The passes of a minima search over ``search`` as they were planned
+    before the pass at the floor on lambda_n: under L1/Linf the L2 bounding
+    search runs whenever the floor p/q leaves room below the reduced rows'
+    N_n, then the probe at N_1 when the norms have the parity shape and
+    N_1 >= p/q, then the pass at N_n.  The passes are the library's own,
+    boxed, so their leaves compare with a library search's."""
+    p, q = search.floor(kind)
+    norms = _sorted_norms(search.rows, kind)
+    if kind is not NormKind.L2 and (norms[-1] - 1) * q >= p:
+        l2 = _reduced_minima(search, NormKind.L2, max_candidates)[0]
+        witness_norms = _sorted_norms(l2.witnesses, kind)
+        if witness_norms[-1] < norms[-1]:
+            norms = witness_norms
+    low, top = norms[0], norms[-1]
+    bounds = [low, top] if low < top == norms[-2] and low * q >= p else [top]
+    for value in bounds:
+        found = _read_pass(search, kind, value, len(norms), max_candidates)
+        if len(found[0].witnesses) == len(norms):
+            return found
+    raise AssertionError(f"bound {top} lies below lambda_n")
+
+
+def pass_leaves(call):
+    """``call()`` and the leaves of each enumeration pass it made, in call
+    order: the ``enumeration.measure`` calls made inside each
+    ``enumeration._enumerate_rows``."""
+    count, leaves = [0], []
+    real_measure, real_pass = enumeration.measure, enumeration._enumerate_rows
+
+    def counted(vec, kind):
+        count[0] += 1
+        return real_measure(vec, kind)
+
+    def counted_pass(*args):
+        start = count[0]
+        entries = real_pass(*args)
+        leaves.append(count[0] - start)
+        return entries
+
+    enumeration.measure, enumeration._enumerate_rows = counted, counted_pass
+    try:
+        return call(), leaves
+    finally:
+        enumeration.measure, enumeration._enumerate_rows = real_measure, real_pass
 
 
 def rank(rows, n: int) -> int:
