@@ -44,15 +44,16 @@ exactly when c < N_n.  Only then does anything run before the pass at N_n,
 and first a pass at c: if it finds n independent vectors, lambda_n = c and
 the minima are read off it, since the sorted entries up to lambda_n are the
 same in every pass whose bound covers lambda_n.  Otherwise lambda_n > c,
-and an L2 minima search runs, whose witnesses replace the rows when their
-largest norm is smaller.  Where the floor leaves no room neither pass could
-lower the bound, so skipping them changes nothing.  Then, when the norms
-have the parity shape (N_1 < N_n-1 = N_n) and N_1 reaches the floor (above
-c under L1/Linf, as the pass at c failed), one probe pass at N_1 runs; if
-it finds n independent vectors it covers lambda_n and the minima are read
-off it, and otherwise the pass at N_n runs.  A probe below the floor could
-not succeed.  The pass at c and the probe lie below N_n, so their search
-trees are subsets of that pass's.
+and while c + 1 < N_n an L2 minima search runs, whose witnesses replace the
+rows when their largest norm is smaller; at c + 1 = N_n the raised floor
+gives lambda_n = N_n, which no witnesses can lower.  Where the floor leaves
+no room neither pass could lower the bound, so skipping them changes
+nothing.  Then, when the norms have the parity shape (N_1 < N_n-1 = N_n)
+and N_1 reaches the floor (above c under L1/Linf, as the pass at c failed),
+one probe pass at N_1 runs; if it finds n independent vectors it covers
+lambda_n and the minima are read off it, and otherwise the pass at N_n
+runs.  A probe below the floor could not succeed.  The pass at c and the
+probe lie below N_n, so their search trees are subsets of that pass's.
 """
 
 from __future__ import annotations
@@ -373,11 +374,14 @@ def _reduced_minima(
             return found
         p, q = c + 1, 1
         # The L2 search is cheap on the reduced rows, and its witnesses are
-        # n independent vectors that are often much shorter in ``kind``.
-        l2 = _reduced_minima(search, _L2, max_candidates)[0]
-        witness_norms = _sorted_norms(l2.witnesses, kind)
-        if witness_norms[-1] < norms[-1]:
-            norms = witness_norms
+        # n independent vectors that are often much shorter in ``kind``.  At
+        # N_n = c + 1 the floor already pins lambda_n = N_n, so no witnesses
+        # can lower the bound and the search is skipped.
+        if norms[-1] > p:
+            l2 = _reduced_minima(search, _L2, max_candidates)[0]
+            witness_norms = _sorted_norms(l2.witnesses, kind)
+            if witness_norms[-1] < norms[-1]:
+                norms = witness_norms
     low, top = norms[0], norms[-1]
     bounds = [top]
     if low < top == norms[-2] and low * q >= p:

@@ -17,11 +17,19 @@ rationals: the weighted median of the breakpoints -b2_i / b1_i under L1,
 the points within the largest pair bound of every breakpoint under Linf.
 An integer among them is the answer; otherwise the answer is one of the
 two integers around them, and two norm evaluations decide which.
+
+``reduce_2d`` checks its input once, and the loop steps on the unchecked
+core of ``min_translate``, ``_translate``, reusing the norms a step already
+holds: the norm of b2 stands in for the translate at q = 0, and a translate
+measured while choosing q is not measured again as the new b2.  So no step
+measures b2 or any vector twice.  The criterion measures b2 + b1 and
+b2 - b1 again on purpose, as a check independent of the loop.
 """
 
 from __future__ import annotations
 
 from math import lcm
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .errors import DimensionMismatchError, InternalConsistencyError, StructuralError
@@ -75,6 +83,9 @@ def min_translate(b2: IntVector, b1: IntVector, kind: NormKind) -> int:
     between b = floor(hi) and b + 1, and by convexity one of the two is the
     integer minimizer: two measures decide, a tie going to the one of
     smaller absolute value.
+
+    This function checks its arguments and runs ``_translate``, which the
+    reduction loop calls directly on rows it has already checked.
     """
     require_kind(kind)
     b1 = _as_int_row(b1)
@@ -83,14 +94,23 @@ def min_translate(b2: IntVector, b1: IntVector, kind: NormKind) -> int:
         raise DimensionMismatchError(f"vector lengths differ: {len(b2)} and {len(b1)}")
     if not any(b1):
         raise StructuralError("translation vector must be nonzero")
+    return _translate(b2, b1, kind, None)[0]
 
+
+def _translate(
+    b2: IntVector, b1: IntVector, kind: NormKind, at_zero: NormValue | None
+) -> tuple[int, NormValue | None]:
+    """The body of ``min_translate`` on checked rows (equal lengths, b1
+    nonzero): the best q, and the norm of b2 + q b1 when choosing q measured
+    it, else None.  ``at_zero`` is the norm of b2 when the caller holds it
+    (else None), and stands in for a measure of the translate at q = 0."""
     if kind is _L2:
-        dot = sum(v * u for v, u in zip(b2, b1))
-        sq = sum(u * u for u in b1)
+        dot = sum(map(mul, b2, b1))
+        sq = sum(map(mul, b1, b1))
         q = -dot // sq
         # f(q + 1)^2 - f(q)^2; on a tie the smaller |q| is q when q >= 0.
         step = 2 * dot + (2 * q + 1) * sq
-        return q + 1 if step < 0 or (step == 0 and q < 0) else q
+        return (q + 1 if step < 0 or (step == 0 and q < 0) else q), None
 
     # (p_i, w_i) with r_i = p_i / w_i and w_i > 0, for each b1_i != 0.
     legs = [(-v, u) if u > 0 else (v, -u) for v, u in zip(b2, b1) if u]
@@ -123,10 +143,17 @@ def min_translate(b2: IntVector, b1: IntVector, kind: NormKind) -> int:
         a, b = -(-lo_x // (lo_w * den)), hi_x // (hi_w * den)
 
     if a <= b:
-        return a if a > 0 else b if b < 0 else 0
-    at_b = measure(tuple(v + b * u for v, u in zip(b2, b1)), kind).value
-    at_a = measure(tuple(v + a * u for v, u in zip(b2, b1)), kind).value
-    return b if at_b < at_a or (at_b == at_a and b >= 0) else a
+        return (a if a > 0 else b if b < 0 else 0), None
+    # Here a = b + 1, so when one of them is 0 its translate is b2 itself,
+    # whose norm the caller may hold.
+    at_b = at_a = at_zero
+    if b or at_zero is None:
+        at_b = measure(tuple(v + b * u for v, u in zip(b2, b1)), kind)
+    if a or at_zero is None:
+        at_a = measure(tuple(v + a * u for v, u in zip(b2, b1)), kind)
+    if at_b.value < at_a.value or (at_b.value == at_a.value and b >= 0):
+        return b, at_b
+    return a, at_a
 
 
 def _linf_ends(legs, num: int, den: int):
@@ -155,21 +182,22 @@ def _gauss_loop(
 ) -> tuple[IntVector, IntVector, NormValue, NormValue]:
     """Translate the longer vector by its best multiple of the shorter one and
     swap until the best multiple is 0; returns (shorter, longer) and their
-    norms.  The tie rule of ``min_translate`` makes a nonzero q strictly
-    shorten b2, so each step measures only its new translate."""
+    norms.  The rows are checked once, by ``reduce_2d``, so each step runs
+    ``_translate`` on them directly and hands it the norm of b2 it holds.
+    The tie rule makes a nonzero q strictly shorten b2, so each step
+    measures only its new translate, and not even that when ``_translate``
+    measured it while choosing q."""
     n1, n2 = measure(b1, kind), measure(b2, kind)
     if n1.value > n2.value:
         b1, b2, n1, n2 = b2, b1, n2, n1
-    while q := min_translate(b2, b1, kind):
+    while True:
+        q, nv = _translate(b2, b1, kind, n2)
+        if not q:
+            return b1, b2, n1, n2
         b2 = tuple(v + q * u for v, u in zip(b2, b1))
-        n2 = measure(b2, kind)
+        n2 = measure(b2, kind) if nv is None else nv
         if n2.value < n1.value:
             b1, b2, n1, n2 = b2, b1, n2, n1
-    return b1, b2, n1, n2
-
-
-def _cross(u: IntVector, v: IntVector) -> int:
-    return u[0] * v[1] - u[1] * v[0]
 
 
 def reduce_2d(basis: LatticeBasis, kind: NormKind) -> Reduced2DBasis:
@@ -189,8 +217,8 @@ def reduce_2d(basis: LatticeBasis, kind: NormKind) -> Reduced2DBasis:
     if basis.dim != 2:
         raise StructuralError("reduce_2d requires dimension 2")
     b1, b2, n1, n2 = _gauss_loop(*basis.rows, kind)
-    plus = measure(tuple(v + u for v, u in zip(b2, b1)), kind).value
-    minus = measure(tuple(v - u for v, u in zip(b2, b1)), kind).value
+    plus = measure(tuple(map(add, b2, b1)), kind).value
+    minus = measure(tuple(map(sub, b2, b1)), kind).value
     if not n1.value <= n2.value <= min(plus, minus):
         raise InternalConsistencyError(
             f"reduced pair misses the Gauss criterion: norms ({n1.value}, {n2.value}), "
@@ -199,9 +227,15 @@ def reduce_2d(basis: LatticeBasis, kind: NormKind) -> Reduced2DBasis:
     # By Cramer's rule b = x r1 + y r2 with x = (b x r2) / det and
     # y = (r1 x b) / det, so integral quotients put b1 and b2 in the lattice,
     # and two lattice members spanning covolume |det| are a basis of it.
-    r1, r2 = basis.rows
+    (r11, r12), (r21, r22) = basis.rows
+    (x1, y1), (x2, y2) = b1, b2
     det = basis.det
-    members = all(_cross(b, r2) % det == 0 == _cross(r1, b) % det for b in (b1, b2))
-    if not members or abs(_cross(b1, b2)) != abs(det):
+    if (
+        (x1 * r22 - y1 * r21) % det
+        or (r11 * y1 - r12 * x1) % det
+        or (x2 * r22 - y2 * r21) % det
+        or (r11 * y2 - r12 * x2) % det
+        or abs(x1 * y2 - y1 * x2) != abs(det)
+    ):
         raise InternalConsistencyError("reduction steps lost the basis property")
-    return Reduced2DBasis(b1=b1, b2=b2, norms=(n1, n2), kind=kind)
+    return Reduced2DBasis(b1, b2, (n1, n2), kind)

@@ -409,15 +409,17 @@ class TestErrorClasses:
         assert "1 candidate evaluations (l1 pass, bound 1)" in err
 
     def test_resource_ceiling_names_the_l2_pass(self, tmp_path, capsys):
-        # The Linf pass at the floor 2 (4 candidates) finds fewer than three
-        # independent vectors, so the L2 search runs next (10 candidates).
-        path = write_json_basis(tmp_path, "skew.json", [[3, -1, -2], [-3, 1, -4], [2, -3, 1]])
+        # The Linf pass at the floor 3 (9 candidates) finds fewer than four
+        # independent vectors, and the reduced rows' N_4 = 5 lies above the
+        # raised floor 4, so the L2 search runs next (14 candidates).
+        rows = [[10, 3, -11, 2], [-3, 1, -4, -1], [-3, -4, -3, -4], [7, 6, -1, 3]]
+        path = write_json_basis(tmp_path, "skew.json", rows)
         code, out, err = run_cli(
-            ["minima", path, "--norm", "linf", "--max-candidates", "9"], capsys
+            ["minima", path, "--norm", "linf", "--max-candidates", "13"], capsys
         )
         assert code == 4
         assert out == ""
-        assert "9 candidate evaluations (l2 pass, bound 14)" in err
+        assert err == "resource limit: enumeration exceeded 13 candidate evaluations (l2 pass, bound 37)\n"
 
     def test_resource_ceiling_bounds_the_standardness_search(self, tmp_path, capsys):
         path = write_json_basis(tmp_path, "deep.json", deep_backtrack_l1_rows())

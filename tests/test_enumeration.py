@@ -436,6 +436,14 @@ class TestExactWork:
         successive_minima(LatticeBasis(rows), kind)
         assert passes == expected
 
+    def test_no_l2_search_when_the_raised_floor_meets_the_bound(self, passes):
+        # Norms 2, 3 and the floor 16/8 = 2: the pass at 2 finds one vector,
+        # which raises the floor to 3 = N_n, so lambda_n = 3 and no L2
+        # witnesses could lower the bound; the pass at 3 follows directly.
+        cert = check_standard(LatticeBasis([[-2, 0], [-3, 2]]), L1)
+        assert [nv.value for nv in cert.minima.minima] == [2, 3]
+        assert passes == [(L1, 2), (L1, 3)]
+
     # What the benchmark tracer reports as enumeration.leaves: every call of
     # enumeration.measure, the start-bound row norms included.
     @pytest.fixture

@@ -18,7 +18,7 @@ from stdlattice import (
     norm2d,
     reduce_2d,
 )
-from util import identity_basis, random_basis, reference_min_translate
+from util import identity_basis, random_basis, reference_gauss_loop, reference_min_translate
 
 ENTRIES = st.integers(-9, 9)
 VECTORS = st.tuples(ENTRIES, ENTRIES)
@@ -335,23 +335,23 @@ class TestReduce2D:
         assert passes == []
 
     def test_measures_each_norm_once(self, monkeypatch):
-        # A Fibonacci pair takes six translates under L2, where min_translate
+        # A Fibonacci pair takes six translates under L2, where _translate
         # measures nothing; the sixth is 0 and ends the loop unmeasured.  The
         # two inputs, the five nonzero translates and the criterion's b2 + b1
         # and b2 - b1 are all that is measured.
         measured, translates = [], []
-        real_measure, real_translate = norm2d.measure, norm2d.min_translate
+        real_measure, real_translate = norm2d.measure, norm2d._translate
 
         def counting_measure(v, k):
             measured.append(v)
             return real_measure(v, k)
 
-        def counting_translate(b2, b1, k):
+        def counting_translate(b2, b1, k, at_zero):
             translates.append(None)
-            return real_translate(b2, b1, k)
+            return real_translate(b2, b1, k, at_zero)
 
         monkeypatch.setattr(norm2d, "measure", counting_measure)
-        monkeypatch.setattr(norm2d, "min_translate", counting_translate)
+        monkeypatch.setattr(norm2d, "_translate", counting_translate)
         red = reduce_2d(LatticeBasis([[34, 21], [55, 34]]), NormKind.L2)
         assert (red.b1, red.b2) == ((1, 0), (0, 1))
         assert len(translates) == 6
@@ -368,7 +368,77 @@ class TestReduce2D:
         for basis in [random_basis(rng, 2, -40, 40) for _ in range(60)]:
             for kind in NormKind:
                 reduce_2d(basis, kind)
-        assert len(measured) == 1359
+        assert len(measured) == 1086
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_no_step_measures_b2_or_a_vector_twice(self, monkeypatch, kind):
+        # A step is one _translate call and the loop's work on its answer.
+        # The loop hands _translate the norm of b2, which stands in for the
+        # translate at q = 0, and keeps the translate _translate measured,
+        # so no step measures b2 or any vector twice.  Across steps a vector
+        # may repeat: the criterion's b2 + b1 and b2 - b1, measured last,
+        # and a translate that one step compared and did not take.
+        measured, steps = [], []
+        real_measure, real_translate = norm2d.measure, norm2d._translate
+
+        def marking(b2, b1, k, at_zero):
+            steps.append((len(measured), b2))
+            return real_translate(b2, b1, k, at_zero)
+
+        monkeypatch.setattr(norm2d, "measure", lambda v, k: measured.append(v) or real_measure(v, k))
+        monkeypatch.setattr(norm2d, "_translate", marking)
+        rng = random.Random(73)
+        for basis in [random_basis(rng, 2, -40, 40) for _ in range(60)]:
+            measured.clear()
+            steps.clear()
+            red = reduce_2d(basis, kind)
+            plus = tuple(v + u for v, u in zip(red.b2, red.b1))
+            minus = tuple(v - u for v, u in zip(red.b2, red.b1))
+            assert measured[-2:] == [plus, minus]
+            ends = [start for start, _ in steps[1:]] + [len(measured) - 2]
+            for (start, b2), end in zip(steps, ends):
+                step = measured[start:end]
+                assert b2 not in step and len(set(step)) == len(step), (basis.rows, step)
+
+    def test_makes_no_call_to_the_public_min_translate(self, monkeypatch):
+        # The rows are checked once, on entry; the loop steps on _translate.
+        def refuse(b2, b1, k):
+            raise AssertionError("reduce_2d called the public min_translate")
+
+        monkeypatch.setattr(norm2d, "min_translate", refuse)
+        rng = random.Random(73)
+        for basis in [random_basis(rng, 2, -40, 40) for _ in range(20)]:
+            for kind in NormKind:
+                red = reduce_2d(basis, kind)
+                assert (red.b1, red.b2, red.norms) == reference_gauss_loop(basis, kind)
+
+    def test_loop_steps_through_module_globals(self):
+        # Tests hook norm2d._translate and norm2d.measure to count steps and
+        # measures; binding either any other way (a default argument, a
+        # renamed import) would hide the loop's work from them.
+        names = set(norm2d._gauss_loop.__code__.co_names)
+        assert {"_translate", "measure"} <= names
+        assert "measure" in norm2d._translate.__code__.co_names
+        assert norm2d._gauss_loop.__globals__ is norm2d._translate.__globals__ is vars(norm2d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.one_of(st.integers(-9, 9), st.integers(-(10**40), 10**40)), min_size=4, max_size=4),
+        SKEWS,
+        st.sampled_from(list(NormKind)),
+    )
+    @example([1, 0, 10**3000, 1], [], NormKind.L1)
+    @example([34, 21, 55, 34], [], NormKind.L2)
+    @example([3 * 10**30 + 1, -7 * 10**30, 2, 1], [(0, 5), (1, -3)], NormKind.LINF)
+    def test_differential_against_the_public_loop(self, entries, skews, kind):
+        # Small and giant entries, skewed by row operations: reduce_2d gives
+        # the pair and norms of the loop that stepped on the public
+        # min_translate and measured every translate.
+        x1, y1, x2, y2 = entries
+        assume(x1 * y2 != y1 * x2)
+        basis = skewed((x1, y1), (x2, y2), skews)
+        red = reduce_2d(basis, kind)
+        assert (red.b1, red.b2, red.norms, red.kind) == reference_gauss_loop(basis, kind) + (kind,)
 
     @pytest.mark.parametrize("kind", list(NormKind))
     def test_giant_entries_cost_five_measures(self, monkeypatch, kind):
@@ -401,25 +471,25 @@ class TestGaussCriterion:
     @pytest.mark.parametrize("rows", [[[1, 0], [37, 1]], [[7, 3], [4, 2]], [[5, 8], [13, 21]], [[89, 55], [34, 21]]])
     def test_loop_stopped_one_step_early_is_caught(self, monkeypatch, kind, rows):
         basis = LatticeBasis(rows)
-        real = norm2d.min_translate
+        real = norm2d._translate
         calls = []
 
-        def counting(b2, b1, k):
+        def counting(b2, b1, k, at_zero):
             calls.append(None)
-            return real(b2, b1, k)
+            return real(b2, b1, k, at_zero)
 
-        monkeypatch.setattr(norm2d, "min_translate", counting)
+        monkeypatch.setattr(norm2d, "_translate", counting)
         reduce_2d(basis, kind)
         # The last call finds no improvement; the one before it makes the last step.
         last_step = len(calls) - 1
         assert last_step >= 1
 
-        def skipping(b2, b1, k):
+        def skipping(b2, b1, k, at_zero):
             calls.append(None)
-            return 0 if len(calls) == last_step else real(b2, b1, k)
+            return (0, None) if len(calls) == last_step else real(b2, b1, k, at_zero)
 
         calls.clear()
-        monkeypatch.setattr(norm2d, "min_translate", skipping)
+        monkeypatch.setattr(norm2d, "_translate", skipping)
         with pytest.raises(InternalConsistencyError, match="Gauss criterion"):
             reduce_2d(basis, kind)
 

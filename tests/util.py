@@ -6,8 +6,9 @@ Fraction Gram-Schmidt and the nearest-plane rounding built on it, a
 Fraction Gauss-Jordan solve, one forced minima pass and the start bounds
 of a one-pass minima search, the greedy witness scan by rank tracker and
 the backtrack on it, the two-Hermite-form section, the basis test by
-rounding walk and determinant, and the bisection that found
-``min_translate``'s best L1 and Linf translate)."""
+rounding walk and determinant, the bisection that found
+``min_translate``'s best L1 and Linf translate, and the Gauss loop that
+stepped on the public ``min_translate``)."""
 
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from stdlattice import (
     brute_minima,
     enumeration_radius_in_l2,
     measure,
+    min_translate,
 )
 from stdlattice import enumeration
 from stdlattice.enumeration import (
@@ -514,6 +516,22 @@ def reference_min_translate(b2, b1, kind: NormKind) -> int:
         else:
             lo = mid + 1
     return s * lo
+
+
+def reference_gauss_loop(basis: LatticeBasis, kind: NormKind):
+    """``reduce_2d``'s loop on a 2D basis as it ran on the public
+    ``min_translate``, which checks both rows on every step, measuring every
+    translate it steps to: (b1, b2, (||b1||, ||b2||)), the shorter first."""
+    b1, b2 = basis.rows
+    n1, n2 = measure(b1, kind), measure(b2, kind)
+    if n1.value > n2.value:
+        b1, b2, n1, n2 = b2, b1, n2, n1
+    while q := min_translate(b2, b1, kind):
+        b2 = tuple(v + q * u for v, u in zip(b2, b1))
+        n2 = measure(b2, kind)
+        if n2.value < n1.value:
+            b1, b2, n1, n2 = b2, b1, n2, n1
+    return b1, b2, (n1, n2)
 
 
 def reference_is_basis_of(vectors, basis: LatticeBasis) -> bool:
