@@ -13,13 +13,17 @@ adds lo rows_0 to them, and each next one adds rows_0 once.  On entry a
 level's admissible coefficients are one exact integer interval around its
 center, from an integer square root of the radius the levels above leave
 (starting at 0 while every coefficient above is zero: the negative branch
-mirrors it).  Under L1/Linf, Hoelder's inequality on the level's star row
-g = d_l b*_l clamps it to a box: ||v|| <= N keeps the coefficient within
-N ||g||_dual / d_l+1 of the center.  The intervals fix the visited set,
-and each coefficient in one is a candidate against the ceiling.  Output
-lists are sign-canonical (first nonzero ambient coordinate positive) and
-sorted by (norm, lexicographic coordinates), which makes every downstream
-certificate deterministic.
+mirrors it).  A level entered with no radius left admits its center alone,
+and so does every level below it, so from there the loop walks straight
+down, one candidate a level and no square root, until a center is not an
+integer coefficient or the leaf is reached.  Under L1/Linf, Hoelder's
+inequality on the level's star row g = d_l b*_l clamps each interval to a
+box: ||v|| <= N keeps the coefficient within N ||g||_dual / d_l+1 of the
+center.  The intervals fix the visited set, and each coefficient in one
+is a candidate against the ceiling.  Output lists are sign-canonical
+(first nonzero ambient coordinate positive) and sorted by (norm,
+lexicographic coordinates), which makes every downstream certificate
+deterministic.
 
 Every search runs on an LLL-reduced basis of the input lattice.  The output
 is a set of ambient vectors, so it does not depend on the basis it was found
@@ -58,7 +62,7 @@ probe lie below N_n, so their search trees are subsets of that pass's.
 
 from __future__ import annotations
 
-from math import isqrt, lcm, prod
+from math import isqrt, lcm
 from operator import add, mul, neg
 from typing import NamedTuple, Sequence
 
@@ -175,6 +179,13 @@ class _ReducedSearch:
         return self.d[-1], self.d[-2] if kind is _L2 else self.duals[-1]
 
 
+def _ceiling_error(max_candidates: int, kind: NormKind, limit) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"enumeration exceeded {max_candidates} candidate evaluations "
+        f"({kind.value} pass, bound {limit})"
+    )
+
+
 def _enumerate_rows(
     search: _ReducedSearch, bound: NormValue, max_candidates: int
 ) -> list[MeasuredVector]:
@@ -216,6 +227,16 @@ def _enumerate_rows(
     # vecs[l+1]), and changing x_l makes vecs[l] and those below it stale.
     # The leaf's first candidate is vecs[1] + lo rows_0, and each next one
     # adds rows_0 once.  xs[m] is a sentinel, and vecs[m] the zero vector.
+    #
+    # A level entered with rem = 0 has the one-point interval {C_l / D}
+    # when D divides C_l, and its child is entered with rem = 0 again.  So
+    # from such a level ``top`` the loop walks straight down, one candidate
+    # a level, with no square root and no interval stored, until a center
+    # is not an integer, which the interval check below finds empty, or the
+    # leaf; then the climb resumes at top + 1, as it would after climbing
+    # through the walk's spent one-point intervals.  Only a nonzero
+    # coefficient spends radius and the bound is positive, so a walk never
+    # lies below a zero prefix and has no negative branch to skip.
     found: list[MeasuredVector] = []
     xs = [0] * (m + 1)
     his = [0] * m
@@ -230,9 +251,20 @@ def _enumerate_rows(
     while True:
         # Enter ``level`` below a prefix with this center, remaining radius
         # and zero flag: every coefficient of its interval is one candidate.
-        s = isqrt(rem // bsq_rd[level])
-        if boxes and boxes[level] < s:
-            s = boxes[level]
+        top = level
+        if rem:
+            s = isqrt(rem // bsq_rd[level])
+            if boxes and boxes[level] < s:
+                s = boxes[level]
+        else:
+            s = 0
+            while level and not center % den:
+                work += 1
+                if work > max_candidates:
+                    raise _ceiling_error(max_candidates, kind, limit)
+                xs[level] = center // den
+                level -= 1
+                center = -sum(map(mul, xs[level + 1 :], mu_cols[level]))
         lo = (center - s + den - 1) // den
         hi = (center + s) // den
         if zero and lo < 0:
@@ -240,17 +272,17 @@ def _enumerate_rows(
         if lo <= hi:
             work += hi - lo + 1
             if work > max_candidates:
-                raise ResourceLimitError(
-                    f"enumeration exceeded {max_candidates} candidate evaluations "
-                    f"({kind.value} pass, bound {limit})"
-                )
-        if level:
+                raise _ceiling_error(max_candidates, kind, limit)
+        if level and rem:
             xs[level] = lo
             his[level] = hi
             centers[level] = center
             rems[level] = rem
             zeros[level] = zero
         else:
+            # A leaf, or a level where a walk stopped, whose interval is
+            # empty: only a leaf reaches the vectors.  Either way the climb
+            # resumes above ``top``.
             if zero and lo == 0:
                 lo = 1
             if lo <= hi:
@@ -273,8 +305,8 @@ def _enumerate_rows(
                         break
                     lo += 1
                     vec = tuple(map(add, vec, row0))
-            level = 1
-            xs[1] += 1
+            level = top + 1
+            xs[level] += 1
         # Climb past every spent interval, then descend from the next
         # coefficient.
         while level < m and xs[level] > his[level]:
@@ -314,14 +346,14 @@ def enumerate_short(
 
 def _greedy_minima(
     entries: Sequence[MeasuredVector], want: int
-) -> tuple[list[NormValue], list[IntVector], int]:
+) -> tuple[list[NormValue], list[IntVector], dict[int, Sequence[int]]]:
     """Scan a sorted enumeration, keeping each vector that grows the rank.
     Each vector is folded into a copy of the kept vectors' echelon form
     (``_echelon_insert``), and the copy is kept only when it opens a new
     pivot: an insertion rewrites the rows even when the vector turns out
-    dependent, and the rows must span the witnesses alone.  Also returns the
-    product of the pivots, which is |det| of the witnesses once ``want`` of
-    them are kept in dimension ``want``."""
+    dependent, and the rows must span the witnesses alone.  Also returns
+    that echelon form, whose pivots multiply to |det| of the witnesses once
+    ``want`` of them are kept in dimension ``want``."""
     echelon: dict[int, Sequence[int]] = {}
     minima: list[NormValue] = []
     witnesses: list[IntVector] = []
@@ -333,7 +365,7 @@ def _greedy_minima(
             witnesses.append(vec)
             if len(witnesses) == want:
                 break
-    return minima, witnesses, prod(row[c] for c, row in echelon.items())
+    return minima, witnesses, echelon
 
 
 def _sorted_norms(vectors: Sequence[IntVector], kind: NormKind) -> list:
@@ -342,23 +374,23 @@ def _sorted_norms(vectors: Sequence[IntVector], kind: NormKind) -> list:
 
 def _read_pass(
     search: _ReducedSearch, kind: NormKind, value, want: int, max_candidates: int
-) -> tuple[SuccessiveMinima, list[MeasuredVector], int]:
+) -> tuple[SuccessiveMinima, list[MeasuredVector], dict[int, Sequence[int]]]:
     """One pass at ``value`` under ``kind`` and its greedy scan: fewer than
     ``want`` witnesses mean the pass lies below lambda_want."""
     entries = _enumerate_rows(search, NormValue(kind, value), max_candidates)
-    minima, witnesses, witness_det = _greedy_minima(entries, want)
-    return SuccessiveMinima(kind, tuple(minima), tuple(witnesses)), entries, witness_det
+    minima, witnesses, echelon = _greedy_minima(entries, want)
+    return SuccessiveMinima(kind, tuple(minima), tuple(witnesses)), entries, echelon
 
 
 def _reduced_minima(
     search: _ReducedSearch, kind: NormKind, max_candidates: int
-) -> tuple[SuccessiveMinima, list[MeasuredVector], int]:
+) -> tuple[SuccessiveMinima, list[MeasuredVector], dict[int, Sequence[int]]]:
     """Minima read off the passes over ``search``, together with the pass
-    they were read from and |det| of the witnesses, the product of the
-    pivots of the greedy scan's echelon form.  This is the one place where
-    the passes of a minima search are decided: the floor on lambda_n, the
-    pass at that floor, the L2 bounding search and the probe, as the module
-    docstring derives them.  A pass at N_n that finds fewer than n
+    they were read from and the greedy scan's echelon form of the
+    witnesses, whose pivots multiply to |det| of the witnesses.  This is
+    the one place where the passes of a minima search are decided: the
+    floor on lambda_n, the pass at that floor, the L2 bounding search and
+    the probe, as the module docstring derives them.  A pass at N_n that finds fewer than n
     independent vectors is a bug, never a short answer.
     """
     p, q = search.floor(kind)
@@ -400,10 +432,10 @@ def _minima_with_entries(
     kind: NormKind,
     *,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
-) -> tuple[SuccessiveMinima, list[MeasuredVector], int]:
+) -> tuple[SuccessiveMinima, list[MeasuredVector], dict[int, Sequence[int]]]:
     """The minima together with the enumeration pass they were read from:
     every vector of norm at most that pass's bound, which is >= lambda_n,
-    and |det| of the witnesses (see :func:`_reduced_minima`)."""
+    and the echelon form of the witnesses (see :func:`_reduced_minima`)."""
     _check_positive_int("max_candidates", max_candidates)
     return _reduced_minima(_ReducedSearch(rows, kind), kind, max_candidates)
 

@@ -553,27 +553,26 @@ def _lll_rows(
     m = len(b)
     d = [1]
     lam: list[list[int]] = []
-
-    def reduce(k: int, j: int) -> None:
-        # Size-reduce row k against row j: subtract round(mu_kj) times it.
-        dj = d[j + 1]
-        if 2 * abs(lam[k][j]) <= dj:
-            return
-        q = (2 * lam[k][j] + dj) // (2 * dj)
-        b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-        lam[k][j] -= q * dj
-        for i in range(j):
-            lam[k][i] -= q * lam[j][i]
-
     _extend_gso(b, d, lam, 1)
     k = 1
     while k < m:
         if k == len(lam):
             # Rows are met in order; row k is still an input row here.
             _extend_gso(b, d, lam, k + 1)
-        reduce(k, k - 1)
-        lk = lam[k][k - 1]
-        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lk * lk:
+        # Size-reduce row k against row j = k-1 here, and against rows k-2
+        # down to 0 once the Lovasz condition holds: where 2 |lam_kj| >
+        # d_j+1, subtract round(mu_kj) times row j, and its lam row from
+        # row k's.
+        lam_k = lam[k]
+        lk, dj = lam_k[k - 1], d[k]
+        if 2 * abs(lk) > dj:
+            q = (2 * lk + dj) // (2 * dj)
+            b[k] = [x - q * y for x, y in zip(b[k], b[k - 1])]
+            lam_k[k - 1] = lk = lk - q * dj
+            lam_j = lam[k - 1]
+            for i in range(k - 1):
+                lam_k[i] -= q * lam_j[i]
+        if 4 * d[k + 1] * d[k - 1] < 3 * dj * dj - 4 * lk * lk:
             # Lovasz condition fails: swap rows k-1 and k and update the
             # integral Gram-Schmidt data of the rows they touch.
             b[k], b[k - 1] = b[k - 1], b[k]
@@ -588,7 +587,14 @@ def _lll_rows(
             k = max(1, k - 1)
         else:
             for j in range(k - 2, -1, -1):
-                reduce(k, j)
+                lkj, dj = lam_k[j], d[j + 1]
+                if 2 * abs(lkj) > dj:
+                    q = (2 * lkj + dj) // (2 * dj)
+                    b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                    lam_k[j] = lkj - q * dj
+                    lam_j = lam[j]
+                    for i in range(j):
+                        lam_k[i] -= q * lam_j[i]
             k += 1
     return tuple(tuple(r) for r in b), d, lam
 

@@ -4,7 +4,10 @@ the built-in norms.
 The loop is the generalized Gauss reduction (Kaib and Schnorr, "The
 generalized Gauss reduction algorithm", J. Algorithms 21, 1996): translate
 the longer vector by the best integer multiple of the shorter one, swap,
-repeat until the longer norm stops improving.  It stops at a pair with
+repeat until the longer norm stops improving: until the best multiple is
+0, or a translate leaves the longer vector no shorter than the shorter one
+(then the best multiple for the new longer vector is 0, as that translate
+already minimized its norm, so it is not computed).  It stops at a pair with
 ||b1|| <= ||b2|| <= min(||b2 + b1||, ||b2 - b1||), and under any norm such a
 pair attains lambda_1 and lambda_2.  Both that criterion and a 2x2 covolume
 check (the pair is a basis of the input lattice) are verified on the result
@@ -181,12 +184,15 @@ def _gauss_loop(
     b1: IntVector, b2: IntVector, kind: NormKind
 ) -> tuple[IntVector, IntVector, NormValue, NormValue]:
     """Translate the longer vector by its best multiple of the shorter one and
-    swap until the best multiple is 0; returns (shorter, longer) and their
-    norms.  The rows are checked once, by ``reduce_2d``, so each step runs
-    ``_translate`` on them directly and hands it the norm of b2 it holds.
-    The tie rule makes a nonzero q strictly shorten b2, so each step
-    measures only its new translate, and not even that when ``_translate``
-    measured it while choosing q."""
+    swap, until the best multiple is 0 or a translate leaves the longer
+    vector longer; returns (shorter, longer) and their norms.  After such a
+    step q minimizes ||b2 + q b1|| for the old b2, so the best multiple for
+    the new b2 is 0 (the tie rule takes the smallest |q|), and the loop stops
+    without asking.  The rows are checked once, by ``reduce_2d``, so each
+    step runs ``_translate`` on them directly and hands it the norm of b2
+    it holds.  The tie rule makes a nonzero q strictly shorten b2, so each
+    step measures only its new translate, and not even that when
+    ``_translate`` measured it while choosing q."""
     n1, n2 = measure(b1, kind), measure(b2, kind)
     if n1.value > n2.value:
         b1, b2, n1, n2 = b2, b1, n2, n1
@@ -196,8 +202,9 @@ def _gauss_loop(
             return b1, b2, n1, n2
         b2 = tuple(v + q * u for v, u in zip(b2, b1))
         n2 = measure(b2, kind) if nv is None else nv
-        if n2.value < n1.value:
-            b1, b2, n1, n2 = b2, b1, n2, n1
+        if n2.value >= n1.value:
+            return b1, b2, n1, n2
+        b1, b2, n1, n2 = b2, b1, n2, n1
 
 
 def reduce_2d(basis: LatticeBasis, kind: NormKind) -> Reduced2DBasis:

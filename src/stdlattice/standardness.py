@@ -17,15 +17,18 @@ NonStandard by one of two routes:
 The search order is deterministic, so certificates are reproducible by
 replay.
 
-Two rank walks serve a check.  The greedy minima scan folds its witnesses
-into an echelon form by the same row insertion and returns the product of
-the pivots, |det| of the witnesses.  When that is |det| of the lattice the
-witnesses are a basis drawn from the levels, so the union generates the
-lattice, and they are the backtrack's first basis too: every prefix of a
-basis has a minor gcd dividing |det|, and the scan passed over every
-earlier candidate of a level as dependent on the witnesses before it.  The
-certificate is then read off the witnesses, with the nodes the backtrack
-would count.  Otherwise the root test runs, and after it the backtrack.
+One rank walk serves a check.  The greedy minima scan folds its witnesses
+into an echelon form by the same row insertion and returns it; the
+product of its pivots is |det| of the witnesses.  When that is |det| of the
+lattice the witnesses are a basis drawn from the levels, so the union
+generates the lattice, and they are the backtrack's first basis too: every
+prefix of a basis has a minor gcd dividing |det|, and the scan passed over
+every earlier candidate of a level as dependent on the witnesses before it.
+The certificate is then read off the witnesses, with the nodes the
+backtrack would count.  Otherwise the root test continues that echelon
+form: the witnesses are level vectors, so it folds in only the level
+vectors that are not witnesses, and the span it tests is the union's.
+After it the backtrack runs.
 
 The backtrack's prunings come from ``_kernel_step``, a pure step that
 takes a Z-basis of the integer kernel of the chosen vectors and a new
@@ -112,14 +115,23 @@ def is_orthogonal_basis(basis: LatticeBasis) -> bool:
     return _pairwise_orthogonal(basis.rows)
 
 
-def _generates(vectors: Iterable[IntVector], n: int, det: int) -> bool:
-    """True iff lattice vectors of dimension ``n`` generate the lattice of
-    covolume ``det`` that holds them: folded one at a time into an echelon
-    form of at most n rows, they reach n pivots whose product is ``det``."""
-    echelon: dict[int, Sequence[int]] = {}
+def _generates(
+    echelon: dict[int, Sequence[int]], vectors: Iterable[IntVector], n: int, det: int
+) -> bool:
+    """True iff the rows of ``echelon``, an echelon form of at most n rows
+    from ``_echelon_insert``, and lattice vectors of dimension ``n``
+    generate the lattice of covolume ``det`` that holds them all: folded one
+    at a time into the echelon form, which is extended in place, they reach
+    n pivots whose product is ``det``."""
+
+    def full() -> bool:
+        return len(echelon) == n and math.prod(row[c] for c, row in echelon.items()) == det
+
+    if full():
+        return True
     for vec in vectors:
         _echelon_insert(echelon, vec, n)
-        if len(echelon) == n and math.prod(row[c] for c, row in echelon.items()) == det:
+        if full():
             return True
     return False
 
@@ -214,9 +226,11 @@ def check_standard(
 
     * the vectors of norm equal to some lambda_i generate a proper
       sublattice, decided before any search by folding them one at a time
-      into an echelon form (``_generates``).  This root test runs only when
-      the witnesses are not a basis: a witness basis is drawn from those
-      vectors, so they generate the lattice;
+      into the greedy scan's echelon form of the witnesses
+      (``_generates``), the witnesses themselves being among them and
+      already folded.  This root test runs only when the witnesses are not
+      a basis: a witness basis is drawn from those vectors, so they
+      generate the lattice;
     * the search space (all sign-canonical tuples with ||b_i|| = lambda_i,
       nondecreasing candidate index inside equal-minima runs) was
       exhausted; re-running the deterministic search replays it.
@@ -228,7 +242,7 @@ def check_standard(
     _check_basis(basis)
     require_kind(kind)
     _check_dim(basis.dim, max_dim)
-    sm, entries, witness_det = _minima_with_entries(
+    sm, entries, echelon = _minima_with_entries(
         basis.rows, kind, max_candidates=max_candidates
     )
     n = basis.dim
@@ -239,14 +253,21 @@ def check_standard(
     levels = [pool.get(nv.value, []) for nv in sm.minima]
     level_candidates = tuple(len(c) for c in levels)
     target_det = abs(basis.det)
-    if witness_det == target_det:
+    if math.prod(row[c] for c, row in echelon.items()) == target_det:
         found = sm.witnesses
         nodes = _witness_nodes(levels, sm, max_candidates)
     else:
-        # Root test: every level draws from this union, so if it generates
-        # a proper sublattice no basis can be drawn from it.
-        union = (v for value in dict.fromkeys(nv.value for nv in sm.minima) for v in pool[value])
-        if not _generates(union, n, target_det):
+        # Root test: every level draws from the union of the levels, so if
+        # it generates a proper sublattice no basis can be drawn from it.
+        # The witnesses are in the echelon form already.
+        witnesses = set(sm.witnesses)
+        rest = (
+            v
+            for value in dict.fromkeys(nv.value for nv in sm.minima)
+            for v in pool[value]
+            if v not in witnesses
+        )
+        if not _generates(echelon, rest, n, target_det):
             return StandardnessCertificate(
                 _NON_STANDARD, None, sm, SearchStats(level_candidates, 1)
             )

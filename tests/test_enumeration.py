@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stdlattice import (
     InternalConsistencyError,
@@ -34,6 +36,7 @@ from util import (
     identity_basis,
     random_basis,
     random_unimodular,
+    reference_enumerate_rows,
     reference_gso_rows,
     single_pass_bounds,
     unboxed_search,
@@ -498,6 +501,78 @@ class TestExactWork:
 
         assert "measure" in global_names(enumeration._enumerate_rows.__code__)
         assert enumeration._enumerate_rows.__globals__ is vars(enumeration)
+
+
+@st.composite
+def walked_passes(draw):
+    """(basis, search, bound) for a pass that often enters a level with no
+    radius left: a basis of dimension 1..7, random entries in [-2, 2] up to
+    dimension 4 or else a unimodular image of a diagonal basis with entries
+    1 and 2, its search record under the pass's kind (Hoelder-boxed) or
+    under L2 (unboxed), and a bound that a lattice vector meets exactly:
+    the norm of a reduced row, as an int or a Fraction, or under L2
+    ||b*_n||^2 = d_n / d_n-1, which the top level meets at x = 1."""
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(list(NormKind)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if n <= 4 and draw(st.booleans()):
+        basis = random_basis(rng, n, -2, 2)
+    else:
+        diagonal = [[rng.randint(1, 2) * (i == j) for j in range(n)] for i in range(n)]
+        basis = apply_unimodular(random_unimodular(rng, n, 4), LatticeBasis(diagonal))
+    search = _ReducedSearch(basis.rows, kind) if draw(st.booleans()) else unboxed_search(basis.rows)
+    pick = draw(st.sampled_from(["row", "row as a Fraction", "last star length"]))
+    if pick == "last star length" and kind is L2:
+        value = Fraction(search.d[n], search.d[n - 1])
+    else:
+        value = enumeration.measure(search.rows[draw(st.integers(0, n - 1))], kind).value
+        if pick != "row":
+            value = Fraction(value)
+    return basis, search, NormValue(kind, value)
+
+
+class TestZeroRadiusWalk:
+    """A level entered with no radius left is walked straight down, one
+    candidate a level.  The pass must keep the oracle's entries and the
+    candidates of the kernel without the walk (``util.reference_enumerate_rows``),
+    so the same smallest sufficient ceiling, and take a square root only
+    at the levels entered with radius left."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(walked_passes())
+    def test_walk_changes_no_entry_and_no_ceiling(self, case):
+        basis, search, bound = case
+        expected, work, entered, no_radius = reference_enumerate_rows(search, bound)
+        roots = []
+        real = enumeration.isqrt
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(enumeration, "isqrt", lambda x: roots.append(x) or real(x))
+            got = _enumerate_rows(search, bound, work)
+        assert got == expected == oracle._scan_box(basis, bound.kind, bound, 10**7)
+        assert len(roots) == entered - no_radius
+        with pytest.raises(ResourceLimitError) as err:
+            _enumerate_rows(search, bound, work - 1)
+        assert str(err.value) == (
+            f"enumeration exceeded {work - 1} candidate evaluations "
+            f"({bound.kind.value} pass, bound {bound.value})"
+        )
+
+    def test_parity_l2_checks_take_87_square_roots(self, monkeypatch):
+        # The parity-l2 benchmark inputs, n = 5..10, are each decided by the
+        # pass at 4, which enters 284 levels in all; 197 of them lie below a
+        # found 2e_i with no radius left, and the walk crosses those without
+        # a square root.
+        entered = [
+            reference_enumerate_rows(_ReducedSearch(parity_lattice(n).rows, L2), NormValue(L2, 4))[2:]
+            for n in range(5, 11)
+        ]
+        assert [sum(c) for c in zip(*entered)] == [284, 197]
+        roots = []
+        real = enumeration.isqrt
+        monkeypatch.setattr(enumeration, "isqrt", lambda x: roots.append(x) or real(x))
+        for n in range(5, 11):
+            assert check_standard(parity_lattice(n), L2).verdict is Verdict.NON_STANDARD
+        assert len(roots) == 87
 
 
 def _old_canonical_sign(vec):

@@ -1,30 +1,40 @@
 """Differential tests of the greedy witness scan.
 
 ``enumeration._greedy_minima`` folds each vector into a copy of the kept
-vectors' echelon form and reads |det| of the witnesses off its pivots.  The
-reference, ``util.reference_greedy_minima``, keeps a ``RankTracker`` and
-reads the gcd of the witnesses' maximal minors.  Both must keep the same
-witnesses, so the same minima, and report the same |det| once the witnesses
-are full, on real enumeration passes and on integer lists full of repeated
-and dependent vectors.
+vectors' echelon form and returns that form, whose pivots multiply to |det|
+of the witnesses.  The reference, ``util.reference_greedy_minima``, keeps a
+``RankTracker`` and reads the gcd of the witnesses' maximal minors.  Both
+must keep the same witnesses, so the same minima, and give the same |det|
+once the witnesses are full, on real enumeration passes and on integer
+lists full of repeated and dependent vectors.  The echelon form must span
+exactly the witnesses, since the root generation test continues it.
 """
 
+import math
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stdlattice import NormKind, enumeration, exactlin, measure
+from stdlattice import NormKind, enumeration, exactlin, hnf_nonzero_rows, measure
 from stdlattice.enumeration import MeasuredVector, _greedy_minima
 from util import random_basis, reference_greedy_minima
+
+
+def pivot_product(echelon):
+    return math.prod(row[c] for c, row in echelon.items())
 
 
 def assert_same_scan(entries, want):
     got = _greedy_minima(entries, want)
     expected = reference_greedy_minima(entries, want)
     assert got[:2] == expected[:2]
-    if len(got[1]) == want:
-        assert got[2] == expected[2]
+    witnesses, echelon = got[1:]
+    assert len(echelon) == len(witnesses)
+    if witnesses:
+        assert hnf_nonzero_rows(list(echelon.values())) == hnf_nonzero_rows(witnesses)
+    if len(witnesses) == want:
+        assert pivot_product(echelon) == expected[2]
 
 
 def measured(vectors):
@@ -36,9 +46,9 @@ def measured(vectors):
 def test_scan_agrees_with_the_rank_tracker_on_enumeration_passes(n, kind, seed):
     rng = random.Random(seed)
     basis = random_basis(rng, n, -3, 3)
-    _, entries, witness_det = enumeration._minima_with_entries(basis.rows, kind)
+    _, entries, echelon = enumeration._minima_with_entries(basis.rows, kind)
     assert_same_scan(entries, n)
-    assert witness_det == reference_greedy_minima(entries, n)[2]
+    assert pivot_product(echelon) == reference_greedy_minima(entries, n)[2]
     # A prefix of the pass stops short of full rank: the witnesses so far
     # must still agree.
     assert_same_scan(entries[: len(entries) // 2], n)
@@ -75,10 +85,10 @@ def test_dependent_vector_leaves_the_witness_echelon_alone():
     # make 1 the first pivot: the pivots would describe the lattice of every
     # vector scanned, not of the witnesses.
     entries = measured([(2, 0), (1, 0), (0, 1)])
-    minima, witnesses, witness_det = _greedy_minima(entries, 2)
+    minima, witnesses, echelon = _greedy_minima(entries, 2)
     assert witnesses == [(2, 0), (0, 1)]
     assert [nv.value for nv in minima] == [4, 1]
-    assert witness_det == 2 == reference_greedy_minima(entries, 2)[2]
+    assert pivot_product(echelon) == 2 == reference_greedy_minima(entries, 2)[2]
     in_place: dict = {}
     for vec, _ in entries:
         exactlin._echelon_insert(in_place, vec, 2)

@@ -335,10 +335,11 @@ class TestReduce2D:
         assert passes == []
 
     def test_measures_each_norm_once(self, monkeypatch):
-        # A Fibonacci pair takes six translates under L2, where _translate
-        # measures nothing; the sixth is 0 and ends the loop unmeasured.  The
-        # two inputs, the five nonzero translates and the criterion's b2 + b1
-        # and b2 - b1 are all that is measured.
+        # A Fibonacci pair takes five translates under L2, where _translate
+        # measures nothing; the fifth leaves b2 no shorter than b1, which
+        # ends the loop with no translate call after it.  The two inputs,
+        # the five nonzero translates and the criterion's b2 + b1 and
+        # b2 - b1 are all that is measured.
         measured, translates = [], []
         real_measure, real_translate = norm2d.measure, norm2d._translate
 
@@ -354,7 +355,7 @@ class TestReduce2D:
         monkeypatch.setattr(norm2d, "_translate", counting_translate)
         red = reduce_2d(LatticeBasis([[34, 21], [55, 34]]), NormKind.L2)
         assert (red.b1, red.b2) == ((1, 0), (0, 1))
-        assert len(translates) == 6
+        assert len(translates) == 5
         assert len(measured) == 2 + 5 + 2
 
     def test_measure_count_on_a_seeded_corpus(self, monkeypatch):
@@ -368,7 +369,7 @@ class TestReduce2D:
         for basis in [random_basis(rng, 2, -40, 40) for _ in range(60)]:
             for kind in NormKind:
                 reduce_2d(basis, kind)
-        assert len(measured) == 1086
+        assert len(measured) == 1023
 
     @pytest.mark.parametrize("kind", list(NormKind))
     def test_no_step_measures_b2_or_a_vector_twice(self, monkeypatch, kind):
@@ -475,14 +476,16 @@ class TestGaussCriterion:
         calls = []
 
         def counting(b2, b1, k, at_zero):
-            calls.append(None)
-            return real(b2, b1, k, at_zero)
+            got = real(b2, b1, k, at_zero)
+            calls.append(got[0])
+            return got
 
         monkeypatch.setattr(norm2d, "_translate", counting)
         reduce_2d(basis, kind)
-        # The last call finds no improvement; the one before it makes the last step.
-        last_step = len(calls) - 1
-        assert last_step >= 1
+        # The loop ends on a call that finds no improvement or right after a
+        # step that leaves b2 no shorter than b1; either way the last call
+        # with a nonzero q makes the last step, and the stub skips it.
+        last_step = max(i for i, q in enumerate(calls, 1) if q)
 
         def skipping(b2, b1, k, at_zero):
             calls.append(None)

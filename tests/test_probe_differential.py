@@ -152,9 +152,9 @@ def assert_floor_changes_nothing(basis, kind):
     assert got == always_l2_search(basis.rows, kind, floor_pass=True)
     # Against the path without the floor pass, what callers read is equal,
     # and the entries are the reference's up to lambda_n.
-    sm, entries, witness_det = got
-    ref_sm, ref_entries, ref_det = always_l2_search(basis.rows, kind)
-    assert (sm, witness_det) == (ref_sm, ref_det)
+    sm, entries, echelon = got
+    ref_sm, ref_entries, ref_echelon = always_l2_search(basis.rows, kind)
+    assert (sm, echelon) == (ref_sm, ref_echelon)
     assert entries == ref_entries[: len(entries)]
     assert all(e.norm.value > sm.minima[-1].value for e in ref_entries[len(entries) :])
 

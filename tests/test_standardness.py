@@ -125,6 +125,28 @@ class TestSearchWork:
         assert cert.stats.nodes_explored == 1
         assert cert.stats.level_candidates == (n,) * n
 
+    def test_parity_l2_root_test_continues_the_greedy_echelon(self, monkeypatch):
+        # The greedy scan folds the n witnesses 2e_i, the whole union of the
+        # levels; the root test continues its echelon form and has nothing
+        # left to fold, so a check makes n insertions, 45 for n = 5..10.
+        inserts = []
+        for module in (enumeration, standardness, exactlin):
+            real = module._echelon_insert
+            monkeypatch.setattr(
+                module,
+                "_echelon_insert",
+                lambda e, v, w, real=real: inserts.append(v) or real(e, v, w),
+            )
+        total = 0
+        for n in range(5, 11):
+            inserts.clear()
+            cert = check_standard(parity_lattice(n), NormKind.L2)
+            assert cert.verdict is Verdict.NON_STANDARD
+            assert sorted(inserts) == sorted(cert.minima.witnesses)
+            assert len(inserts) == n
+            total += len(inserts)
+        assert total == 45
+
     def test_parity_non_standardness_is_decided_without_the_backtrack(self, monkeypatch):
         def no_backtrack(kernel, vec):
             raise AssertionError("backtrack started on a parity lattice")
@@ -169,7 +191,7 @@ class TestSearchWork:
         # standardness no longer imports hermite_form; any binding of it that
         # comes back is covered too.
         monkeypatch.setattr(standardness, "hermite_form", no_hermite_form, raising=False)
-        assert standardness._generates(level, 8, 1)
+        assert standardness._generates({}, level, 8, 1)
         assert max(sizes) == 8
         assert len(sizes) < len(level)
 
@@ -186,9 +208,9 @@ class TestSearchWork:
         calls = []
         inner = standardness._generates
 
-        def counted(vectors, n, det):
+        def counted(echelon, vectors, n, det):
             calls.append(n)
-            return inner(vectors, n, det)
+            return inner(echelon, vectors, n, det)
 
         monkeypatch.setattr(standardness, "_generates", counted)
         for b, kind in cases:

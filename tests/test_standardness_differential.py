@@ -7,13 +7,17 @@ minimum-norm vectors and asks whether any has the right determinant.  The
 verdicts must agree on every instance, and when both say Standard the
 certified basis must have exactly the minima norms.
 
-Against itself with the root generation test always run: skipping that
-test when the greedy witnesses are a basis, and reading the certificate
-off them in place of the backtrack, must change no certificate and no
-ceiling message.
+Against itself with the root generation test always run, on the whole
+union of the levels folded from an empty echelon form: skipping that test
+when the greedy witnesses are a basis, and reading the certificate off them
+in place of the backtrack, must change no certificate and no ceiling
+message; and where the test runs, continuing the greedy scan's echelon form
+with the level vectors that are not witnesses must decide as the whole
+union does.
 
 The root generation test itself, on vectors drawn from a lattice of known
-covolume, against the Hermite form of all of them at once.
+covolume, some of them folded into an echelon form first, against the
+Hermite form of all of them at once.
 
 The backtrack, forced on a lattice's own levels, against the reference
 backtrack on one ``util.RankTracker`` undone by ``pop``: the same first
@@ -31,9 +35,12 @@ from stdlattice import (
     LatticeBasis,
     NormKind,
     ResourceLimitError,
+    SearchStats,
+    StandardnessCertificate,
     Verdict,
     check_standard,
     enumeration,
+    exactlin,
     hnf_nonzero_rows,
     measure,
     parity_lattice,
@@ -113,10 +120,24 @@ def test_non_standardness_is_presentation_independent():
             assert brute_standard(disguised, NormKind.L1) is Verdict.NON_STANDARD
 
 
-def minima_without_witness_det(rows, kind, max_candidates=enumeration.DEFAULT_MAX_CANDIDATES):
-    # No lattice has |det| 0, so the root test is never skipped.
-    sm, entries, _ = enumeration._minima_with_entries(rows, kind, max_candidates=max_candidates)
-    return sm, entries, 0
+def forced_root_test(basis, kind, max_candidates=enumeration.DEFAULT_MAX_CANDIDATES):
+    """(certificate, root decision) of ``check_standard`` with the root
+    generation test always run, on the whole union of the levels folded from
+    an empty echelon form, and the backtrack after it exactly when the union
+    generates the lattice.  The enumeration keeps its default ceiling, so
+    only the backtrack's nodes meet ``max_candidates``."""
+    sm, entries, _ = enumeration._minima_with_entries(basis.rows, kind)
+    pool = {}
+    for vec, nv in entries:
+        pool.setdefault(nv.value, []).append(vec)
+    levels = [pool.get(nv.value, []) for nv in sm.minima]
+    sizes = tuple(map(len, levels))
+    union = [v for value in dict.fromkeys(nv.value for nv in sm.minima) for v in pool[value]]
+    if not standardness._generates({}, union, basis.dim, abs(basis.det)):
+        return StandardnessCertificate(Verdict.NON_STANDARD, None, sm, SearchStats(sizes, 1)), False
+    found, nodes = standardness._backtrack(levels, sm, abs(basis.det), max_candidates)
+    verdict = Verdict.NON_STANDARD if found is None else Verdict.STANDARD
+    return StandardnessCertificate(verdict, found, sm, SearchStats(sizes, nodes)), True
 
 
 def assert_skip_changes_nothing(basis, kind):
@@ -124,14 +145,16 @@ def assert_skip_changes_nothing(basis, kind):
     the one with the root test forced, nodes included, and the skip happens
     exactly when the witnesses have the lattice's |det|.  A skipped check
     reads its certificate off the witnesses and runs no backtrack; a check
-    that runs the root test runs the backtrack exactly when it passes."""
+    that runs the root test, on the greedy scan's echelon form, decides as
+    the forced test on the whole union does and runs the backtrack exactly
+    when it passes."""
     roots = []
     backtracks = []
     inner = standardness._generates
     inner_backtrack = standardness._backtrack
 
-    def counted(vectors, n, det):
-        roots.append((n, inner(vectors, n, det)))
+    def counted(echelon, vectors, n, det):
+        roots.append((n, inner(echelon, vectors, n, det)))
         return roots[-1][1]
 
     def counted_backtrack(*args):
@@ -144,12 +167,8 @@ def assert_skip_changes_nothing(basis, kind):
         cert = check_standard(basis, kind)
         skipped = not roots
         assert len(backtracks) == sum(generated for _, generated in roots)
-        roots.clear()
-        backtracks.clear()
-        mp.setattr(standardness, "_minima_with_entries", minima_without_witness_det)
-        forced = check_standard(basis, kind)
-        assert [n for n, _ in roots] == [basis.dim]
-        assert len(backtracks) == roots[0][1]
+    forced, generated = forced_root_test(basis, kind)
+    assert roots in ([], [(basis.dim, generated)])
     assert cert == forced
     witnesses = LatticeBasis(cert.minima.witnesses)
     assert skipped == (abs(witnesses.det) == abs(basis.det))
@@ -185,10 +204,6 @@ def minima_at_the_default_ceiling(rows, kind, max_candidates):
     return enumeration._minima_with_entries(rows, kind)
 
 
-def forced_minima_at_the_default_ceiling(rows, kind, max_candidates):
-    return minima_without_witness_det(rows, kind)
-
-
 def witness_basis_cases():
     """Z^3..Z^5 under Linf and the first eight random lattices whose greedy
     witnesses are a basis that the backtrack reaches only after passing
@@ -214,13 +229,16 @@ def test_witness_certificates_stop_where_the_backtrack_stops(basis, kind):
     assert nodes > basis.dim
     for ceiling in range(1, nodes + 1):
         outcomes = []
-        for minima in (minima_at_the_default_ceiling, forced_minima_at_the_default_ceiling):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(standardness, "_minima_with_entries", minima)
-                try:
-                    outcomes.append(check_standard(basis, kind, max_candidates=ceiling))
-                except ResourceLimitError as exc:
-                    outcomes.append(str(exc))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(standardness, "_minima_with_entries", minima_at_the_default_ceiling)
+            try:
+                outcomes.append(check_standard(basis, kind, max_candidates=ceiling))
+            except ResourceLimitError as exc:
+                outcomes.append(str(exc))
+        try:
+            outcomes.append(forced_root_test(basis, kind, ceiling)[0])
+        except ResourceLimitError as exc:
+            outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1], ceiling
         assert isinstance(outcomes[0], str) == (ceiling < nodes)
 
@@ -230,9 +248,10 @@ PRIME_FACTORS = {1: [], 2: [2], 3: [3], 4: [2, 2], 6: [2, 3], 8: [2, 2, 2]}
 
 @st.composite
 def vectors_in_a_lattice(draw):
-    """(vectors, n, det): 1 to 2n + 2 integer combinations, coefficients in
-    [-3, 3], of the rows of an upper triangular basis of covolume det, so
-    the vectors lie in a lattice of covolume det, as ``_generates`` asks."""
+    """(vectors, n, det, k): 1 to 2n + 2 integer combinations, coefficients
+    in [-3, 3], of the rows of an upper triangular basis of covolume det, so
+    the vectors lie in a lattice of covolume det, as ``_generates`` asks,
+    and how many of them to fold into an echelon form first."""
     n = draw(st.integers(1, 6))
     det = draw(st.sampled_from(sorted(PRIME_FACTORS)))
     diagonal = [1] * n
@@ -246,7 +265,8 @@ def vectors_in_a_lattice(draw):
     coeffs = draw(
         st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=2 * n + 2)
     )
-    return list(mat_mul(coeffs, basis)), n, det
+    vectors = list(mat_mul(coeffs, basis))
+    return vectors, n, det, draw(st.integers(0, len(vectors)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -254,10 +274,14 @@ def vectors_in_a_lattice(draw):
 def test_generation_test_agrees_with_the_hermite_form(case):
     # The reference takes the Hermite form of all the vectors at once: they
     # generate the lattice iff it has n rows whose pivots multiply to det.
-    vectors, n, det = case
+    # The test decides the same from an empty echelon form and from the
+    # echelon form of the first k vectors, continued with the rest.
+    vectors, n, det, k = case
     h = hnf_nonzero_rows(vectors)
     expected = len(h) == n and math.prod(h[i][i] for i in range(n)) == det
-    assert standardness._generates(vectors, n, det) is expected
+    assert standardness._generates({}, vectors, n, det) is expected
+    echelon = exactlin._echelon_of(vectors[:k], n)
+    assert standardness._generates(echelon, vectors[k:], n, det) is expected
 
 
 @st.composite

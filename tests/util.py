@@ -3,8 +3,9 @@ Hermite form of a given index, and tiny independent oracles (an exhaustive
 standardness decision over the oracle's Hermite coordinate walk, cofactor
 determinants, a raw coefficient-box product scan that checks that walk, a
 Fraction Gram-Schmidt and the nearest-plane rounding built on it, a
-Fraction Gauss-Jordan solve, one forced minima pass and the start bounds
-of a one-pass minima search, the greedy witness scan by rank tracker and
+Fraction Gauss-Jordan solve, the enumeration kernel without its
+zero-radius walk, one forced minima pass and the start bounds of a
+one-pass minima search, the greedy witness scan by rank tracker and
 the backtrack on it, the two-Hermite-form section, the basis test by
 rounding walk and determinant, the bisection that found
 ``min_translate``'s best L1 and Linf translate, and the Gauss loop that
@@ -32,6 +33,7 @@ from stdlattice import (
 from stdlattice import enumeration
 from stdlattice.enumeration import (
     DEFAULT_MAX_CANDIDATES,
+    MeasuredVector,
     _enumerate_rows,
     _greedy_minima,
     _read_pass,
@@ -279,13 +281,61 @@ def unboxed_search(rows) -> _ReducedSearch:
 def one_pass(search, kind: NormKind, value, max_candidates: int = DEFAULT_MAX_CANDIDATES):
     """One enumeration pass at bound ``value`` over ``search``, a record from
     :func:`unboxed_search`, so without the Hoelder box, and its greedy scan:
-    (minima, pass entries, |det| of the witnesses) as a minima search
+    (minima, pass entries, echelon form of the witnesses) as a minima search
     returns them, with fewer than n minima when ``value`` lies below
     lambda_n."""
     assert search.duals is None
     entries = _enumerate_rows(search, NormValue(kind, value), max_candidates)
-    minima, witnesses, witness_det = _greedy_minima(entries, len(search.rows))
-    return SuccessiveMinima(kind, tuple(minima), tuple(witnesses)), entries, witness_det
+    minima, witnesses, echelon = _greedy_minima(entries, len(search.rows))
+    return SuccessiveMinima(kind, tuple(minima), tuple(witnesses)), entries, echelon
+
+
+def reference_enumerate_rows(search, bound: NormValue):
+    """The enumeration kernel over ``search`` without its zero-radius walk:
+    every level is entered with its own integer square root and interval,
+    one recursive call per coefficient, and no ceiling.  Returns (entries,
+    candidates, levels entered, levels entered with no radius left).  The
+    candidates are those the kernel counts against its ceiling, so their
+    number is its smallest sufficient ceiling."""
+    rows, den, mu_cols = search.rows, search.den, search.mu_cols
+    kind = bound.kind
+    m, n = len(rows), len(rows[0])
+    r2 = enumeration_radius_in_l2(bound, n).value
+    cap = r2.numerator * search.scale
+    bsq = [b * r2.denominator for b in search.bsq]
+    duals = search.duals if kind is search.kind else None
+    limit = bound.value
+    boxes = duals and [
+        limit.numerator * g * den // (limit.denominator * search.d[l + 1])
+        for l, g in enumerate(duals)
+    ]
+    found, counts, xs = [], [0, 0, 0], [0] * m
+
+    def enter(level: int, rem: int, zero: bool) -> None:
+        center = -sum(x * mu for x, mu in zip(xs[level + 1 :], mu_cols[level]))
+        counts[1] += 1
+        counts[2] += not rem
+        s = math.isqrt(rem // bsq[level])
+        if boxes:
+            s = min(s, boxes[level])
+        lo, hi = -((s - center) // den), (center + s) // den
+        if zero:
+            lo = max(lo, 0)
+        counts[0] += max(hi - lo + 1, 0)
+        for x in range(lo, hi + 1):
+            xs[level] = x
+            if level:
+                t = x * den - center
+                enter(level - 1, rem - t * t * bsq[level], zero and not x)
+            elif not zero or x:
+                vec = tuple(sum(c * r[j] for c, r in zip(xs, rows)) for j in range(n))
+                nv = measure(vec, kind)
+                if nv.value <= limit:
+                    found.append(MeasuredVector(max(vec, tuple(-a for a in vec)), nv))
+
+    enter(m - 1, cap, True)
+    found.sort(key=lambda e: (e.norm.value, e.vector))
+    return found, *counts
 
 
 def minima_without_floor_pass(search, kind: NormKind, max_candidates: int = DEFAULT_MAX_CANDIDATES):
